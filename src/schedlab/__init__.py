@@ -7,8 +7,7 @@ from .model import Event, History, Schedule, Slot, complete, precedes, \
     project_process, restrict_to_object, restrict_to_operation, schedule_of
 from .seqspec import Operation, SearchStructureDef, make_structure, \
     non_triviality_witness, sequential_run
-from .scheduler import DriveResult, Workload, drive, enumerate_schedules, \
-    free_run, universe
+from .scheduler import DriveResult, Workload, drive, free_run, universe
 from .checkers import (CheckResult, check_compositionality,
                        check_linearizable, check_locally_serializable,
                        check_ls_linearizable, check_safe_strict,
@@ -23,7 +22,7 @@ __all__ = [
     "project_process", "restrict_to_object", "restrict_to_operation",
     "schedule_of", "Operation", "SearchStructureDef", "make_structure",
     "non_triviality_witness", "sequential_run", "DriveResult", "Workload",
-    "drive", "enumerate_schedules", "free_run", "universe", "CheckResult",
+    "drive", "free_run", "universe", "CheckResult",
     "check_compositionality", "check_linearizable",
     "check_locally_serializable", "check_ls_linearizable",
     "check_safe_strict", "check_strictly_serializable", "compose_histories",

@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 
-from .model import (ABORTED, COMPLETE, OI, OR, RR, WI, Event, History,
+from .model import (ABORTED, OI, OR, RR, WI, Event, History,
                     OperationInstance, restrict_to_operation)
 from .seqspec import (BudgetExceeded, Operation, SearchStructureDef,
                       dec_key, dictionary_apply, local_trace,
@@ -62,10 +62,11 @@ def op_intervals(h: History) -> dict[int, tuple[int, float]]:
     return out
 
 
-def rw_trace(h: History, op_id: int) -> list[tuple]:
-    """[("r", nid, record) | ("w", nid, edge_patch)] for one operation."""
+def rw_trace(h: History, op_id: int, attempt: int | None = None) -> list[tuple]:
+    """[("r", nid, record) | ("w", nid, edge_patch)] for one operation, or
+    for one attempt of it."""
     out = []
-    for e in restrict_to_operation(h, op_id):
+    for e in restrict_to_operation(h, op_id, attempt):
         if e.kind == RR:
             out.append(("r", e.nid, e.value))
         elif e.kind == WI:
@@ -227,38 +228,50 @@ def check_locally_serializable(h: History, def_: SearchStructureDef,
                                keys: tuple[int, ...], max_ops: int,
                                state_cap: int = 4000) -> CheckResult:
     """For each operation, search the sequential implementation's histories
-    for one whose local trace matches (prefix match for operations that
-    never responded)."""
+    for one whose local trace matches.  Each attempt of a restarted
+    operation is its own unit: an aborted or incomplete attempt must match
+    a prefix of a sequential trace, and the completed final attempt must
+    match one fully, response included."""
     try:
         states = reachable_states(def_, keys, max_ops, state_cap)
     except BudgetExceeded as e:
         return CheckResult(None, reason=str(e))
     witnesses = {}
     for i, op_inst in sorted(h.ops.items()):
-        trace = rw_trace(h, i)
-        if not trace and op_inst.status != COMPLETE:
-            witnesses[i] = "no events"
-            continue
-        steps = canonical_steps(trace)
-        resp = op_inst.response if op_inst.is_complete() else None
+        attempts = sorted({e.attempt for e in h.events if e.op == i}) or [0]
         op = Operation(op_inst.name, op_inst.key, op_inst.val)
-        found = None
-        for state, path in states:
-            cand = local_trace(def_, state, op)
-            c_steps, c_resp = cand[:-1], cand[-1][1]
-            if resp is not None:
-                if steps == c_steps and resp == c_resp:
-                    found = [o.describe() for o in path]
-                    break
-            elif steps == c_steps[:len(steps)]:
-                found = [o.describe() for o in path]
-                break
-        if found is None:
-            return CheckResult(False, violation={"op": i, "trace": steps},
-                               reason=f"operation {op_inst.describe()} has no "
-                                      f"sequential witness")
-        witnesses[i] = found
+        for attempt in attempts:
+            complete = attempt == attempts[-1] and op_inst.is_complete()
+            trace = rw_trace(h, i, attempt)
+            if not trace and not complete:
+                witnesses[i] = "no events"
+                continue
+            steps = canonical_steps(trace)
+            found = _local_witness(def_, states, op, steps,
+                                   op_inst.response if complete else None)
+            if found is None:
+                return CheckResult(False, violation={"op": i, "attempt": attempt,
+                                                     "trace": steps},
+                                   reason=f"operation {op_inst.describe()} has no "
+                                          f"sequential witness")
+            witnesses[i] = found
     return CheckResult(True, witness=witnesses)
+
+
+def _local_witness(def_, states, op: Operation, steps: tuple, resp) -> list | None:
+    """The path to a reachable state from which the sequential code of `op`
+    takes exactly `steps` and returns `resp`, or, with `resp` None, takes
+    `steps` as a prefix."""
+    for state, path in states:
+        cand = local_trace(def_, state, op)
+        c_steps, c_resp = cand[:-1], cand[-1][1]
+        if resp is None:
+            match = steps == c_steps[:len(steps)]
+        else:
+            match = steps == c_steps and resp == c_resp
+        if match:
+            return [o.describe() for o in path]
+    return None
 
 
 def check_ls_linearizable(h: History, def_: SearchStructureDef,

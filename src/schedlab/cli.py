@@ -22,7 +22,7 @@ from importlib import resources
 
 from .checkers import check_ls_linearizable, check_strictly_serializable
 from .fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
-from .metric import accepted_set, lsl_set, optimality_gap, workload_keys
+from .metric import optimality_gap, workload_keys
 from .model import OI, OR, RI, WI, History, Schedule
 from .scheduler import (DriveResult, MalformedScheduleError, Workload, drive,
                         free_run)
@@ -271,15 +271,13 @@ def cmd_explore(args) -> int:
         return 1
     budget = args.budget or sc["budget"]
     w, impl = sc["workload"], sc["impl"]
-    acc = accepted_set(impl, w, budget)
-    oracle = lsl_set(w, budget)
     gap = optimality_gap(impl, w, budget)
     report = {
         "workload": w.fingerprint(),
         "impl": impl,
-        "total": acc.total,
-        "accepted": len(acc.digests),
-        "lsl": len(oracle.digests),
+        "total": gap.total,
+        "accepted": gap.accepted,
+        "lsl": gap.lsl,
         "ratio": round(gap.ratio, 6),
         "witnesses": [s.to_json() for s in gap.missing],
     }
@@ -293,7 +291,7 @@ def cmd_explore(args) -> int:
                                    f"({sl.op_name} {sl.key})" if sl.op_name else "")
                                 for sl in s.slots))
     _emit(args, report, lines)
-    return 4 if (acc.partial or oracle.partial) else 0
+    return 4 if gap.partial else 0
 
 
 def scenario_path(name: str) -> str:

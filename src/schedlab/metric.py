@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import History, OperationInstance, Schedule
-from .scheduler import Workload, build_world, drive, universe
+from .model import History, Schedule
+from .scheduler import (MalformedScheduleError, Workload, build_world, drive,
+                        run_audit_finds, schedule_trie, workload_keys)
 from .checkers import check_ls_linearizable
-from .seqspec import Operation
-from .sync import FINISHED, PROGRESSED, make_machine
 
 
 @dataclass
@@ -42,76 +41,79 @@ class ComparisonVerdict:
     right_only: list[Schedule] = field(default_factory=list)
 
 
-def workload_keys(w: Workload) -> tuple[int, ...]:
-    keys = {o.key for o in w.setup} | {o.key for _, o in w.concurrent}
-    return tuple(sorted(keys))
+def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
+             budget: int = 20000, extras: list[Schedule] = (),
+             max_ops: int | None = None,
+             state_cap: int = 4000) -> dict[str, ScheduleSet]:
+    """The accepted set of every implementation in `impls` and, with
+    `lsl`, the LSL set (under the name "lsl"), from one pass over the first
+    `budget` schedules of the universe.  Supplied `extras` (for workloads
+    whose full universe is infeasible) that the pass did not visit are
+    classified by the reference path, ``drive`` and ``audited_history``."""
+    keys = workload_keys(w)
+    max_ops = max_ops if max_ops is not None else len(keys) + 1
+    members: dict[str, dict[str, Schedule]] = {n: {} for n in (*impls, "lsl")}
+    inconclusive: set[str] = set()
+    seen: set[str] = set()
+
+    def record(s: Schedule, accepted, audited: History | None):
+        d = s.digest()
+        seen.add(d)
+        for impl in accepted:
+            members[impl][d] = s
+        if lsl:
+            verdict = check_ls_linearizable(audited, w.structure, keys, max_ops,
+                                            state_cap).verdict
+            if verdict is True:
+                members["lsl"][d] = s
+            elif verdict is None:
+                inconclusive.add(d)
+
+    truncated = False
+    for leaf in schedule_trie(w, impls, audited=lsl):
+        record(leaf.schedule, [i for i in impls if i not in leaf.rejected],
+               leaf.audited)
+        if len(seen) >= budget:
+            truncated = True
+            break
+    for s in extras:
+        if s.digest() not in seen:
+            record(s, [i for i in impls if drive(i, w, s).accepted],
+                   audited_history(w, s) if lsl else None)
+    fp = w.fingerprint()
+    out = {impl: ScheduleSet(impl, fp, frozenset(members[impl]), members[impl],
+                             len(seen), truncated) for impl in impls}
+    if lsl:
+        out["lsl"] = ScheduleSet("lsl", fp, frozenset(members["lsl"]), members["lsl"],
+                                 len(seen), truncated, frozenset(inconclusive))
+    return out
 
 
 def accepted_set(impl: str, w: Workload, budget: int = 20000,
                  extras: list[Schedule] = ()) -> ScheduleSet:
     """Accepted schedules over the enumerated universe plus any explicitly
     supplied schedules (for workloads whose full universe is infeasible)."""
-    scheds, truncated = universe(w, budget)
-    digests, reps, seen = set(), {}, set()
-    for s in list(scheds) + list(extras):
-        d = s.digest()
-        if d in seen:
-            continue
-        seen.add(d)
-        if drive(impl, w, s).accepted:
-            digests.add(d)
-            reps[d] = s
-    return ScheduleSet(impl, w.fingerprint(), frozenset(digests), reps,
-                       len(seen), truncated)
+    return classify(w, (impl,), budget=budget, extras=extras)[impl]
 
 
 def audited_history(w: Workload, schedule: Schedule) -> History:
-    """Legal replay of the schedule plus the sequential audit finds."""
+    """Legal replay of the schedule plus the sequential audit finds: the
+    reference path for the histories ``schedule_trie`` audits at its
+    leaves."""
     world, machines, start = build_world("unsync", w)
     initial = world.state.snapshot()
     for slot in schedule.slots:
         machines[slot.proc].step(world)
-    assert all(m.finished for m in machines.values()), \
-        "universe schedules always complete under unsync"
-    next_id = max(world.ops) + 1
-    next_proc = max(p for p, _ in w.concurrent) + 1
-    for key in workload_keys(w):
-        inst = OperationInstance(id=next_id, proc=next_proc, name="find", key=key)
-        world.ops[next_id] = inst
-        m = make_machine("unsync", w.structure, inst)
-        while not m.finished:
-            out = m.step(world)
-            assert out.kind in (PROGRESSED, FINISHED)
-        next_id += 1
-        next_proc += 1
-    events = world.events[start:]
-    ops = {i: o for i, o in world.ops.items() if any(e.op == i for e in events)}
-    return History(list(events), ops, initial, w.structure.name)
+    if not all(m.finished for m in machines.values()):
+        raise MalformedScheduleError("schedule leaves operations incomplete")
+    return run_audit_finds(world, w, start, initial)
 
 
 def lsl_set(w: Workload, budget: int = 20000, max_ops: int | None = None,
             state_cap: int = 4000, extras: list[Schedule] = ()) -> ScheduleSet:
     """Schedules with an LS-linearizable exporting history (audited)."""
-    scheds, truncated = universe(w, budget)
-    scheds = list(scheds) + list(extras)
-    keys = workload_keys(w)
-    max_ops = max_ops if max_ops is not None else len(keys) + 1
-    digests, reps, inconclusive = set(), {}, set()
-    seen = set()
-    for s in scheds:
-        d = s.digest()
-        if d in seen:
-            continue
-        seen.add(d)
-        hist = audited_history(w, s)
-        res = check_ls_linearizable(hist, w.structure, keys, max_ops, state_cap)
-        if res.verdict is True:
-            digests.add(d)
-            reps[d] = s
-        elif res.verdict is None:
-            inconclusive.add(d)
-    return ScheduleSet("lsl", w.fingerprint(), frozenset(digests), reps,
-                       len(seen), truncated, frozenset(inconclusive))
+    return classify(w, lsl=True, budget=budget, extras=extras, max_ops=max_ops,
+                    state_cap=state_cap)["lsl"]
 
 
 def compare(a: ScheduleSet, b: ScheduleSet, max_witnesses: int = 3) -> ComparisonVerdict:
@@ -147,20 +149,22 @@ class OptimalityGap:
     ratio: float
     missing: list[Schedule]
     inconclusive: int = 0
+    total: int = 0  # schedules classified
+    partial: bool = False  # the universe was cut at the budget
 
 
 def optimality_gap(impl: str, w: Workload, budget: int = 20000,
                    max_witnesses: int = 3,
                    extras: list[Schedule] = ()) -> OptimalityGap:
-    acc = accepted_set(impl, w, budget, extras)
-    oracle = lsl_set(w, budget, extras=extras)
+    sets = classify(w, (impl,), lsl=True, budget=budget, extras=extras)
+    acc, oracle = sets[impl], sets["lsl"]
     usable = oracle.digests  # inconclusive schedules are excluded, ratio is a lower bound
     inter = acc.digests & usable
     missing = sorted(usable - acc.digests)
     ratio = (len(inter) / len(usable)) if usable else 1.0
     return OptimalityGap(impl, len(acc.digests), len(usable), ratio,
                          [oracle.representatives[d] for d in missing[:max_witnesses]],
-                         len(oracle.inconclusive))
+                         len(oracle.inconclusive), acc.total, acc.partial)
 
 
 @dataclass
@@ -179,8 +183,8 @@ def incomparability(w1: Workload, sigma: Schedule, w2: Workload,
     sets.  w1 is the identical-insert family (enumerated in full and
     compared set-to-set), w2 the find/delete/delete family, whose universe
     is far beyond enumeration - its witness is re-driven directly."""
-    hoh1 = accepted_set("hoh", w1, budget, extras=[sigma])
-    stm1 = accepted_set("stm", w1, budget, extras=[sigma])
+    sets = classify(w1, ("hoh", "stm"), budget=budget, extras=[sigma])
+    hoh1, stm1 = sets["hoh"], sets["stm"]
     c1 = compare(stm1, hoh1)
     sigma_ok = sigma.digest() in stm1.digests and sigma.digest() not in hoh1.digests \
         and verify_witness("stm", "hoh", w1, sigma)

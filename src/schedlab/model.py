@@ -82,6 +82,13 @@ class OperationInstance:
     def is_complete(self) -> bool:
         return self.status == COMPLETE
 
+    def copy(self) -> OperationInstance:
+        """Field-for-field copy; forks take one per operation per step,
+        and ``dataclasses.replace`` costs several times as much."""
+        c = object.__new__(OperationInstance)
+        c.__dict__.update(self.__dict__)
+        return c
+
     def describe(self) -> str:
         return f"{self.name}({self.key})"
 
@@ -179,14 +186,17 @@ def complete(h: History) -> History:
     return History(sub, ops, h.initial, h.structure, h.obj_nids)
 
 
-def restrict_to_operation(h: History, op_id: int) -> list[Event]:
-    """The events of one operation, minus its final aborted read/write.
+def restrict_to_operation(h: History, op_id: int,
+                          attempt: int | None = None) -> list[Event]:
+    """The events of one operation (of one attempt of it, if given), minus
+    its final aborted read/write.
 
     For an aborted operation this is the successful prefix: the trailing
     invocation whose response carries the abort mark is dropped along with
     that response and the abort op-response.
     """
-    evs = [e for e in h.events if e.op == op_id]
+    evs = [e for e in h.events
+           if e.op == op_id and (attempt is None or e.attempt == attempt)]
     if any(e.is_abort() for e in evs):
         evs = [e for e in evs if not e.is_abort()]
         # the invocation paired with the dropped abort response, if recorded
@@ -274,6 +284,17 @@ class Schedule:
         return len(self.slots)
 
 
+def slot_of(e: Event) -> Slot | None:
+    """The slot an event occupies, or None for a read/write response."""
+    if e.kind == OI:
+        return Slot(e.proc, OI, op_name=e.value[0], key=e.value[1])
+    if e.kind in (RI, WI):
+        return Slot(e.proc, e.kind, elem=e.elem)
+    if e.kind == OR:
+        return Slot(e.proc, OR)
+    return None
+
+
 def schedule_of(h: History) -> Schedule:
     """Erase read values and responses, keeping the event order.
 
@@ -281,13 +302,5 @@ def schedule_of(h: History) -> Schedule:
     carry no ordering information of their own, so slots are taken from
     invocation events plus op-response points.
     """
-    slots = []
-    for e in h.events:
-        if e.kind == OI:
-            name, key = e.value[0], e.value[1]
-            slots.append(Slot(e.proc, OI, op_name=name, key=key))
-        elif e.kind in (RI, WI):
-            slots.append(Slot(e.proc, e.kind, elem=e.elem))
-        elif e.kind == OR:
-            slots.append(Slot(e.proc, OR))
-    return Schedule(tuple(slots))
+    slots = (slot_of(e) for e in h.events)
+    return Schedule(tuple(s for s in slots if s is not None))

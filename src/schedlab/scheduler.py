@@ -1,6 +1,6 @@
 """Deterministic drivers for step machines: acceptance-test a given
-schedule, enumerate every interleaving of a workload, or run it free with
-restarts.
+schedule, classify every interleaving of a workload in one pass, or run it
+free with restarts.
 
 A workload is a structure plus a sequential setup (run to completion before
 anything concurrent starts; the post-setup store is the initial snapshot of
@@ -8,22 +8,30 @@ every driven history) and the concurrent operations, one process each.
 
 ``drive`` replays one schedule slot list; a slot either progresses with
 exactly the named event or the schedule is rejected at that slot index
-(blocked / aborted / order-mismatch).  ``enumerate_schedules`` walks the
-full schedule universe - all interleavings of the unsynchronized machines'
-steps - and classifies each schedule by re-driving it under the chosen
-implementation.  ``free_run`` is the liveness mode: random scheduling,
-blocked machines retried, aborted machines restarted.
+(blocked / aborted / order-mismatch).  It is the reference path.
+``schedule_trie`` walks the schedule universe - all interleavings of the
+unsynchronized machines' steps - as a trie, DFS in process order, and
+classifies every schedule in the same pass: the machines of each requested
+implementation are forked along with the unsynchronized ones, so each
+distinct prefix is stepped once, and an implementation that rejects a slot
+is dropped for the whole subtree below it (``drive`` would reject every
+schedule there at the same slot for the same reason).  At a leaf the
+unsynchronized world holds the legal replay of the schedule, which the LSL
+oracle audits in place.  ``free_run`` is the liveness mode: random
+scheduling, blocked machines retried, aborted machines restarted.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .model import (OI, RI, WI, Event, History, OperationInstance,
-                    Schedule, Slot, complete, schedule_of)
+                    Schedule, Slot, complete, schedule_of, slot_of)
 from .seqspec import Operation, SearchStructureDef
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, StepMachine,
                    World, make_machine, restart)
@@ -31,6 +39,11 @@ from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, StepMachine,
 
 class MalformedScheduleError(ValueError):
     """The schedule is not a valid input for this workload."""
+
+
+class InvariantError(RuntimeError):
+    """An invariant the drivers rely on does not hold.  This is a fault in
+    a machine or a driver, never in the input."""
 
 
 @dataclass
@@ -54,6 +67,11 @@ class Workload:
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def workload_keys(w: Workload) -> tuple[int, ...]:
+    keys = {o.key for o in w.setup} | {o.key for _, o in w.concurrent}
+    return tuple(sorted(keys))
+
+
 @dataclass
 class DriveResult:
     verdict: str  # accepted | rejected
@@ -65,20 +83,6 @@ class DriveResult:
     @property
     def accepted(self) -> bool:
         return self.verdict == "accepted"
-
-
-@dataclass
-class ExplorationReport:
-    impl: str
-    fingerprint: str
-    total: int
-    verdicts: dict[str, str]  # schedule digest -> accepted | rejected:<reason>
-    representatives: dict[str, Schedule]
-    partial: bool = False
-
-    @property
-    def accepted(self) -> set[str]:
-        return {d for d, v in self.verdicts.items() if v == "accepted"}
 
 
 def _spawn(impl: str, w: Workload, world: World) -> dict[int, StepMachine]:
@@ -93,6 +97,18 @@ def _spawn(impl: str, w: Workload, world: World) -> dict[int, StepMachine]:
     return machines
 
 
+def _run_sequential(world: World, w: Workload, inst: OperationInstance) -> None:
+    """Run one operation to completion, alone, on the unsynchronized
+    machine."""
+    world.ops[inst.id] = inst
+    m = make_machine("unsync", w.structure, inst)
+    while not m.finished:
+        out = m.step(world)
+        if out.kind not in (PROGRESSED, FINISHED):
+            raise InvariantError(f"unsync machine of {inst.describe()} "
+                                 f"{out.kind} running alone")
+
+
 def build_world(impl: str, w: Workload) -> tuple[World, dict[int, StepMachine], int]:
     """Run the setup sequentially, snapshot the store, spawn the machines.
 
@@ -100,12 +116,8 @@ def build_world(impl: str, w: Workload) -> tuple[World, dict[int, StepMachine], 
     event)."""
     world = World(w.structure.new_state())
     for i, op in enumerate(w.setup):
-        inst = OperationInstance(id=i, proc=0, name=op.name, key=op.key, val=op.val)
-        world.ops[inst.id] = inst
-        m = make_machine("unsync", w.structure, inst)
-        while not m.finished:
-            out = m.step(world)
-            assert out.kind in (PROGRESSED, FINISHED)
+        _run_sequential(world, w, OperationInstance(id=i, proc=0, name=op.name,
+                                                    key=op.key, val=op.val))
     w.structure.audit(world.state)
     return world, _spawn(impl, w, world), len(world.events)
 
@@ -113,9 +125,21 @@ def build_world(impl: str, w: Workload) -> tuple[World, dict[int, StepMachine], 
 def _concurrent_history(world: World, w: Workload, start: int,
                         initial: dict) -> History:
     events = world.events[start:]
-    ops = {i: o for i, o in world.ops.items()
-           if any(e.op == i for e in events)}
-    return History(list(events), ops, initial, w.structure.name)
+    present = {e.op for e in events}
+    ops = {i: o for i, o in world.ops.items() if i in present}
+    return History(events, ops, initial, w.structure.name)
+
+
+def run_audit_finds(world: World, w: Workload, start: int, initial: dict) -> History:
+    """Run one sequential find per workload key after the concurrent
+    operations; return the concurrent history with the finds, which the
+    LSL oracle checks (see ``metric``)."""
+    next_id = max(world.ops) + 1
+    next_proc = max((p for p, _ in w.concurrent), default=0) + 1
+    for i, key in enumerate(workload_keys(w)):
+        _run_sequential(world, w, OperationInstance(id=next_id + i, proc=next_proc + i,
+                                                    name="find", key=key))
+    return _concurrent_history(world, w, start, initial)
 
 
 def _fork(world: World, machines: dict[int, StepMachine]):
@@ -134,6 +158,38 @@ def _slot_matches(slot: Slot, ev: Event) -> bool:
     return True  # or: bare response point
 
 
+def _step_slot(world: World, machines: dict[int, StepMachine], idx: int,
+               slot: Slot) -> str | None:
+    """Give the slot's process one step: None when it progresses with the
+    named event, else the rejection reason."""
+    m = machines[slot.proc]
+    if m.finished:
+        raise MalformedScheduleError(
+            f"slot {idx} addresses finished operation of process {slot.proc}")
+    out = m.step(world)
+    if out.kind == BLOCKED:
+        return "blocked"
+    if out.kind == ABORT_OUT:
+        return "aborted"
+    ev = out.invoke_event
+    if ev is None or not _slot_matches(slot, ev):
+        return "order-mismatch"
+    return None
+
+
+def _accepted_history(world: World, machines: dict[int, StepMachine],
+                      w: Workload, start: int, initial: dict,
+                      schedule: Schedule) -> History:
+    """The end-of-schedule checks of an implementation that took every
+    slot: all operations finished, and the history exports the schedule."""
+    if not all(m.finished for m in machines.values()):
+        raise MalformedScheduleError("schedule leaves operations incomplete")
+    hist = _concurrent_history(world, w, start, initial)
+    if schedule_of(complete(hist).exported()) != schedule:
+        raise InvariantError("accepted history does not export the schedule")
+    return hist
+
+
 def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
     """Give the named process's machine one step per slot; accept iff every
     slot progresses with the named event and all operations complete."""
@@ -144,79 +200,93 @@ def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
         if slot.proc not in known:
             raise MalformedScheduleError(f"slot for unknown process {slot.proc}")
 
-    def result(verdict, reason=None, idx=None):
-        hist = _concurrent_history(world, w, start, initial)
+    def result(verdict, hist, reason=None, idx=None):
         responses = {i: o.response for i, o in hist.ops.items() if o.is_complete()}
         return DriveResult(verdict, hist, reason, idx, responses)
 
     for idx, slot in enumerate(schedule.slots):
-        m = machines[slot.proc]
-        if m.finished:
-            raise MalformedScheduleError(
-                f"slot {idx} addresses finished operation of process {slot.proc}")
-        out = m.step(world)
-        if out.kind == BLOCKED:
-            return result("rejected", "blocked", idx)
-        if out.kind == ABORT_OUT:
-            return result("rejected", "aborted", idx)
-        ev = out.invoke_event
-        if ev is None or not _slot_matches(slot, ev):
-            return result("rejected", "order-mismatch", idx)
-    if not all(m.finished for m in machines.values()):
-        raise MalformedScheduleError("schedule leaves operations incomplete")
-    res = result("accepted")
-    exported = schedule_of(complete(res.history).exported())
-    assert exported == schedule, "accepted history does not export the schedule"
-    return res
+        reason = _step_slot(world, machines, idx, slot)
+        if reason is not None:
+            return result("rejected", _concurrent_history(world, w, start, initial),
+                          reason, idx)
+    return result("accepted",
+                  _accepted_history(world, machines, w, start, initial, schedule))
+
+
+@dataclass
+class Leaf:
+    """One schedule of the universe with its verdicts from the pass."""
+
+    schedule: Schedule
+    # implementation -> (reason, failing slot); accepting ones are absent
+    rejected: dict[str, tuple[str, int]]
+    # the legal replay plus the audit finds, when the pass was asked for it
+    audited: History | None = None
+
+
+def schedule_trie(w: Workload, impls: tuple[str, ...] = (),
+                  audited: bool = False) -> Iterator[Leaf]:
+    """Every schedule of the workload, classified under each of `impls`:
+    DFS over the trie of the unsynchronized machines' next-step choices,
+    in process order.  Deterministic.
+
+    Each implementation's machines are forked along the trie and given the
+    step the unsynchronized machine just took; one that rejects it is
+    dropped for the subtree, with that slot's index and reason.  An
+    implementation still present at a leaf passes ``drive``'s
+    end-of-schedule checks there.  With `audited`, each leaf also carries
+    the history of its own unsynchronized world extended by the audit
+    finds."""
+    world, machines, start = build_world("unsync", w)
+    initial = world.state.snapshot()
+    runs = {impl: build_world(impl, w)[:2] for impl in impls}
+    slots: list[Slot] = []
+
+    def rec(world, machines, runs, rejected):
+        live = sorted(p for p, m in machines.items() if not m.finished)
+        if not live:
+            schedule = Schedule(tuple(slots))
+            for iw, im in runs.values():
+                _accepted_history(iw, im, w, start, initial, schedule)
+            yield Leaf(schedule, rejected,
+                       run_audit_finds(world, w, start, initial) if audited else None)
+            return
+        for proc in live:
+            # the last child takes over this node's worlds: nothing below
+            # this node reads them after it
+            last = proc == live[-1]
+            w2, m2 = (world, machines) if last else _fork(world, machines)
+            out = m2[proc].step(w2)
+            if out.kind not in (PROGRESSED, FINISHED):
+                raise InvariantError(f"unsync machine of process {proc} {out.kind}")
+            slot = slot_of(out.invoke_event)
+            idx = len(slots)
+            runs2, rejected2 = {}, rejected
+            for impl, (iw, im) in runs.items():
+                if not last:
+                    iw, im = _fork(iw, im)
+                reason = _step_slot(iw, im, idx, slot)
+                if reason is None:
+                    runs2[impl] = (iw, im)
+                else:
+                    rejected2 = {**rejected2, impl: (reason, idx)}
+            slots.append(slot)
+            yield from rec(w2, m2, runs2, rejected2)
+            slots.pop()
+
+    yield from rec(world, machines, runs, {})
 
 
 def universe(w: Workload, budget: int = 20000) -> tuple[list[Schedule], bool]:
-    """Every schedule of the workload: all interleavings of the
-    unsynchronized machines' next-step choices, DFS in process order.
+    """The first `budget` schedules of the workload in DFS order (see
+    ``schedule_trie``).
 
-    Returns (schedules, truncated?).  Deterministic."""
-    world, machines, start = build_world("unsync", w)
-    out: list[Schedule] = []
-    truncated = False
-
-    def rec(world, machines):
-        nonlocal truncated
-        if truncated:
-            return
-        live = sorted(p for p, m in machines.items() if not m.finished)
-        if not live:
-            hist = History(world.events[start:],
-                           {i: o for i, o in world.ops.items()}, {},
-                           w.structure.name)
-            out.append(schedule_of(hist))
-            if len(out) >= budget:
-                truncated = True
-            return
-        for proc in live:
-            w2, m2 = _fork(world, machines)
-            step = m2[proc].step(w2)
-            assert step.kind in (PROGRESSED, FINISHED), \
-                "unsync machines always progress"
-            rec(w2, m2)
-
-    rec(world, machines)
-    return out, truncated
-
-
-def enumerate_schedules(impl: str, w: Workload, budget: int = 20000) -> ExplorationReport:
-    """Classify every schedule in the universe by re-driving it."""
-    scheds, truncated = universe(w, budget)
-    verdicts: dict[str, str] = {}
-    reps: dict[str, Schedule] = {}
-    for s in scheds:
-        d = s.digest()
-        if d in verdicts:
-            continue
-        reps[d] = s
-        res = drive(impl, w, s)
-        verdicts[d] = "accepted" if res.accepted else f"rejected:{res.reason}"
-    return ExplorationReport(impl, w.fingerprint(), len(verdicts), verdicts,
-                             reps, truncated)
+    Returns (schedules, truncated?): truncated once `budget` is reached.
+    Deterministic."""
+    # the DFS reaches its first leaf whatever the budget
+    out = [leaf.schedule
+           for leaf in itertools.islice(schedule_trie(w), max(budget, 1))]
+    return out, len(out) >= budget
 
 
 class LivelockError(RuntimeError):
@@ -232,11 +302,8 @@ def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
     world = World(w.structure.new_state())
     initial = world.state.snapshot()
     for i, op in enumerate(w.setup):
-        inst = OperationInstance(id=i, proc=0, name=op.name, key=op.key, val=op.val)
-        world.ops[inst.id] = inst
-        m = make_machine("unsync", w.structure, inst)
-        while not m.finished:
-            m.step(world)
+        _run_sequential(world, w, OperationInstance(id=i, proc=0, name=op.name,
+                                                    key=op.key, val=op.val))
     machines = _spawn(impl, w, world)
     rng = random.Random(seed)
     restarts = 0

@@ -30,7 +30,7 @@ Two wrappers are provided plus an unsynchronized reference machine:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
                     RR, WI, WR, OperationInstance)
@@ -181,7 +181,7 @@ class World:
     def clone(self) -> World:
         return World(self.state.clone(), self.locks.clone(), self.versions.clone(),
                      list(self.events),
-                     {i: replace(o) for i, o in self.ops.items()}, self.seq)
+                     {i: o.copy() for i, o in self.ops.items()}, self.seq)
 
 
 @dataclass(frozen=True)

@@ -189,6 +189,8 @@ def test_criterion_6_sm_correctness():
     for seed in range(20):
         h = free_run("stm", w_tw, seed=seed)
         assert check_safe_strict(h).verdict is True
+        # LSL on the raw history, aborted attempts included
+        assert check_ls_linearizable(h, d, (1,), 2).verdict is True
     # the commit-only mode observes a doomed state on the fig3 schedule
     w3, sigma0 = fig3()
     r = drive("stm-commit-only", w3, sigma0)

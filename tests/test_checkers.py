@@ -1,6 +1,7 @@
 """Checker behavior on the canonical histories plus hand-built edge cases."""
 
 import random
+from dataclasses import replace
 
 from schedlab.checkers import (check_compositionality,
                                check_linearizable, check_locally_serializable,
@@ -174,6 +175,37 @@ def test_fig3_ls_linearizable(fig3_history):
 def test_empty_history_is_lsl(structure):
     h = History()
     assert check_ls_linearizable(h, structure, (1,), 1).verdict is True
+
+
+def test_raw_stm_history_with_restarts_is_lsl():
+    """Each attempt is its own unit: an aborted attempt prefix-matches a
+    sequential trace, the final one matches fully.  Concatenating the
+    attempts made the raw history of every run with an abort fail."""
+    d = make_structure("sorted-list")
+    w = Workload(d, [], [(1, Operation("insert", 1)), (2, Operation("insert", 1))])
+    with_abort = 0
+    for seed in range(200):
+        h = free_run("stm", w, seed=seed)
+        with_abort += any(e.is_abort() for e in h.events)
+        res = check_ls_linearizable(h, d, (1,), 2)
+        assert res.verdict is True, (seed, res.reason)
+        assert res.verdict == check_ls_linearizable(h.exported(), d, (1,), 2).verdict
+    assert with_abort >= 100
+
+
+def test_bent_read_in_aborted_attempt_is_not_locally_serializable():
+    d = make_structure("sorted-list")
+    w = Workload(d, [], [(1, Operation("insert", 1)), (2, Operation("insert", 1))])
+    h = free_run("stm", w, max_restarts=5, round_robin=True)
+    bent = next(e for e in h.events
+                if e.attempt == 0 and e.kind == RR and not e.is_abort()
+                and h.ops[e.op].is_complete()
+                and any(f.op == e.op and f.attempt > 0 for f in h.events))
+    events = [replace(e, value={**e.value, "val": "bent"}) if e is bent else e
+              for e in h.events]
+    res = check_locally_serializable(History(events, h.ops, h.initial), d, (1,), 2)
+    assert res.verdict is False
+    assert res.violation["op"] == bent.op and res.violation["attempt"] == 0
 
 
 # -- strict serializability ---------------------------------------------------------

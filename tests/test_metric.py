@@ -112,3 +112,13 @@ def test_soundness_on_thm2_family(thm2_list):
         for impl in ("hoh", "stm"):
             acc = accepted_set(impl, w)
             assert acc.digests <= oracle.digests
+
+
+def test_sets_of_a_workload_without_concurrent_operations(structure):
+    """One schedule, the empty one: accepted by both, LSL after the audit."""
+    w = Workload(structure, [Operation("insert", 1)], [])
+    for impl in ("hoh", "stm"):
+        acc = accepted_set(impl, w)
+        assert acc.total == 1 and len(acc.digests) == 1
+    oracle = lsl_set(w)
+    assert oracle.total == 1 and len(oracle.digests) == 1

@@ -5,10 +5,10 @@ import math
 
 import pytest
 
+from schedlab.metric import accepted_set
 from schedlab.model import OI, RI, Schedule, Slot, complete, schedule_of
 from schedlab.scheduler import (LivelockError, MalformedScheduleError,
-                                Workload, drive, enumerate_schedules,
-                                free_run, universe)
+                                Workload, drive, free_run, universe)
 from schedlab.seqspec import Operation, make_structure
 
 
@@ -65,8 +65,8 @@ def test_single_op_universe(structure):
     scheds, truncated = universe(w)
     assert len(scheds) == 1 and not truncated
     for impl in ("hoh", "stm"):
-        rep = enumerate_schedules(impl, w)
-        assert rep.total == 1 and len(rep.accepted) == 1
+        acc = accepted_set(impl, w)
+        assert acc.total == 1 and len(acc.digests) == 1
 
 
 def test_enumeration_count_matches_multinomial():
@@ -75,8 +75,8 @@ def test_enumeration_count_matches_multinomial():
     w = Workload(d, [], [(1, Operation("find", 1)), (2, Operation("find", 2))])
     scheds, _ = universe(w)
     assert len(scheds) == math.comb(6, 3) == 20
-    rep = enumerate_schedules("stm", w)
-    assert rep.total == 20 and len(rep.accepted) == 20
+    acc = accepted_set("stm", w)
+    assert acc.total == 20 and len(acc.digests) == 20
     assert math.comb(5, 2) == 10  # the closed form quoted for 2+3 steps
 
 

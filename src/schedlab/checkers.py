@@ -52,14 +52,14 @@ class CheckResult:
 
 def op_intervals(h: History) -> dict[int, tuple[int, float]]:
     """op id -> (invocation seq, response seq or +inf)."""
-    out = {}
-    for i in h.ops:
-        inv = next((e.seq for e in h.events if e.op == i and e.kind == OI), None)
-        resp = next((e.seq for e in h.events
-                     if e.op == i and e.kind == OR and not e.is_abort()), None)
-        if inv is not None:
-            out[i] = (inv, resp if resp is not None else float("inf"))
-    return out
+    inv: dict[int, int] = {}
+    resp: dict[int, int] = {}
+    for e in h.events:
+        if e.kind == OI:
+            inv.setdefault(e.op, e.seq)
+        elif e.kind == OR and not e.is_abort():
+            resp.setdefault(e.op, e.seq)
+    return {i: (inv[i], resp.get(i, float("inf"))) for i in h.ops if i in inv}
 
 
 def rw_trace(h: History, op_id: int, attempt: int | None = None) -> list[tuple]:
@@ -330,11 +330,6 @@ class _Replay:
         return True
 
 
-def _replayable(order: list[int], traces: dict[int, list], initial) -> bool:
-    rp = _Replay(initial)
-    return all(rp.apply(traces[i]) for i in order)
-
-
 def check_strictly_serializable(h: History, size_cap: int = 8) -> CheckResult:
     """Search permutations of the complete operations respecting real time
     for one whose read/write replay is legal; on failure return a
@@ -356,8 +351,8 @@ def check_strictly_serializable(h: History, size_cap: int = 8) -> CheckResult:
         for i in rest:
             if any(iv[j][1] < iv[i][0] for j in rest if j != i):
                 continue
-            rp2 = _Replay(hx.initial)
-            if not all(rp2.apply(traces[j]) for j in order + [i]):
+            rp2 = rp.fork()
+            if not rp2.apply(traces[i]):
                 continue
             if dfs(order + [i], rp2):
                 return True

@@ -33,6 +33,11 @@ COMPLETE = "complete"
 ABORTED = "aborted"
 
 
+class InvariantError(RuntimeError):
+    """An invariant the library relies on does not hold.  This is a fault
+    in a structure, a machine, a driver or a checker, never in the input."""
+
+
 @dataclass(frozen=True)
 class Event:
     """One point of an execution.
@@ -117,8 +122,10 @@ class History:
 
     def exported(self) -> History:
         """Drop abort-marked events and superseded attempts."""
-        final = {o.id: max((e.attempt for e in self.events if e.op == o.id), default=0)
-                 for o in self.ops.values()}
+        final = dict.fromkeys((o.id for o in self.ops.values()), 0)
+        for e in self.events:
+            if e.attempt > final[e.op]:  # KeyError for an event of an unknown op
+                final[e.op] = e.attempt
         kept = [e for e in self.events
                 if e.attempt == final[e.op] and not e.is_abort()]
         return History(kept, self.ops, self.initial, self.structure, self.obj_nids)

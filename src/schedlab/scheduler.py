@@ -16,9 +16,24 @@ implementation are forked along with the unsynchronized ones, so each
 distinct prefix is stepped once, and an implementation that rejects a slot
 is dropped for the whole subtree below it (``drive`` would reject every
 schedule there at the same slot for the same reason).  At a leaf the
-unsynchronized world holds the legal replay of the schedule, which the LSL
-oracle audits in place.  ``free_run`` is the liveness mode: random
-scheduling, blocked machines retried, aborted machines restarted.
+unsynchronized world holds the legal replay of the schedule; the leaf hands
+it over, and the LSL oracle audits it in place (``Leaf.audited``).
+
+The oracle (``metric.classify``) does so only for a leaf whose signature it
+has not met in the same pass, and reuses the verdict otherwise.  The
+signature is each concurrent operation's id, status, response and
+canonical read/write trace, the order of the operations' invocations and
+responses, and the final store's reachable part, canonicalized by BFS from
+the root with keys, values and edges.  It is exact: an operation's own
+trace and response decide its local serializability; with the invocation
+and response order they are all that the linearizability check sees; the
+store decides the audit finds, which run alone after everything else; and
+the initial store, the arguments and the check's bounds are fixed by the
+workload.  Unsynchronized leaves never abort or restart, which the
+signature does not cover; it raises ``InvariantError`` if one does.
+
+``free_run`` is the liveness mode: random scheduling, blocked machines
+retried, aborted machines restarted.
 """
 
 from __future__ import annotations
@@ -30,8 +45,9 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import (OI, RI, WI, Event, History, OperationInstance,
-                    Schedule, Slot, complete, schedule_of, slot_of)
+from .model import (OI, RI, WI, Event, History, InvariantError,
+                    OperationInstance, Schedule, Slot, complete, schedule_of,
+                    slot_of)
 from .seqspec import Operation, SearchStructureDef
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, StepMachine,
                    World, make_machine, restart)
@@ -39,11 +55,6 @@ from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, StepMachine,
 
 class MalformedScheduleError(ValueError):
     """The schedule is not a valid input for this workload."""
-
-
-class InvariantError(RuntimeError):
-    """An invariant the drivers rely on does not hold.  This is a fault in
-    a machine or a driver, never in the input."""
 
 
 @dataclass
@@ -220,12 +231,19 @@ class Leaf:
     schedule: Schedule
     # implementation -> (reason, failing slot); accepting ones are absent
     rejected: dict[str, tuple[str, int]]
-    # the legal replay plus the audit finds, when the pass was asked for it
-    audited: History | None = None
+    # the unsynchronized world at the end of the schedule, i.e. its legal
+    # replay; the pass does not read it again, so the consumer may extend it
+    world: World
+    start: int  # index of the first concurrent event in world.events
+    initial: dict  # store snapshot the concurrent part starts from
+
+    def audited(self, w: Workload) -> History:
+        """The legal replay plus the audit finds, run in the leaf's own
+        world (see ``run_audit_finds``)."""
+        return run_audit_finds(self.world, w, self.start, self.initial)
 
 
-def schedule_trie(w: Workload, impls: tuple[str, ...] = (),
-                  audited: bool = False) -> Iterator[Leaf]:
+def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
     """Every schedule of the workload, classified under each of `impls`:
     DFS over the trie of the unsynchronized machines' next-step choices,
     in process order.  Deterministic.
@@ -234,9 +252,8 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = (),
     step the unsynchronized machine just took; one that rejects it is
     dropped for the subtree, with that slot's index and reason.  An
     implementation still present at a leaf passes ``drive``'s
-    end-of-schedule checks there.  With `audited`, each leaf also carries
-    the history of its own unsynchronized world extended by the audit
-    finds."""
+    end-of-schedule checks there.  Each leaf hands over its own
+    unsynchronized world."""
     world, machines, start = build_world("unsync", w)
     initial = world.state.snapshot()
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
@@ -248,8 +265,7 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = (),
             schedule = Schedule(tuple(slots))
             for iw, im in runs.values():
                 _accepted_history(iw, im, w, start, initial, schedule)
-            yield Leaf(schedule, rejected,
-                       run_audit_finds(world, w, start, initial) if audited else None)
+            yield Leaf(schedule, rejected, world, start, initial)
             return
         for proc in live:
             # the last child takes over this node's worlds: nothing below

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .model import History
+from .model import History, InvariantError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -163,7 +163,9 @@ class DagState:
         return st
 
     def canonical(self) -> tuple:
-        """Shape signature for state memoization (ids canonicalized by BFS)."""
+        """Signature of the reachable part for state memoization: each
+        node's key, value and edges, ids canonicalized by BFS from the
+        root.  It holds all that a read of a reachable node records."""
         order, seen, queue = [], set(), [self.root]
         while queue:
             n = queue.pop(0)
@@ -175,7 +177,7 @@ class DagState:
             queue.extend(rec.edges[lab] for lab in sorted(rec.edges))
         remap = {n: i for i, n in enumerate(order)}
         return tuple(
-            (remap[n], enc_key(self.nodes[n].key),
+            (remap[n], enc_key(self.nodes[n].key), self.nodes[n].val,
              tuple((lab, remap.get(t)) for lab, t in sorted(self.nodes[n].edges.items())))
             for n in order)
 
@@ -294,7 +296,7 @@ class SearchStructureDef:
                 if t is None:
                     continue
                 if seen.get(t) == 1:
-                    raise AssertionError("cycle through node %d" % t)
+                    raise InvariantError("cycle through node %d" % t)
                 if t not in seen:
                     dfs(t)
             seen[n] = 2
@@ -370,8 +372,8 @@ class SortedList(SearchStructureDef):
         n = state.root
         while n is not None:
             nxt = state.nodes[n].edges.get("next")
-            if nxt is not None:
-                assert state.nodes[n].key < state.nodes[nxt].key, "list unsorted"
+            if nxt is not None and state.nodes[n].key >= state.nodes[nxt].key:
+                raise InvariantError(f"list unsorted at n{n} -> n{nxt}")
             n = nxt
 
 
@@ -480,7 +482,8 @@ class Bst(SearchStructureDef):
             if n is None:
                 return
             k = state.nodes[n].key
-            assert lo < k < hi, "bst order violated"
+            if not lo < k < hi:
+                raise InvariantError(f"bst order violated at n{n}")
             check(state.nodes[n].edges.get("left"), lo, k)
             check(state.nodes[n].edges.get("right"), k, hi)
 
@@ -594,8 +597,9 @@ class SkipList(SearchStructureDef):
             n = state.root
             while n is not None:
                 nxt = state.nodes[n].edges.get(self.lab(lvl))
-                if nxt is not None:
-                    assert state.nodes[n].key < state.nodes[nxt].key, "skiplist unsorted"
+                if nxt is not None and state.nodes[n].key >= state.nodes[nxt].key:
+                    raise InvariantError(f"skiplist unsorted at level {lvl}, "
+                                         f"n{n} -> n{nxt}")
                 n = nxt
 
 
@@ -657,8 +661,8 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
     """Execute one operation to completion against `state`.
 
     Appends ("read", nid, snap) / ("write", nid, patch) records to `trace`
-    when given.  Asserts the traverse-update and proper-traversal
-    disciplines as it goes."""
+    when given.  Checks the proper-traversal discipline as it goes and
+    raises InvariantError when a step breaks it."""
     gop = Gop()
     while True:
         nxt = def_.tau(op, gop, state.root)
@@ -666,7 +670,9 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
             break
         if gop.order:
             known = {t for _, _, t in gop.known_edges()}
-            assert nxt in known, "traversal left the explored frontier"
+            if nxt not in known:
+                raise InvariantError(f"{op.describe()} traversal left the "
+                                     f"explored frontier at n{nxt}")
         rec = state.read(nxt)
         gop.visit(rec)
         if trace is not None:
@@ -688,7 +694,7 @@ def sequential_run(def_: SearchStructureDef, ops: list[Operation],
     """Run ops one at a time from the empty structure, recording a history.
 
     The produced history is legal by construction (reads return the store's
-    current record); an explicit legality replay is asserted on top."""
+    current record); an explicit legality replay checks it on top."""
     from .model import Event, OI, OR, RI, RR, WI, WR, OperationInstance, COMPLETE
 
     state = def_.new_state()
@@ -713,7 +719,8 @@ def sequential_run(def_: SearchStructureDef, ops: list[Operation],
         for entry in trace:
             role = state.role_of(entry[1])
             if entry[0] == "read":
-                assert not wrote, "read after write inside one operation"
+                if wrote:
+                    raise InvariantError(f"{op.describe()} reads after a write")
                 emit(proc=proc, op=i, kind=RI, elem=role, nid=entry[1])
                 emit(proc=proc, op=i, kind=RR, elem=role, value=entry[2], nid=entry[1])
             else:
@@ -732,7 +739,8 @@ def sequential_run(def_: SearchStructureDef, ops: list[Operation],
 
 
 def assert_legal(h: History) -> None:
-    """Every read returns the latest written record of its node.
+    """Every read returns the latest written record of its node; raises
+    InvariantError otherwise.
 
     Nodes created during the history are private until linked; their first
     read defines their record for the rest of the replay."""
@@ -742,9 +750,8 @@ def assert_legal(h: History) -> None:
         if e.kind == RR and not e.is_abort():
             if e.nid not in store:
                 store[e.nid] = dict(e.value)
-            else:
-                assert store[e.nid] == e.value, \
-                    f"illegal read of n{e.nid} at seq {e.seq}"
+            elif store[e.nid] != e.value:
+                raise InvariantError(f"illegal read of n{e.nid} at seq {e.seq}")
         elif e.kind == WI:
             store[e.nid]["edges"] = {**store[e.nid]["edges"], **e.value["edges"]}
 

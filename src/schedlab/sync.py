@@ -33,7 +33,7 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
-                    RR, WI, WR, OperationInstance)
+                    RR, WI, WR, InvariantError, OperationInstance)
 from .seqspec import (DagState, Gop, NodeRec, Operation, SearchStructureDef,
                       UpdatePlan)
 
@@ -123,8 +123,8 @@ class LockManager:
 
     def audit(self) -> None:
         for nid, holder in self.exclusive.items():
-            readers = self.shared.get(nid, set()) - {holder}
-            assert not readers, f"shared and exclusive coexist on n{nid}"
+            if self.shared.get(nid, set()) - {holder}:
+                raise InvariantError(f"shared and exclusive coexist on n{nid}")
 
     def clone(self) -> LockManager:
         lm = LockManager()

@@ -7,16 +7,21 @@ hold under ``python -O``, which removes ``assert`` statements:
     PYTHONPATH=src python -O -m pytest -q tests/test_invariants.py
 """
 
+import dataclasses
+
 import pytest
 
-from schedlab import scheduler
+from schedlab import scheduler, seqspec
 from schedlab.fixtures import fig2a
-from schedlab.metric import accepted_set, audited_history, lsl_set
-from schedlab.model import Schedule
+from schedlab.metric import (accepted_set, audited_history, leaf_signature,
+                             lsl_set)
+from schedlab.model import ABORT, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
-                                Workload, build_world, drive, universe)
-from schedlab.seqspec import Operation, make_structure
-from schedlab.sync import BLOCKED, StepOutcome, UnsyncMachine
+                                Workload, build_world, drive, schedule_trie,
+                                universe)
+from schedlab.seqspec import (Operation, SortedList, assert_legal,
+                              make_structure, run_operation, sequential_run)
+from schedlab.sync import BLOCKED, LockManager, StepOutcome, UnsyncMachine
 
 
 def two_inserts(setup=()):
@@ -78,3 +83,95 @@ def test_audited_history_rejects_an_incomplete_schedule():
     s = universe(w, budget=1)[0][0]
     with pytest.raises(MalformedScheduleError, match="incomplete"):
         audited_history(w, Schedule(s.slots[:-1]))
+
+
+def test_leaf_signature_rejects_an_abort_or_a_restart():
+    w = two_inserts()
+    leaf = next(schedule_trie(w))
+    leaf_signature(leaf)
+    op = max(leaf.world.ops)
+    leaf.world.emit(1, op, RR, value=ABORT)
+    with pytest.raises(InvariantError, match="abort or a restart"):
+        leaf_signature(leaf)
+    leaf = next(schedule_trie(w))
+    leaf.world.emit(1, op, RR, value={}, attempt=1)
+    with pytest.raises(InvariantError, match="abort or a restart"):
+        leaf_signature(leaf)
+
+
+def swapped_keys(name):
+    """A store of `name` holding keys 1 and 2, with the two keys swapped
+    between their nodes."""
+    d = make_structure(name)
+    st = d.new_state()
+    for k in (1, 2):
+        run_operation(d, st, Operation("insert", k))
+    d.audit(st)
+    a, b = st.find_alive(1), st.find_alive(2)
+    st.nodes[a].key, st.nodes[b].key = 2, 1
+    return d, st
+
+
+@pytest.mark.parametrize("name, message", [("sorted-list", "list unsorted"),
+                                           ("bst", "bst order violated"),
+                                           ("skiplist", "skiplist unsorted")])
+def test_structure_audit_raises_on_order_violation(name, message):
+    d, st = swapped_keys(name)
+    with pytest.raises(InvariantError, match=message):
+        d.audit(st)
+
+
+def test_structure_audit_raises_on_cycle():
+    d = make_structure("sorted-list")
+    st = d.new_state()
+    st.write_edges(st.root, {"next": st.root})
+    with pytest.raises(InvariantError, match="cycle"):
+        d.audit(st)
+
+
+def test_run_operation_raises_when_traversal_leaves_the_frontier(monkeypatch):
+    d = make_structure("sorted-list")
+    st = d.new_state()
+    for k in (1, 2):
+        run_operation(d, st, Operation("insert", k))
+    far = st.find_alive(2)  # not a successor of the root
+
+    def jumping(self, op, gop, root):
+        return root if not gop.order else far
+
+    monkeypatch.setattr(SortedList, "tau", jumping)
+    with pytest.raises(InvariantError, match="explored frontier"):
+        run_operation(d, st, Operation("find", 2))
+
+
+def test_sequential_run_raises_on_read_after_write(monkeypatch):
+    def write_then_read(def_, state, op, trace=None):
+        root = state.read(state.root)
+        trace.append(("write", state.root, {"next": None}))
+        trace.append(("read", state.root, root.snap()))
+        return True
+
+    monkeypatch.setattr(seqspec, "run_operation", write_then_read)
+    with pytest.raises(InvariantError, match="reads after a write"):
+        sequential_run(make_structure("sorted-list"), [Operation("insert", 1)])
+
+
+def test_assert_legal_raises_on_an_illegal_read():
+    _, _, h = sequential_run(make_structure("sorted-list"),
+                             [Operation("insert", 1), Operation("find", 1)])
+    assert_legal(h)
+    # the find's read of the root, which insert(1) read before
+    i = max(j for j, e in enumerate(h.events) if e.kind == RR and e.nid == 0)
+    bad = dict(h.events[i].value, val="forged")
+    h.events[i] = dataclasses.replace(h.events[i], value=bad)
+    with pytest.raises(InvariantError, match="illegal read"):
+        assert_legal(h)
+
+
+def test_lock_audit_raises_on_shared_beside_exclusive():
+    lm = LockManager()
+    assert lm.try_acquire(5, "exclusive", 1)
+    lm.audit()
+    lm.shared[5] = {2}
+    with pytest.raises(InvariantError, match="shared and exclusive"):
+        lm.audit()

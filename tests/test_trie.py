@@ -11,6 +11,7 @@ import itertools
 
 import pytest
 
+from schedlab import metric
 from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
@@ -124,8 +125,34 @@ def test_leaf_audit_equals_audited_history():
     """The leaf's own world, audited in place, is the history that
     `audited_history` rebuilds by replaying the schedule."""
     w = thm2_bundle(make_structure("bst")).w_absent
-    for leaf in itertools.islice(schedule_trie(w, audited=True), 200):
+    for leaf in itertools.islice(schedule_trie(w), 200):
+        audited = leaf.audited(w)
         ref = audited_history(w, leaf.schedule)
-        assert leaf.audited.render_json() == ref.render_json()
-        assert leaf.audited.initial == ref.initial
-        assert sorted(leaf.audited.ops) == sorted(ref.ops)
+        assert audited.render_json() == ref.render_json()
+        assert audited.initial == ref.initial
+        assert sorted(audited.ops) == sorted(ref.ops)
+
+
+@pytest.mark.parametrize("instance", ("w_present", "w_absent"))
+@pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
+def test_lsl_set_checks_once_per_leaf_signature(monkeypatch, structure, instance):
+    """The memoized pass runs the LSL checker once per distinct leaf
+    signature - at most 20 times on a Thm. 2 workload, against 924-3432
+    schedules - and yields the set the unmemoized reference path gives."""
+    w = getattr(thm2_bundle(make_structure(structure)), instance)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return check_ls_linearizable(*args, **kwargs)
+
+    monkeypatch.setattr(metric, "check_ls_linearizable", counting)
+    got = metric.lsl_set(w)
+    assert len(calls) <= 20
+    monkeypatch.undo()
+    keys = workload_keys(w)
+    want = {leaf.schedule.digest() for leaf in schedule_trie(w)
+            if check_ls_linearizable(leaf.audited(w), w.structure, keys,
+                                     len(keys) + 1).verdict is True}
+    assert got.digests == want
+    assert got.total > 20 and not got.inconclusive

@@ -7,8 +7,9 @@ Commands::
     schedlab reproduce <fig2|fig3|thm2|thm3>
     schedlab explore <scenario.json>    accepted/LSL sets and ratio
 
-Exit codes: 0 accepted/completed, 1 input error, 2 schedule rejected,
-3 reproduction deviates from the recorded claims, 4 exploration budget
+Exit codes: 0 accepted/completed, 1 input error, 2 schedule rejected or
+free run not completed (restart budget, deadlock or step limit), 3
+reproduction deviates from the recorded claims, 4 exploration budget
 exceeded (partial report).
 """
 
@@ -24,8 +25,8 @@ from .checkers import check_ls_linearizable, check_strictly_serializable
 from .fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
 from .metric import optimality_gap, workload_keys
 from .model import OI, OR, RI, WI, History, Schedule
-from .scheduler import (DriveResult, MalformedScheduleError, Workload, drive,
-                        free_run)
+from .scheduler import (DriveResult, LivelockError, MalformedScheduleError,
+                        Workload, drive, free_run)
 from .seqspec import STRUCTURES, Operation, make_structure
 
 DEFAULT_BUDGET = int(os.environ.get("SCHEDLAB_BUDGET", "20000"))
@@ -135,7 +136,11 @@ def cmd_run(args) -> int:
         print("error: use the explore command for enumerate scenarios", file=sys.stderr)
         return 1
     if sc["mode"] == "free":
-        hist = free_run(sc["impl"], sc["workload"], seed=sc["seed"])
+        try:
+            hist = free_run(sc["impl"], sc["workload"], seed=sc["seed"])
+        except LivelockError as e:
+            print(f"error: free run did not complete: {e}", file=sys.stderr)
+            return 2
         report = {
             "impl": sc["impl"],
             "verdict": "completed",

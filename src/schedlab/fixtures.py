@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .model import History, Schedule, schedule_of
+from .model import History, InvariantError, Schedule, schedule_of
 from .scheduler import Workload, build_world
 from .seqspec import Operation, SearchStructureDef, make_structure, \
     non_triviality_witness, run_operation
@@ -28,7 +28,8 @@ def _staged_schedule(w: Workload, bursts: list[tuple[int, int | None]]) -> Sched
         while not m.finished and (steps is None or done < steps):
             m.step(world)
             done += 1
-    assert all(m.finished for m in machines.values()), "staged run left work"
+    if not all(m.finished for m in machines.values()):
+        raise InvariantError("staged run left work")
     hist = History(world.events[start:], dict(world.ops), {}, w.structure.name)
     return schedule_of(hist)
 
@@ -123,11 +124,12 @@ def thm3_bundle(def_: SearchStructureDef) -> Thm3Bundle:
     probe = state.clone()
     run_operation(def_, probe, Operation("find", wit.key), visits)
     order = [nid for kind, nid, _ in visits if kind == "read"]
-    assert probe.nodes[order[-1]].key == wit.key, "solo find ends at the key"
+    if probe.nodes[order[-1]].key != wit.key:
+        raise InvariantError("solo find does not end at the key")
     idx_a = len(order) - 2
     c = order[idx_a - 1]
-    assert c not in (state.root, state.tail), \
-        "witness path passes an intermediate node"
+    if c in (state.root, state.tail):
+        raise InvariantError("witness path passes no intermediate node")
     mid_key = int(state.nodes[c].key)
     w = Workload(def_, list(wit.ops_to_g2),
                  [(1, Operation("find", wit.key)),

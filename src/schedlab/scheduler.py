@@ -33,7 +33,9 @@ workload.  Unsynchronized leaves never abort or restart, which the
 signature does not cover; it raises ``InvariantError`` if one does.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
-retried, aborted machines restarted.
+retried, aborted machines restarted.  After a blocked step it asks every
+unfinished machine whether its next step would block (``would_block``,
+which changes nothing) and reports a deadlock when all would.
 """
 
 from __future__ import annotations
@@ -339,9 +341,8 @@ def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
         if steps > max_steps:
             raise LivelockError(f"no progress after {max_steps} steps")
         if out.kind == BLOCKED:
-            blocked_everywhere = all(
-                machines[p].finished or _peek_blocked(world, machines, p)
-                for p in machines)
+            blocked_everywhere = all(m.finished or m.would_block(world)
+                                     for m in machines.values())
             if blocked_everywhere:
                 raise LivelockError("all machines blocked: deadlock")
             continue
@@ -352,11 +353,3 @@ def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
             machines[proc] = restart(machines[proc])
     hist = History(list(world.events), dict(world.ops), initial, w.structure.name)
     return hist
-
-
-def _peek_blocked(world: World, machines: dict[int, StepMachine], proc: int) -> bool:
-    m = machines[proc]
-    if m.finished:
-        return False
-    w2, m2 = _fork(world, machines)
-    return m2[proc].step(w2).kind == BLOCKED

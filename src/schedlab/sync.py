@@ -13,7 +13,10 @@ Two wrappers are provided plus an unsynchronized reference machine:
   first write and release in reverse order, root last.  Finds crab-walk:
   a shared lock is held on the last node read, and the next node's lock
   is acquired inside its read step before the previous one is released.
-  A step whose locks are unavailable reports blocked and changes nothing.
+  A step whose locks are unavailable reports blocked and changes nothing
+  but the wait queue it joins.  ``would_block`` answers whether the next
+  step would block without taking that step, so a free run detects a
+  deadlock without forking anything.
 
 * ``stm`` - optimistic lazy-versioning.  Reads return the last committed
   record and (in the default per-read mode) revalidate the whole read set
@@ -71,16 +74,28 @@ class LockManager:
         readers = self.shared.get(nid, set()) - {holder}
         return not readers
 
-    def try_acquire(self, nid: int, mode: str, holder: int) -> bool:
+    def can_acquire(self, nid: int, mode: str, holder: int) -> bool:
+        """Whether ``try_acquire`` would succeed now; changes nothing."""
         held = self.held_mode(nid, holder)
-        if held == EXCLUSIVE or (held == SHARED and mode == SHARED):
+        if held in (EXCLUSIVE, mode):  # already held in this mode or stronger
             return True
-        queue = self.queues.setdefault(nid, deque())
-        if (queue and queue[0] != holder) or not self._compatible(nid, mode, holder):
+        queue = self.queues.get(nid)
+        if queue and queue[0] != holder:
+            return False
+        return self._compatible(nid, mode, holder)
+
+    def try_acquire(self, nid: int, mode: str, holder: int) -> bool:
+        """Take the lock, or join the node's wait queue and return False."""
+        if not self.can_acquire(nid, mode, holder):
+            queue = self.queues.setdefault(nid, deque())
             if holder not in queue:
                 queue.append(holder)
             return False
-        if queue and queue[0] == holder:
+        held = self.held_mode(nid, holder)
+        if held in (EXCLUSIVE, mode):
+            return True
+        queue = self.queues.get(nid)
+        if queue:  # the holder is at its head, else it could not acquire
             queue.popleft()
         if mode == EXCLUSIVE:
             if held == SHARED:
@@ -233,6 +248,12 @@ class StepMachine:
             return self._write(world)
         return self._respond(world)
 
+    def would_block(self, world: World) -> bool:
+        """Whether the next ``step`` would report blocked.  Changes nothing:
+        not the world (store, locks and their queues, versions, events,
+        ops) and not the machine.  Only ``hoh`` blocks."""
+        return False
+
     # -- shared pieces -----------------------------------------------------
 
     def _emit_oi(self, world) -> Event:
@@ -334,6 +355,27 @@ class HohMachine(StepMachine):
         if not self.is_update:
             self.held_shared = root
         return StepOutcome(PROGRESSED, (self._emit_oi(world),))
+
+    def would_block(self, world):
+        # step's control flow up to its lock decision
+        locks, holder = world.locks, self._holder()
+        if not self.invoked:
+            mode = EXCLUSIVE if self.is_update else SHARED
+            return not locks.can_acquire(world.state.root, mode, holder)
+        plan = self.plan
+        if plan is None:
+            nxt = self.def_.tau(self.operation, self.gop, world.state.root)
+            if nxt is not None:
+                return (not self.is_update and nxt != self.held_shared
+                        and not locks.can_acquire(nxt, SHARED, holder))
+            # plan_update allocates the nodes an insert adds
+            plan = self.def_.plan_update(self.operation, self.gop,
+                                         world.state.clone())
+        if self.write_idx == 0 and plan.writes:
+            # acquire_all succeeds iff every target is available now
+            return not all(locks.can_acquire(nid, EXCLUSIVE, holder)
+                           for nid, _ in plan.writes)
+        return False
 
     def _read(self, world, nid):
         if not self.is_update and nid != self.held_shared:

@@ -6,7 +6,9 @@ import sys
 
 import pytest
 
+from schedlab import cli
 from schedlab.cli import main, parse_scenario, scenario_path, ScenarioError
+from schedlab.scheduler import LivelockError
 
 
 def run_cli(*argv):
@@ -101,15 +103,32 @@ def test_reports_byte_identical(tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_free_run_scenario(tmp_path):
+def free_run_scenario(tmp_path):
     with open(scenario_path("fig2a_stm.json")) as f:
         doc = json.load(f)
     del doc["schedule"]
     doc["seed"] = 9
     p = tmp_path / "free.json"
     p.write_text(json.dumps(doc))
+    return p
+
+
+def test_free_run_scenario(tmp_path):
+    p = free_run_scenario(tmp_path)
     code, out, _ = run_cli("--json", "run", str(p))
     assert code == 0
     report = json.loads(out)
     assert report["verdict"] == "completed"
     assert sorted(report["responses"].values()) == [False, False]
+
+
+def test_free_run_that_does_not_complete_exits_2(tmp_path, monkeypatch, capsys):
+    def livelocked(impl, w, seed=0):
+        raise LivelockError("restart budget 100 exhausted")
+
+    monkeypatch.setattr(cli, "free_run", livelocked)
+    code = main(["--json", "run", str(free_run_scenario(tmp_path))])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert out == ""
+    assert err == "error: free run did not complete: restart budget 100 exhausted\n"

@@ -11,7 +11,7 @@ import dataclasses
 
 import pytest
 
-from schedlab import scheduler, seqspec
+from schedlab import fixtures, scheduler, seqspec
 from schedlab.fixtures import fig2a
 from schedlab.metric import (accepted_set, audited_history, leaf_signature,
                              lsl_set)
@@ -19,7 +19,7 @@ from schedlab.model import ABORT, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
                                 Workload, build_world, drive, schedule_trie,
                                 universe)
-from schedlab.seqspec import (Operation, SortedList, assert_legal,
+from schedlab.seqspec import (Operation, SortedList, Witness, assert_legal,
                               make_structure, run_operation, sequential_run)
 from schedlab.sync import BLOCKED, LockManager, StepOutcome, UnsyncMachine
 
@@ -175,3 +175,21 @@ def test_lock_audit_raises_on_shared_beside_exclusive():
     lm.shared[5] = {2}
     with pytest.raises(InvariantError, match="shared and exclusive"):
         lm.audit()
+
+
+def test_staged_schedule_raises_when_a_burst_plan_leaves_work():
+    with pytest.raises(InvariantError, match="staged run left work"):
+        fixtures._staged_schedule(two_inserts(), [(1, 1), (2, None)])
+
+
+@pytest.mark.parametrize("key, present, message", [
+    # find(5) on {1, 3} ends short of the key
+    (5, (1, 3), "solo find does not end at the key"),
+    # find(2) on {1, 2} reaches the key's predecessor straight from the root
+    (2, (1, 2), "witness path passes no intermediate node"),
+])
+def test_thm3_bundle_raises_on_a_bad_witness(monkeypatch, key, present, message):
+    bad = Witness(key, (), tuple(Operation("insert", k) for k in present))
+    monkeypatch.setattr(fixtures, "non_triviality_witness", lambda def_: bad)
+    with pytest.raises(InvariantError, match=message):
+        fixtures.thm3_bundle(make_structure("sorted-list"))

@@ -2,14 +2,18 @@
 rejection reasons, and enumeration counts."""
 
 import math
+import pickle
+import random
 
 import pytest
 
+from schedlab import scheduler
 from schedlab.metric import accepted_set
 from schedlab.model import OI, RI, Schedule, Slot, complete, schedule_of
 from schedlab.scheduler import (LivelockError, MalformedScheduleError,
                                 Workload, drive, free_run, universe)
 from schedlab.seqspec import Operation, make_structure
+from schedlab.sync import BLOCKED, EXCLUSIVE, HohMachine
 
 
 def test_drive_is_deterministic(fig3_case):
@@ -147,3 +151,108 @@ def test_free_run_restart_budget():
         free_run("stm", w, max_restarts=0, round_robin=True)
     h = free_run("stm", w, max_restarts=5, round_robin=True)
     assert sorted(o.response for o in h.ops.values()) == [False, True]
+
+
+# -- deadlock detection: would_block against the fork-peek reference --------
+
+
+def fork_peek(machine, world):
+    """The reference for ``would_block``: step a fork of the machine in a
+    fork of the world and report whether that step blocked."""
+    if machine.finished:
+        return False
+    w2 = world.clone()
+    return machine.clone(w2.ops).step(w2).kind == BLOCKED
+
+
+def world_record(world):
+    locks = world.locks
+    return (world.state.snapshot(), world.state.counter,
+            {n: r.alive for n, r in world.state.nodes.items()},
+            {n: set(s) for n, s in locks.shared.items()}, dict(locks.exclusive),
+            {n: list(q) for n, q in locks.queues.items()},
+            dict(world.versions.versions), world.versions.commit_clock,
+            world.seq, list(world.events),
+            {i: vars(o).copy() for i, o in world.ops.items()})
+
+
+def machine_record(m):
+    # the structure definition is shared and immutable: compare it by identity
+    return m.def_, pickle.dumps({k: v for k, v in vars(m).items() if k != "def_"})
+
+
+@pytest.mark.parametrize("reference", [False, True],
+                         ids=["would_block", "fork-peek"])
+def test_free_run_reports_a_deadlock(monkeypatch, reference):
+    """A root lock held by something that is no machine blocks every hoh
+    operation at its invocation: the free run must report a deadlock."""
+    spawn = scheduler._spawn
+
+    def spawn_beside_an_outside_holder(impl, w, world):
+        machines = spawn(impl, w, world)
+        world.locks.try_acquire(world.state.root, EXCLUSIVE, -1)
+        return machines
+
+    monkeypatch.setattr(scheduler, "_spawn", spawn_beside_an_outside_holder)
+    if reference:
+        monkeypatch.setattr(HohMachine, "would_block", fork_peek)
+    w = Workload(make_structure("sorted-list"), [Operation("insert", 2)],
+                 [(1, Operation("insert", 1)), (2, Operation("find", 2))])
+    with pytest.raises(LivelockError) as err:
+        free_run("hoh", w, seed=3)
+    assert str(err.value) == "all machines blocked: deadlock"
+
+
+def random_free_workload(rng, structure):
+    keys = (1, 2, 3, 4, 5)
+    setup = [Operation("insert", k) for k in rng.sample(keys, rng.randint(0, 3))]
+    concurrent = [(p + 1, Operation(rng.choice(("insert", "delete", "find")),
+                                    rng.choice(keys)))
+                  for p in range(rng.randint(4, 5))]
+    return Workload(structure, setup, concurrent)
+
+
+@pytest.mark.parametrize("name", ["sorted-list", "bst", "skiplist"])
+def test_would_block_matches_the_fork_peek(monkeypatch, name):
+    """Seeded hoh free runs: at every blocked-everywhere check, each
+    machine's ``would_block`` equals the fork-peek and leaves the world and
+    the machine as they were; every history equals the one a free run
+    asking the fork-peek produces."""
+    would_block, spawn_machines = HohMachine.would_block, scheduler._spawn
+    spawned = []
+    checks = []
+
+    def spawn(impl, w, world):
+        spawned.append(spawn_machines(impl, w, world))
+        return spawned[-1]
+
+    def checked(self, world):
+        machines = spawned[-1]
+        # free_run asks the machines in order: the first unfinished one
+        # opens a blocked-everywhere check
+        if self is next(m for m in machines.values() if not m.finished):
+            answers, world_before = [], world_record(world)
+            for m in machines.values():
+                machine_before = machine_record(m)
+                answers.append(would_block(m, world))
+                assert machine_record(m) == machine_before
+                assert world_record(world) == world_before
+                assert answers[-1] == fork_peek(m, world)
+            checks.append(answers)
+        return would_block(self, world)
+
+    structure = make_structure(name)
+    rng = random.Random(name)
+    for _ in range(300):
+        w, seed = random_free_workload(rng, structure), rng.randrange(1 << 31)
+        with monkeypatch.context() as patch:
+            patch.setattr(scheduler, "_spawn", spawn)
+            patch.setattr(HohMachine, "would_block", checked)
+            fast = free_run("hoh", w, seed=seed)
+        with monkeypatch.context() as patch:
+            patch.setattr(HohMachine, "would_block", fork_peek)
+            reference = free_run("hoh", w, seed=seed)
+        assert fast.render_json() == reference.render_json()
+    # the checks saw machines that would block and machines that would not
+    assert len(checks) > 1000
+    assert any(any(a) for a in checks) and any(not all(a) for a in checks)

@@ -1,5 +1,7 @@
 """Lock manager, version store, and the step machines' protocols."""
 
+import random
+
 import pytest
 
 from schedlab.model import ABORTED, OI, OperationInstance
@@ -56,6 +58,46 @@ def test_reentrant_hold():
     assert lm.try_acquire(1, EXCLUSIVE, 10)
     assert lm.try_acquire(1, EXCLUSIVE, 10)
     assert lm.try_acquire(1, SHARED, 10)
+
+
+def lock_table(lm):
+    return ({n: set(s) for n, s in lm.shared.items()}, dict(lm.exclusive),
+            {n: list(q) for n, q in lm.queues.items()})
+
+
+def test_can_acquire_does_not_queue_or_barge():
+    lm = LockManager()
+    assert lm.try_acquire(1, SHARED, 10)
+    before = lock_table(lm)
+    assert not lm.can_acquire(1, EXCLUSIVE, 11)
+    assert lock_table(lm) == before  # 11 did not join the queue
+    assert lm.can_acquire(1, SHARED, 12)
+    assert not lm.try_acquire(1, EXCLUSIVE, 11)  # now queued
+    assert not lm.can_acquire(1, SHARED, 12)     # no barging past 11
+    lm.release(1, 10)
+    assert lm.can_acquire(1, EXCLUSIVE, 11)
+
+
+def test_can_acquire_agrees_with_try_acquire():
+    """Random lock traffic: before every request, can_acquire predicts
+    try_acquire's result and leaves holders and queues untouched."""
+    rng = random.Random(7)
+    for _ in range(200):
+        lm = LockManager()
+        for _ in range(40):
+            nid, holder = rng.randrange(3), rng.randrange(4)
+            action = rng.random()
+            if action < 0.2:
+                lm.release(nid, holder)
+            elif action < 0.25:
+                lm.release_holder(holder)
+            else:
+                mode = rng.choice((SHARED, EXCLUSIVE))
+                before = lock_table(lm)
+                predicted = lm.can_acquire(nid, mode, holder)
+                assert lock_table(lm) == before
+                assert lm.try_acquire(nid, mode, holder) == predicted
+            lm.audit()
 
 
 # -- hoh ------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 
 from .model import (ABORTED, OI, OR, RR, WI, Event, History,
-                    OperationInstance, restrict_to_operation)
+                    OperationInstance, trim_aborted)
 from .seqspec import (BudgetExceeded, Operation, SearchStructureDef,
                       dec_key, dictionary_apply, local_trace,
                       reachable_states)
@@ -62,16 +62,32 @@ def op_intervals(h: History) -> dict[int, tuple[int, float]]:
     return {i: (inv[i], resp.get(i, float("inf"))) for i in h.ops if i in inv}
 
 
-def rw_trace(h: History, op_id: int, attempt: int | None = None) -> list[tuple]:
-    """[("r", nid, record) | ("w", nid, edge_patch)] for one operation, or
-    for one attempt of it."""
+def _rw(events: list[Event]) -> list[tuple]:
+    """[("r", nid, record) | ("w", nid, edge_patch)] of the events."""
     out = []
-    for e in restrict_to_operation(h, op_id, attempt):
+    for e in events:
         if e.kind == RR:
             out.append(("r", e.nid, e.value))
         elif e.kind == WI:
             out.append(("w", e.nid, e.value["edges"]))
     return out
+
+
+def _attempt_index(h: History) -> dict[int, dict[int, list[Event]]]:
+    """op id -> attempt -> that attempt's events in history order, from one
+    scan of the history."""
+    out: dict[int, dict[int, list[Event]]] = {}
+    for e in h.events:
+        out.setdefault(e.op, {}).setdefault(e.attempt, []).append(e)
+    return out
+
+
+def _op_traces(index: dict[int, dict[int, list[Event]]]) -> dict[int, list[tuple]]:
+    """op id -> the read/write trace of the whole operation, trimmed as
+    ``restrict_to_operation`` trims it.  An operation's attempts run one
+    after another, so attempt order is history order."""
+    return {i: _rw(trim_aborted([e for a in sorted(atts) for e in atts[a]]))
+            for i, atts in index.items()}
 
 
 def _tok(nid: int) -> str:
@@ -84,6 +100,12 @@ def canonical_steps(trace: list[tuple]) -> tuple:
     namespace: following a pointer and reading the pointed-to node must
     stay the same node after renaming."""
     names: dict[str, int] = {}
+    return tuple(canonical_step(step, names) for step in trace)
+
+
+def canonical_step(step: tuple, names: dict[str, int]) -> tuple:
+    """One step of ``canonical_steps``, renamed with and into `names`, the
+    renaming of the steps before it."""
 
     def sym(token):
         if token is None:
@@ -92,16 +114,12 @@ def canonical_steps(trace: list[tuple]) -> tuple:
             names[token] = len(names)
         return names[token]
 
-    out = []
-    for kind, nid, payload in trace:
-        if kind == "r":
-            out.append(("r", sym(_tok(nid)), payload["key"], payload["val"],
-                        tuple((lab, sym(t))
-                              for lab, t in sorted(payload["edges"].items()))))
-        else:
-            out.append(("w", sym(_tok(nid)),
-                        tuple((lab, sym(t)) for lab, t in sorted(payload.items()))))
-    return tuple(out)
+    kind, nid, payload = step
+    if kind == "r":
+        return ("r", sym(_tok(nid)), payload["key"], payload["val"],
+                tuple((lab, sym(t)) for lab, t in sorted(payload["edges"].items())))
+    return ("w", sym(_tok(nid)),
+            tuple((lab, sym(t)) for lab, t in sorted(payload.items())))
 
 
 def abstract_state(initial: dict[int, dict]) -> dict:
@@ -187,40 +205,6 @@ def check_linearizable(h: History, apply_fn=None, size_cap: int = 12,
     return CheckResult(False, reason="no legal linearization")
 
 
-def naive_linearizable(h: History, apply_fn=None) -> bool:
-    """Brute-force oracle: all drop-subsets of incomplete operations, all
-    permutations, respecting real time.  Independent of check_linearizable's
-    search order and memoization."""
-    apply_fn = apply_fn or _default_apply
-    hx = h.exported()
-    ops = {i: o for i, o in hx.ops.items() if o.status != ABORTED}
-    iv = op_intervals(hx)
-    ops = {i: o for i, o in ops.items() if i in iv}
-    q0 = frozenset(abstract_state(hx.initial).items())
-    comp = [i for i, o in ops.items() if o.is_complete()]
-    inc = [i for i, o in ops.items() if not o.is_complete()]
-    for r in range(len(inc) + 1):
-        for keep in itertools.combinations(inc, r):
-            pool = comp + list(keep)
-            for perm in itertools.permutations(pool):
-                ok = True
-                for a, b in itertools.combinations(range(len(perm)), 2):
-                    if iv[perm[b]][1] < iv[perm[a]][0]:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                state = q0
-                for i in perm:
-                    state, resp = apply_fn(state, ops[i])
-                    if ops[i].is_complete() and resp != ops[i].response:
-                        ok = False
-                        break
-                if ok:
-                    return True
-    return False
-
-
 # -- local serializability ----------------------------------------------------
 
 
@@ -237,12 +221,14 @@ def check_locally_serializable(h: History, def_: SearchStructureDef,
     except BudgetExceeded as e:
         return CheckResult(None, reason=str(e))
     witnesses = {}
+    index = _attempt_index(h)
     for i, op_inst in sorted(h.ops.items()):
-        attempts = sorted({e.attempt for e in h.events if e.op == i}) or [0]
+        by_attempt = index.get(i, {})
+        attempts = sorted(by_attempt) or [0]
         op = Operation(op_inst.name, op_inst.key, op_inst.val)
         for attempt in attempts:
             complete = attempt == attempts[-1] and op_inst.is_complete()
-            trace = rw_trace(h, i, attempt)
+            trace = _rw(trim_aborted(by_attempt.get(attempt, [])))
             if not trace and not complete:
                 witnesses[i] = "no events"
                 continue
@@ -339,7 +325,8 @@ def check_strictly_serializable(h: History, size_cap: int = 8) -> CheckResult:
     if len(comp) > size_cap:
         return CheckResult(None, reason=f"more than {size_cap} complete operations")
     iv = op_intervals(hx)
-    traces = {i: rw_trace(hx, i) for i in comp}
+    op_traces = _op_traces(_attempt_index(hx))
+    traces = {i: op_traces.get(i, []) for i in comp}
 
     found: list[int] = []
 
@@ -466,21 +453,23 @@ def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
     if strict.verdict is not True:
         return CheckResult(strict.verdict, violation=strict.violation,
                            reason=strict.reason or "condition (1) fails")
-    hx = h.exported()
+    hx_traces = _op_traces(_attempt_index(h.exported()))
     or_seq = {e.op: e.seq for e in h.events
               if e.kind == OR and not e.is_abort()}
+    index = _attempt_index(h)
     checked = []
     for k in sorted(h.ops):
-        for attempt in sorted({e.attempt for e in h.events if e.op == k}):
-            evs = [e for e in h.events if e.op == k and e.attempt == attempt]
-            trace_k = _attempt_trace(evs)
+        by_attempt = index.get(k, {})
+        for attempt in sorted(by_attempt):
+            evs = by_attempt[attempt]
+            trace_k = _rw([e for e in evs if not e.is_abort()])
             last = evs[-1].seq
             completed = [i for i, o in h.ops.items()
                          if i != k and o.is_complete() and or_seq.get(i, 1 << 60) <= last]
             if len(completed) > size_cap:
                 return CheckResult(None, reason=f"prefix of op {k} has more than "
                                                 f"{size_cap} complete operations")
-            traces = {i: rw_trace(hx, i) for i in completed}
+            traces = {i: hx_traces.get(i, []) for i in completed}
             if not _prefix_witness(h.initial, trace_k, completed, traces):
                 return CheckResult(
                     False,
@@ -490,16 +479,6 @@ def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
                            f"no committed-prefix state (condition 2)")
             checked.append((k, attempt))
     return CheckResult(True, witness=checked)
-
-
-def _attempt_trace(evs: list[Event]) -> list[tuple]:
-    out = []
-    for e in evs:
-        if e.kind == RR and not e.is_abort():
-            out.append(("r", e.nid, e.value))
-        elif e.kind == WI:
-            out.append(("w", e.nid, e.value["edges"]))
-    return out
 
 
 def _prefix_witness(initial, k_trace, completed, traces) -> bool:

@@ -14,10 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .model import OI, OR, RR, WI, History, InvariantError, Schedule
-from .scheduler import (Leaf, MalformedScheduleError, Workload, build_world,
-                        drive, run_audit_finds, schedule_trie, workload_keys)
-from .checkers import canonical_steps, check_ls_linearizable
+from .model import History, Schedule
+from .scheduler import (MalformedScheduleError, Workload, build_world, drive,
+                        run_audit_finds, schedule_trie, workload_keys)
+from .checkers import check_ls_linearizable
 
 
 @dataclass
@@ -52,7 +52,7 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
     classified by the reference path, ``drive`` and ``audited_history``.
 
     The pass audits a leaf and checks it only for a leaf signature it has
-    not met before (see ``leaf_signature``); the memo lives for this call,
+    not met before (see ``Leaf.signature``); the memo lives for this call,
     within which the workload, keys and bounds are fixed."""
     keys = workload_keys(w)
     max_ops = max_ops if max_ops is not None else len(keys) + 1
@@ -65,8 +65,7 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
         return check_ls_linearizable(h, w.structure, keys, max_ops,
                                      state_cap).verdict
 
-    def record(s: Schedule, accepted, verdict: bool | None):
-        d = s.digest()
+    def record(s: Schedule, d: str, accepted, verdict: bool | None):
         seen.add(d)
         for impl in accepted:
             members[impl][d] = s
@@ -79,17 +78,19 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
     for leaf in schedule_trie(w, impls):
         verdict = None
         if lsl:
-            sig = leaf_signature(leaf)
+            sig = leaf.signature()
             if sig not in verdicts:
                 verdicts[sig] = check(leaf.audited(w))
             verdict = verdicts[sig]
-        record(leaf.schedule, [i for i in impls if i not in leaf.rejected], verdict)
+        record(leaf.schedule, leaf.digest,
+               [i for i in impls if i not in leaf.rejected], verdict)
         if len(seen) >= budget:
             truncated = True
             break
     for s in extras:
-        if s.digest() not in seen:
-            record(s, [i for i in impls if drive(i, w, s).accepted],
+        d = s.digest()
+        if d not in seen:
+            record(s, d, [i for i in impls if drive(i, w, s).accepted],
                    check(audited_history(w, s)) if lsl else None)
     fp = w.fingerprint()
     out = {impl: ScheduleSet(impl, fp, frozenset(members[impl]), members[impl],
@@ -98,42 +99,6 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
         out["lsl"] = ScheduleSet("lsl", fp, frozenset(members["lsl"]), members["lsl"],
                                  len(seen), truncated, frozenset(inconclusive))
     return out
-
-
-def leaf_signature(leaf: Leaf) -> tuple:
-    """All that the LSL verdict of a leaf's audited history depends on,
-    for one workload:
-
-    (a) each concurrent operation's id, status, response and canonical
-        read/write trace - which decide its local serializability;
-    (b) the order of the operations' invocations and responses - with (a),
-        the responses and real-time order ``check_linearizable`` sees;
-    (c) the final store's reachable part (``DagState.canonical``) - which
-        decides the audit finds' traces and responses, since they run
-        sequentially after everything else.
-
-    The initial store, the operations' arguments and the audit finds' ids
-    are fixed by the workload.  Raises InvariantError on an abort event or
-    a restarted attempt, which the key does not cover and which the
-    unsynchronized machines never produce."""
-    # one pass over the events; without aborts an operation's trace is what
-    # ``rw_trace`` gives, which would scan all events once per operation
-    traces: dict[int, list[tuple]] = {}
-    order = []
-    for e in leaf.world.events[leaf.start:]:
-        if e.attempt != 0 or e.is_abort():
-            raise InvariantError(f"leaf history has an abort or a restart: {e}")
-        if e.kind in (OI, OR):
-            order.append((e.op, e.kind))
-            traces.setdefault(e.op, [])
-        elif e.kind == RR:
-            traces[e.op].append(("r", e.nid, e.value))
-        elif e.kind == WI:
-            traces[e.op].append(("w", e.nid, e.value["edges"]))
-    ops = leaf.world.ops
-    return (tuple((i, ops[i].status, ops[i].response, canonical_steps(t))
-                  for i, t in traces.items()),
-            tuple(order), leaf.world.state.canonical())
 
 
 def accepted_set(impl: str, w: Workload, budget: int = 20000,

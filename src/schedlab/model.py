@@ -22,8 +22,6 @@ from dataclasses import dataclass, field
 
 # Event kinds (also the wire tags of the JSON fixture format).
 OI, OR, RI, RR, WI, WR = "oi", "or", "ri", "rr", "wi", "wr"
-INVOKE_KINDS = frozenset((OI, RI, WI))
-RESPONSE_KINDS = frozenset((OR, RR, WR))
 
 # Abort mark returned by a failed optimistic read/write; serialized as-is.
 ABORT = "⊥"
@@ -130,50 +128,11 @@ class History:
                 if e.attempt == final[e.op] and not e.is_abort()]
         return History(kept, self.ops, self.initial, self.structure, self.obj_nids)
 
-    def high_level(self) -> list[Event]:
-        """Events of non-aborted operations at the operation level."""
-        return [e for e in self.exported().events
-                if e.kind in (OI, OR) and self.ops[e.op].status != ABORTED]
-
-    def op_events(self, op_id: int) -> list[Event]:
-        return [e for e in self.events if e.op == op_id]
-
-    def responses(self) -> dict[int, object]:
-        return {o.id: o.response for o in self.ops.values() if o.is_complete()}
-
     def events_json(self) -> list[dict]:
         return [e.to_json() for e in self.events]
 
     def render_json(self) -> str:
         return json.dumps(self.events_json(), ensure_ascii=True, separators=(",", ":"))
-
-
-def well_formed(h: History) -> bool:
-    """No process invokes a read/write/operation before the previous returns."""
-    open_op: dict[int, int | None] = {}
-    open_rw: dict[int, bool] = {}
-    for e in h.events:
-        cur = open_op.setdefault(e.proc, None)
-        busy = open_rw.setdefault(e.proc, False)
-        if e.kind == OI:
-            if cur is not None:
-                return False
-            open_op[e.proc] = e.op
-        elif e.kind == OR:
-            if cur != e.op or busy:
-                return False
-            open_op[e.proc] = None
-        elif e.kind in (RI, WI):
-            if cur != e.op or busy:
-                return False
-            open_rw[e.proc] = True
-        elif e.kind in (RR, WR):
-            if cur != e.op or not busy:
-                return False
-            open_rw[e.proc] = False
-        else:
-            return False
-    return True
 
 
 # -- projections ---------------------------------------------------------
@@ -202,8 +161,13 @@ def restrict_to_operation(h: History, op_id: int,
     invocation whose response carries the abort mark is dropped along with
     that response and the abort op-response.
     """
-    evs = [e for e in h.events
-           if e.op == op_id and (attempt is None or e.attempt == attempt)]
+    return trim_aborted([e for e in h.events if e.op == op_id
+                         and (attempt is None or e.attempt == attempt)])
+
+
+def trim_aborted(evs: list[Event]) -> list[Event]:
+    """``restrict_to_operation``'s trimming of one operation's events: if
+    any is abort-marked, drop those and the final read/write invocation."""
     if any(e.is_abort() for e in evs):
         evs = [e for e in evs if not e.is_abort()]
         # the invocation paired with the dropped abort response, if recorded

@@ -19,18 +19,35 @@ schedule there at the same slot for the same reason).  At a leaf the
 unsynchronized world holds the legal replay of the schedule; the leaf hands
 it over, and the LSL oracle audits it in place (``Leaf.audited``).
 
-The oracle (``metric.classify``) does so only for a leaf whose signature it
-has not met in the same pass, and reuses the verdict otherwise.  The
-signature is each concurrent operation's id, status, response and
-canonical read/write trace, the order of the operations' invocations and
-responses, and the final store's reachable part, canonicalized by BFS from
-the root with keys, values and edges.  It is exact: an operation's own
-trace and response decide its local serializability; with the invocation
-and response order they are all that the linearizability check sees; the
-store decides the audit finds, which run alone after everything else; and
-the initial store, the arguments and the check's bounds are fixed by the
-workload.  Unsynchronized leaves never abort or restart, which the
-signature does not cover; it raises ``InvariantError`` if one does.
+The oracle (``metric.classify``) does so only for a leaf whose signature
+(``Leaf.signature``) it has not met in the same pass.  The signature is
+each concurrent operation's id, status, response and canonical read/write
+trace, the order of the invocations and responses, and the final store's
+``canonical()``.  It is exact: an operation's trace and response decide its
+local serializability; with the order they are all that the
+linearizability check sees; the store decides the audit finds, which run
+alone afterwards; the workload fixes the rest.  Unsynchronized leaves
+never abort or restart, which it does not cover; it raises if one does.
+
+Work that depends on a trie edge is done on that edge, once, and shared by
+every leaf below it:
+
+* Forks are copy-on-write.  A ``NodeRec`` in a store is never changed (a
+  write or an unlink installs a new one), so a fork copies dicts of
+  references and G_op holds the records read.  Complete operations, and
+  their finished machines, are shared: only aborted ones are ever reset.
+* ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets;
+  the walk extends a copy of its prefix's sha256 state per edge.
+* The export check is per step: the events of a step an implementation
+  accepts, abort-marked ones dropped, map to exactly ``[slot]`` under
+  ``slot_of``.  That is ``drive``'s whole-history check, since every event
+  of the implementation's world comes from one of its steps and at a leaf
+  every operation is complete and on attempt 0 (``complete`` and
+  ``History.exported`` drop only abort-marked events).
+* The signature's traces grow one ``TraceCell`` per read or write, renamed
+  on first use; the store's ``canonical()`` is memoized in a cell a fork
+  shares until either side changes the store.  Only the order is read per
+  leaf, and a walk that never asks pays one cell per read/write edge.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  After a blocked step it asks every
@@ -47,7 +64,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import (OI, RI, WI, Event, History, InvariantError,
+from .checkers import canonical_step
+from .model import (ABORT, OI, OR, RI, RR, WI, Event, History, InvariantError,
                     OperationInstance, Schedule, Slot, complete, schedule_of,
                     slot_of)
 from .seqspec import Operation, SearchStructureDef
@@ -226,11 +244,37 @@ def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
                   _accepted_history(world, machines, w, start, initial, schedule))
 
 
+class TraceCell:
+    """One read or write of an operation on a trie path, after its earlier
+    ones (`parent`).  ``steps()``, the ``canonical_steps`` of the trace up
+    to here, is renamed on first use and shared by the leaves below."""
+
+    __slots__ = ("parent", "step", "_steps", "_names")
+
+    def __init__(self, parent: TraceCell | None, step: tuple):
+        self.parent = parent
+        self.step = step
+        self._steps = None
+        self._names = None
+
+    def steps(self) -> tuple:
+        if self._steps is None:
+            if self.parent is None:
+                before, names = (), {}
+            else:
+                before = self.parent.steps()
+                names = dict(self.parent._names)
+            self._steps = before + (canonical_step(self.step, names),)
+            self._names = names
+        return self._steps
+
+
 @dataclass
 class Leaf:
     """One schedule of the universe with its verdicts from the pass."""
 
     schedule: Schedule
+    digest: str  # schedule.digest(), carried along the trie
     # implementation -> (reason, failing slot); accepting ones are absent
     rejected: dict[str, tuple[str, int]]
     # the unsynchronized world at the end of the schedule, i.e. its legal
@@ -238,11 +282,32 @@ class Leaf:
     world: World
     start: int  # index of the first concurrent event in world.events
     initial: dict  # store snapshot the concurrent part starts from
+    # operation id -> its last read/write on the path
+    traces: dict[int, TraceCell]
 
     def audited(self, w: Workload) -> History:
         """The legal replay plus the audit finds, run in the leaf's own
         world (see ``run_audit_finds``)."""
         return run_audit_finds(self.world, w, self.start, self.initial)
+
+    def signature(self) -> tuple:
+        """All that the LSL verdict of the leaf's audited history depends
+        on, for one workload: (operation id, status, response, canonical
+        trace) per operation, the invocation/response order, and the
+        store's ``canonical()`` (why it is exact: the module docstring).
+        Call it before extending the world.  Raises InvariantError on an
+        abort event or a restarted attempt, which it does not cover."""
+        order = []
+        for e in self.world.events[self.start:]:
+            if e.attempt != 0 or e.value == ABORT:  # e.is_abort(), inlined
+                raise InvariantError(f"leaf history has an abort or a restart: {e}")
+            if e.kind == OI or e.kind == OR:
+                order.append((e.op, e.kind))
+        ops, traces = self.world.ops, self.traces
+        return (tuple((i, ops[i].status, ops[i].response,
+                       traces[i].steps() if i in traces else ())
+                      for i in dict.fromkeys(i for i, _ in order)),
+                tuple(order), self.world.state.canonical())
 
 
 def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
@@ -252,22 +317,27 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
 
     Each implementation's machines are forked along the trie and given the
     step the unsynchronized machine just took; one that rejects it is
-    dropped for the subtree, with that slot's index and reason.  An
-    implementation still present at a leaf passes ``drive``'s
-    end-of-schedule checks there.  Each leaf hands over its own
-    unsynchronized world."""
+    dropped for the subtree, with that slot's index and reason.  A step it
+    accepts must export exactly that slot, else InvariantError; an
+    implementation still present at a leaf must have finished every
+    operation there.  Each leaf hands over its own unsynchronized world,
+    its digest and its operations' trace cells."""
     world, machines, start = build_world("unsync", w)
     initial = world.state.snapshot()
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
     slots: list[Slot] = []
+    encoded: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
 
-    def rec(world, machines, runs, rejected):
+    def rec(world, machines, runs, rejected, sha, traces):
         live = sorted(p for p, m in machines.items() if not m.finished)
         if not live:
-            schedule = Schedule(tuple(slots))
-            for iw, im in runs.values():
-                _accepted_history(iw, im, w, start, initial, schedule)
-            yield Leaf(schedule, rejected, world, start, initial)
+            for _, im in runs.values():
+                if not all(m.finished for m in im.values()):
+                    raise MalformedScheduleError("schedule leaves operations incomplete")
+            sha = sha.copy()
+            sha.update(b"]")
+            yield Leaf(Schedule(tuple(slots)), sha.hexdigest()[:16], rejected,
+                       world, start, initial, traces)
             return
         for proc in live:
             # the last child takes over this node's worlds: nothing below
@@ -283,16 +353,34 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
             for impl, (iw, im) in runs.items():
                 if not last:
                     iw, im = _fork(iw, im)
+                n = len(iw.events)
                 reason = _step_slot(iw, im, idx, slot)
                 if reason is None:
+                    got = [slot_of(e) for e in iw.events[n:] if not e.is_abort()]
+                    if [s for s in got if s is not None] != [slot]:
+                        raise InvariantError(
+                            f"accepted history does not export the schedule: "
+                            f"{impl} at slot {idx}")
                     runs2[impl] = (iw, im)
                 else:
                     rejected2 = {**rejected2, impl: (reason, idx)}
+            piece = encoded.get(slot)
+            if piece is None:
+                piece = encoded[slot] = b"," + json.dumps(
+                    slot.canon(), separators=(",", ":")).encode()
+            sha2 = sha.copy()
+            sha2.update(piece if idx else piece[1:])
+            traces2 = traces
+            for e in out.events:
+                if e.kind == RR or e.kind == WI:
+                    step = (("r", e.nid, e.value) if e.kind == RR
+                            else ("w", e.nid, e.value["edges"]))
+                    traces2 = {**traces, e.op: TraceCell(traces.get(e.op), step)}
             slots.append(slot)
-            yield from rec(w2, m2, runs2, rejected2)
+            yield from rec(w2, m2, runs2, rejected2, sha2, traces2)
             slots.pop()
 
-    yield from rec(world, machines, runs, {})
+    yield from rec(world, machines, runs, {}, hashlib.sha256(b"["), {})
 
 
 def universe(w: Workload, budget: int = 20000) -> tuple[list[Schedule], bool]:

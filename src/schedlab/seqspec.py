@@ -16,7 +16,7 @@ default to the key itself.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .model import History, InvariantError
 
@@ -92,6 +92,10 @@ def fold_dictionary(ops, q0: dict | None = None) -> tuple[dict, list[bool]]:
 
 @dataclass
 class NodeRec:
+    """One node's record.  A record in a store is never mutated: writes
+    and unlinks install a new record, so stores, forks and G_op snapshots
+    share the records that have not changed."""
+
     nid: int
     key: float
     val: object
@@ -111,18 +115,30 @@ class DagState:
     root: int = 0
     tail: int | None = None
     counter: int = 0
+    # memo of canonical(), shared with the clones taken since the last
+    # mutation; a mutation gives the mutating side a fresh cell
+    _canon: list = field(default_factory=lambda: [None], init=False,
+                         repr=False, compare=False)
 
     def alloc(self, key, val, edges: dict[str, int | None]) -> int:
         nid = self.counter
         self.counter += 1
         self.nodes[nid] = NodeRec(nid, key, val, dict(edges))
+        self._canon = [None]
         return nid
 
     def read(self, nid: int) -> NodeRec:
         return self.nodes[nid]
 
     def write_edges(self, nid: int, patch: dict[str, int | None]) -> None:
-        self.nodes[nid].edges.update(patch)
+        r = self.nodes[nid]
+        self.nodes[nid] = NodeRec(nid, r.key, r.val, {**r.edges, **patch}, r.alive)
+        self._canon = [None]
+
+    def unlink(self, nid: int) -> None:
+        r = self.nodes[nid]
+        self.nodes[nid] = NodeRec(nid, r.key, r.val, r.edges, False)
+        self._canon = [None]
 
     def find_alive(self, key) -> int | None:
         for n in self.nodes.values():
@@ -157,15 +173,21 @@ class DagState:
         return {nid: rec.snap() for nid, rec in sorted(self.nodes.items())}
 
     def clone(self) -> DagState:
-        st = DagState(root=self.root, tail=self.tail, counter=self.counter)
-        st.nodes = {nid: NodeRec(r.nid, r.key, r.val, dict(r.edges), r.alive)
-                    for nid, r in self.nodes.items()}
+        """A store of its own over the same (immutable) records."""
+        st = DagState(dict(self.nodes), self.root, self.tail, self.counter)
+        st._canon = self._canon
         return st
 
     def canonical(self) -> tuple:
         """Signature of the reachable part for state memoization: each
         node's key, value and edges, ids canonicalized by BFS from the
         root.  It holds all that a read of a reachable node records."""
+        cell = self._canon
+        if cell[0] is None:
+            cell[0] = self._canonical_bfs()
+        return cell[0]
+
+    def _canonical_bfs(self) -> tuple:
         order, seen, queue = [], set(), [self.root]
         while queue:
             n = queue.pop(0)
@@ -187,7 +209,8 @@ class DagState:
 
 @dataclass
 class Gop:
-    """Nodes visited so far: per-node frozen copies of key and edges."""
+    """Nodes visited so far: the record each visit read.  Records are
+    immutable, so holding the record itself freezes what was read."""
 
     recs: dict[int, NodeRec] = field(default_factory=dict)
     order: list[int] = field(default_factory=list)
@@ -195,7 +218,7 @@ class Gop:
     def visit(self, rec: NodeRec) -> None:
         if rec.nid not in self.recs:
             self.order.append(rec.nid)
-        self.recs[rec.nid] = NodeRec(rec.nid, rec.key, rec.val, dict(rec.edges), rec.alive)
+        self.recs[rec.nid] = rec
 
     def __contains__(self, nid: int) -> bool:
         return nid in self.recs
@@ -217,11 +240,7 @@ class Gop:
         return None
 
     def clone(self) -> Gop:
-        g = Gop()
-        g.recs = {n: NodeRec(r.nid, r.key, r.val, dict(r.edges), r.alive)
-                  for n, r in self.recs.items()}
-        g.order = list(self.order)
-        return g
+        return Gop(dict(self.recs), list(self.order))
 
 
 @dataclass
@@ -685,7 +704,7 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
                           {lab: (f"n{t}" if t is not None else None)
                            for lab, t in patch.items()}))
     for nid in plan.unlink:
-        state.nodes[nid].alive = False
+        state.unlink(nid)
     return plan.response
 
 
@@ -882,36 +901,6 @@ def enumerate_sequential_histories(def_: SearchStructureDef, keys: tuple[int, ..
             yield from extend(st, path + [op])
 
     yield from extend(base, [])
-
-
-# -- step programs ------------------------------------------------------------
-
-
-@dataclass
-class StepProgram:
-    """An operation compiled against a structure: the traverse loop plus
-    the update plan, materializable against any concrete state."""
-
-    def_: SearchStructureDef
-    op: Operation
-
-    def steps_against(self, state: DagState) -> tuple[list[tuple], bool]:
-        """(abstract steps, response) when run alone on a copy of `state`."""
-        st = state.clone()
-        trace: list = []
-        resp = run_operation(self.def_, st, self.op, trace)
-        steps = []
-        for entry in trace:
-            role = st.role_of(entry[1])
-            steps.append(("read", role) if entry[0] == "read"
-                         else ("write", role, entry[2]))
-        return steps, resp
-
-
-def compile_program(def_: SearchStructureDef, op: Operation) -> StepProgram:
-    if op.name not in ("insert", "delete", "find"):
-        raise ValueError(f"unknown operation {op.name!r}")
-    return StepProgram(def_, op)
 
 
 # -- non-triviality -----------------------------------------------------------

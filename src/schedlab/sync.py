@@ -194,9 +194,13 @@ class World:
         return self.state.role_of(nid)
 
     def clone(self) -> World:
+        """A fork: the store shares its records, and a complete operation
+        is shared too, since nothing changes one again (``restart`` resets
+        only aborted ones)."""
         return World(self.state.clone(), self.locks.clone(), self.versions.clone(),
                      list(self.events),
-                     {i: o.copy() for i, o in self.ops.items()}, self.seq)
+                     {i: (o if o.status == COMPLETE else o.copy())
+                      for i, o in self.ops.items()}, self.seq)
 
 
 @dataclass(frozen=True)
@@ -287,19 +291,22 @@ class StepMachine:
 
     def _apply_unlink(self, world):
         for nid in self.plan.unlink:
-            world.state.nodes[nid].alive = False
+            world.state.unlink(nid)
 
     def write_targets(self) -> list[int]:
         return [nid for nid, _ in self.plan.writes]
 
     def clone(self, ops: dict[int, OperationInstance]) -> StepMachine:
+        """A fork over `ops`.  Nothing changes a finished machine of a
+        complete operation again, so that one is shared; the plan is never
+        changed once made, and G_op only grows before the plan exists."""
+        if self.finished and self.op.status == COMPLETE:
+            return self
         m = type(self).__new__(type(self))
         m.__dict__.update(self.__dict__)
         m.op = ops[self.op.id]
-        m.gop = self.gop.clone()
-        if self.plan is not None:
-            m.plan = UpdatePlan(self.plan.response, list(self.plan.writes),
-                                list(self.plan.new_nodes), list(self.plan.unlink))
+        if self.plan is None:
+            m.gop = self.gop.clone()
         m._clone_extra()
         return m
 
@@ -417,9 +424,6 @@ class HohMachine(StepMachine):
             world.locks.release(self.held_shared, holder)
         return self._finish(world, ())
 
-    def _clone_extra(self):
-        self.write_locked = list(self.write_locked)
-
 
 class StmMachine(StepMachine):
     """Lazy version-clock STM wrapper (class SM: never blocks)."""
@@ -450,7 +454,7 @@ class StmMachine(StepMachine):
         self.op.status = ABORTED
         self.finished = True
         for new in (self.plan.new_nodes if self.plan else ()):
-            world.state.nodes[new].alive = False
+            world.state.unlink(new)
         return StepOutcome(ABORT_OUT, tuple(evs), reason=f"conflict on {role}")
 
     def _read(self, world, nid):
@@ -473,9 +477,10 @@ class StmMachine(StepMachine):
                         nid=nid, attempt=self.attempt)
         # the sequential code sees the committed record overlaid with the
         # operation's own buffered writes
-        view_edges = dict(rec.edges)
-        view_edges.update(self.write_set.get(nid, {}))
-        self.gop.visit(NodeRec(nid, rec.key, rec.val, view_edges, rec.alive))
+        own = self.write_set.get(nid)
+        if own:
+            rec = NodeRec(nid, rec.key, rec.val, {**rec.edges, **own}, rec.alive)
+        self.gop.visit(rec)
         return StepOutcome(PROGRESSED, (ri, rr))
 
     def _write(self, world):

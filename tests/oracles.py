@@ -1,0 +1,264 @@
+"""Reference oracles that only the tests use.
+
+Each is an independent, slower statement of something the library does
+fast: the brute-force linearizability search, history well-formedness,
+an operation's solo step list, the per-leaf LSL signature rebuilt from the
+leaf's events, and the checkers that scan every event once per operation.
+The tests compare the library against them.
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+
+from schedlab.checkers import (CheckResult, _default_apply, _dependency_cycle,
+                               _local_witness, _prefix_witness, _Replay,
+                               abstract_state, canonical_steps, op_intervals)
+from schedlab.model import (ABORTED, OI, OR, RI, RR, WI, WR, History,
+                            InvariantError, restrict_to_operation)
+from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
+                              SearchStructureDef, reachable_states,
+                              run_operation)
+
+
+# -- linearizability ----------------------------------------------------------
+
+
+def naive_linearizable(h: History, apply_fn=None) -> bool:
+    """Brute-force oracle: all drop-subsets of incomplete operations, all
+    permutations, respecting real time.  Independent of check_linearizable's
+    search order and memoization."""
+    apply_fn = apply_fn or _default_apply
+    hx = h.exported()
+    ops = {i: o for i, o in hx.ops.items() if o.status != ABORTED}
+    iv = op_intervals(hx)
+    ops = {i: o for i, o in ops.items() if i in iv}
+    q0 = frozenset(abstract_state(hx.initial).items())
+    comp = [i for i, o in ops.items() if o.is_complete()]
+    inc = [i for i, o in ops.items() if not o.is_complete()]
+    for r in range(len(inc) + 1):
+        for keep in itertools.combinations(inc, r):
+            pool = comp + list(keep)
+            for perm in itertools.permutations(pool):
+                ok = True
+                for a, b in itertools.combinations(range(len(perm)), 2):
+                    if iv[perm[b]][1] < iv[perm[a]][0]:
+                        ok = False
+                        break
+                if not ok:
+                    continue
+                state = q0
+                for i in perm:
+                    state, resp = apply_fn(state, ops[i])
+                    if ops[i].is_complete() and resp != ops[i].response:
+                        ok = False
+                        break
+                if ok:
+                    return True
+    return False
+
+
+# -- histories ----------------------------------------------------------------
+
+
+def well_formed(h: History) -> bool:
+    """No process invokes a read/write/operation before the previous returns."""
+    open_op: dict[int, int | None] = {}
+    open_rw: dict[int, bool] = {}
+    for e in h.events:
+        cur = open_op.setdefault(e.proc, None)
+        busy = open_rw.setdefault(e.proc, False)
+        if e.kind == OI:
+            if cur is not None:
+                return False
+            open_op[e.proc] = e.op
+        elif e.kind == OR:
+            if cur != e.op or busy:
+                return False
+            open_op[e.proc] = None
+        elif e.kind in (RI, WI):
+            if cur != e.op or busy:
+                return False
+            open_rw[e.proc] = True
+        elif e.kind in (RR, WR):
+            if cur != e.op or not busy:
+                return False
+            open_rw[e.proc] = False
+        else:
+            return False
+    return True
+
+
+# -- step programs ------------------------------------------------------------
+
+
+@dataclass
+class StepProgram:
+    """An operation compiled against a structure: the traverse loop plus
+    the update plan, materializable against any concrete state."""
+
+    def_: SearchStructureDef
+    op: Operation
+
+    def steps_against(self, state: DagState) -> tuple[list[tuple], bool]:
+        """(abstract steps, response) when run alone on a copy of `state`."""
+        st = state.clone()
+        trace: list = []
+        resp = run_operation(self.def_, st, self.op, trace)
+        steps = []
+        for entry in trace:
+            role = st.role_of(entry[1])
+            steps.append(("read", role) if entry[0] == "read"
+                         else ("write", role, entry[2]))
+        return steps, resp
+
+
+def compile_program(def_: SearchStructureDef, op: Operation) -> StepProgram:
+    if op.name not in ("insert", "delete", "find"):
+        raise ValueError(f"unknown operation {op.name!r}")
+    return StepProgram(def_, op)
+
+
+# -- the LSL memo key ---------------------------------------------------------
+
+
+def leaf_signature(leaf) -> tuple:
+    """``Leaf.signature`` rebuilt at the leaf from its events: each
+    concurrent operation's id, status, response and canonical read/write
+    trace; the order of the invocations and responses; the final store's
+    reachable part.  Raises InvariantError on an abort event or a restarted
+    attempt."""
+    traces: dict[int, list[tuple]] = {}
+    order = []
+    for e in leaf.world.events[leaf.start:]:
+        if e.attempt != 0 or e.is_abort():
+            raise InvariantError(f"leaf history has an abort or a restart: {e}")
+        if e.kind in (OI, OR):
+            order.append((e.op, e.kind))
+            traces.setdefault(e.op, [])
+        elif e.kind == RR:
+            traces[e.op].append(("r", e.nid, e.value))
+        elif e.kind == WI:
+            traces[e.op].append(("w", e.nid, e.value["edges"]))
+    ops = leaf.world.ops
+    return (tuple((i, ops[i].status, ops[i].response, canonical_steps(t))
+                  for i, t in traces.items()),
+            tuple(order), leaf.world.state._canonical_bfs())
+
+
+# -- checkers that scan every event once per operation -------------------------
+
+
+def rw_trace(h: History, op_id: int, attempt: int | None = None) -> list[tuple]:
+    """[("r", nid, record) | ("w", nid, edge_patch)] for one operation, or
+    for one attempt of it."""
+    out = []
+    for e in restrict_to_operation(h, op_id, attempt):
+        if e.kind == RR:
+            out.append(("r", e.nid, e.value))
+        elif e.kind == WI:
+            out.append(("w", e.nid, e.value["edges"]))
+    return out
+
+
+def check_locally_serializable(h: History, def_: SearchStructureDef,
+                               keys: tuple[int, ...], max_ops: int,
+                               state_cap: int = 4000) -> CheckResult:
+    try:
+        states = reachable_states(def_, keys, max_ops, state_cap)
+    except BudgetExceeded as e:
+        return CheckResult(None, reason=str(e))
+    witnesses = {}
+    for i, op_inst in sorted(h.ops.items()):
+        attempts = sorted({e.attempt for e in h.events if e.op == i}) or [0]
+        op = Operation(op_inst.name, op_inst.key, op_inst.val)
+        for attempt in attempts:
+            complete = attempt == attempts[-1] and op_inst.is_complete()
+            trace = rw_trace(h, i, attempt)
+            if not trace and not complete:
+                witnesses[i] = "no events"
+                continue
+            steps = canonical_steps(trace)
+            found = _local_witness(def_, states, op, steps,
+                                   op_inst.response if complete else None)
+            if found is None:
+                return CheckResult(False, violation={"op": i, "attempt": attempt,
+                                                     "trace": steps},
+                                   reason=f"operation {op_inst.describe()} has no "
+                                          f"sequential witness")
+            witnesses[i] = found
+    return CheckResult(True, witness=witnesses)
+
+
+def check_strictly_serializable(h: History, size_cap: int = 8) -> CheckResult:
+    hx = h.exported()
+    comp = sorted(i for i, o in hx.ops.items() if o.is_complete())
+    if len(comp) > size_cap:
+        return CheckResult(None, reason=f"more than {size_cap} complete operations")
+    iv = op_intervals(hx)
+    traces = {i: rw_trace(hx, i) for i in comp}
+
+    found: list[int] = []
+
+    def dfs(order: list[int], rp: _Replay) -> bool:
+        if len(order) == len(comp):
+            found.extend(order)
+            return True
+        rest = [i for i in comp if i not in order]
+        for i in rest:
+            if any(iv[j][1] < iv[i][0] for j in rest if j != i):
+                continue
+            rp2 = rp.fork()
+            if not rp2.apply(traces[i]):
+                continue
+            if dfs(order + [i], rp2):
+                return True
+        return False
+
+    if dfs([], _Replay(hx.initial)):
+        return CheckResult(True, witness=[(i, hx.ops[i].describe()) for i in found])
+    cycle = _dependency_cycle(hx, comp, traces, iv)
+    return CheckResult(False, violation=cycle,
+                       reason="no real-time-respecting legal permutation")
+
+
+def _attempt_trace(evs: list) -> list[tuple]:
+    out = []
+    for e in evs:
+        if e.kind == RR and not e.is_abort():
+            out.append(("r", e.nid, e.value))
+        elif e.kind == WI:
+            out.append(("w", e.nid, e.value["edges"]))
+    return out
+
+
+def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
+    strict = check_strictly_serializable(h, size_cap)
+    if strict.verdict is not True:
+        return CheckResult(strict.verdict, violation=strict.violation,
+                           reason=strict.reason or "condition (1) fails")
+    hx = h.exported()
+    or_seq = {e.op: e.seq for e in h.events
+              if e.kind == OR and not e.is_abort()}
+    checked = []
+    for k in sorted(h.ops):
+        for attempt in sorted({e.attempt for e in h.events if e.op == k}):
+            evs = [e for e in h.events if e.op == k and e.attempt == attempt]
+            trace_k = _attempt_trace(evs)
+            last = evs[-1].seq
+            completed = [i for i, o in h.ops.items()
+                         if i != k and o.is_complete() and or_seq.get(i, 1 << 60) <= last]
+            if len(completed) > size_cap:
+                return CheckResult(None, reason=f"prefix of op {k} has more than "
+                                                f"{size_cap} complete operations")
+            traces = {i: rw_trace(hx, i) for i in completed}
+            if not _prefix_witness(h.initial, trace_k, completed, traces):
+                return CheckResult(
+                    False,
+                    violation={"op": k, "attempt": attempt,
+                               "op_desc": h.ops[k].describe()},
+                    reason=f"{h.ops[k].describe()} (attempt {attempt}) observes "
+                           f"no committed-prefix state (condition 2)")
+            checked.append((k, attempt))
+    return CheckResult(True, witness=checked)

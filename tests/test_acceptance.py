@@ -12,8 +12,7 @@ import pytest
 
 from schedlab.checkers import (check_compositionality, check_linearizable,
                                check_ls_linearizable, check_safe_strict,
-                               check_strictly_serializable, compose_histories,
-                               naive_linearizable)
+                               check_strictly_serializable, compose_histories)
 from schedlab.cli import main as cli_main, scenario_path
 from schedlab.fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
 from schedlab.metric import (accepted_set, incomparability, lsl_set,
@@ -22,6 +21,8 @@ from schedlab.model import (COMPLETE, OI, OR, Event, History,
                             OperationInstance)
 from schedlab.scheduler import Workload, drive, free_run, universe
 from schedlab.seqspec import Operation, make_structure
+
+from oracles import naive_linearizable
 
 STRUCTURES = ("sorted-list", "bst", "skiplist")
 

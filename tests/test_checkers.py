@@ -6,13 +6,17 @@ from dataclasses import replace
 from schedlab.checkers import (check_compositionality,
                                check_linearizable, check_locally_serializable,
                                check_ls_linearizable, check_safe_strict,
-                               check_strictly_serializable, compose_histories,
-                               naive_linearizable)
+                               check_strictly_serializable, compose_histories)
 from schedlab.model import (COMPLETE, OI, OR, RR, WI, Event, History,
                             OperationInstance)
+from schedlab.metric import workload_keys
 from schedlab.scheduler import Workload, drive, free_run
 from schedlab.seqspec import Operation, dictionary_apply, make_structure, \
     sequential_run
+
+import oracles
+from oracles import naive_linearizable
+from test_acceptance import STRUCTURES, random_workload
 
 
 def hl_history(ops, events, initial=None):
@@ -290,6 +294,58 @@ def test_aborted_attempt_checked_separately(structure):
     res = check_safe_strict(h)
     assert res.verdict is True
     assert any(attempt > 0 for _, attempt in res.witness)
+
+
+# -- one scan per history, against the per-operation checkers -------------------------
+
+
+def bend_one_read(h, rng):
+    """`h` with the value of one concurrent read forged."""
+    reads = [j for j, e in enumerate(h.events)
+             if e.kind == RR and not e.is_abort() and e.proc != 0]
+    j = rng.choice(reads)
+    events = list(h.events)
+    events[j] = replace(events[j], value={**events[j].value, "val": "forged"})
+    return History(events, h.ops, h.initial, h.structure)
+
+
+def test_indexed_checkers_match_the_per_operation_scans():
+    """Local, strict and safe-strict serializability index each history's
+    events by (operation, attempt) once.  On seeded hoh and stm free runs
+    (restarts and aborted attempts included) on every structure, and on
+    each run with one read forged, verdict, witness, violation and reason
+    equal those of the checkers that scan every event once per operation
+    (``oracles``)."""
+    runs, outcomes = 0, set()
+    for name in STRUCTURES:
+        d = make_structure(name)
+        rng = random.Random(f"index:{name}")
+        for i in range(350):
+            w = random_workload(d, rng)
+            keys = workload_keys(w)
+            for impl in ("hoh", "stm"):
+                run = free_run(impl, w, seed=i)
+                runs += 1
+                for h in (run, bend_one_read(run, rng)):
+                    pairs = {
+                        "local": (check_locally_serializable(h, d, keys, len(keys) + 1),
+                                  oracles.check_locally_serializable(
+                                      h, d, keys, len(keys) + 1)),
+                        "strict": (check_strictly_serializable(h),
+                                   oracles.check_strictly_serializable(h)),
+                        "safe-strict": (check_safe_strict(h),
+                                        oracles.check_safe_strict(h)),
+                    }
+                    for checker, (got, want) in pairs.items():
+                        assert got == want, (name, i, impl, checker)
+                        outcomes.add((checker, got.verdict,
+                                      "condition 2" in (got.reason or "")))
+    assert runs >= 2000
+    # every branch was compared: both verdicts, and condition (2) failing alone
+    assert outcomes >= {("local", True, False), ("local", False, False),
+                        ("strict", True, False), ("strict", False, False),
+                        ("safe-strict", True, False), ("safe-strict", False, False),
+                        ("safe-strict", False, True)}
 
 
 # -- compositionality -----------------------------------------------------------------

@@ -13,15 +13,16 @@ import pytest
 
 from schedlab import fixtures, scheduler, seqspec
 from schedlab.fixtures import fig2a
-from schedlab.metric import (accepted_set, audited_history, leaf_signature,
-                             lsl_set)
-from schedlab.model import ABORT, RR, Schedule
+from schedlab.metric import accepted_set, audited_history, lsl_set
+from schedlab.model import ABORT, RI, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
                                 Workload, build_world, drive, schedule_trie,
                                 universe)
-from schedlab.seqspec import (Operation, SortedList, Witness, assert_legal,
-                              make_structure, run_operation, sequential_run)
-from schedlab.sync import BLOCKED, LockManager, StepOutcome, UnsyncMachine
+from schedlab.seqspec import (ROOT_ROLE, Operation, SortedList, Witness,
+                              assert_legal, make_structure, run_operation,
+                              sequential_run)
+from schedlab.sync import (BLOCKED, FINISHED, LockManager, StepOutcome,
+                           StmMachine, UnsyncMachine)
 
 
 def two_inserts(setup=()):
@@ -51,9 +52,25 @@ def test_drive_raises_when_accepted_history_misses_the_schedule(monkeypatch):
 
 
 def test_pass_raises_when_accepted_history_misses_the_schedule(monkeypatch):
-    monkeypatch.setattr(scheduler, "schedule_of", lambda h: Schedule(()))
+    """An stm response that also emits a stray read invocation: the pass
+    sees it in the step, ``drive`` in the whole history."""
+    respond = StmMachine._respond
+
+    def respond_with_a_stray_read(self, world):
+        out = respond(self, world)
+        if out.kind != FINISHED:
+            return out
+        ri = world.emit(self.op.proc, self.op.id, RI, elem=ROOT_ROLE,
+                        nid=world.state.root, attempt=self.attempt)
+        return dataclasses.replace(out, events=out.events + (ri,))
+
+    monkeypatch.setattr(StmMachine, "_respond", respond_with_a_stray_read)
+    w = two_inserts()
+    sigma = universe(w, budget=1)[0][0]
     with pytest.raises(InvariantError, match="does not export the schedule"):
-        accepted_set("stm", two_inserts())
+        drive("stm", w, sigma)
+    with pytest.raises(InvariantError, match="does not export the schedule"):
+        accepted_set("stm", w)
 
 
 def test_pass_raises_when_unsync_machine_blocks(monkeypatch):
@@ -88,15 +105,15 @@ def test_audited_history_rejects_an_incomplete_schedule():
 def test_leaf_signature_rejects_an_abort_or_a_restart():
     w = two_inserts()
     leaf = next(schedule_trie(w))
-    leaf_signature(leaf)
+    leaf.signature()
     op = max(leaf.world.ops)
     leaf.world.emit(1, op, RR, value=ABORT)
     with pytest.raises(InvariantError, match="abort or a restart"):
-        leaf_signature(leaf)
+        leaf.signature()
     leaf = next(schedule_trie(w))
     leaf.world.emit(1, op, RR, value={}, attempt=1)
     with pytest.raises(InvariantError, match="abort or a restart"):
-        leaf_signature(leaf)
+        leaf.signature()
 
 
 def swapped_keys(name):

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
                             complete, precedes, project_process,
                             restrict_to_object, restrict_to_operation,
-                            schedule_of, well_formed)
+                            schedule_of)
 from schedlab.checkers import compose_histories
 from schedlab.scheduler import Workload, drive, free_run
 from schedlab.seqspec import Operation, make_structure, sequential_run
+
+from oracles import well_formed
 
 
 def kinds_and_elems(events):

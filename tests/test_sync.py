@@ -11,7 +11,9 @@ from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import (ABORT_OUT, BLOCKED, EXCLUSIVE, FINISHED,
                            PROGRESSED, SHARED, LockManager, World,
                            make_machine, restart)
-from schedlab.checkers import rw_trace, _Replay
+from schedlab.checkers import _Replay
+
+from oracles import rw_trace
 
 
 # -- lock manager ---------------------------------------------------------------

@@ -4,10 +4,13 @@
 must give every schedule the verdicts the reference path gives it: `drive`
 per implementation, with the same rejection reason and failing slot, and
 `check_ls_linearizable(audited_history(...))` for the LSL oracle.  The
-leaves must come in the order of a plain recursive universe DFS.
+leaves must come in the order of a plain recursive universe DFS, and carry
+the digest and the LSL signature that are rebuilt from the leaf itself.
+Forks share records and operations copy-on-write.
 """
 
 import itertools
+import random
 
 import pytest
 
@@ -16,11 +19,14 @@ from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
-from schedlab.model import History, schedule_of
-from schedlab.scheduler import build_world, drive, schedule_trie, universe
-from schedlab.seqspec import make_structure
+from schedlab.model import ABORTED, COMPLETE, History, schedule_of
+from schedlab.scheduler import (Workload, _fork, build_world, drive,
+                                schedule_trie, universe)
+from schedlab.seqspec import Operation, make_structure
+from schedlab.sync import BLOCKED, restart
 
-from test_acceptance import sweep_workloads
+from oracles import leaf_signature
+from test_acceptance import STRUCTURES, random_workload, sweep_workloads
 
 IMPLS = ("hoh", "stm")
 
@@ -65,6 +71,9 @@ def assert_pass_matches_reference(w, budget, extras=()):
     schedules = reference_universe(w, budget)
     leaves = list(itertools.islice(schedule_trie(w, IMPLS), budget))
     assert [leaf.schedule for leaf in leaves] == schedules
+    for leaf in leaves:
+        assert leaf.digest == leaf.schedule.digest()
+        assert leaf.signature() == leaf_signature(leaf)
     sets = classify(w, IMPLS, lsl=True, budget=budget, extras=extras)
     visited = {s.digest() for s in schedules}
     new_extras = list({s.digest(): s for s in extras
@@ -156,3 +165,94 @@ def test_lsl_set_checks_once_per_leaf_signature(monkeypatch, structure, instance
                                      len(keys) + 1).verdict is True}
     assert got.digests == want
     assert got.total > 20 and not got.inconclusive
+
+
+# -- copy-on-write forks ------------------------------------------------------
+
+
+def store_record(state):
+    return (state.snapshot(), state.canonical(), state._canonical_bfs(),
+            {n: r.alive for n, r in state.nodes.items()}, state.counter)
+
+
+def gop_records(machines):
+    return {p: {n: (r.snap(), r.alive) for n, r in m.gop.recs.items()}
+            for p, m in machines.items()}
+
+
+def mutate(state, rng):
+    """One write, unlink or alloc on a random node of the store."""
+    nid = rng.choice(sorted(state.nodes))
+    kind = rng.choice(("write", "unlink", "alloc"))
+    if kind == "write":
+        labels = sorted(state.nodes[nid].edges) or ["next"]
+        state.write_edges(nid, {rng.choice(labels):
+                                rng.choice(sorted(state.nodes) + [None])})
+    elif kind == "unlink":
+        state.unlink(nid)
+    else:
+        state.alloc(99, 99, {"next": nid})
+
+
+@pytest.mark.parametrize("structure", STRUCTURES)
+def test_forks_are_isolated_copy_on_write(structure):
+    """Random walks of every implementation's machines, forking at each
+    step: a write, unlink or alloc in either world after a fork leaves the
+    other world's store (records, liveness, ``canonical()``, whose memo
+    both shared) unchanged, and no step changes a record a machine's G_op
+    already holds."""
+    rng = random.Random(f"cow:{structure}")
+    d = make_structure(structure)
+    for _ in range(60):
+        world, machines, _ = build_world(rng.choice(("unsync", "hoh", "stm")),
+                                         random_workload(d, rng))
+        while True:
+            world.state.canonical()
+            w2, m2 = _fork(world, machines)
+            w2.state.canonical()  # the memo shared with `world`
+            (side, sm), (other, om) = rng.sample([(world, machines), (w2, m2)], 2)
+            before, gops = store_record(other.state), gop_records(om)
+            mutate(side.state, rng)
+            assert store_record(other.state) == before
+            assert gop_records(om) == gops
+            assert side.state.canonical() == side.state._canonical_bfs()
+            # walk on in the world that was not mutated
+            live = [p for p, m in sorted(om.items()) if not m.finished]
+            rng.shuffle(live)
+            stepped = False
+            for p in live:
+                gops = gop_records(om)
+                if om[p].step(other).kind == BLOCKED:
+                    continue
+                stepped = True
+                after = gop_records(om)
+                for q, recs in gops.items():
+                    assert {n: after[q][n] for n in recs} == recs
+                break
+            if not stepped:
+                break
+            world, machines = other, om
+
+
+def test_a_fork_restarts_an_aborted_operation_alone():
+    """A fork shares a complete operation and its finished machine, but
+    not an aborted one: restarting it in the fork leaves the original
+    world's operation and machine aborted."""
+    w = Workload(make_structure("sorted-list"), [Operation("insert", 1)],
+                 [(1, Operation("insert", 2)), (2, Operation("insert", 2))])
+    world, machines, _ = build_world("stm", w)
+    while not all(m.finished for m in machines.values()):
+        for m in machines.values():
+            if not m.finished:
+                m.step(world)
+    loser = next(p for p, m in machines.items() if m.op.status == ABORTED)
+    winner = 3 - loser
+    w2, m2 = _fork(world, machines)
+    assert m2[winner] is machines[winner]
+    assert w2.ops[machines[winner].op.id] is world.ops[machines[winner].op.id]
+    fresh = restart(m2[loser])
+    while not fresh.finished:
+        fresh.step(w2)
+    assert fresh.op is w2.ops[fresh.op.id] and fresh.op.status == COMPLETE
+    assert machines[loser].finished and machines[loser].op.status == ABORTED
+    assert world.ops[fresh.op.id].status == ABORTED

@@ -5,7 +5,8 @@ replayable witness (a linearization order, per-operation sequential runs,
 or nothing to prove); negative strict-serializability verdicts carry a
 dependency cycle whose edges are re-derivable from the history.  Bounded
 searches that hit their caps report `inconclusive` (verdict None), never a
-false negative.
+false negative; local serializability's optional `max_ops` is such a
+checked bound, never a cut of the sequential state space.
 
 Read/write payloads are the JSON event values: a read returns the node's
 full record {"key", "val", "edges"}, a write carries an outgoing-edge
@@ -22,8 +23,7 @@ from dataclasses import dataclass, replace
 from .model import (ABORTED, OI, OR, RR, WI, Event, History,
                     OperationInstance, trim_aborted)
 from .seqspec import (BudgetExceeded, Operation, SearchStructureDef,
-                      dec_key, dictionary_apply, local_trace,
-                      reachable_states)
+                      canonical_steps, dec_key, dictionary_apply)
 
 
 @dataclass
@@ -63,7 +63,8 @@ def op_intervals(h: History) -> dict[int, tuple[int, float]]:
 
 
 def _rw(events: list[Event]) -> list[tuple]:
-    """[("r", nid, record) | ("w", nid, edge_patch)] of the events."""
+    """[("r", nid, record) | ("w", nid, edge_patch)] of the events: the
+    steps ``seqspec.run_operation`` records."""
     out = []
     for e in events:
         if e.kind == RR:
@@ -88,38 +89,6 @@ def _op_traces(index: dict[int, dict[int, list[Event]]]) -> dict[int, list[tuple
     after another, so attempt order is history order."""
     return {i: _rw(trim_aborted([e for a in sorted(atts) for e in atts[a]]))
             for i, atts in index.items()}
-
-
-def _tok(nid: int) -> str:
-    return f"n{nid}"
-
-
-def canonical_steps(trace: list[tuple]) -> tuple:
-    """Rename node tokens by first appearance so traces compare up to a
-    consistent bijection.  Read targets and edge pointers share one
-    namespace: following a pointer and reading the pointed-to node must
-    stay the same node after renaming."""
-    names: dict[str, int] = {}
-    return tuple(canonical_step(step, names) for step in trace)
-
-
-def canonical_step(step: tuple, names: dict[str, int]) -> tuple:
-    """One step of ``canonical_steps``, renamed with and into `names`, the
-    renaming of the steps before it."""
-
-    def sym(token):
-        if token is None:
-            return None
-        if token not in names:
-            names[token] = len(names)
-        return names[token]
-
-    kind, nid, payload = step
-    if kind == "r":
-        return ("r", sym(_tok(nid)), payload["key"], payload["val"],
-                tuple((lab, sym(t)) for lab, t in sorted(payload["edges"].items())))
-    return ("w", sym(_tok(nid)),
-            tuple((lab, sym(t)) for lab, t in sorted(payload.items())))
 
 
 def abstract_state(initial: dict[int, dict]) -> dict:
@@ -209,17 +178,23 @@ def check_linearizable(h: History, apply_fn=None, size_cap: int = 12,
 
 
 def check_locally_serializable(h: History, def_: SearchStructureDef,
-                               keys: tuple[int, ...], max_ops: int,
+                               keys: tuple[int, ...], max_ops: int | None = None,
                                state_cap: int = 4000) -> CheckResult:
     """For each operation, search the sequential implementation's histories
     for one whose local trace matches.  Each attempt of a restarted
     operation is its own unit: an aborted or incomplete attempt must match
     a prefix of a sequential trace, and the completed final attempt must
-    match one fully, response included."""
+    match one fully, response included.  A state space that needs more
+    operations than a given `max_ops` is inconclusive."""
+    space = def_.space()
     try:
-        states = reachable_states(def_, keys, max_ops, state_cap)
+        states = space.states(keys, state_cap)
     except BudgetExceeded as e:
         return CheckResult(None, reason=str(e))
+    need = len(states[-1][2])
+    if max_ops is not None and need > max_ops:
+        return CheckResult(None, reason=f"the sequential state space needs {need} "
+                                        f"operations, more than max_ops={max_ops}")
     witnesses = {}
     index = _attempt_index(h)
     for i, op_inst in sorted(h.ops.items()):
@@ -233,8 +208,8 @@ def check_locally_serializable(h: History, def_: SearchStructureDef,
                 witnesses[i] = "no events"
                 continue
             steps = canonical_steps(trace)
-            found = _local_witness(def_, states, op, steps,
-                                   op_inst.response if complete else None)
+            found = space.witness(states, op, steps,
+                                  op_inst.response if complete else None)
             if found is None:
                 return CheckResult(False, violation={"op": i, "attempt": attempt,
                                                      "trace": steps},
@@ -244,24 +219,8 @@ def check_locally_serializable(h: History, def_: SearchStructureDef,
     return CheckResult(True, witness=witnesses)
 
 
-def _local_witness(def_, states, op: Operation, steps: tuple, resp) -> list | None:
-    """The path to a reachable state from which the sequential code of `op`
-    takes exactly `steps` and returns `resp`, or, with `resp` None, takes
-    `steps` as a prefix."""
-    for state, path in states:
-        cand = local_trace(def_, state, op)
-        c_steps, c_resp = cand[:-1], cand[-1][1]
-        if resp is None:
-            match = steps == c_steps[:len(steps)]
-        else:
-            match = steps == c_steps and resp == c_resp
-        if match:
-            return [o.describe() for o in path]
-    return None
-
-
 def check_ls_linearizable(h: History, def_: SearchStructureDef,
-                          keys: tuple[int, ...], max_ops: int,
+                          keys: tuple[int, ...], max_ops: int | None = None,
                           state_cap: int = 4000, apply_fn=None) -> CheckResult:
     ls = check_locally_serializable(h, def_, keys, max_ops, state_cap)
     if ls.verdict is not True:
@@ -596,24 +555,16 @@ def _restrict_renumbered(h: History, obj: str) -> History:
 
 
 def check_compositionality(h: History, defs: dict[str, SearchStructureDef],
-                           keys: tuple[int, ...], max_ops: int) -> CheckResult:
+                           keys: tuple[int, ...]) -> CheckResult:
     """Falsifier for 'LSL components imply LSL composition': returns True
-    unless both projections are LSL while the composition is not."""
-    parts = {}
-    for obj, d in defs.items():
-        sub = _restrict_renumbered(h, obj)
-        parts[obj] = check_ls_linearizable(sub, d, keys, max_ops)
-    if not all(p.verdict is True for p in parts.values()):
+    unless both projections are LSL while the composition is not.  Each
+    operation's local witness lives in its component, checked just above."""
+    subs = {obj: _restrict_renumbered(h, obj) for obj in defs}
+    if not all(check_ls_linearizable(subs[obj], d, keys).verdict is True
+               for obj, d in defs.items()):
         return CheckResult(True, witness="vacuous: a component is not LSL")
-    # composed local serializability: each op's witness lives in its component
-    for obj, d in defs.items():
-        sub = _restrict_renumbered(h, obj)
-        ls = check_locally_serializable(sub, d, keys, max_ops)
-        if ls.verdict is not True:
-            return CheckResult(False, violation={"component": obj},
-                               reason="component op lost its witness in composition")
-    q0 = (frozenset(abstract_state(_restrict_renumbered(h, "O1").initial).items()),
-          frozenset(abstract_state(_restrict_renumbered(h, "O2").initial).items()))
+    q0 = (frozenset(abstract_state(subs["O1"].initial).items()),
+          frozenset(abstract_state(subs["O2"].initial).items()))
     lin = check_linearizable(h, apply_fn=ComposedObject(defs).apply_fn(), q0=q0)
     if lin.verdict is True:
         return CheckResult(True, witness=lin.witness)

@@ -201,7 +201,7 @@ def _claims_fig3() -> tuple[list[str], bool]:
     resp = {o.describe(): o.response for o in r.history.ops.values()}
     ss = check_strictly_serializable(r.history)
     keys = workload_keys(w)
-    lsl = check_ls_linearizable(r.history, w.structure, keys, len(keys) + 1)
+    lsl = check_ls_linearizable(r.history, w.structure, keys)
     ok = (r.accepted and resp == {"find(5)": True, "insert(2)": True,
                                   "insert(5)": True}
           and ss.verdict is False and lsl.verdict is True)
@@ -241,7 +241,7 @@ def _claims_thm3() -> tuple[list[str], bool]:
                           if o.name == "find"), None)
         ss = check_strictly_serializable(r.history)
         keys = workload_keys(t.workload)
-        lsl = check_ls_linearizable(r.history, t.structure, keys, len(keys) + 1)
+        lsl = check_ls_linearizable(r.history, t.structure, keys)
         good = (r.accepted and find_resp is False and ss.verdict is False
                 and lsl.verdict is True and len(ss.violation) == 3)
         ok &= good

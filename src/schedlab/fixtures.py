@@ -123,7 +123,7 @@ def thm3_bundle(def_: SearchStructureDef) -> Thm3Bundle:
     visits: list = []
     probe = state.clone()
     run_operation(def_, probe, Operation("find", wit.key), visits)
-    order = [nid for kind, nid, _ in visits if kind == "read"]
+    order = [nid for kind, nid, _ in visits if kind == "r"]
     if probe.nodes[order[-1]].key != wit.key:
         raise InvariantError("solo find does not end at the key")
     idx_a = len(order) - 2

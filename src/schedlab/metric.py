@@ -42,9 +42,8 @@ class ComparisonVerdict:
 
 
 def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
-             budget: int = 20000, extras: list[Schedule] = (),
-             max_ops: int | None = None,
-             state_cap: int = 4000) -> dict[str, ScheduleSet]:
+             budget: int = 20000,
+             extras: list[Schedule] = ()) -> dict[str, ScheduleSet]:
     """The accepted set of every implementation in `impls` and, with
     `lsl`, the LSL set (under the name "lsl"), from one pass over the first
     `budget` schedules of the universe.  Supplied `extras` (for workloads
@@ -53,17 +52,15 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
 
     The pass audits a leaf and checks it only for a leaf signature it has
     not met before (see ``Leaf.signature``); the memo lives for this call,
-    within which the workload, keys and bounds are fixed."""
+    within which the workload and keys are fixed."""
     keys = workload_keys(w)
-    max_ops = max_ops if max_ops is not None else len(keys) + 1
     members: dict[str, dict[str, Schedule]] = {n: {} for n in (*impls, "lsl")}
     inconclusive: set[str] = set()
     seen: set[str] = set()
     verdicts: dict[tuple, bool | None] = {}
 
     def check(h: History) -> bool | None:
-        return check_ls_linearizable(h, w.structure, keys, max_ops,
-                                     state_cap).verdict
+        return check_ls_linearizable(h, w.structure, keys).verdict
 
     def record(s: Schedule, d: str, accepted, verdict: bool | None):
         seen.add(d)
@@ -121,11 +118,10 @@ def audited_history(w: Workload, schedule: Schedule) -> History:
     return run_audit_finds(world, w, start, initial)
 
 
-def lsl_set(w: Workload, budget: int = 20000, max_ops: int | None = None,
-            state_cap: int = 4000, extras: list[Schedule] = ()) -> ScheduleSet:
+def lsl_set(w: Workload, budget: int = 20000,
+            extras: list[Schedule] = ()) -> ScheduleSet:
     """Schedules with an LS-linearizable exporting history (audited)."""
-    return classify(w, lsl=True, budget=budget, extras=extras, max_ops=max_ops,
-                    state_cap=state_cap)["lsl"]
+    return classify(w, lsl=True, budget=budget, extras=extras)["lsl"]
 
 
 def compare(a: ScheduleSet, b: ScheduleSet, max_witnesses: int = 3) -> ComparisonVerdict:

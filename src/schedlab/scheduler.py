@@ -64,11 +64,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .checkers import canonical_step
 from .model import (ABORT, OI, OR, RI, RR, WI, Event, History, InvariantError,
                     OperationInstance, Schedule, Slot, complete, schedule_of,
                     slot_of)
-from .seqspec import Operation, SearchStructureDef
+from .seqspec import Operation, SearchStructureDef, canonical_step
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, StepMachine,
                    World, make_machine, restart)
 

@@ -78,15 +78,6 @@ def dictionary_apply(q: dict, op: Operation) -> tuple[dict, bool]:
     raise ValueError(f"unknown operation {op.name!r}")
 
 
-def fold_dictionary(ops, q0: dict | None = None) -> tuple[dict, list[bool]]:
-    q = dict(q0 or {})
-    out = []
-    for op in ops:
-        q, r = dictionary_apply(q, op)
-        out.append(r)
-    return q, out
-
-
 # -- the shared DAG ---------------------------------------------------------
 
 
@@ -163,11 +154,6 @@ class DagState:
             stack.extend(t for t in self.nodes[n].edges.values()
                          if t is not None and t not in seen)
         return seen
-
-    def alive_keys(self) -> dict:
-        reach = self.reachable()
-        return {n.key: n.val for n in self.nodes.values()
-                if n.nid in reach and n.nid not in (self.root, self.tail)}
 
     def snapshot(self) -> dict[int, dict]:
         return {nid: rec.snap() for nid, rec in sorted(self.nodes.items())}
@@ -328,6 +314,14 @@ class SearchStructureDef:
 
     def fingerprint(self) -> tuple:
         return (self.name,)
+
+    def space(self) -> SequentialSpace:
+        """This structure's sequential state space and local traces, made
+        on first use and kept as long as the structure."""
+        sp = self.__dict__.get("_space")
+        if sp is None:
+            sp = self._space = SequentialSpace(self)
+        return sp
 
 
 class SortedList(SearchStructureDef):
@@ -679,9 +673,10 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
                   trace: list | None = None) -> bool:
     """Execute one operation to completion against `state`.
 
-    Appends ("read", nid, snap) / ("write", nid, patch) records to `trace`
-    when given.  Checks the proper-traversal discipline as it goes and
-    raises InvariantError when a step breaks it."""
+    Appends ("r", nid, record) / ("w", nid, edge_patch) steps to `trace`
+    when given: the steps ``checkers`` derives from a history's read
+    responses and write invocations.  Checks the proper-traversal
+    discipline as it goes and raises InvariantError when a step breaks it."""
     gop = Gop()
     while True:
         nxt = def_.tau(op, gop, state.root)
@@ -695,12 +690,12 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
         rec = state.read(nxt)
         gop.visit(rec)
         if trace is not None:
-            trace.append(("read", nxt, rec.snap()))
+            trace.append(("r", nxt, rec.snap()))
     plan = def_.plan_update(op, gop, state)
     for nid, patch in plan.writes:
         state.write_edges(nid, patch)
         if trace is not None:
-            trace.append(("write", nid,
+            trace.append(("w", nid,
                           {lab: (f"n{t}" if t is not None else None)
                            for lab, t in patch.items()}))
     for nid in plan.unlink:
@@ -735,18 +730,18 @@ def sequential_run(def_: SearchStructureDef, ops: list[Operation],
         trace: list = []
         resp = run_operation(def_, state, op, trace)
         wrote = False
-        for entry in trace:
-            role = state.role_of(entry[1])
-            if entry[0] == "read":
+        for kind, nid, payload in trace:
+            role = state.role_of(nid)
+            if kind == "r":
                 if wrote:
                     raise InvariantError(f"{op.describe()} reads after a write")
-                emit(proc=proc, op=i, kind=RI, elem=role, nid=entry[1])
-                emit(proc=proc, op=i, kind=RR, elem=role, value=entry[2], nid=entry[1])
+                emit(proc=proc, op=i, kind=RI, elem=role, nid=nid)
+                emit(proc=proc, op=i, kind=RR, elem=role, value=payload, nid=nid)
             else:
                 wrote = True
-                emit(proc=proc, op=i, kind=WI, elem=role, value={"edges": entry[2]},
-                     nid=entry[1])
-                emit(proc=proc, op=i, kind=WR, elem=role, value="ok", nid=entry[1])
+                emit(proc=proc, op=i, kind=WI, elem=role, value={"edges": payload},
+                     nid=nid)
+                emit(proc=proc, op=i, kind=WR, elem=role, value="ok", nid=nid)
         emit(proc=proc, op=i, kind=OR, value=resp)
         inst.status, inst.response = COMPLETE, resp
         responses.append(resp)
@@ -775,36 +770,21 @@ def assert_legal(h: History) -> None:
             store[e.nid]["edges"] = {**store[e.nid]["edges"], **e.value["edges"]}
 
 
-_TRACE_CACHE: dict[tuple, tuple] = {}
+# -- local traces ---------------------------------------------------------------
 
 
-def local_trace(def_: SearchStructureDef, state: DagState, op: Operation) -> tuple:
-    """Canonical local read/write trace of `op` run on a copy of `state`.
-
-    Node identities are replaced by first-appearance indexes so traces
-    compare up to a consistent renaming.  Memoized per (structure, state
-    shape, op): the oracle states never mutate once enumerated."""
-    canon = getattr(state, "_canonical", None)
-    key = None
-    if canon is not None:
-        key = (def_.fingerprint(), canon, op.name, op.key, op.val)
-        hit = _TRACE_CACHE.get(key)
-        if hit is not None:
-            return hit
-    trace: list = []
-    st = state.clone()
-    resp = run_operation(def_, st, op, trace)
-    out = canonical_trace(trace, resp)
-    if key is not None:
-        _TRACE_CACHE[key] = out
-    return out
+def canonical_steps(trace: list[tuple]) -> tuple:
+    """Rename node tokens by first appearance so traces compare up to a
+    consistent bijection.  Read targets and edge pointers share one
+    namespace: following a pointer and reading the pointed-to node must
+    stay the same node after renaming."""
+    names: dict[str, int] = {}
+    return tuple(canonical_step(step, names) for step in trace)
 
 
-def canonical_trace(entries: list, resp) -> tuple:
-    """Node identities renamed by first appearance.  Read/write targets and
-    edge pointers share the "n<id>" namespace, so following a pointer and
-    then reading the pointed-to node stays the same node after renaming."""
-    names: dict[object, int] = {}
+def canonical_step(step: tuple, names: dict[str, int]) -> tuple:
+    """One step of ``canonical_steps``, renamed with and into `names`, the
+    renaming of the steps before it."""
 
     def sym(token):
         if token is None:
@@ -813,17 +793,21 @@ def canonical_trace(entries: list, resp) -> tuple:
             names[token] = len(names)
         return names[token]
 
-    out = []
-    for entry in entries:
-        if entry[0] == "read":
-            snap = entry[2]
-            out.append(("r", sym(f"n{entry[1]}"), snap["key"], snap["val"],
-                        tuple((lab, sym(t)) for lab, t in sorted(snap["edges"].items()))))
-        else:
-            out.append(("w", sym(f"n{entry[1]}"),
-                        tuple((lab, sym(t)) for lab, t in sorted(entry[2].items()))))
-    out.append(("resp", resp))
-    return tuple(out)
+    kind, nid, payload = step
+    if kind == "r":
+        return ("r", sym(f"n{nid}"), payload["key"], payload["val"],
+                tuple((lab, sym(t)) for lab, t in sorted(payload["edges"].items())))
+    return ("w", sym(f"n{nid}"),
+            tuple((lab, sym(t)) for lab, t in sorted(payload.items())))
+
+
+def local_trace(def_: SearchStructureDef, state: DagState,
+                op: Operation) -> tuple[tuple, bool]:
+    """(``canonical_steps`` of `op`'s reads and writes, its response) when
+    it runs alone on a copy of `state`."""
+    trace: list = []
+    resp = run_operation(def_, state.clone(), op, trace)
+    return canonical_steps(trace), resp
 
 
 # -- Sigma_IS enumeration -----------------------------------------------------
@@ -833,22 +817,21 @@ class BudgetExceeded(Exception):
     pass
 
 
-_STATE_CACHE: dict[tuple, list] = {}
-
-
 def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
-                     max_ops: int, state_cap: int = 4000):
-    """All concrete states reachable by <= max_ops operations, deduplicated
-    by canonical shape.  Returns [(state, ops_path)] in BFS order."""
-    cache_key = (def_.fingerprint(), tuple(keys), max_ops, state_cap)
-    if cache_key in _STATE_CACHE:
-        return _STATE_CACHE[cache_key]
+                     state_cap: int = 4000):
+    """Every state the sequential code reaches from the empty structure by
+    inserts and deletes of `keys`, one per canonical shape, as
+    [(state, ops_path)] in BFS order.
+
+    The BFS runs to its fixpoint, the first level that adds no new shape.
+    The shapes are finite (a set of keys with a fixed layout, or a BST
+    over them, which its preorder inserts build), so within |keys| levels.
+    Raises BudgetExceeded past `state_cap` states."""
     base = def_.new_state()
     out = [(base, [])]
     seen = {base.canonical()}
     frontier = [(base, [])]
-    base._canonical = base.canonical()
-    for _ in range(max_ops):
+    while frontier:
         nxt = []
         for state, path in frontier:
             for key in keys:
@@ -861,46 +844,56 @@ def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
                     if len(out) >= state_cap:
                         raise BudgetExceeded(f"state cap {state_cap} hit")
                     seen.add(canon)
-                    st._canonical = canon
                     entry = (st, path + [op])
                     out.append(entry)
                     nxt.append(entry)
         frontier = nxt
-    _STATE_CACHE[cache_key] = out
     return out
 
 
-def enumerate_sequential_histories(def_: SearchStructureDef, keys: tuple[int, ...],
-                                   max_ops: int, state_cap: int = 4000):
-    """Stream the histories of IS over op sequences of length <= max_ops.
+class SequentialSpace:
+    """One structure's sequential side of local serializability: its
+    ``reachable_states`` per (keys, state_cap) and each operation's
+    ``local_trace`` per state shape, cached as long as the structure lives.
+    A local trace depends only on the shape and the operation, so all key
+    sets share the traces, keyed by (shape number, operation)."""
 
-    Sequences whose end state was already visited are emitted but not
-    extended (state memoization prunes the search without collapsing
-    distinct histories).  Raises BudgetExceeded past `state_cap` states."""
-    alphabet = [Operation(name, key) for key in keys
-                for name in ("insert", "delete", "find")]
-    base = def_.new_state()
-    seen = {base.canonical()}
-    _, _, hist0 = sequential_run(def_, [])
-    yield hist0
+    def __init__(self, def_: SearchStructureDef):
+        self.def_ = def_
+        self._states: dict[tuple, list] = {}  # -> [(shape, state, path)]
+        self._shapes: dict[tuple, int] = {}   # canonical shape -> its number
+        self._traces: dict[tuple, tuple] = {}  # (shape, op) -> local trace
 
-    def extend(state, path):
-        if len(path) >= max_ops:
-            return
-        for op in alphabet:
-            st = state.clone()
-            run_operation(def_, st, op)
-            _, _, hist = sequential_run(def_, path + [op])
-            yield hist
-            canon = st.canonical()
-            if canon in seen:
-                continue
-            if len(seen) >= state_cap:
-                raise BudgetExceeded(f"state cap {state_cap} hit")
-            seen.add(canon)
-            yield from extend(st, path + [op])
+    def states(self, keys: tuple[int, ...], state_cap: int = 4000) -> list:
+        """[(shape number, state, ops_path)] of ``reachable_states``,
+        computed on the first call for these keys and cap."""
+        key = (tuple(keys), state_cap)
+        out = self._states.get(key)
+        if out is None:
+            shapes = self._shapes
+            out = self._states[key] = [
+                (shapes.setdefault(st.canonical(), len(shapes)), st, path)
+                for st, path in reachable_states(self.def_, key[0], state_cap)]
+        return out
 
-    yield from extend(base, [])
+    def witness(self, states: list, op: Operation, steps: tuple,
+                resp) -> list[str] | None:
+        """The path to the first of `states` from which the sequential code
+        of `op` takes exactly `steps` and returns `resp`, or, with `resp`
+        None, takes `steps` as a prefix."""
+        traces = self._traces
+        for shape, state, path in states:
+            cand = traces.get((shape, op))
+            if cand is None:
+                cand = traces[(shape, op)] = local_trace(self.def_, state, op)
+            c_steps, c_resp = cand
+            if resp is None:
+                match = steps == c_steps[:len(steps)]
+            else:
+                match = steps == c_steps and resp == c_resp
+            if match:
+                return [o.describe() for o in path]
+        return None
 
 
 # -- non-triviality -----------------------------------------------------------
@@ -923,7 +916,7 @@ def non_triviality_witness(def_: SearchStructureDef) -> Witness:
         ops_g = (Operation("insert", a), Operation("insert", b))
         if _verify_witness(def_, k, ops_g):
             return Witness(k, ops_g, ops_g + (Operation("insert", k),))
-    raise AssertionError(f"no non-triviality witness found for {def_.name}")
+    raise InvariantError(f"no non-triviality witness found for {def_.name}")
 
 
 def _witness_candidates(def_: SearchStructureDef):

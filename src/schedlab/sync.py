@@ -124,18 +124,6 @@ class LockManager:
             del self.exclusive[nid]
         self.shared.get(nid, set()).discard(holder)
 
-    def release_holder(self, holder: int) -> None:
-        for nid in list(self.exclusive):
-            if self.exclusive[nid] == holder:
-                del self.exclusive[nid]
-        for readers in self.shared.values():
-            readers.discard(holder)
-        for q in self.queues.values():
-            try:
-                q.remove(holder)
-            except ValueError:
-                pass
-
     def audit(self) -> None:
         for nid, holder in self.exclusive.items():
             if self.shared.get(nid, set()) - {holder}:

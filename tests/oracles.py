@@ -2,9 +2,12 @@
 
 Each is an independent, slower statement of something the library does
 fast: the brute-force linearizability search, history well-formedness,
-an operation's solo step list, the per-leaf LSL signature rebuilt from the
-leaf's events, and the checkers that scan every event once per operation.
-The tests compare the library against them.
+the dictionary fold, the sequential-history enumeration, the state space
+as a BFS cut at a depth, an operation's solo step list, the per-leaf LSL
+signature rebuilt from the leaf's events, and the checkers that scan
+every event once per operation with no cache.  A few small helpers only
+tests call (`alive_keys`, `release_holder`) live here too.  The tests
+compare the library against them.
 """
 
 from __future__ import annotations
@@ -13,13 +16,15 @@ import itertools
 from dataclasses import dataclass
 
 from schedlab.checkers import (CheckResult, _default_apply, _dependency_cycle,
-                               _local_witness, _prefix_witness, _Replay,
-                               abstract_state, canonical_steps, op_intervals)
+                               _prefix_witness, _Replay, abstract_state,
+                               op_intervals)
 from schedlab.model import (ABORTED, OI, OR, RI, RR, WI, WR, History,
                             InvariantError, restrict_to_operation)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
-                              SearchStructureDef, reachable_states,
-                              run_operation)
+                              SearchStructureDef, canonical_steps,
+                              dictionary_apply, local_trace, run_operation,
+                              sequential_run)
+from schedlab.sync import LockManager
 
 
 # -- linearizability ----------------------------------------------------------
@@ -90,6 +95,104 @@ def well_formed(h: History) -> bool:
     return True
 
 
+# -- the sequential side ------------------------------------------------------
+
+
+def fold_dictionary(ops, q0: dict | None = None) -> tuple[dict, list[bool]]:
+    q = dict(q0 or {})
+    out = []
+    for op in ops:
+        q, r = dictionary_apply(q, op)
+        out.append(r)
+    return q, out
+
+
+def alive_keys(state: DagState) -> dict:
+    """key -> value of the reachable nodes but the sentinels."""
+    reach = state.reachable()
+    return {n.key: n.val for n in state.nodes.values()
+            if n.nid in reach and n.nid not in (state.root, state.tail)}
+
+
+def bounded_reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
+                             max_ops: int, state_cap: int = 4000):
+    """The states reachable by <= max_ops inserts and deletes of `keys`,
+    one per canonical shape, as [(state, ops_path)] in BFS order: the BFS
+    ``seqspec.reachable_states`` runs, cut after `max_ops` levels."""
+    base = def_.new_state()
+    out = [(base, [])]
+    seen = {base.canonical()}
+    frontier = [(base, [])]
+    for _ in range(max_ops):
+        nxt = []
+        for state, path in frontier:
+            for key in keys:
+                for op in (Operation("insert", key), Operation("delete", key)):
+                    st = state.clone()
+                    run_operation(def_, st, op)
+                    canon = st.canonical()
+                    if canon in seen:
+                        continue
+                    if len(out) >= state_cap:
+                        raise BudgetExceeded(f"state cap {state_cap} hit")
+                    seen.add(canon)
+                    entry = (st, path + [op])
+                    out.append(entry)
+                    nxt.append(entry)
+        frontier = nxt
+    return out
+
+
+def enumerate_sequential_histories(def_: SearchStructureDef, keys: tuple[int, ...],
+                                   max_ops: int, state_cap: int = 4000):
+    """Stream the histories of IS over op sequences of length <= max_ops.
+
+    Sequences whose end state was already visited are emitted but not
+    extended (state memoization prunes the search without collapsing
+    distinct histories).  Raises BudgetExceeded past `state_cap` states."""
+    alphabet = [Operation(name, key) for key in keys
+                for name in ("insert", "delete", "find")]
+    base = def_.new_state()
+    seen = {base.canonical()}
+    _, _, hist0 = sequential_run(def_, [])
+    yield hist0
+
+    def extend(state, path):
+        if len(path) >= max_ops:
+            return
+        for op in alphabet:
+            st = state.clone()
+            run_operation(def_, st, op)
+            _, _, hist = sequential_run(def_, path + [op])
+            yield hist
+            canon = st.canonical()
+            if canon in seen:
+                continue
+            if len(seen) >= state_cap:
+                raise BudgetExceeded(f"state cap {state_cap} hit")
+            seen.add(canon)
+            yield from extend(st, path + [op])
+
+    yield from extend(base, [])
+
+
+# -- locks --------------------------------------------------------------------
+
+
+def release_holder(lm: LockManager, holder: int) -> None:
+    """Drop every lock `holder` holds and every queue entry it has."""
+    for nid in list(lm.exclusive):
+        if lm.exclusive[nid] == holder:
+            del lm.exclusive[nid]
+    for readers in lm.shared.values():
+        readers.discard(holder)
+    for q in lm.queues.values():
+        try:
+            q.remove(holder)
+        except ValueError:
+            pass
+
+
 # -- step programs ------------------------------------------------------------
 
 
@@ -109,7 +212,7 @@ class StepProgram:
         steps = []
         for entry in trace:
             role = st.role_of(entry[1])
-            steps.append(("read", role) if entry[0] == "read"
+            steps.append(("read", role) if entry[0] == "r"
                          else ("write", role, entry[2]))
         return steps, resp
 
@@ -162,11 +265,27 @@ def rw_trace(h: History, op_id: int, attempt: int | None = None) -> list[tuple]:
     return out
 
 
+def _local_witness(def_, states, op: Operation, steps: tuple, resp) -> list | None:
+    """The first-match scan of ``SequentialSpace.witness``, running the
+    sequential code of `op` afresh on every state it tries."""
+    for state, path in states:
+        c_steps, c_resp = local_trace(def_, state, op)
+        if resp is None:
+            match = steps == c_steps[:len(steps)]
+        else:
+            match = steps == c_steps and resp == c_resp
+        if match:
+            return [o.describe() for o in path]
+    return None
+
+
 def check_locally_serializable(h: History, def_: SearchStructureDef,
                                keys: tuple[int, ...], max_ops: int,
                                state_cap: int = 4000) -> CheckResult:
+    """The library check over the BFS cut at `max_ops`, with no cache;
+    it equals the library's when `max_ops` covers the fixpoint."""
     try:
-        states = reachable_states(def_, keys, max_ops, state_cap)
+        states = bounded_reachable_states(def_, keys, max_ops, state_cap)
     except BudgetExceeded as e:
         return CheckResult(None, reason=str(e))
     witnesses = {}

@@ -214,8 +214,7 @@ def test_criterion_7_compositionality():
         h2 = free_run("hoh", w2, seed=i + 10000)
         composed = compose_histories(h1, h2, rng)
         keys = tuple(sorted(set(workload_keys(w1)) | set(workload_keys(w2))))
-        res = check_compositionality(composed, {"O1": d1, "O2": d2},
-                                     keys, len(keys) + 1)
+        res = check_compositionality(composed, {"O1": d1, "O2": d2}, keys)
         if res.verdict is not True:
             failures += 1
     assert failures == 0

@@ -167,6 +167,19 @@ def test_bounds_exhaustion_is_inconclusive(fig3_history):
     assert res.verdict is None
 
 
+def test_max_ops_below_the_fixpoint_is_inconclusive(fig3_history):
+    """`max_ops` is a checked bound.  find(5)'s witness state holds five
+    keys; a scan cut at three operations found none and returned False."""
+    d = make_structure("sorted-list")
+    res = check_locally_serializable(fig3_history, d, (1, 2, 3, 4, 5), 3)
+    assert res.verdict is None
+    assert "max_ops=3" in res.reason and "needs 5 operations" in res.reason
+    assert check_ls_linearizable(fig3_history, d, (1, 2, 3, 4, 5), 3).verdict is None
+    for max_ops in (None, 5, 6):
+        assert check_locally_serializable(fig3_history, d, (1, 2, 3, 4, 5),
+                                          max_ops).verdict is True
+
+
 # -- LS-linearizability ------------------------------------------------------------
 
 
@@ -315,10 +328,14 @@ def test_indexed_checkers_match_the_per_operation_scans():
     (restarts and aborted attempts included) on every structure, and on
     each run with one read forged, verdict, witness, violation and reason
     equal those of the checkers that scan every event once per operation
-    (``oracles``)."""
+    (``oracles``).  Local serializability's reference also runs the
+    sequential code afresh for every state it tries, so the witnesses of
+    the structure-owned ``SequentialSpace`` are checked against no cache."""
     runs, outcomes = 0, set()
+    structures = []
     for name in STRUCTURES:
         d = make_structure(name)
+        structures.append(d)
         rng = random.Random(f"index:{name}")
         for i in range(350):
             w = random_workload(d, rng)
@@ -341,6 +358,9 @@ def test_indexed_checkers_match_the_per_operation_scans():
                         outcomes.add((checker, got.verdict,
                                       "condition 2" in (got.reason or "")))
     assert runs >= 2000
+    # one structure object served many key sets, which share its traces
+    assert all(len({keys for keys, _ in d.space()._states}) > 1
+               for d in structures)
     # every branch was compared: both verdicts, and condition (2) failing alone
     assert outcomes >= {("local", True, False), ("local", False, False),
                         ("strict", True, False), ("strict", False, False),
@@ -362,7 +382,7 @@ def test_composed_hoh_histories_stay_lsl():
         h1 = free_run("hoh", w1, seed=seed)
         h2 = free_run("hoh", w2, seed=seed + 100)
         composed = compose_histories(h1, h2, rng)
-        res = check_compositionality(composed, {"O1": d1, "O2": d2}, (1, 2, 3), 4)
+        res = check_compositionality(composed, {"O1": d1, "O2": d2}, (1, 2, 3))
         assert res.verdict is True
 
 
@@ -375,5 +395,5 @@ def test_non_lsl_component_makes_implication_vacuous():
     w2 = Workload(d, [Operation("insert", 1)], [(1, Operation("find", 1))])
     good = free_run("hoh", w2, seed=0)
     composed = compose_histories(bad, good, ["O1", "O2"])
-    res = check_compositionality(composed, {"O1": d, "O2": d}, (1, 2), 3)
+    res = check_compositionality(composed, {"O1": d, "O2": d}, (1, 2))
     assert res.verdict is True and "vacuous" in str(res.witness)

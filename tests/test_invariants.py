@@ -164,8 +164,8 @@ def test_run_operation_raises_when_traversal_leaves_the_frontier(monkeypatch):
 def test_sequential_run_raises_on_read_after_write(monkeypatch):
     def write_then_read(def_, state, op, trace=None):
         root = state.read(state.root)
-        trace.append(("write", state.root, {"next": None}))
-        trace.append(("read", state.root, root.snap()))
+        trace.append(("w", state.root, {"next": None}))
+        trace.append(("r", state.root, root.snap()))
         return True
 
     monkeypatch.setattr(seqspec, "run_operation", write_then_read)
@@ -210,3 +210,9 @@ def test_thm3_bundle_raises_on_a_bad_witness(monkeypatch, key, present, message)
     monkeypatch.setattr(fixtures, "non_triviality_witness", lambda def_: bad)
     with pytest.raises(InvariantError, match=message):
         fixtures.thm3_bundle(make_structure("sorted-list"))
+
+
+def test_non_triviality_witness_raises_when_no_candidate_verifies(monkeypatch):
+    monkeypatch.setattr(seqspec, "_witness_candidates", lambda def_: iter(()))
+    with pytest.raises(InvariantError, match="no non-triviality witness"):
+        seqspec.non_triviality_witness(make_structure("bst"))

@@ -5,17 +5,23 @@ Expected values tagged as derived were computed with the independent
 oracles below (edge enumeration, brute-force path search, the abstract
 dictionary fold) and frozen."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from schedlab import seqspec
+from schedlab.checkers import check_ls_linearizable
+from schedlab.scheduler import free_run, workload_keys
 from schedlab.seqspec import (BudgetExceeded, Operation, dictionary_apply,
-                              enumerate_sequential_histories,
-                              fold_dictionary, make_structure,
-                              non_triviality_witness, reachable_states,
-                              relevant_graph, run_operation, sequential_run,
-                              shortest_path_len)
+                              make_structure, non_triviality_witness,
+                              reachable_states, relevant_graph, run_operation,
+                              sequential_run, shortest_path_len)
 
-from oracles import compile_program
+from oracles import (alive_keys, bounded_reachable_states, compile_program,
+                     enumerate_sequential_histories, fold_dictionary)
+from test_acceptance import random_workload
 
 LIST_KEYS = (1, 2, 3, 4)
 
@@ -167,13 +173,13 @@ def test_sequential_run_inserts():
     d = make_structure("sorted-list")
     st_, resp, h = sequential_run(d, [Operation("insert", k) for k in (1, 2, 3)])
     assert resp == [True, True, True]
-    assert sorted(st_.alive_keys()) == [1, 2, 3]
+    assert sorted(alive_keys(st_)) == [1, 2, 3]
 
 
 def test_sequential_run_empty(structure):
     st_, resp, h = sequential_run(structure, [])
     assert resp == [] and h.events == []
-    assert st_.alive_keys() == {}
+    assert alive_keys(st_) == {}
 
 
 def test_sequential_run_matches_fold_across_structures():
@@ -193,7 +199,7 @@ def test_sequential_run_matches_fold_across_structures():
 
 def test_every_reachable_state_agrees_with_dictionary(structure):
     """Exhaustive (state, op) agreement: stronger than sampling sequences."""
-    states = reachable_states(structure, LIST_KEYS, 4)
+    states = reachable_states(structure, LIST_KEYS)
     for state, path in states:
         abstract, _ = fold_dictionary(path)
         for key in LIST_KEYS:
@@ -202,7 +208,7 @@ def test_every_reachable_state_agrees_with_dictionary(structure):
                 got = run_operation(structure, st2, Operation(name, key))
                 q2, want = dictionary_apply(abstract, Operation(name, key))
                 assert got == want, (path, name, key)
-                assert sorted(st2.alive_keys()) == sorted(q2)
+                assert sorted(alive_keys(st2)) == sorted(q2)
                 structure.audit(st2)
 
 
@@ -221,14 +227,14 @@ def test_update_locality(structure):
     """Writes land on outgoing edges of relevant-set nodes.  The BST
     two-child delete is allowed its documented superset: the spliced
     successor, the successor's parent, and the removed node."""
-    states = reachable_states(structure, LIST_KEYS, 4)
+    states = reachable_states(structure, LIST_KEYS)
     for state, path in states:
         for key in LIST_KEYS:
             for name in ("insert", "delete"):
                 gop_state = state.clone()
                 trace = []
                 run_operation(structure, gop_state, Operation(name, key), trace)
-                wrote = {nid for kind, nid, _ in trace if kind == "write"}
+                wrote = {nid for kind, nid, _ in trace if kind == "w"}
                 if not wrote:
                     continue
                 allowed = set(structure.relevant_set(state, key))
@@ -318,6 +324,50 @@ def test_traverse_never_reads_after_write(structure):
         trace = []
         run_operation(structure, state, op, trace)
         kinds = [k for k, _, _ in trace]
-        if "write" in kinds:
-            first_w = kinds.index("write")
-            assert all(k == "write" for k in kinds[first_w:])
+        if "w" in kinds:
+            first_w = kinds.index("w")
+            assert all(k == "w" for k in kinds[first_w:])
+
+
+# -- the sequential state space ----------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ("sorted-list", "bst", "skiplist"))
+def test_state_space_fixpoint_equals_the_bounded_bfs(name):
+    """The fixpoint is the BFS cut at |K|+1 operations, the bound the
+    checkers used before: same shapes, same order, same paths, for every
+    key set K of {1..5}."""
+    d = make_structure(name)
+    for r in range(6):
+        for keys in itertools.combinations((1, 2, 3, 4, 5), r):
+            got = reachable_states(d, keys)
+            want = bounded_reachable_states(d, keys, len(keys) + 1)
+            assert [(st.canonical(), path) for st, path in got] == \
+                [(st.canonical(), path) for st, path in want], keys
+            assert max(len(path) for _, path in got) <= len(keys)
+
+
+def test_each_structure_owns_its_space(monkeypatch):
+    """Two structure objects never share a space; over a free-run loop
+    each computes the state space once per distinct key set."""
+    calls = []
+    enumerate_states = seqspec.reachable_states
+
+    def counting(def_, keys, state_cap=4000):
+        calls.append((id(def_), keys))
+        return enumerate_states(def_, keys, state_cap)
+
+    monkeypatch.setattr(seqspec, "reachable_states", counting)
+    d1, d2 = make_structure("sorted-list"), make_structure("sorted-list")
+    assert d1.space() is d1.space() and d1.space() is not d2.space()
+    rng = random.Random(5)
+    key_sets = {id(d1): set(), id(d2): set()}
+    for i in range(60):
+        d = (d1, d2)[i % 2]
+        w = random_workload(d, rng)
+        keys = workload_keys(w)
+        h = free_run(("hoh", "stm")[i % 3 == 0], w, seed=i)
+        assert check_ls_linearizable(h, d, keys).verdict is True
+        key_sets[id(d)].add(keys)
+    assert sorted(calls) == sorted((i, k) for i, ks in key_sets.items() for k in ks)
+    assert all(len(ks) > 1 for ks in key_sets.values())

@@ -13,7 +13,7 @@ from schedlab.sync import (ABORT_OUT, BLOCKED, EXCLUSIVE, FINISHED,
                            make_machine, restart)
 from schedlab.checkers import _Replay
 
-from oracles import rw_trace
+from oracles import release_holder, rw_trace
 
 
 # -- lock manager ---------------------------------------------------------------
@@ -92,7 +92,7 @@ def test_can_acquire_agrees_with_try_acquire():
             if action < 0.2:
                 lm.release(nid, holder)
             elif action < 0.25:
-                lm.release_holder(holder)
+                release_holder(lm, holder)
             else:
                 mode = rng.choice((SHARED, EXCLUSIVE))
                 before = lock_table(lm)

@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .model import History, Schedule
-from .scheduler import (MalformedScheduleError, Workload, build_world, drive,
-                        run_audit_finds, schedule_trie, workload_keys)
+from .scheduler import (Workload, audited_history, drive, schedule_trie,
+                        workload_keys)
 from .checkers import check_ls_linearizable
 
 
@@ -103,19 +103,6 @@ def accepted_set(impl: str, w: Workload, budget: int = 20000,
     """Accepted schedules over the enumerated universe plus any explicitly
     supplied schedules (for workloads whose full universe is infeasible)."""
     return classify(w, (impl,), budget=budget, extras=extras)[impl]
-
-
-def audited_history(w: Workload, schedule: Schedule) -> History:
-    """Legal replay of the schedule plus the sequential audit finds: the
-    reference path for the histories ``schedule_trie`` audits at its
-    leaves."""
-    world, machines, start = build_world("unsync", w)
-    initial = world.state.snapshot()
-    for slot in schedule.slots:
-        machines[slot.proc].step(world)
-    if not all(m.finished for m in machines.values()):
-        raise MalformedScheduleError("schedule leaves operations incomplete")
-    return run_audit_finds(world, w, start, initial)
 
 
 def lsl_set(w: Workload, budget: int = 20000,

@@ -9,45 +9,88 @@ every driven history) and the concurrent operations, one process each.
 ``drive`` replays one schedule slot list; a slot either progresses with
 exactly the named event or the schedule is rejected at that slot index
 (blocked / aborted / order-mismatch).  It is the reference path.
-``schedule_trie`` walks the schedule universe - all interleavings of the
-unsynchronized machines' steps - as a trie, DFS in process order, and
-classifies every schedule in the same pass: the machines of each requested
-implementation are forked along with the unsynchronized ones, so each
-distinct prefix is stepped once, and an implementation that rejects a slot
-is dropped for the whole subtree below it (``drive`` would reject every
-schedule there at the same slot for the same reason).  At a leaf the
-unsynchronized world holds the legal replay of the schedule; the leaf hands
-it over, and the LSL oracle audits it in place (``Leaf.audited``).
 
-The oracle (``metric.classify``) does so only for a leaf whose signature
-(``Leaf.signature``) it has not met in the same pass.  The signature is
-each concurrent operation's id, status, response and canonical read/write
-trace, the order of the invocations and responses, and the final store's
-``canonical()``.  It is exact: an operation's trace and response decide its
-local serializability; with the order they are all that the
-linearizability check sees; the store decides the audit finds, which run
-alone afterwards; the workload fixes the rest.  Unsynchronized leaves
-never abort or restart, which it does not cover; it raises if one does.
+``schedule_trie`` enumerates the schedule universe - all interleavings of
+the unsynchronized machines' steps - in the DFS order of its trie, in
+process order, and classifies every schedule in the same pass: the
+machines of each requested implementation take each step the
+unsynchronized ones take, and an implementation that rejects a slot is
+dropped below it (``drive`` would reject every schedule there at the same
+slot for the same reason).
 
-Work that depends on a trie edge is done on that edge, once, and shared by
-every leaf below it:
+It walks a DAG of configurations, not the trie of prefixes.  Independent
+steps commute, so many prefixes end in the same configuration: a Thm. 2
+universe of 924-3432 schedules has 3431-12869 prefixes but only 60-102
+configurations with ``hoh`` and ``stm``.  A memo, which lives for one
+walk, maps each configuration's key to a node whose out-edges (the fork,
+the step, each implementation's verdict on it) are computed the first
+time the walk takes them.  The leaves are then enumerated by an explicit
+stack DFS over that DAG, which carries each prefix's slots, digest state
+and rejections; every leaf is still enumerated, in the trie's order.
 
-* Forks are copy-on-write.  A ``NodeRec`` in a store is never changed (a
-  write or an unlink installs a new one), so a fork copies dicts of
-  references and G_op holds the records read.  Complete operations, and
-  their finished machines, are shared: only aborted ones are ever reset.
+* The key is exact by construction.  It holds every field a step reads:
+  the store (records by value, ``root``, ``tail``, ``counter``), the lock
+  tables with their queues, the versions, each operation (status and
+  response included), and every machine field but the structure definition
+  ``def_``, which the whole walk shares: G_op, the plan, ``write_idx``,
+  ``attempt``, ``stm``'s read and write sets, ``hoh``'s held locks.  It
+  holds the same for each implementation still accepting, and each
+  operation's raw read/write trace, so that the leaf signature below is
+  equal on every path.  It leaves out only the execution record, the
+  events and ``seq``: no step reads it, and the walk reads only the events
+  of the step it just took.  Memo cells (``DagState``'s ``canonical()``,
+  the keys cached on records, plans, complete operations and trace cells,
+  none of which changes again) are left out as well.  An attribute the key
+  was not written for is keyed like any other, and a value of a type it
+  does not know raises.  The lock tables and version counters are keyed
+  sorted by node, empty holder sets and queues dropped, since they are
+  only read by node with an empty default.
+* Equal keys have equal futures.  A step's outcome, its events (but their
+  sequence numbers) and the configuration after it are functions of the
+  fields above, so from two configurations with equal keys the same slots
+  lead to configurations with equal keys, with the same verdicts and
+  checks on the way.  A leaf's outputs are its path's (the schedule, its
+  digest, the rejections collected on it) plus functions of its key: the
+  operations, their traces and the store that ``Leaf.signature`` reads.
+* The per-edge checks run once per DAG edge: the unsynchronized machine
+  must progress, a step an implementation accepts must export its slot,
+  and an implementation still present at a leaf must have finished every
+  operation there.  Each raises the error it did per prefix, at the first
+  prefix that reaches it.  A rejection's index is the depth of the
+  configuration it leaves, and a configuration's depth is a function of
+  its key: every slot is one step of one unsynchronized machine, and a
+  machine's step count is its invocation, its reads and writes (one trace
+  cell each) and its response.  So the index is the path length on every
+  path; the walk checks that each configuration is reached at one depth.
+* An expanded configuration gives its worlds to its last child; the
+  others get forks.  Forks are copy-on-write: a ``NodeRec`` in a store is
+  never changed (a write or an unlink installs a new one), so a fork copies
+  dicts of references and G_op holds the records read.  Complete
+  operations, and their finished machines, are shared: only aborted ones
+  are ever reset.  A leaf configuration keeps its store, machines and
+  trace cells for the leaves that end in it; the leaves hold no world.
 * ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets;
-  the walk extends a copy of its prefix's sha256 state per edge.
+  the DFS extends a copy of its prefix's sha256 state per edge.
 * The export check is per step: the events of a step an implementation
   accepts, abort-marked ones dropped, map to exactly ``[slot]`` under
   ``slot_of``.  That is ``drive``'s whole-history check, since every event
   of the implementation's world comes from one of its steps and at a leaf
   every operation is complete and on attempt 0 (``complete`` and
   ``History.exported`` drop only abort-marked events).
-* The signature's traces grow one ``TraceCell`` per read or write, renamed
-  on first use; the store's ``canonical()`` is memoized in a cell a fork
-  shares until either side changes the store.  Only the order is read per
-  leaf, and a walk that never asks pays one cell per read/write edge.
+
+The LSL oracle (``metric.classify``) checks the audited replay of a leaf
+(``Leaf.audited``, which is ``audited_history``) only when the leaf's
+signature (``Leaf.signature``) is new within the pass.  The signature is
+each concurrent operation's id, status, response and canonical read/write
+trace, the order of the invocations and responses, and the final store's
+``canonical()``.  It is exact: an operation's trace and response decide
+its local serializability; with the order they are all that the
+linearizability check sees; the store decides the audit finds, which run
+alone afterwards; the workload fixes the rest.  Unsynchronized leaves
+never abort or restart, which it does not cover; it raises if one does.
+The traces grow one ``TraceCell`` per read or write, renamed on first
+use; the store's ``canonical()`` is memoized in a cell a fork shares until
+either side changes the store.  Only the order is read per leaf.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  After a blocked step it asks every
@@ -64,12 +107,14 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import (ABORT, OI, OR, RI, RR, WI, Event, History, InvariantError,
-                    OperationInstance, Schedule, Slot, complete, schedule_of,
-                    slot_of)
-from .seqspec import Operation, SearchStructureDef, canonical_step
-from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, StepMachine,
-                   World, make_machine, restart)
+from .model import (COMPLETE, OI, OR, RI, RR, WI, Event, History,
+                    InvariantError, OperationInstance, Schedule, Slot,
+                    complete, schedule_of, slot_of)
+from .seqspec import (DagState, Gop, NodeRec, Operation, SearchStructureDef,
+                      UpdatePlan, canonical_step)
+from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
+                   LockManager, StepMachine, StmMachine, UnsyncMachine,
+                   VersionStore, World, make_machine, restart)
 
 
 class MalformedScheduleError(ValueError):
@@ -243,16 +288,133 @@ def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
                   _accepted_history(world, machines, w, start, initial, schedule))
 
 
-class TraceCell:
-    """One read or write of an operation on a trie path, after its earlier
-    ones (`parent`).  ``steps()``, the ``canonical_steps`` of the trace up
-    to here, is renamed on first use and shared by the leaves below."""
+def audited_history(w: Workload, schedule: Schedule) -> History:
+    """Legal replay of the schedule plus the sequential audit finds: the
+    history the LSL oracle checks for it (see ``metric``)."""
+    world, machines, start = build_world("unsync", w)
+    initial = world.state.snapshot()
+    for slot in schedule.slots:
+        machines[slot.proc].step(world)
+    if not all(m.finished for m in machines.values()):
+        raise MalformedScheduleError("schedule leaves operations incomplete")
+    return run_audit_finds(world, w, start, initial)
 
-    __slots__ = ("parent", "step", "_steps", "_names")
+
+# -- configuration keys -----------------------------------------------------------
+
+
+def _key(x) -> object:
+    """The value of `x` as a hashable tuple tree, for the walk's memo:
+    equal keys mean equal values for every field a step reads (see the
+    module docstring).  Raises TypeError for a type it does not know."""
+    if x is None or type(x) in _SCALARS:
+        return x
+    f = _KEY_OF.get(type(x))
+    if f is None:
+        raise TypeError(f"no configuration key for {type(x).__name__}")
+    return f(x)
+
+
+def _fields_key(x, skip: tuple[str, ...] = ()) -> tuple:
+    """Every attribute of `x` but `skip`, by name: one the key does not
+    know of is in it all the same."""
+    return tuple([(n, _key(v)) for n, v in x.__dict__.items() if n not in skip])
+
+
+def _cached_key(x) -> tuple:
+    """``_fields_key`` of a value that never changes, kept in its `_key`
+    memo cell."""
+    k = x._key
+    if k is None:
+        k = x._key = _fields_key(x, ("_key",))
+    return k
+
+
+def _op_key(op: OperationInstance) -> tuple:
+    """An operation's fields, cached once it is complete: nothing changes
+    a complete operation again (``restart`` resets only aborted ones)."""
+    k = op._key
+    if k is None:
+        k = _fields_key(op, ("_key",))
+        if op.status == COMPLETE:
+            op._key = k
+    return k
+
+
+def _exact_fields(x, names: frozenset) -> dict:
+    """The attributes of `x`, for a key written field by field: one it was
+    not written for raises."""
+    d = x.__dict__
+    if d.keys() != names:
+        raise TypeError(f"configuration key of {type(x).__name__} does not cover "
+                        f"{sorted(d.keys() ^ names)}")
+    return d
+
+
+_LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
+_VERSION_FIELDS = frozenset(("versions", "commit_clock"))
+
+
+def _locks_key(lm: LockManager) -> tuple:
+    """The lock tables, sorted by node, empty holder sets and queues
+    dropped: ``LockManager`` reads them only by node, with an empty default
+    (``clone`` drops empty ones too)."""
+    d = _exact_fields(lm, _LOCK_FIELDS)
+    return (tuple(sorted((n, tuple(sorted(s))) for n, s in d["shared"].items() if s)),
+            tuple(sorted(d["exclusive"].items())),
+            tuple(sorted((n, tuple(q)) for n, q in d["queues"].items() if q)))
+
+
+def _versions_key(vs: VersionStore) -> tuple:
+    """The version counters sorted by node (read only by node) and the
+    commit clock."""
+    d = _exact_fields(vs, _VERSION_FIELDS)
+    return tuple(sorted(d["versions"].items())), d["commit_clock"]
+
+
+def _machine_key(m: StepMachine) -> tuple:
+    """Every field but the structure definition, which the whole walk
+    shares."""
+    return type(m), _fields_key(m, ("def_",))
+
+
+def _seq_key(x) -> tuple:
+    return tuple([_key(v) for v in x])
+
+
+_SCALARS = frozenset((bool, int, float, str))
+_KEY_OF = {
+    tuple: _seq_key,
+    list: _seq_key,
+    dict: lambda x: tuple([(_key(k), _key(v)) for k, v in x.items()]),
+    # no step reads the execution record or the canonical() memo
+    World: lambda x: _fields_key(x, ("events", "seq")),
+    DagState: lambda x: _fields_key(x, ("_canon",)),
+    LockManager: _locks_key,
+    VersionStore: _versions_key,
+    NodeRec: _cached_key,
+    UpdatePlan: _cached_key,
+    OperationInstance: _op_key,
+    Operation: _fields_key,
+    Gop: _fields_key,
+    UnsyncMachine: _machine_key,
+    HohMachine: _machine_key,
+    StmMachine: _machine_key,
+}
+
+
+class TraceCell:
+    """One read or write of an operation on a walk path, after its earlier
+    ones (`parent`).  ``steps()``, the ``canonical_steps`` of the trace up
+    to here, is renamed on first use and shared by the leaves below; `key`
+    is the raw trace up to here, as a configuration key."""
+
+    __slots__ = ("parent", "step", "key", "_steps", "_names")
 
     def __init__(self, parent: TraceCell | None, step: tuple):
         self.parent = parent
         self.step = step
+        self.key = (None if parent is None else parent.key, _key(step))
         self._steps = None
         self._names = None
 
@@ -268,118 +430,172 @@ class TraceCell:
         return self._steps
 
 
+def _config_key(world: World, machines: dict[int, StepMachine], runs: dict,
+                traces: dict[int, TraceCell]) -> tuple:
+    return (_key(world), _key(machines),
+            tuple([(impl, _key(iw), _key(im)) for impl, (iw, im) in runs.items()]),
+            tuple([(i, traces[i].key) for i in sorted(traces)]))
+
+
 @dataclass
 class Leaf:
-    """One schedule of the universe with its verdicts from the pass."""
+    """One schedule of the universe with its verdicts from the pass.
+
+    `machines`, `state` and `traces` are the walk's configuration at the
+    end of the schedule, which every schedule that ends in it shares:
+    read them, change nothing."""
 
     schedule: Schedule
-    digest: str  # schedule.digest(), carried along the trie
+    digest: str  # schedule.digest(), carried along the walk
     # implementation -> (reason, failing slot); accepting ones are absent
     rejected: dict[str, tuple[str, int]]
-    # the unsynchronized world at the end of the schedule, i.e. its legal
-    # replay; the pass does not read it again, so the consumer may extend it
-    world: World
-    start: int  # index of the first concurrent event in world.events
-    initial: dict  # store snapshot the concurrent part starts from
-    # operation id -> its last read/write on the path
-    traces: dict[int, TraceCell]
+    machines: dict[int, StepMachine]  # the unsynchronized ones, by process
+    state: DagState  # the store at the end of the schedule
+    traces: dict[int, TraceCell]  # operation id -> its last read/write
 
     def audited(self, w: Workload) -> History:
-        """The legal replay plus the audit finds, run in the leaf's own
-        world (see ``run_audit_finds``)."""
-        return run_audit_finds(self.world, w, self.start, self.initial)
+        """The schedule's legal replay plus the audit finds
+        (``audited_history``)."""
+        return audited_history(w, self.schedule)
 
     def signature(self) -> tuple:
         """All that the LSL verdict of the leaf's audited history depends
         on, for one workload: (operation id, status, response, canonical
-        trace) per operation, the invocation/response order, and the
-        store's ``canonical()`` (why it is exact: the module docstring).
-        Call it before extending the world.  Raises InvariantError on an
-        abort event or a restarted attempt, which it does not cover."""
-        order = []
-        for e in self.world.events[self.start:]:
-            if e.attempt != 0 or e.value == ABORT:  # e.is_abort(), inlined
-                raise InvariantError(f"leaf history has an abort or a restart: {e}")
-            if e.kind == OI or e.kind == OR:
-                order.append((e.op, e.kind))
-        ops, traces = self.world.ops, self.traces
-        return (tuple((i, ops[i].status, ops[i].response,
-                       traces[i].steps() if i in traces else ())
-                      for i in dict.fromkeys(i for i, _ in order)),
-                tuple(order), self.world.state.canonical())
+        trace) per operation in invocation order, the invocation/response
+        order, and the store's ``canonical()`` (why it is exact: the module
+        docstring).  Raises InvariantError on an aborted operation or a
+        restarted attempt, which it does not cover."""
+        machines, traces = self.machines, self.traces
+        for m in machines.values():
+            if m.attempt != 0 or m.op.status != COMPLETE:
+                raise InvariantError(f"leaf has an abort or a restart: "
+                                     f"{m.op.describe()} attempt {m.attempt} "
+                                     f"{m.op.status}")
+        order = tuple([(machines[s.proc].op.id, s.kind)
+                       for s in self.schedule.slots if s.kind == OI or s.kind == OR])
+        ops = tuple([(op.id, op.status, op.response,
+                      traces[op.id].steps() if op.id in traces else ())
+                     for op in (machines[s.proc].op for s in self.schedule.slots
+                                if s.kind == OI)])
+        return ops, order, self.state.canonical()
 
 
-def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
-    """Every schedule of the workload, classified under each of `impls`:
-    DFS over the trie of the unsynchronized machines' next-step choices,
-    in process order.  Deterministic.
+class _Config:
+    """A node of the walk: one configuration, reached by one or more
+    schedule prefixes of length `depth`.  Its out-edges, one per live
+    process in process order, are (slot, digest piece, child, rejections)
+    and are stepped the first time the walk takes them; after the last one
+    the configuration's worlds belong to its children, except at a leaf."""
 
-    Each implementation's machines are forked along the trie and given the
-    step the unsynchronized machine just took; one that rejects it is
-    dropped for the subtree, with that slot's index and reason.  A step it
-    accepts must export exactly that slot, else InvariantError; an
-    implementation still present at a leaf must have finished every
-    operation there.  Each leaf hands over its own unsynchronized world,
-    its digest and its operations' trace cells."""
-    world, machines, start = build_world("unsync", w)
-    initial = world.state.snapshot()
-    runs = {impl: build_world(impl, w)[:2] for impl in impls}
-    slots: list[Slot] = []
-    encoded: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
+    __slots__ = ("depth", "live", "world", "machines", "runs", "traces", "edges")
 
-    def rec(world, machines, runs, rejected, sha, traces):
-        live = sorted(p for p, m in machines.items() if not m.finished)
-        if not live:
+    def __init__(self, depth: int, world: World, machines: dict[int, StepMachine],
+                 runs: dict, traces: dict[int, TraceCell]):
+        self.depth = depth
+        self.live = tuple(sorted(p for p, m in machines.items() if not m.finished))
+        self.world, self.machines, self.traces = world, machines, traces
+        self.runs = runs
+        self.edges: list[tuple] = []
+        if not self.live:
             for _, im in runs.values():
                 if not all(m.finished for m in im.values()):
                     raise MalformedScheduleError("schedule leaves operations incomplete")
-            sha = sha.copy()
-            sha.update(b"]")
-            yield Leaf(Schedule(tuple(slots)), sha.hexdigest()[:16], rejected,
-                       world, start, initial, traces)
-            return
-        for proc in live:
-            # the last child takes over this node's worlds: nothing below
-            # this node reads them after it
-            last = proc == live[-1]
-            w2, m2 = (world, machines) if last else _fork(world, machines)
-            out = m2[proc].step(w2)
-            if out.kind not in (PROGRESSED, FINISHED):
-                raise InvariantError(f"unsync machine of process {proc} {out.kind}")
-            slot = slot_of(out.invoke_event)
-            idx = len(slots)
-            runs2, rejected2 = {}, rejected
-            for impl, (iw, im) in runs.items():
-                if not last:
-                    iw, im = _fork(iw, im)
-                n = len(iw.events)
-                reason = _step_slot(iw, im, idx, slot)
-                if reason is None:
-                    got = [slot_of(e) for e in iw.events[n:] if not e.is_abort()]
-                    if [s for s in got if s is not None] != [slot]:
-                        raise InvariantError(
-                            f"accepted history does not export the schedule: "
-                            f"{impl} at slot {idx}")
-                    runs2[impl] = (iw, im)
-                else:
-                    rejected2 = {**rejected2, impl: (reason, idx)}
-            piece = encoded.get(slot)
-            if piece is None:
-                piece = encoded[slot] = b"," + json.dumps(
-                    slot.canon(), separators=(",", ":")).encode()
-            sha2 = sha.copy()
-            sha2.update(piece if idx else piece[1:])
-            traces2 = traces
-            for e in out.events:
-                if e.kind == RR or e.kind == WI:
-                    step = (("r", e.nid, e.value) if e.kind == RR
-                            else ("w", e.nid, e.value["edges"]))
-                    traces2 = {**traces, e.op: TraceCell(traces.get(e.op), step)}
-            slots.append(slot)
-            yield from rec(w2, m2, runs2, rejected2, sha2, traces2)
-            slots.pop()
+            self.runs = None
 
-    yield from rec(world, machines, runs, {}, hashlib.sha256(b"["), {})
+
+def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
+    """Step the node's next out-edge: the unsynchronized machine of its
+    process, then each implementation still accepting; the child is the
+    configuration that results, found in `memo` or added to it."""
+    i = len(node.edges)
+    proc = node.live[i]
+    # the last edge takes over the node's worlds: nothing reads them after
+    last = i == len(node.live) - 1
+    world, machines = (node.world, node.machines) if last else \
+        _fork(node.world, node.machines)
+    out = machines[proc].step(world)
+    if out.kind not in (PROGRESSED, FINISHED):
+        raise InvariantError(f"unsync machine of process {proc} {out.kind}")
+    slot = slot_of(out.invoke_event)
+    idx = node.depth
+    runs, rejections = {}, {}
+    for impl, (iw, im) in node.runs.items():
+        if not last:
+            iw, im = _fork(iw, im)
+        n = len(iw.events)
+        reason = _step_slot(iw, im, idx, slot)
+        if reason is None:
+            got = [slot_of(e) for e in iw.events[n:] if not e.is_abort()]
+            if [s for s in got if s is not None] != [slot]:
+                raise InvariantError(f"accepted history does not export the "
+                                     f"schedule: {impl} at slot {idx}")
+            runs[impl] = (iw, im)
+        else:
+            rejections[impl] = (reason, idx)
+    traces = node.traces
+    for e in out.events:
+        if e.kind == RR or e.kind == WI:
+            step = (("r", e.nid, e.value) if e.kind == RR
+                    else ("w", e.nid, e.value["edges"]))
+            traces = {**traces, e.op: TraceCell(traces.get(e.op), step)}
+    key = _config_key(world, machines, runs, traces)
+    child = memo.get(key)
+    if child is None:
+        child = memo[key] = _Config(idx + 1, world, machines, runs, traces)
+    elif child.depth != idx + 1:
+        raise InvariantError(f"configuration reached at depths {child.depth} "
+                             f"and {idx + 1}")
+    piece = pieces.get(slot)
+    if piece is None:
+        piece = pieces[slot] = b"," + json.dumps(
+            slot.canon(), separators=(",", ":")).encode()
+    node.edges.append((slot, piece if idx else piece[1:], child, rejections))
+    if last:
+        node.world = node.machines = node.runs = node.traces = None
+
+
+def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
+    """Every schedule of the workload, classified under each of `impls`,
+    in the DFS order of the trie of the unsynchronized machines'
+    next-step choices, in process order.  Deterministic.
+
+    The walk steps each distinct configuration's out-edges once (the
+    module docstring), giving each implementation the step the
+    unsynchronized machine just took; one that rejects it is dropped below
+    that edge, with that slot's index and reason.  A step it accepts must
+    export exactly that slot, else InvariantError; an implementation still
+    present at a leaf must have finished every operation there.  Each leaf
+    carries its digest and its end configuration (see ``Leaf``)."""
+    world, machines, _ = build_world("unsync", w)
+    runs = {impl: build_world(impl, w)[:2] for impl in impls}
+    root = _Config(0, world, machines, runs, {})
+    memo = {_config_key(world, machines, runs, {}): root}
+    pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
+    slots: list[Slot] = []
+    # [configuration, next edge, hash state of the prefix, rejections]
+    stack = [[root, 0, hashlib.sha256(b"["), {}]]
+    while stack:
+        frame = stack[-1]
+        node, i, sha, rejected = frame
+        if i < len(node.live):
+            frame[1] = i + 1
+            if i == len(node.edges):
+                _expand(node, memo, pieces)
+            slot, piece, child, rejections = node.edges[i]
+            sha = sha.copy()
+            sha.update(piece)
+            if rejections:
+                rejected = {**rejected, **rejections}
+            slots.append(slot)
+            stack.append([child, 0, sha, rejected])
+            continue
+        if not node.live:
+            sha.update(b"]")  # this frame's own copy
+            yield Leaf(Schedule(tuple(slots)), sha.hexdigest()[:16], rejected,
+                       node.machines, node.world.state, node.traces)
+        stack.pop()
+        if stack:
+            slots.pop()
 
 
 def universe(w: Workload, budget: int = 20000) -> tuple[list[Schedule], bool]:

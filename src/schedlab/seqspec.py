@@ -92,6 +92,8 @@ class NodeRec:
     val: object
     edges: dict[str, int | None]
     alive: bool = True
+    # memo of the record's configuration key (``scheduler``)
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def snap(self) -> dict:
         """JSON-ready snapshot of the whole record (one element's value)."""
@@ -242,6 +244,9 @@ class UpdatePlan:
     writes: list[tuple[int, dict[str, int | None]]] = field(default_factory=list)
     new_nodes: list[int] = field(default_factory=list)
     unlink: list[int] = field(default_factory=list)
+    # memo of the plan's configuration key (``scheduler``); a plan is never
+    # changed once made
+    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # -- structure definitions ---------------------------------------------------

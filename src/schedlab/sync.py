@@ -173,7 +173,11 @@ class World:
     seq: int = 0
 
     def emit(self, proc, op, kind, elem=None, value=None, nid=None, attempt=0):
-        ev = Event(self.seq, proc, op, kind, elem, value, nid, attempt)
+        # Event(...) sets each field of the frozen dataclass through
+        # object.__setattr__; filling the instance dict takes half the time
+        ev = object.__new__(Event)
+        ev.__dict__.update(seq=self.seq, proc=proc, op=op, kind=kind, elem=elem,
+                           value=value, nid=nid, attempt=attempt, obj=None)
         self.events.append(ev)
         self.seq += 1
         return ev

@@ -3,8 +3,9 @@
 Each is an independent, slower statement of something the library does
 fast: the brute-force linearizability search, history well-formedness,
 the dictionary fold, the sequential-history enumeration, the state space
-as a BFS cut at a depth, an operation's solo step list, the per-leaf LSL
-signature rebuilt from the leaf's events, and the checkers that scan
+as a BFS cut at a depth, an operation's solo step list, the schedule walk
+that steps every prefix (not every configuration) once, the per-leaf LSL
+signature rebuilt from a replay's events, and the checkers that scan
 every event once per operation with no cache.  A few small helpers only
 tests call (`alive_keys`, `release_holder`) live here too.  The tests
 compare the library against them.
@@ -12,19 +13,24 @@ compare the library against them.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from dataclasses import dataclass
 
 from schedlab.checkers import (CheckResult, _default_apply, _dependency_cycle,
                                _prefix_witness, _Replay, abstract_state,
                                op_intervals)
 from schedlab.model import (ABORTED, OI, OR, RI, RR, WI, WR, History,
-                            InvariantError, restrict_to_operation)
+                            InvariantError, Schedule, Slot,
+                            restrict_to_operation, slot_of)
+from schedlab.scheduler import (MalformedScheduleError, Workload, _fork,
+                                _step_slot, build_world, run_audit_finds)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
                               dictionary_apply, local_trace, run_operation,
                               sequential_run)
-from schedlab.sync import LockManager
+from schedlab.sync import FINISHED, PROGRESSED, LockManager, World
 
 
 # -- linearizability ----------------------------------------------------------
@@ -223,18 +229,94 @@ def compile_program(def_: SearchStructureDef, op: Operation) -> StepProgram:
     return StepProgram(def_, op)
 
 
-# -- the LSL memo key ---------------------------------------------------------
+# -- the per-prefix schedule walk and the LSL memo key --------------------------
 
 
-def leaf_signature(leaf) -> tuple:
-    """``Leaf.signature`` rebuilt at the leaf from its events: each
-    concurrent operation's id, status, response and canonical read/write
-    trace; the order of the invocations and responses; the final store's
-    reachable part.  Raises InvariantError on an abort event or a restarted
-    attempt."""
+@dataclass
+class PrefixLeaf:
+    """One leaf of ``prefix_walk``: the schedule, its digest, the
+    rejections, and the unsynchronized world at its end (its legal replay),
+    which belongs to this leaf alone."""
+
+    schedule: Schedule
+    digest: str
+    rejected: dict[str, tuple[str, int]]
+    world: World
+    start: int  # index of the first concurrent event in world.events
+    initial: dict  # store snapshot the concurrent part starts from
+
+    def audited(self, w: Workload) -> History:
+        """The legal replay plus the audit finds, run in the leaf's world."""
+        return run_audit_finds(self.world, w, self.start, self.initial)
+
+    def signature(self) -> tuple:
+        return events_signature(self.world, self.start)
+
+
+def prefix_walk(w: Workload, impls: tuple[str, ...] = ()):
+    """``schedule_trie`` as a walk over the trie of schedule prefixes: the
+    unsynchronized machines and each implementation's are forked at every
+    prefix and stepped once per prefix, DFS in process order; an
+    implementation that rejects a slot is dropped for the subtree below it,
+    with that slot's index and reason.  A step it accepts must export
+    exactly its slot; one still present at a leaf must have finished every
+    operation there."""
+    world, machines, start = build_world("unsync", w)
+    initial = world.state.snapshot()
+    runs = {impl: build_world(impl, w)[:2] for impl in impls}
+    slots: list[Slot] = []
+
+    def rec(world, machines, runs, rejected, sha):
+        live = sorted(p for p, m in machines.items() if not m.finished)
+        if not live:
+            for _, im in runs.values():
+                if not all(m.finished for m in im.values()):
+                    raise MalformedScheduleError("schedule leaves operations incomplete")
+            sha = sha.copy()
+            sha.update(b"]")
+            yield PrefixLeaf(Schedule(tuple(slots)), sha.hexdigest()[:16], rejected,
+                             world, start, initial)
+            return
+        for proc in live:
+            w2, m2 = _fork(world, machines)
+            out = m2[proc].step(w2)
+            if out.kind not in (PROGRESSED, FINISHED):
+                raise InvariantError(f"unsync machine of process {proc} {out.kind}")
+            slot = slot_of(out.invoke_event)
+            idx = len(slots)
+            runs2, rejected2 = {}, rejected
+            for impl, (iw, im) in runs.items():
+                iw, im = _fork(iw, im)
+                n = len(iw.events)
+                reason = _step_slot(iw, im, idx, slot)
+                if reason is None:
+                    got = [slot_of(e) for e in iw.events[n:] if not e.is_abort()]
+                    if [s for s in got if s is not None] != [slot]:
+                        raise InvariantError(
+                            f"accepted history does not export the schedule: "
+                            f"{impl} at slot {idx}")
+                    runs2[impl] = (iw, im)
+                else:
+                    rejected2 = {**rejected2, impl: (reason, idx)}
+            sha2 = sha.copy()
+            sha2.update((b"," if idx else b"")
+                        + json.dumps(slot.canon(), separators=(",", ":")).encode())
+            slots.append(slot)
+            yield from rec(w2, m2, runs2, rejected2, sha2)
+            slots.pop()
+
+    yield from rec(world, machines, runs, {}, hashlib.sha256(b"["))
+
+
+def events_signature(world: World, start: int) -> tuple:
+    """``Leaf.signature`` rebuilt from the events of a world that ran a
+    schedule: each concurrent operation's id, status, response and
+    canonical read/write trace; the order of the invocations and
+    responses; the final store's reachable part.  Raises InvariantError on
+    an abort event or a restarted attempt."""
     traces: dict[int, list[tuple]] = {}
     order = []
-    for e in leaf.world.events[leaf.start:]:
+    for e in world.events[start:]:
         if e.attempt != 0 or e.is_abort():
             raise InvariantError(f"leaf history has an abort or a restart: {e}")
         if e.kind in (OI, OR):
@@ -244,10 +326,19 @@ def leaf_signature(leaf) -> tuple:
             traces[e.op].append(("r", e.nid, e.value))
         elif e.kind == WI:
             traces[e.op].append(("w", e.nid, e.value["edges"]))
-    ops = leaf.world.ops
+    ops = world.ops
     return (tuple((i, ops[i].status, ops[i].response, canonical_steps(t))
                   for i, t in traces.items()),
-            tuple(order), leaf.world.state._canonical_bfs())
+            tuple(order), world.state._canonical_bfs())
+
+
+def leaf_signature(w: Workload, leaf) -> tuple:
+    """``Leaf.signature`` rebuilt from a replay of the leaf's schedule by
+    the unsynchronized machines."""
+    world, machines, start = build_world("unsync", w)
+    for slot in leaf.schedule.slots:
+        machines[slot.proc].step(world)
+    return events_signature(world, start)
 
 
 # -- checkers that scan every event once per operation -------------------------

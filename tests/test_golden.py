@@ -1,0 +1,90 @@
+"""`schedlab --json explore` against committed report bytes and exit codes.
+
+The cases are the six Thm. 2 instances (every structure, `w_present` and
+`w_absent`) under `hoh` and `stm`, and every bundled
+`scenarios/explore_*.json`.  The reports in `tests/golden/explore/` were
+written by the per-prefix trie walk that `tests/oracles.py` keeps as the
+reference; whatever walk the library uses must reproduce them byte for
+byte.
+
+Regenerate them (only when a report is meant to change) with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from importlib import resources
+from pathlib import Path
+
+import pytest
+
+from schedlab import cli
+from schedlab.fixtures import thm2_bundle
+from schedlab.seqspec import STRUCTURES, make_structure
+
+GOLDEN = Path(__file__).parent / "golden"
+EXIT_CODES = GOLDEN / "explore.json"
+
+
+def thm2_scenario(struct: str, instance: str, impl: str) -> dict:
+    w = getattr(thm2_bundle(make_structure(struct)), instance)
+    return {"structure": struct,
+            "setup": [{"op": o.name, "key": o.key} for o in w.setup],
+            "concurrent": [{"proc": p, "op": o.name, "key": o.key}
+                           for p, o in w.concurrent],
+            "schedule": "enumerate", "impl": impl}
+
+
+def bundled_scenarios() -> dict[str, Path]:
+    scenarios = resources.files("schedlab").joinpath("scenarios")
+    return {p.name[:-len(".json")]: Path(str(p))
+            for p in sorted(scenarios.iterdir(), key=lambda p: p.name)
+            if p.name.startswith("explore_") and p.name.endswith(".json")}
+
+
+THM2 = {f"thm2_{s}_{i}_{impl}": (s, i, impl) for s in STRUCTURES
+        for i in ("w_present", "w_absent") for impl in ("hoh", "stm")}
+CASES = list(THM2) + list(bundled_scenarios())
+
+
+def scenario_file(name: str, tmp: Path) -> Path:
+    if name not in THM2:
+        return bundled_scenarios()[name]
+    path = tmp / f"{name}.scenario.json"
+    path.write_text(json.dumps(thm2_scenario(*THM2[name])))
+    return path
+
+
+def explore(name: str, tmp: Path) -> tuple[int, bytes]:
+    out = tmp / f"{name}.out.json"
+    rc = cli.main(["--json", "--out", str(out), "explore",
+                   str(scenario_file(name, tmp))])
+    return rc, out.read_bytes()
+
+
+def test_every_case_has_a_golden_report():
+    assert sorted(json.loads(EXIT_CODES.read_text())) == sorted(CASES)
+    assert sorted(p.stem for p in (GOLDEN / "explore").iterdir()) == sorted(CASES)
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_explore_report_bytes(name, tmp_path):
+    rc, report = explore(name, tmp_path)
+    assert rc == json.loads(EXIT_CODES.read_text())[name]
+    assert report == (GOLDEN / "explore" / f"{name}.json").read_bytes()
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    (GOLDEN / "explore").mkdir(parents=True, exist_ok=True)
+    codes = {}
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in CASES:
+            codes[case], text = explore(case, Path(tmp))
+            (GOLDEN / "explore" / f"{case}.json").write_bytes(text)
+            print(case, codes[case], file=sys.stderr)
+    EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n")

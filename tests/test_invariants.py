@@ -7,6 +7,7 @@ hold under ``python -O``, which removes ``assert`` statements:
     PYTHONPATH=src python -O -m pytest -q tests/test_invariants.py
 """
 
+import copy
 import dataclasses
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from schedlab import fixtures, scheduler, seqspec
 from schedlab.fixtures import fig2a
 from schedlab.metric import accepted_set, audited_history, lsl_set
-from schedlab.model import ABORT, RI, RR, Schedule
+from schedlab.model import ABORTED, RI, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
                                 Workload, build_world, drive, schedule_trie,
                                 universe)
@@ -102,18 +103,26 @@ def test_audited_history_rejects_an_incomplete_schedule():
         audited_history(w, Schedule(s.slots[:-1]))
 
 
+def with_machine(leaf, proc, **changes):
+    """The leaf with a copy of one of its end machines, changed; the walk's
+    own configuration stays as it is."""
+    m = copy.copy(leaf.machines[proc])
+    for name, value in changes.items():
+        setattr(m, name, value)
+    return dataclasses.replace(leaf, machines={**leaf.machines, proc: m})
+
+
 def test_leaf_signature_rejects_an_abort_or_a_restart():
     w = two_inserts()
     leaf = next(schedule_trie(w))
     leaf.signature()
-    op = max(leaf.world.ops)
-    leaf.world.emit(1, op, RR, value=ABORT)
+    proc = max(leaf.machines)
+    aborted = dataclasses.replace(leaf.machines[proc].op, status=ABORTED)
     with pytest.raises(InvariantError, match="abort or a restart"):
-        leaf.signature()
+        with_machine(leaf, proc, op=aborted).signature()
     leaf = next(schedule_trie(w))
-    leaf.world.emit(1, op, RR, value={}, attempt=1)
     with pytest.raises(InvariantError, match="abort or a restart"):
-        leaf.signature()
+        with_machine(leaf, proc, attempt=1).signature()
 
 
 def swapped_keys(name):

@@ -1,7 +1,8 @@
 """Event/history/schedule layer: projections, orders, and erasure."""
 
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
@@ -11,6 +12,7 @@ from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
 from schedlab.checkers import compose_histories
 from schedlab.scheduler import Workload, drive, free_run
 from schedlab.seqspec import Operation, make_structure, sequential_run
+from schedlab.sync import World
 
 from oracles import well_formed
 
@@ -179,3 +181,21 @@ def test_restrict_to_object_partitions():
         == {e.seq for e in composed.events}
     assert all(o.obj == "O1" for o in a.ops.values())
     assert all(o.obj == "O2" for o in b.ops.values())
+
+
+def test_emitted_event_is_a_frozen_event():
+    """``World.emit`` fills the instance dict directly; the event still
+    equals and hashes like one built by ``Event(...)``, `replace` works on
+    it, and it cannot be assigned to."""
+    world = World(make_structure("sorted-list").new_state())
+    world.emit(0, 0, OI, value=["find", 1])
+    ev = world.emit(1, 2, RR, elem="root", value={"key": "-inf"}, nid=0, attempt=3)
+    built = Event(1, 1, 2, RR, "root", {"key": "-inf"}, 0, 3)
+    assert ev == built and vars(ev) == vars(built)
+    assert hash(replace(ev, value=None)) == hash(replace(built, value=None))
+    moved = replace(ev, seq=7, obj="O1")
+    assert (moved.seq, moved.obj, moved.elem, ev.seq) == (7, "O1", "root", 1)
+    with pytest.raises(FrozenInstanceError):
+        ev.seq = 5
+    with pytest.raises(FrozenInstanceError):
+        ev.obj = "O2"

@@ -5,27 +5,33 @@ must give every schedule the verdicts the reference path gives it: `drive`
 per implementation, with the same rejection reason and failing slot, and
 `check_ls_linearizable(audited_history(...))` for the LSL oracle.  The
 leaves must come in the order of a plain recursive universe DFS, and carry
-the digest and the LSL signature that are rebuilt from the leaf itself.
-Forks share records and operations copy-on-write.
+the digest and the LSL signature that are rebuilt from the leaf's schedule.
+The walk over the DAG of configurations must match the per-prefix walk
+(`oracles.prefix_walk`) leaf by leaf while stepping far fewer
+configurations, and its configuration key must hold every field a step
+reads.  Forks share records and operations copy-on-write.
 """
 
+import dataclasses
 import itertools
 import random
+from collections import deque
 
 import pytest
 
-from schedlab import metric
+from schedlab import metric, scheduler
 from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
-from schedlab.model import ABORTED, COMPLETE, History, schedule_of
+from schedlab.model import (ABORTED, COMPLETE, History, OperationInstance,
+                            schedule_of)
 from schedlab.scheduler import (Workload, _fork, build_world, drive,
                                 schedule_trie, universe)
-from schedlab.seqspec import Operation, make_structure
+from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
 from schedlab.sync import BLOCKED, restart
 
-from oracles import leaf_signature
+from oracles import leaf_signature, prefix_walk
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
 
 IMPLS = ("hoh", "stm")
@@ -73,7 +79,7 @@ def assert_pass_matches_reference(w, budget, extras=()):
     assert [leaf.schedule for leaf in leaves] == schedules
     for leaf in leaves:
         assert leaf.digest == leaf.schedule.digest()
-        assert leaf.signature() == leaf_signature(leaf)
+        assert leaf.signature() == leaf_signature(w, leaf)
     sets = classify(w, IMPLS, lsl=True, budget=budget, extras=extras)
     visited = {s.digest() for s in schedules}
     new_extras = list({s.digest(): s for s in extras
@@ -131,12 +137,13 @@ def test_pass_matches_reference_under_truncated_budget():
 
 
 def test_leaf_audit_equals_audited_history():
-    """The leaf's own world, audited in place, is the history that
-    `audited_history` rebuilds by replaying the schedule."""
+    """A leaf's audit, a replay of its schedule, is the history that the
+    per-prefix walk's leaf audits in place, in the world that ran it."""
     w = thm2_bundle(make_structure("bst")).w_absent
-    for leaf in itertools.islice(schedule_trie(w), 200):
+    for leaf, ref_leaf in itertools.islice(zip(schedule_trie(w), prefix_walk(w)), 200):
+        assert leaf.schedule == ref_leaf.schedule
         audited = leaf.audited(w)
-        ref = audited_history(w, leaf.schedule)
+        ref = ref_leaf.audited(w)
         assert audited.render_json() == ref.render_json()
         assert audited.initial == ref.initial
         assert sorted(audited.ops) == sorted(ref.ops)
@@ -256,3 +263,248 @@ def test_a_fork_restarts_an_aborted_operation_alone():
     assert fresh.op is w2.ops[fresh.op.id] and fresh.op.status == COMPLETE
     assert machines[loser].finished and machines[loser].op.status == ABORTED
     assert world.ops[fresh.op.id].status == ABORTED
+
+
+# -- the configuration DAG against the per-prefix walk ---------------------------
+
+
+def assert_walks_agree(w, budget):
+    """Leaf by leaf: the same schedules in the same order, and the same
+    digest, rejections and LSL signature.  Returns the leaf count."""
+    n = 0
+    for leaf, ref in itertools.zip_longest(
+            itertools.islice(schedule_trie(w, IMPLS), budget),
+            itertools.islice(prefix_walk(w, IMPLS), budget)):
+        assert leaf is not None and ref is not None
+        assert leaf.schedule == ref.schedule
+        assert leaf.digest == ref.digest
+        assert leaf.rejected == ref.rejected
+        assert leaf.signature() == ref.signature()
+        n += 1
+    return n
+
+
+def test_dag_walk_matches_prefix_walk_on_sweep_workloads():
+    """Criterion 4's workloads and budgets."""
+    processed = 0
+    for w in sweep_workloads():
+        processed += assert_walks_agree(w, budget=400)
+        if processed >= 6000:
+            break
+
+
+@pytest.mark.parametrize("instance", ("w_present", "w_absent"))
+@pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
+def test_dag_walk_matches_prefix_walk_on_thm2(structure, instance):
+    w = getattr(thm2_bundle(make_structure(structure)), instance)
+    assert assert_walks_agree(w, budget=20000) in (924, 3264, 3432)
+
+
+def test_dag_walk_matches_prefix_walk_on_thm3():
+    w = thm3_bundle(make_structure("sorted-list")).workload
+    assert assert_walks_agree(w, budget=2000) == 2000
+
+
+@pytest.mark.parametrize("instance", ("w_present", "w_absent"))
+@pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
+def test_walk_steps_each_configuration_once(monkeypatch, structure, instance):
+    """Independent steps commute, so a Thm. 2 universe of 924-3432
+    schedules (3431-12869 prefixes) reaches at most 150 configurations,
+    and each is expanded once."""
+    w = getattr(thm2_bundle(make_structure(structure)), instance)
+    configs = []
+    init = scheduler._Config.__init__
+
+    def counting(self, *args):
+        configs.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(scheduler._Config, "__init__", counting)
+    leaves = sum(1 for _ in schedule_trie(w, IMPLS))
+    assert leaves in (924, 3264, 3432)
+    assert len(configs) <= 150
+    assert len(set(map(id, configs))) == len(configs)
+
+
+# -- configuration keys -------------------------------------------------------
+
+
+def stepped(impl, steps):
+    """A workload's world and machines after `steps` round-robin steps of
+    `impl`: a find beside two inserts of one key, so that hoh holds and
+    queues locks and stm has read and write sets."""
+    w = Workload(make_structure("sorted-list"), [Operation("insert", 2)],
+                 [(1, Operation("find", 3)), (2, Operation("insert", 3)),
+                  (3, Operation("insert", 3))])
+    world, machines, _ = build_world(impl, w)
+    procs = itertools.cycle(sorted(machines))
+    for _ in range(steps):
+        p = next(procs)
+        if not machines[p].finished:
+            machines[p].step(world)
+    return world, machines
+
+
+def changed(value):
+    """A different value of the same kind."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if value is None:
+        return 77
+    raise TypeError(type(value))
+
+
+def other_record(state):
+    nid = max(state.nodes)
+    return {**state.nodes, nid: NodeRec(nid, 99, 99, {"next": None})}
+
+
+# attribute -> a change of it, per class; None: the key leaves it out
+WORLD_CHANGES = {
+    "state": lambda x: x.state.write_edges(x.state.root, {"next": None}),
+    "locks": lambda x: x.locks.try_acquire(99, "shared", 1),
+    "versions": lambda x: x.versions.bump([99]),
+    "ops": lambda x: x.ops.__setitem__(99, OperationInstance(99, 9, "find", 1)),
+    "events": None,
+    "seq": None,
+}
+STATE_CHANGES = {
+    "nodes": lambda x: setattr(x, "nodes", other_record(x)),
+    "root": lambda x: setattr(x, "root", changed(x.root)),
+    "tail": lambda x: setattr(x, "tail", changed(x.tail)),
+    "counter": lambda x: setattr(x, "counter", changed(x.counter)),
+    "_canon": None,  # memo of canonical()
+}
+LOCK_CHANGES = {
+    "shared": lambda x: x.shared.__setitem__(99, {1}),
+    "exclusive": lambda x: x.exclusive.__setitem__(99, 1),
+    "queues": lambda x: x.queues.__setitem__(99, deque([1])),
+}
+VERSION_CHANGES = {
+    "versions": lambda x: x.versions.__setitem__(99, 1),
+    "commit_clock": lambda x: setattr(x, "commit_clock", changed(x.commit_clock)),
+}
+MACHINE_CHANGES = {
+    "def_": None,  # the walk's one structure
+    "op": lambda m: setattr(m, "op", dataclasses.replace(m.op, response="x")),
+    "operation": lambda m: setattr(m, "operation", Operation("delete", 9)),
+    "attempt": lambda m: setattr(m, "attempt", changed(m.attempt)),
+    "invoked": lambda m: setattr(m, "invoked", changed(m.invoked)),
+    "finished": lambda m: setattr(m, "finished", changed(m.finished)),
+    "gop": lambda m: m.gop.visit(NodeRec(99, 99, 99, {})),
+    "plan": lambda m: setattr(m, "plan", None if m.plan else UpdatePlan(True)),
+    "write_idx": lambda m: setattr(m, "write_idx", changed(m.write_idx)),
+    # hoh
+    "is_update": lambda m: setattr(m, "is_update", changed(m.is_update)),
+    "held_shared": lambda m: setattr(m, "held_shared", changed(m.held_shared)),
+    "write_locked": lambda m: m.write_locked.append(99),
+    # stm
+    "commit_only": lambda m: setattr(m, "commit_only", changed(m.commit_only)),
+    "read_set": lambda m: m.read_set.__setitem__(99, 0),
+    "write_set": lambda m: m.write_set.__setitem__(99, {"next": None}),
+}
+
+KEYED_PARTS = (
+    ("world", lambda world, machines: world, WORLD_CHANGES),
+    ("state", lambda world, machines: world.state, STATE_CHANGES),
+    ("locks", lambda world, machines: world.locks, LOCK_CHANGES),
+    ("versions", lambda world, machines: world.versions, VERSION_CHANGES),
+    ("find", lambda world, machines: machines[1], MACHINE_CHANGES),
+    ("insert", lambda world, machines: machines[2], MACHINE_CHANGES),
+)
+
+
+@pytest.mark.parametrize("steps", (3, 7))
+@pytest.mark.parametrize("impl", ("unsync", "hoh", "stm"))
+@pytest.mark.parametrize("part", [p[0] for p in KEYED_PARTS])
+def test_configuration_key_holds_every_field(part, impl, steps):
+    """Changing any one attribute of a world, its store, lock tables,
+    version store or a machine changes its key, except the execution
+    record (`events`, `seq`), the structure definition (`def_`) and memo
+    cells, which no step reads."""
+    _, get, changes = next(p for p in KEYED_PARTS if p[0] == part)
+    names = list(vars(get(*stepped(impl, steps))))
+    assert set(names) <= set(changes), "an attribute the test does not know"
+    for name in names:
+        x = get(*stepped(impl, steps))
+        before = scheduler._key(x)
+        assert scheduler._key(x) == before
+        change = changes[name]
+        if change is None:
+            setattr(x, name, object())  # not even read
+            assert scheduler._key(x) == before, name
+        else:
+            change(x)
+            assert scheduler._key(x) != before, name
+
+
+def test_configuration_key_rejects_what_it_does_not_know():
+    world, machines = stepped("hoh", 5)
+    with pytest.raises(TypeError, match="no configuration key"):
+        scheduler._key(object())
+    machines[1].extra = object()  # a new field is keyed, and this one cannot be
+    with pytest.raises(TypeError, match="no configuration key"):
+        scheduler._key(machines)
+    world.locks.owner = 1  # a field the lock tables' key does not cover
+    with pytest.raises(TypeError, match="does not cover"):
+        scheduler._key(world)
+    world, machines = stepped("hoh", 5)
+    world.tick = 0  # an unknown World field is keyed like any other
+    before = scheduler._key(world)
+    world.tick = 1
+    assert scheduler._key(world) != before
+
+
+def test_configuration_key_ignores_what_no_read_sees():
+    """Lock tables and version counters are read only by node, with an
+    empty default, so insertion order and empty holder sets or queues do
+    not change their keys."""
+    world, _ = stepped("hoh", 7)
+    before = scheduler._key(world)
+    world.locks.shared[98] = set()
+    world.locks.queues[98] = deque()
+    world.locks.exclusive = dict(reversed(world.locks.exclusive.items()))
+    world.versions.versions = dict(reversed(world.versions.versions.items()))
+    assert scheduler._key(world) == before
+    assert scheduler._key(world.clone()) == before
+
+
+def test_trace_key_is_the_raw_trace():
+    """Two cells hold equal keys iff their raw traces are equal."""
+    a = scheduler.TraceCell(scheduler.TraceCell(None, ("r", 0, {"key": 1})),
+                            ("w", 0, {"next": "n1"}))
+    b = scheduler.TraceCell(scheduler.TraceCell(None, ("r", 0, {"key": 1})),
+                            ("w", 0, {"next": "n1"}))
+    c = scheduler.TraceCell(scheduler.TraceCell(None, ("r", 0, {"key": 2})),
+                            ("w", 0, {"next": "n1"}))
+    assert a.key == b.key and a.key != c.key
+    assert scheduler.TraceCell(None, ("w", 0, {"next": "n1"})).key != a.key
+
+
+def test_configuration_key_holds_every_part():
+    """The walk's key: the unsynchronized world and machines, each
+    implementation still accepting with its world and machines, and each
+    operation's raw trace."""
+    world, machines = stepped("unsync", 6)
+    hoh = stepped("hoh", 6)
+    cell = scheduler.TraceCell(None, ("r", 0, {"key": 1}))
+    base = (world, machines, {"hoh": hoh}, {2: cell})
+    key = scheduler._config_key(*base)
+    assert scheduler._config_key(*base) == key
+    bumped = world.clone()
+    bumped.versions.bump([0])
+    variants = [
+        (bumped, machines, {"hoh": hoh}, {2: cell}),
+        (world, stepped("unsync", 7)[1], {"hoh": hoh}, {2: cell}),
+        (world, machines, {}, {2: cell}),
+        (world, machines, {"stm": hoh}, {2: cell}),
+        (world, machines, {"hoh": stepped("hoh", 7)}, {2: cell}),
+        (world, machines, {"hoh": hoh}, {}),
+        (world, machines, {"hoh": hoh}, {3: cell}),
+        (world, machines, {"hoh": hoh},
+         {2: scheduler.TraceCell(None, ("r", 0, {"key": 2}))}),
+    ]
+    for i, v in enumerate(variants):
+        assert scheduler._config_key(*v) != key, i

@@ -41,6 +41,11 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _is_budget(x) -> bool:
+    """A schedule budget is a positive int (a bool is not one)."""
+    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+
+
 def parse_operation(d: dict) -> Operation:
     _require(isinstance(d, dict) and "op" in d and "key" in d,
              f"operation needs 'op' and 'key': {d!r}")
@@ -86,8 +91,10 @@ def parse_scenario(doc: dict) -> dict:
             schedule = Schedule.from_json(sched)
         except (KeyError, ValueError) as e:
             raise ScenarioError(f"bad schedule slot: {e}")
+    budget = doc.get("budget", DEFAULT_BUDGET)
+    _require(_is_budget(budget), f"budget must be a positive integer: {budget!r}")
     return {"workload": w, "impl": impl, "mode": mode, "schedule": schedule,
-            "seed": doc.get("seed", 0), "budget": doc.get("budget", DEFAULT_BUDGET)}
+            "seed": doc.get("seed", 0), "budget": budget}
 
 
 def figure_name(elem: str) -> str:
@@ -267,6 +274,10 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    if args.budget is not None and not _is_budget(args.budget):
+        print(f"error: --budget must be a positive integer: {args.budget}",
+              file=sys.stderr)
+        return 1
     try:
         with open(args.scenario) as f:
             doc = json.load(f)
@@ -274,7 +285,7 @@ def cmd_explore(args) -> int:
     except (OSError, json.JSONDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    budget = args.budget or sc["budget"]
+    budget = sc["budget"] if args.budget is None else args.budget
     w, impl = sc["workload"], sc["impl"]
     gap = optimality_gap(impl, w, budget)
     report = {

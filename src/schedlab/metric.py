@@ -46,7 +46,8 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
              extras: list[Schedule] = ()) -> dict[str, ScheduleSet]:
     """The accepted set of every implementation in `impls` and, with
     `lsl`, the LSL set (under the name "lsl"), from one pass over the first
-    `budget` schedules of the universe.  Supplied `extras` (for workloads
+    `budget` schedules of the universe; the sets are partial when the
+    universe holds more than `budget`.  Supplied `extras` (for workloads
     whose full universe is infeasible) that the pass did not visit are
     classified by the reference path, ``drive`` and ``audited_history``.
 
@@ -73,6 +74,9 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
 
     truncated = False
     for leaf in schedule_trie(w, impls):
+        if len(seen) >= budget:  # a schedule beyond the budget exists
+            truncated = True
+            break
         verdict = None
         if lsl:
             sig = leaf.signature()
@@ -81,9 +85,6 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
             verdict = verdicts[sig]
         record(leaf.schedule, leaf.digest,
                [i for i in impls if i not in leaf.rejected], verdict)
-        if len(seen) >= budget:
-            truncated = True
-            break
     for s in extras:
         d = s.digest()
         if d not in seen:

@@ -38,13 +38,14 @@ and rejections; every leaf is still enumerated, in the trie's order.
   operation's raw read/write trace, so that the leaf signature below is
   equal on every path.  It leaves out only the execution record, the
   events and ``seq``: no step reads it, and the walk reads only the events
-  of the step it just took.  Memo cells (``DagState``'s ``canonical()``,
-  the keys cached on records, plans, complete operations and trace cells,
-  none of which changes again) are left out as well.  An attribute the key
-  was not written for is keyed like any other, and a value of a type it
-  does not know raises.  The lock tables and version counters are keyed
-  sorted by node, empty holder sets and queues dropped, since they are
-  only read by node with an empty default.
+  of the step it just took.  Memo cells (``DagState``'s cell of
+  ``canonical()`` and of its own key, the keys cached on records, plans,
+  complete operations and trace cells, none of which changes again) are
+  left out as well.  An attribute the key was not written for is keyed
+  like any other, and a value of a type it does not know raises.  The
+  lock tables and version counters are keyed sorted by node, empty holder
+  sets and queues dropped, since they are only read by node with an empty
+  default.
 * Equal keys have equal futures.  A step's outcome, its events (but their
   sequence numbers) and the configuration after it are functions of the
   fields above, so from two configurations with equal keys the same slots
@@ -52,6 +53,18 @@ and rejections; every leaf is still enumerated, in the trie's order.
   checks on the way.  A leaf's outputs are its path's (the schedule, its
   digest, the rejections collected on it) plus functions of its key: the
   operations, their traces and the store that ``Leaf.signature`` reads.
+* Each configuration carries its key, and an edge builds its child's key
+  from it (``_step_key``), keying again only what a progressing step can
+  change: in the unsynchronized world and in each implementation that
+  accepted the step, the store, the lock tables, the versions, the stepped
+  process's operation and its machine.  A step changes nothing else: a
+  machine writes its own fields, its operation and the shared world only.
+  An implementation that rejects the step is dropped before keying, so a
+  queue it joined or a node its abort unlinked never reaches a key; a
+  fork copies values, so its parent's key is its own.  The store's key is
+  memoized in the cell ``canonical()`` uses, which a fork shares until
+  either side changes the store.  The root is keyed from scratch
+  (``_config_key``), the reference the built keys are tested against.
 * The per-edge checks run once per DAG edge: the unsynchronized machine
   must progress, a step an implementation accepts must export its slot,
   and an implementation still present at a leaf must have finished every
@@ -90,7 +103,11 @@ alone afterwards; the workload fixes the rest.  Unsynchronized leaves
 never abort or restart, which it does not cover; it raises if one does.
 The traces grow one ``TraceCell`` per read or write, renamed on first
 use; the store's ``canonical()`` is memoized in a cell a fork shares until
-either side changes the store.  Only the order is read per leaf.
+either side changes the store.  The DFS carries each prefix's
+invocation/response order, and a leaf configuration memoizes the
+signature per order: all else it holds is the configuration's, which
+every leaf that ends in it shares.  So a signature is built once per
+(end configuration, order): 6-22 times in a Thm. 2 walk.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  After a blocked step it asks every
@@ -430,20 +447,68 @@ class TraceCell:
         return self._steps
 
 
+def _traces_key(traces: dict[int, TraceCell]) -> tuple:
+    return tuple([(i, traces[i].key) for i in sorted(traces)])
+
+
 def _config_key(world: World, machines: dict[int, StepMachine], runs: dict,
                 traces: dict[int, TraceCell]) -> tuple:
+    """A configuration's key from scratch: the walk keys its root so, and
+    ``_step_key`` must give the same value for every other configuration."""
     return (_key(world), _key(machines),
             tuple([(impl, _key(iw), _key(im)) for impl, (iw, im) in runs.items()]),
-            tuple([(i, traces[i].key) for i in sorted(traces)]))
+            _traces_key(traces))
+
+
+def _store_key(state: DagState) -> tuple:
+    """``_key(state)``, memoized in the cell that ``canonical()`` uses: a
+    fork shares it until either side changes the store."""
+    cell = state._canon
+    if cell[1] is None:
+        cell[1] = _fields_key(state, ("_canon",))
+    return cell[1]
+
+
+def _restep(world_key: tuple, machines_key: tuple, world: World,
+            machines: dict[int, StepMachine], proc: int) -> tuple[tuple, tuple]:
+    """The keys of `world` and of its machines after a progressing step of
+    process `proc`, from their keys before it.  The store, the locks, the
+    versions, the process's operation and its machine are keyed again; the
+    other operations and machines keep their keys (the module docstring)."""
+    m = machines[proc]
+    op, op_key = m.op.id, _op_key(m.op)
+    m_key = _machine_key(m)
+    return ((("state", _store_key(world.state)),
+             ("locks", _locks_key(world.locks)),
+             ("versions", _versions_key(world.versions)),
+             # world_key[3] is ("ops", ((operation id, key), ...))
+             ("ops", tuple([(i, op_key if i == op else k)
+                            for i, k in world_key[3][1]]))),
+            tuple([(p, m_key if p == proc else k) for p, k in machines_key]))
+
+
+def _step_key(parent: tuple, proc: int, world: World,
+              machines: dict[int, StepMachine], runs: dict,
+              traces: dict[int, TraceCell]) -> tuple:
+    """``_config_key(world, machines, runs, traces)`` of the configuration
+    a progressing step of process `proc` leads to from the one keyed
+    `parent`, re-keying only what the step can change: see ``_restep``.
+    `runs` holds the implementations that accepted the step."""
+    world_key, machines_key, run_keys, _ = parent
+    before = {impl: (wk, mk) for impl, wk, mk in run_keys}
+    return (*_restep(world_key, machines_key, world, machines, proc),
+            tuple([(impl, *_restep(*before[impl], iw, im, proc))
+                   for impl, (iw, im) in runs.items()]),
+            _traces_key(traces))
 
 
 @dataclass
 class Leaf:
     """One schedule of the universe with its verdicts from the pass.
 
-    `machines`, `state` and `traces` are the walk's configuration at the
-    end of the schedule, which every schedule that ends in it shares:
-    read them, change nothing."""
+    `machines`, `state`, `traces` and `signatures` are the walk's
+    configuration at the end of the schedule, which every schedule that
+    ends in it shares: read them, change nothing."""
 
     schedule: Schedule
     digest: str  # schedule.digest(), carried along the walk
@@ -452,6 +517,9 @@ class Leaf:
     machines: dict[int, StepMachine]  # the unsynchronized ones, by process
     state: DagState  # the store at the end of the schedule
     traces: dict[int, TraceCell]  # operation id -> its last read/write
+    order: tuple  # (operation id, OI or OR) per invocation and response
+    # invocation/response order -> the signature of a leaf that ends here
+    signatures: dict[tuple, tuple]
 
     def audited(self, w: Workload) -> History:
         """The schedule's legal replay plus the audit finds
@@ -463,39 +531,49 @@ class Leaf:
         on, for one workload: (operation id, status, response, canonical
         trace) per operation in invocation order, the invocation/response
         order, and the store's ``canonical()`` (why it is exact: the module
-        docstring).  Raises InvariantError on an aborted operation or a
-        restarted attempt, which it does not cover."""
-        machines, traces = self.machines, self.traces
-        for m in machines.values():
+        docstring).  Built once per end configuration and order.  Raises
+        InvariantError on an aborted operation or a restarted attempt,
+        which it does not cover."""
+        for m in self.machines.values():
             if m.attempt != 0 or m.op.status != COMPLETE:
                 raise InvariantError(f"leaf has an abort or a restart: "
                                      f"{m.op.describe()} attempt {m.attempt} "
                                      f"{m.op.status}")
-        order = tuple([(machines[s.proc].op.id, s.kind)
-                       for s in self.schedule.slots if s.kind == OI or s.kind == OR])
-        ops = tuple([(op.id, op.status, op.response,
-                      traces[op.id].steps() if op.id in traces else ())
-                     for op in (machines[s.proc].op for s in self.schedule.slots
-                                if s.kind == OI)])
-        return ops, order, self.state.canonical()
+        sig = self.signatures.get(self.order)
+        if sig is None:
+            sig = self.signatures[self.order] = self._signature()
+        return sig
+
+    def _signature(self) -> tuple:
+        ops = {m.op.id: m.op for m in self.machines.values()}
+        traces = self.traces
+        return (tuple([(i, ops[i].status, ops[i].response,
+                        traces[i].steps() if i in traces else ())
+                       for i, kind in self.order if kind == OI]),
+                self.order, self.state.canonical())
 
 
 class _Config:
     """A node of the walk: one configuration, reached by one or more
-    schedule prefixes of length `depth`.  Its out-edges, one per live
-    process in process order, are (slot, digest piece, child, rejections)
-    and are stepped the first time the walk takes them; after the last one
-    the configuration's worlds belong to its children, except at a leaf."""
+    schedule prefixes of length `depth`, with its key.  Its out-edges, one
+    per live process in process order, are (slot, digest piece, order
+    piece, child, rejections) and are stepped the first time the walk takes
+    them; after the last one the configuration's worlds belong to its
+    children, except at a leaf, which keeps them and a memo of its
+    signatures."""
 
-    __slots__ = ("depth", "live", "world", "machines", "runs", "traces", "edges")
+    __slots__ = ("depth", "key", "live", "world", "machines", "runs", "traces",
+                 "edges", "signatures")
 
-    def __init__(self, depth: int, world: World, machines: dict[int, StepMachine],
-                 runs: dict, traces: dict[int, TraceCell]):
-        self.depth = depth
+    def __init__(self, depth: int, key: tuple, world: World,
+                 machines: dict[int, StepMachine], runs: dict,
+                 traces: dict[int, TraceCell]):
+        self.depth, self.key = depth, key
         self.live = tuple(sorted(p for p, m in machines.items() if not m.finished))
         self.world, self.machines, self.traces = world, machines, traces
         self.runs = runs
         self.edges: list[tuple] = []
+        self.signatures = None if self.live else {}
         if not self.live:
             for _, im in runs.values():
                 if not all(m.finished for m in im.values()):
@@ -538,10 +616,10 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
             step = (("r", e.nid, e.value) if e.kind == RR
                     else ("w", e.nid, e.value["edges"]))
             traces = {**traces, e.op: TraceCell(traces.get(e.op), step)}
-    key = _config_key(world, machines, runs, traces)
+    key = _step_key(node.key, proc, world, machines, runs, traces)
     child = memo.get(key)
     if child is None:
-        child = memo[key] = _Config(idx + 1, world, machines, runs, traces)
+        child = memo[key] = _Config(idx + 1, key, world, machines, runs, traces)
     elif child.depth != idx + 1:
         raise InvariantError(f"configuration reached at depths {child.depth} "
                              f"and {idx + 1}")
@@ -549,7 +627,9 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
     if piece is None:
         piece = pieces[slot] = b"," + json.dumps(
             slot.canon(), separators=(",", ":")).encode()
-    node.edges.append((slot, piece if idx else piece[1:], child, rejections))
+    io = ((machines[proc].op.id, slot.kind),) if slot.kind == OI or slot.kind == OR \
+        else ()
+    node.edges.append((slot, piece if idx else piece[1:], io, child, rejections))
     if last:
         node.world = node.machines = node.runs = node.traces = None
 
@@ -565,34 +645,38 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
     that edge, with that slot's index and reason.  A step it accepts must
     export exactly that slot, else InvariantError; an implementation still
     present at a leaf must have finished every operation there.  Each leaf
-    carries its digest and its end configuration (see ``Leaf``)."""
+    carries its digest, its invocation/response order and its end
+    configuration (see ``Leaf``)."""
     world, machines, _ = build_world("unsync", w)
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
-    root = _Config(0, world, machines, runs, {})
-    memo = {_config_key(world, machines, runs, {}): root}
+    key = _config_key(world, machines, runs, {})
+    root = _Config(0, key, world, machines, runs, {})
+    memo = {key: root}
     pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
     slots: list[Slot] = []
-    # [configuration, next edge, hash state of the prefix, rejections]
-    stack = [[root, 0, hashlib.sha256(b"["), {}]]
+    # [configuration, next edge, hash state of the prefix, rejections,
+    #  invocation/response order]
+    stack = [[root, 0, hashlib.sha256(b"["), {}, ()]]
     while stack:
         frame = stack[-1]
-        node, i, sha, rejected = frame
+        node, i, sha, rejected, order = frame
         if i < len(node.live):
             frame[1] = i + 1
             if i == len(node.edges):
                 _expand(node, memo, pieces)
-            slot, piece, child, rejections = node.edges[i]
+            slot, piece, io, child, rejections = node.edges[i]
             sha = sha.copy()
             sha.update(piece)
             if rejections:
                 rejected = {**rejected, **rejections}
             slots.append(slot)
-            stack.append([child, 0, sha, rejected])
+            stack.append([child, 0, sha, rejected, order + io])
             continue
         if not node.live:
             sha.update(b"]")  # this frame's own copy
             yield Leaf(Schedule(tuple(slots)), sha.hexdigest()[:16], rejected,
-                       node.machines, node.world.state, node.traces)
+                       node.machines, node.world.state, node.traces, order,
+                       node.signatures)
         stack.pop()
         if stack:
             slots.pop()
@@ -602,12 +686,13 @@ def universe(w: Workload, budget: int = 20000) -> tuple[list[Schedule], bool]:
     """The first `budget` schedules of the workload in DFS order (see
     ``schedule_trie``).
 
-    Returns (schedules, truncated?): truncated once `budget` is reached.
-    Deterministic."""
-    # the DFS reaches its first leaf whatever the budget
+    Returns (schedules, truncated?): truncated when the universe holds more
+    than `budget` schedules, which the walk tells by reaching one more
+    leaf.  Deterministic."""
+    budget = max(budget, 0)
     out = [leaf.schedule
-           for leaf in itertools.islice(schedule_trie(w), max(budget, 1))]
-    return out, len(out) >= budget
+           for leaf in itertools.islice(schedule_trie(w), budget + 1)]
+    return out[:budget], len(out) > budget
 
 
 class LivelockError(RuntimeError):

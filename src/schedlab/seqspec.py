@@ -108,16 +108,17 @@ class DagState:
     root: int = 0
     tail: int | None = None
     counter: int = 0
-    # memo of canonical(), shared with the clones taken since the last
+    # memo cell of [canonical(), the store's configuration key
+    # (``scheduler``)], shared with the clones taken since the last
     # mutation; a mutation gives the mutating side a fresh cell
-    _canon: list = field(default_factory=lambda: [None], init=False,
+    _canon: list = field(default_factory=lambda: [None, None], init=False,
                          repr=False, compare=False)
 
     def alloc(self, key, val, edges: dict[str, int | None]) -> int:
         nid = self.counter
         self.counter += 1
         self.nodes[nid] = NodeRec(nid, key, val, dict(edges))
-        self._canon = [None]
+        self._canon = [None, None]
         return nid
 
     def read(self, nid: int) -> NodeRec:
@@ -126,12 +127,12 @@ class DagState:
     def write_edges(self, nid: int, patch: dict[str, int | None]) -> None:
         r = self.nodes[nid]
         self.nodes[nid] = NodeRec(nid, r.key, r.val, {**r.edges, **patch}, r.alive)
-        self._canon = [None]
+        self._canon = [None, None]
 
     def unlink(self, nid: int) -> None:
         r = self.nodes[nid]
         self.nodes[nid] = NodeRec(nid, r.key, r.val, r.edges, False)
-        self._canon = [None]
+        self._canon = [None, None]
 
     def find_alive(self, key) -> int | None:
         for n in self.nodes.values():

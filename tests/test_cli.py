@@ -10,6 +10,8 @@ from schedlab import cli
 from schedlab.cli import main, parse_scenario, scenario_path, ScenarioError
 from schedlab.scheduler import LivelockError
 
+from test_golden import thm2_scenario
+
 
 def run_cli(*argv):
     proc = subprocess.run([sys.executable, "-m", "schedlab.cli", *argv],
@@ -90,6 +92,43 @@ def test_explore_budget_exceeded_exits_4(tmp_path):
     p.write_text(json.dumps(doc))
     code, out, _ = run_cli("explore", str(p))
     assert code == 4
+
+
+def thm2_present_scenario(tmp_path, **fields):
+    """The sorted-list Thm. 2 `w_present` scenario (924 schedules)."""
+    doc = {**thm2_scenario("sorted-list", "w_present", "hoh"), **fields}
+    p = tmp_path / "thm2.json"
+    p.write_text(json.dumps(doc))
+    return p
+
+
+@pytest.mark.parametrize("budget, code", [(923, 4), (924, 0), (925, 0)])
+def test_explore_is_partial_only_below_the_universe_size(tmp_path, capsys,
+                                                         budget, code):
+    """A budget equal to the universe size classifies all of it."""
+    p = thm2_present_scenario(tmp_path)
+    assert main(["--json", "--budget", str(budget), "explore", str(p)]) == code
+    assert json.loads(capsys.readouterr().out)["total"] == min(budget, 924)
+    p = thm2_present_scenario(tmp_path, budget=budget)
+    assert main(["--json", "explore", str(p)]) == code
+
+
+@pytest.mark.parametrize("budget", ["abc", 0, -5, True, 1.5, None])
+def test_explore_rejects_a_bad_scenario_budget(tmp_path, capsys, budget):
+    p = thm2_present_scenario(tmp_path, budget=budget)
+    assert main(["explore", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: budget must be a positive integer: {budget!r}\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_explore_rejects_a_bad_budget_flag(tmp_path, capsys, budget):
+    p = thm2_present_scenario(tmp_path)
+    assert main(["--budget", budget, "explore", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"error: --budget must be a positive integer: {budget}\n"
 
 
 def test_reports_byte_identical(tmp_path):

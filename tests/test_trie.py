@@ -9,7 +9,10 @@ the digest and the LSL signature that are rebuilt from the leaf's schedule.
 The walk over the DAG of configurations must match the per-prefix walk
 (`oracles.prefix_walk`) leaf by leaf while stepping far fewer
 configurations, and its configuration key must hold every field a step
-reads.  Forks share records and operations copy-on-write.
+reads.  The key each edge builds from its parent's must equal the key
+computed from scratch, and a leaf signature is built once per end
+configuration and invocation/response order.  Forks share records and
+operations copy-on-write.
 """
 
 import dataclasses
@@ -19,7 +22,7 @@ from collections import deque
 
 import pytest
 
-from schedlab import metric, scheduler
+from schedlab import metric, scheduler, sync
 from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
@@ -29,7 +32,8 @@ from schedlab.model import (ABORTED, COMPLETE, History, OperationInstance,
 from schedlab.scheduler import (Workload, _fork, build_world, drive,
                                 schedule_trie, universe)
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
-from schedlab.sync import BLOCKED, restart
+from schedlab.sync import (BLOCKED, HohMachine, StmMachine, UnsyncMachine,
+                           restart)
 
 from oracles import leaf_signature, prefix_walk
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
@@ -74,7 +78,9 @@ def reference_verdicts(w, s):
 
 
 def assert_pass_matches_reference(w, budget, extras=()):
-    schedules = reference_universe(w, budget)
+    schedules = reference_universe(w, budget + 1)
+    partial = len(schedules) > budget  # a schedule beyond the budget exists
+    schedules = schedules[:budget]
     leaves = list(itertools.islice(schedule_trie(w, IMPLS), budget))
     assert [leaf.schedule for leaf in leaves] == schedules
     for leaf in leaves:
@@ -98,7 +104,7 @@ def assert_pass_matches_reference(w, budget, extras=()):
     total = len(schedules) + len(new_extras)
     for ss in sets.values():
         assert ss.total == total
-        assert ss.partial == (len(schedules) >= budget)
+        assert ss.partial == partial
     return sets
 
 
@@ -508,3 +514,105 @@ def test_configuration_key_holds_every_part():
     ]
     for i, v in enumerate(variants):
         assert scheduler._config_key(*v) != key, i
+
+
+# -- incremental keys and the signature memo -----------------------------------
+
+
+def key_check_walks():
+    """(workload, budget) for the walks the incremental key is checked on:
+    every third of the 1- and 2-op sweep workloads (all four setups, every
+    operation kind), the six Thm. 2 instances and Thm. 3 under a budget."""
+    small = [w for w in sweep_workloads() if len(w.concurrent) <= 2]
+    for w in small[::3]:
+        yield w, 150
+    for structure in ("sorted-list", "bst", "skiplist"):
+        b = thm2_bundle(make_structure(structure))
+        yield b.w_present, 20000
+        yield b.w_absent, 20000
+    yield thm3_bundle(make_structure("sorted-list")).workload, 2000
+
+
+def test_incremental_key_equals_key_from_scratch(monkeypatch):
+    """At every DAG edge of every walk, under every implementation, the key
+    built from the parent's by re-keying what the step changed is the key
+    ``_config_key`` computes from scratch."""
+    step_key = scheduler._step_key
+    edges = []
+
+    def checked(parent, proc, world, machines, runs, traces):
+        key = step_key(parent, proc, world, machines, runs, traces)
+        assert key == scheduler._config_key(world, machines, runs, traces)
+        edges.append(len(runs))
+        return key
+
+    monkeypatch.setattr(scheduler, "_step_key", checked)
+    for w, budget in key_check_walks():
+        assert sum(1 for _ in itertools.islice(schedule_trie(w, sync.IMPLS),
+                                               budget)) > 0
+    assert len(edges) > 5000 and max(edges) == len(sync.IMPLS)
+
+
+def test_a_step_keys_one_machine_per_world(monkeypatch):
+    """Per expanded edge, at most one machine key is built for the
+    unsynchronized world and one for each implementation's."""
+    built = []
+    machine_key = scheduler._machine_key
+
+    def counting(m):
+        built.append(m)
+        return machine_key(m)
+
+    monkeypatch.setattr(scheduler, "_machine_key", counting)
+    for cls in (UnsyncMachine, HohMachine, StmMachine):
+        monkeypatch.setitem(scheduler._KEY_OF, cls, counting)
+    expand = scheduler._expand
+    per_edge = []
+
+    def expanding(node, memo, pieces):
+        worlds = 1 + len(node.runs)
+        del built[:]
+        expand(node, memo, pieces)
+        per_edge.append((len(built), worlds))
+
+    monkeypatch.setattr(scheduler, "_expand", expanding)
+    for w, budget in key_check_walks():
+        for _ in itertools.islice(schedule_trie(w, sync.IMPLS), budget):
+            pass
+    assert len(per_edge) > 1000
+    assert all(n <= worlds for n, worlds in per_edge)
+
+
+@pytest.mark.parametrize("instance", ("w_present", "w_absent"))
+@pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
+def test_signature_built_once_per_configuration_and_order(monkeypatch, structure,
+                                                          instance):
+    """A leaf's signature is built once per end configuration and
+    invocation/response order, not once per leaf."""
+    w = getattr(thm2_bundle(make_structure(structure)), instance)
+    body = scheduler.Leaf._signature
+    built = []
+
+    def counting(leaf):
+        built.append((id(leaf.signatures), leaf.order))
+        return body(leaf)
+
+    monkeypatch.setattr(scheduler.Leaf, "_signature", counting)
+    leaves = 0
+    for leaf in schedule_trie(w, IMPLS):
+        assert leaf.signature() is leaf.signature()
+        leaves += 1
+    assert leaves in (924, 3264, 3432)
+    assert len(built) == len(set(built))
+    assert len(built) < leaves // 10
+
+
+@pytest.mark.parametrize("budget", (923, 924))
+def test_budget_equal_to_the_universe_is_not_partial(budget):
+    """The universe of sorted-list `w_present` holds 924 schedules: a
+    budget of 924 classifies them all, one less cuts it."""
+    w = thm2_bundle(make_structure("sorted-list")).w_present
+    scheds, truncated = universe(w, budget)
+    assert len(scheds) == budget and truncated == (budget < 924)
+    for ss in classify(w, IMPLS, lsl=True, budget=budget).values():
+        assert ss.total == budget and ss.partial == (budget < 924)

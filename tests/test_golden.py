@@ -1,11 +1,16 @@
 """`schedlab --json explore` against committed report bytes and exit codes.
 
 The cases are the six Thm. 2 instances (every structure, `w_present` and
-`w_absent`) under `hoh` and `stm`, and every bundled
-`scenarios/explore_*.json`.  The reports in `tests/golden/explore/` were
-written by the per-prefix trie walk that `tests/oracles.py` keeps as the
-reference; whatever walk the library uses must reproduce them byte for
-byte.
+`w_absent`) under `hoh` and `stm`, every bundled `scenarios/explore_*.json`,
+and `--budget B` runs that cut two universes: sorted-list `w_absent` (3264
+schedules) and bst `w_absent` (924) under `hoh` and `stm`, for B = 1, 100,
+size - 1 and size.  These pin a budgeted report's `total`, its `partial`
+exit code 4 and its witnesses: the smallest digests within the first B
+schedules in trie order.  The full-universe reports in
+`tests/golden/explore/` were written by the per-prefix trie walk that
+`tests/oracles.py` keeps as the reference, the budgeted ones by the walk
+that enumerated every leaf; whatever walk the library uses must reproduce
+them byte for byte.
 
 Regenerate them (only when a report is meant to change) with
 
@@ -47,20 +52,31 @@ def bundled_scenarios() -> dict[str, Path]:
 
 THM2 = {f"thm2_{s}_{i}_{impl}": (s, i, impl) for s in STRUCTURES
         for i in ("w_present", "w_absent") for impl in ("hoh", "stm")}
-CASES = list(THM2) + list(bundled_scenarios())
+# (structure, universe size) of the budgeted cases; each cuts `w_absent`
+BUDGETED_UNIVERSES = (("sorted-list", 3264), ("bst", 924))
+BUDGETED = {f"thm2_{s}_w_absent_{impl}_budget{b}": (s, impl, b)
+            for s, size in BUDGETED_UNIVERSES for impl in ("hoh", "stm")
+            for b in (1, 100, size - 1, size)}
+CASES = list(THM2) + list(bundled_scenarios()) + list(BUDGETED)
 
 
 def scenario_file(name: str, tmp: Path) -> Path:
-    if name not in THM2:
+    if name in BUDGETED:
+        struct, impl, _ = BUDGETED[name]
+        doc = thm2_scenario(struct, "w_absent", impl)
+    elif name in THM2:
+        doc = thm2_scenario(*THM2[name])
+    else:
         return bundled_scenarios()[name]
     path = tmp / f"{name}.scenario.json"
-    path.write_text(json.dumps(thm2_scenario(*THM2[name])))
+    path.write_text(json.dumps(doc))
     return path
 
 
 def explore(name: str, tmp: Path) -> tuple[int, bytes]:
     out = tmp / f"{name}.out.json"
-    rc = cli.main(["--json", "--out", str(out), "explore",
+    budget = ["--budget", str(BUDGETED[name][2])] if name in BUDGETED else []
+    rc = cli.main(["--json", "--out", str(out), *budget, "explore",
                    str(scenario_file(name, tmp))])
     return rc, out.read_bytes()
 

@@ -29,11 +29,20 @@ from .scheduler import (DriveResult, LivelockError, MalformedScheduleError,
                         Workload, drive, free_run)
 from .seqspec import STRUCTURES, Operation, make_structure
 
-DEFAULT_BUDGET = int(os.environ.get("SCHEDLAB_BUDGET", "20000"))
+DEFAULT_BUDGET = 20000
 
 
 class ScenarioError(ValueError):
     pass
+
+
+class UsageError(ValueError):
+    """A command line argparse rejects: exit 1, like any input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        raise UsageError(message)
 
 
 def _require(cond, msg):
@@ -91,10 +100,26 @@ def parse_scenario(doc: dict) -> dict:
             schedule = Schedule.from_json(sched)
         except (KeyError, ValueError) as e:
             raise ScenarioError(f"bad schedule slot: {e}")
-    budget = doc.get("budget", DEFAULT_BUDGET)
-    _require(_is_budget(budget), f"budget must be a positive integer: {budget!r}")
+    budget = doc.get("budget")  # None: the default, resolved by explore
+    _require("budget" not in doc or _is_budget(budget),
+             f"budget must be a positive integer: {budget!r}")
     return {"workload": w, "impl": impl, "mode": mode, "schedule": schedule,
             "seed": doc.get("seed", 0), "budget": budget}
+
+
+def default_budget() -> int:
+    """``SCHEDLAB_BUDGET`` when it is set, read at each use, else
+    ``DEFAULT_BUDGET``."""
+    text = os.environ.get("SCHEDLAB_BUDGET")
+    if text is None:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = None
+    _require(_is_budget(budget),
+             f"SCHEDLAB_BUDGET must be a positive integer: {text!r}")
+    return budget
 
 
 def figure_name(elem: str) -> str:
@@ -282,10 +307,10 @@ def cmd_explore(args) -> int:
         with open(args.scenario) as f:
             doc = json.load(f)
         sc = parse_scenario(doc)
+        budget = args.budget or sc["budget"] or default_budget()
     except (OSError, json.JSONDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    budget = sc["budget"] if args.budget is None else args.budget
     w, impl = sc["workload"], sc["impl"]
     gap = optimality_gap(impl, w, budget)
     report = {
@@ -316,8 +341,8 @@ def scenario_path(name: str) -> str:
 
 
 def main(argv=None) -> int:
-    p = argparse.ArgumentParser(prog="schedlab", description=__doc__,
-                                formatter_class=argparse.RawDescriptionHelpFormatter)
+    p = _Parser(prog="schedlab", description=__doc__,
+                formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--out", metavar="PATH", help="write the report to a file")
     p.add_argument("--seed", type=int, default=0, help="free-run scheduler seed")
@@ -330,7 +355,11 @@ def main(argv=None) -> int:
     rep.add_argument("figure", choices=("fig2", "fig3", "thm2", "thm3"))
     exp = sub.add_parser("explore", help="enumerate and classify schedules")
     exp.add_argument("scenario")
-    args = p.parse_args(argv)
+    try:
+        args = p.parse_args(argv)
+    except UsageError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
     try:
         if args.command == "run":
             return cmd_run(args)

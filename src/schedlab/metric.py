@@ -12,10 +12,12 @@ consistent exporting history.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from .model import History, Schedule
-from .scheduler import (Workload, audited_history, drive, schedule_trie,
+from .scheduler import (Tally, Workload, audited_history, drive, walk,
                         workload_keys)
 from .checkers import check_ls_linearizable
 
@@ -41,61 +43,83 @@ class ComparisonVerdict:
     right_only: list[Schedule] = field(default_factory=list)
 
 
-def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
-             budget: int = 20000,
-             extras: list[Schedule] = ()) -> dict[str, ScheduleSet]:
-    """The accepted set of every implementation in `impls` and, with
-    `lsl`, the LSL set (under the name "lsl"), from one pass over the first
-    `budget` schedules of the universe; the sets are partial when the
-    universe holds more than `budget`.  Supplied `extras` (for workloads
-    whose full universe is infeasible) that the pass did not visit are
-    classified by the reference path, ``drive`` and ``audited_history``.
+def _leaves(w: Workload, impls: tuple[str, ...], lsl: bool, budget: int,
+            extras: list[Schedule], wanted, tally: Tally):
+    """The counted walk over the first `budget` schedules (``walk``), then
+    the supplied `extras` it did not count, classified by the reference
+    path, ``drive`` and ``audited_history``.  Fills `tally` and yields each
+    leaf, or extra, whose category satisfies `wanted`; an extra is yielded
+    as a ``Leaf``-like (schedule, digest, category).
 
-    The pass audits a leaf and checks it only for a leaf signature it has
+    The walk audits a leaf and checks it only for a leaf signature it has
     not met before (see ``Leaf.signature``); the memo lives for this call,
     within which the workload and keys are fixed."""
     keys = workload_keys(w)
-    members: dict[str, dict[str, Schedule]] = {n: {} for n in (*impls, "lsl")}
-    inconclusive: set[str] = set()
-    seen: set[str] = set()
     verdicts: dict[tuple, bool | None] = {}
 
     def check(h: History) -> bool | None:
         return check_ls_linearizable(h, w.structure, keys).verdict
 
-    def record(s: Schedule, d: str, accepted, verdict: bool | None):
-        seen.add(d)
-        for impl in accepted:
+    def verdict(leaf) -> bool | None:
+        sig = leaf.signature()
+        if sig not in verdicts:
+            verdicts[sig] = check(leaf.audited(w))
+        return verdicts[sig]
+
+    yield from walk(w, impls, budget, verdict if lsl else None, wanted, tally)
+    done = set()
+    for s in extras:
+        d = s.digest()
+        if d in done or tally.counted(s):
+            continue
+        done.add(d)
+        cat = (tuple(i for i in impls if drive(i, w, s).accepted),
+               check(audited_history(w, s)) if lsl else None)
+        tally.add(cat)
+        if wanted(cat):
+            yield Extra(s, d, cat)
+
+
+@dataclass
+class Extra:
+    schedule: Schedule
+    digest: str
+    category: tuple
+
+
+def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
+             budget: int = 20000,
+             extras: list[Schedule] = ()) -> dict[str, ScheduleSet]:
+    """The accepted set of every implementation in `impls` and, with
+    `lsl`, the LSL set (under the name "lsl"), from one counted walk over
+    the first `budget` schedules of the universe; the sets are partial when
+    the universe holds more than `budget`.  Supplied `extras` (for
+    workloads whose full universe is infeasible) that the walk did not
+    count are classified by the reference path, ``drive`` and
+    ``audited_history``.  Only the members of some set (and, with `lsl`,
+    the inconclusive schedules) are enumerated and hashed."""
+    members: dict[str, dict[str, Schedule]] = {n: {} for n in (*impls, "lsl")}
+    inconclusive: set[str] = set()
+
+    def wanted(cat) -> bool:
+        return bool(cat[0]) or (lsl and cat[1] is not False)
+
+    tally = Tally()
+    for leaf in _leaves(w, impls, lsl, budget, extras, wanted, tally):
+        accepting, verdict = leaf.category
+        d, s = leaf.digest, leaf.schedule
+        for impl in accepting:
             members[impl][d] = s
         if verdict is True:
             members["lsl"][d] = s
         elif verdict is None and lsl:
             inconclusive.add(d)
-
-    truncated = False
-    for leaf in schedule_trie(w, impls):
-        if len(seen) >= budget:  # a schedule beyond the budget exists
-            truncated = True
-            break
-        verdict = None
-        if lsl:
-            sig = leaf.signature()
-            if sig not in verdicts:
-                verdicts[sig] = check(leaf.audited(w))
-            verdict = verdicts[sig]
-        record(leaf.schedule, leaf.digest,
-               [i for i in impls if i not in leaf.rejected], verdict)
-    for s in extras:
-        d = s.digest()
-        if d not in seen:
-            record(s, d, [i for i in impls if drive(i, w, s).accepted],
-                   check(audited_history(w, s)) if lsl else None)
-    fp = w.fingerprint()
+    fp, total = w.fingerprint(), tally.total
     out = {impl: ScheduleSet(impl, fp, frozenset(members[impl]), members[impl],
-                             len(seen), truncated) for impl in impls}
+                             total, tally.partial) for impl in impls}
     if lsl:
         out["lsl"] = ScheduleSet("lsl", fp, frozenset(members["lsl"]), members["lsl"],
-                                 len(seen), truncated, frozenset(inconclusive))
+                                 total, tally.partial, frozenset(inconclusive))
     return out
 
 
@@ -152,15 +176,23 @@ class OptimalityGap:
 def optimality_gap(impl: str, w: Workload, budget: int = 20000,
                    max_witnesses: int = 3,
                    extras: list[Schedule] = ()) -> OptimalityGap:
-    sets = classify(w, (impl,), lsl=True, budget=budget, extras=extras)
-    acc, oracle = sets[impl], sets["lsl"]
-    usable = oracle.digests  # inconclusive schedules are excluded, ratio is a lower bound
-    inter = acc.digests & usable
-    missing = sorted(usable - acc.digests)
-    ratio = (len(inter) / len(usable)) if usable else 1.0
-    return OptimalityGap(impl, len(acc.digests), len(usable), ratio,
-                         [oracle.representatives[d] for d in missing[:max_witnesses]],
-                         len(oracle.inconclusive), acc.total, acc.partial)
+    """Counts from one counted walk; only the LSL schedules the
+    implementation misses are enumerated, and the `max_witnesses` with the
+    smallest digests are kept (inconclusive schedules are excluded, so the
+    ratio is a lower bound)."""
+    tally = Tally()
+    leaves = _leaves(w, (impl,), True, budget, extras,
+                     lambda cat: cat[1] is True and not cat[0], tally)
+    missing = heapq.nsmallest(max_witnesses, leaves, key=attrgetter("digest"))
+    for _ in leaves:  # what nsmallest left unread (max_witnesses 0)
+        pass
+    accepted = tally.count(lambda cat: cat[0])
+    usable = tally.count(lambda cat: cat[1] is True)
+    inter = tally.count(lambda cat: cat[0] and cat[1] is True)
+    return OptimalityGap(impl, accepted, usable, inter / usable if usable else 1.0,
+                         [m.schedule for m in missing],
+                         tally.count(lambda cat: cat[1] is None), tally.total,
+                         tally.partial)
 
 
 @dataclass

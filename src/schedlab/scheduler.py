@@ -335,7 +335,8 @@ def _key(x) -> object:
 def _fields_key(x, skip: tuple[str, ...] = ()) -> tuple:
     """Every attribute of `x` but `skip`, by name: one the key does not
     know of is in it all the same."""
-    return tuple([(n, _key(v)) for n, v in x.__dict__.items() if n not in skip])
+    return tuple([(n, v if v is None or type(v) in _SCALARS else _key(v))
+                  for n, v in x.__dict__.items() if n not in skip])
 
 
 def _cached_key(x) -> tuple:
@@ -377,6 +378,8 @@ def _locks_key(lm: LockManager) -> tuple:
     dropped: ``LockManager`` reads them only by node, with an empty default
     (``clone`` drops empty ones too)."""
     d = _exact_fields(lm, _LOCK_FIELDS)
+    if not (d["shared"] or d["exclusive"] or d["queues"]):
+        return (), (), ()  # no lock taken yet, or a world that takes none
     return (tuple(sorted((n, tuple(sorted(s))) for n, s in d["shared"].items() if s)),
             tuple(sorted(d["exclusive"].items())),
             tuple(sorted((n, tuple(q)) for n, q in d["queues"].items() if q)))
@@ -395,8 +398,59 @@ def _machine_key(m: StepMachine) -> tuple:
     return type(m), _fields_key(m, ("def_",))
 
 
+def _grown_key(before: tuple, items) -> tuple:
+    """The key of an append-only dict or list that held `before`'s
+    entries: `before` plus the entries added since."""
+    return before + tuple([_key(x) for x in
+                           itertools.islice(items, len(before), None)])
+
+
+def _restep_machine(before: tuple, m: StepMachine, op_key: tuple) -> tuple:
+    """``_machine_key(m)`` after a progressing step of `m`, from its key
+    before the step.  The operation's key is `op_key`, which ``ops``
+    holds too.  G_op and ``stm``'s read set only grow, so their keys are
+    extended by the entries the step added (a read adds one record and
+    one version; ``Gop.visit`` raises on a node it already holds, and
+    ``setdefault`` never changes an entry).  ``stm``'s write set changes
+    only in a write step, the step that moves ``write_idx``; it is keyed
+    again then.  Every other field is keyed again: scalars, the cached
+    plan, ``hoh``'s held locks.  A field added or dropped since `before`
+    keys the machine whole."""
+    typ, old = before
+    if type(m) is not typ:
+        return _machine_key(m)
+    wrote = True  # until `write_idx` says otherwise
+    fields = []
+    olds = iter(old)
+    for n, v in m.__dict__.items():
+        if n == "def_":
+            continue
+        was, k = next(olds, (None, None))
+        if was != n:
+            return _machine_key(m)
+        if v is None or type(v) in _SCALARS:
+            if n == "write_idx":
+                wrote = v != k
+            k = v
+        elif n == "op":
+            k = op_key
+        elif n == "gop" and type(v) is Gop:
+            (_, recs), (_, order) = k
+            if len(v.order) > len(order):
+                k = (("recs", _grown_key(recs, v.recs.items())),
+                     ("order", _grown_key(order, v.order)))
+        elif n == "read_set" and type(v) is dict:
+            k = _grown_key(k, v.items())
+        elif n != "write_set" or wrote:
+            k = _key(v)
+        fields.append((n, k))
+    if next(olds, None) is not None:
+        return _machine_key(m)
+    return typ, tuple(fields)
+
+
 def _seq_key(x) -> tuple:
-    return tuple([_key(v) for v in x])
+    return tuple([v if v is None or type(v) in _SCALARS else _key(v) for v in x])
 
 
 _SCALARS = frozenset((bool, int, float, str))
@@ -477,7 +531,7 @@ def _restep(world_key: tuple, machines_key: tuple, world: World,
     other operations and machines keep their keys (the module docstring)."""
     m = machines[proc]
     op, op_key = m.op.id, _op_key(m.op)
-    m_key = _machine_key(m)
+    m_key = _restep_machine(dict(machines_key)[proc], m, op_key)
     return ((("state", _store_key(world.state)),
              ("locks", _locks_key(world.locks)),
              ("versions", _versions_key(world.versions)),
@@ -502,16 +556,17 @@ def _step_key(parent: tuple, proc: int, world: World,
             _traces_key(traces))
 
 
-@dataclass
+@dataclass(slots=True)
 class Leaf:
-    """One schedule of the universe with its verdicts from the pass.
+    """One schedule of the universe with its verdicts from the walk.
 
     `machines`, `state`, `traces` and `signatures` are the walk's
     configuration at the end of the schedule, which every schedule that
-    ends in it shares: read them, change nothing."""
+    ends in it shares: read them, change nothing.  The schedule and its
+    digest are built on first use."""
 
-    schedule: Schedule
-    digest: str  # schedule.digest(), carried along the walk
+    slots: tuple[Slot, ...]
+    pieces: tuple[bytes, ...]  # the slots' digest JSON, comma-led but the first
     # implementation -> (reason, failing slot); accepting ones are absent
     rejected: dict[str, tuple[str, int]]
     machines: dict[int, StepMachine]  # the unsynchronized ones, by process
@@ -520,6 +575,25 @@ class Leaf:
     order: tuple  # (operation id, OI or OR) per invocation and response
     # invocation/response order -> the signature of a leaf that ends here
     signatures: dict[tuple, tuple]
+    # (the implementations accepting, the LSL verdict or None), set by the walk
+    category: tuple | None = None
+    _schedule: Schedule | None = field(default=None, init=False, repr=False)
+    _digest: str | None = field(default=None, init=False, repr=False)
+
+    @property
+    def schedule(self) -> Schedule:
+        if self._schedule is None:
+            self._schedule = Schedule(self.slots)
+        return self._schedule
+
+    @property
+    def digest(self) -> str:
+        """``schedule.digest()``, hashed from the pieces the walk's edges
+        hold."""
+        if self._digest is None:
+            self._digest = hashlib.sha256(
+                b"[" + b"".join(self.pieces) + b"]").hexdigest()[:16]
+        return self._digest
 
     def audited(self, w: Workload) -> History:
         """The schedule's legal replay plus the audit finds
@@ -559,11 +633,12 @@ class _Config:
     per live process in process order, are (slot, digest piece, order
     piece, child, rejections) and are stepped the first time the walk takes
     them; after the last one the configuration's worlds belong to its
-    children, except at a leaf, which keeps them and a memo of its
-    signatures."""
+    children, except at a leaf, which keeps them, the implementations
+    still accepting there and a memo of its signatures.  `counts` maps an
+    invocation/response order to the category counts below (``walk``)."""
 
     __slots__ = ("depth", "key", "live", "world", "machines", "runs", "traces",
-                 "edges", "signatures")
+                 "edges", "signatures", "accepting", "counts")
 
     def __init__(self, depth: int, key: tuple, world: World,
                  machines: dict[int, StepMachine], runs: dict,
@@ -573,11 +648,14 @@ class _Config:
         self.world, self.machines, self.traces = world, machines, traces
         self.runs = runs
         self.edges: list[tuple] = []
+        self.counts: dict[tuple, tuple] = {}
         self.signatures = None if self.live else {}
+        self.accepting = None
         if not self.live:
             for _, im in runs.values():
                 if not all(m.finished for m in im.values()):
                     raise MalformedScheduleError("schedule leaves operations incomplete")
+            self.accepting = tuple(runs)
             self.runs = None
 
 
@@ -634,10 +712,148 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
         node.world = node.machines = node.runs = node.traces = None
 
 
+class Tally:
+    """What one ``walk`` counted: leaves per category within its budget,
+    and whether the universe holds more (`partial`)."""
+
+    def __init__(self):
+        self.counts: dict[tuple, int] = {}  # (accepting impls, verdict) -> leaves
+        self.partial = False
+        self._root: _Config | None = None
+        self._by_order = False
+
+    @property
+    def total(self) -> int:
+        return sum(self.counts.values())
+
+    def count(self, pred) -> int:
+        """The leaves whose category satisfies `pred`."""
+        return sum(n for cat, n in self.counts.items() if pred(cat))
+
+    def add(self, category: tuple) -> None:
+        self.counts[category] = self.counts.get(category, 0) + 1
+
+    def counted(self, schedule: Schedule) -> bool:
+        """Whether the walk counted this schedule: it is a leaf of the
+        universe, and fewer than `total` leaves precede it in trie order.
+        Its rank is the sum of the subtree counts of the edges left of its
+        path, each known once the walk has finished that subtree."""
+        node, order, before = self._root, (), 0
+        for slot in schedule.slots:
+            for s, _, io, child, _ in node.edges:
+                if s == slot:
+                    break
+                c = child.counts.get(order + io if self._by_order else ())
+                if c is None:  # not finished: the walk stopped before `schedule`
+                    return False
+                before += c[1]
+            else:
+                return False  # an edge the walk never took, or no edge at all
+            node, order = child, order + io
+        return not node.live and before < self.total
+
+
+def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
+         wanted, tally: Tally) -> Iterator[Leaf]:
+    """The counted descent over the first `budget` leaves (all of them for
+    None) in trie order.  It fills `tally` with their category counts and
+    yields, in trie order, each of them whose category satisfies `wanted`
+    (every one for None).  A category is (the implementations of `impls`
+    still accepting, ``verdict(leaf)`` or None without `verdict`); it is a
+    function of the (configuration, invocation/response order) node the
+    leaf ends in, and so are the counts below any node (the module
+    docstring).  The order is left out of a node when there is no verdict.
+
+    A node whose counts are known and fit in what is left of the budget is
+    taken whole when no leaf below it is wanted; any other node is
+    descended, and its counts are known once all its edges are.  A node's
+    counts are thus summed once, and the walk expands only configurations
+    on the paths to the first `budget` leaves: the (budget+1)-th leaf,
+    which shows the universe is `partial`, is never reached."""
+    world, machines, _ = build_world("unsync", w)
+    runs = {impl: build_world(impl, w)[:2] for impl in impls}
+    key = _config_key(world, machines, runs, {})
+    root = _Config(0, key, world, machines, runs, {})
+    memo = {key: root}
+    tally._root, tally._by_order = root, verdict is not None
+    by_order = verdict is not None
+    counts = tally.counts
+    pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
+    slots: list[Slot] = []  # the prefix's slots and digest pieces
+    texts: list[bytes] = []
+    left = budget  # leaves the budget still takes; None: no budget
+    stack = []  # [configuration, order, rejections, counts key, next edge]
+    entering = (root, (), {})
+    if left == 0:  # every universe holds a schedule
+        tally.partial = True
+        return
+    while True:
+        if entering is not None:
+            node, order, rejected = entering
+            entering = None
+            okey = order if by_order else ()
+            known = node.counts.get(okey)
+            if known is not None and not known[2] and (left is None or known[1] <= left):
+                for cat, n in known[0].items():
+                    counts[cat] = counts.get(cat, 0) + n
+                if left is not None:
+                    left -= known[1]
+            elif not node.live:
+                leaf = None
+                if known is None:
+                    v = None
+                    if verdict is not None:
+                        leaf = Leaf(tuple(slots), tuple(texts), rejected, node.machines,
+                                    node.world.state, node.traces, order, node.signatures)
+                        v = verdict(leaf)
+                    cat = (node.accepting, v)
+                    known = node.counts[okey] = ({cat: 1}, 1, wanted is None or wanted(cat))
+                else:
+                    cat, = known[0]
+                counts[cat] = counts.get(cat, 0) + 1
+                if left is not None:
+                    left -= 1
+                if known[2]:
+                    if leaf is None:
+                        leaf = Leaf(tuple(slots), tuple(texts), rejected, node.machines,
+                                    node.world.state, node.traces, order, node.signatures)
+                    leaf.category = cat
+                    yield leaf
+            else:
+                stack.append([node, order, rejected, okey, 0])
+        if not stack:
+            return
+        frame = stack[-1]
+        node, order, rejected, okey, i = frame
+        if i < len(node.live):
+            if left == 0:  # a leaf beyond the budget lies below this edge
+                tally.partial = True
+                return
+            frame[4] = i + 1
+            if i == len(node.edges):
+                _expand(node, memo, pieces)
+            slot, piece, io, child, rejections = node.edges[i]
+            del slots[node.depth:], texts[node.depth:]
+            slots.append(slot)
+            texts.append(piece)
+            entering = (child, order + io,
+                        {**rejected, **rejections} if rejections else rejected)
+            continue
+        stack.pop()
+        if okey not in node.counts:
+            acc: dict[tuple, int] = {}
+            for _, _, io, child, _ in node.edges:
+                for cat, n in child.counts[order + io if by_order else ()][0].items():
+                    acc[cat] = acc.get(cat, 0) + n
+            node.counts[okey] = (acc, sum(acc.values()),
+                                 wanted is None or any(wanted(c) for c in acc))
+
+
 def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
     """Every schedule of the workload, classified under each of `impls`,
     in the DFS order of the trie of the unsynchronized machines'
-    next-step choices, in process order.  Deterministic.
+    next-step choices, in process order.  Deterministic: the walk with no
+    budget, no verdict and every leaf wanted.
 
     The walk steps each distinct configuration's out-edges once (the
     module docstring), giving each implementation the step the
@@ -647,39 +863,7 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
     present at a leaf must have finished every operation there.  Each leaf
     carries its digest, its invocation/response order and its end
     configuration (see ``Leaf``)."""
-    world, machines, _ = build_world("unsync", w)
-    runs = {impl: build_world(impl, w)[:2] for impl in impls}
-    key = _config_key(world, machines, runs, {})
-    root = _Config(0, key, world, machines, runs, {})
-    memo = {key: root}
-    pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
-    slots: list[Slot] = []
-    # [configuration, next edge, hash state of the prefix, rejections,
-    #  invocation/response order]
-    stack = [[root, 0, hashlib.sha256(b"["), {}, ()]]
-    while stack:
-        frame = stack[-1]
-        node, i, sha, rejected, order = frame
-        if i < len(node.live):
-            frame[1] = i + 1
-            if i == len(node.edges):
-                _expand(node, memo, pieces)
-            slot, piece, io, child, rejections = node.edges[i]
-            sha = sha.copy()
-            sha.update(piece)
-            if rejections:
-                rejected = {**rejected, **rejections}
-            slots.append(slot)
-            stack.append([child, 0, sha, rejected, order + io])
-            continue
-        if not node.live:
-            sha.update(b"]")  # this frame's own copy
-            yield Leaf(Schedule(tuple(slots)), sha.hexdigest()[:16], rejected,
-                       node.machines, node.world.state, node.traces, order,
-                       node.signatures)
-        stack.pop()
-        if stack:
-            slots.pop()
+    return walk(w, impls, None, None, None, Tally())
 
 
 def universe(w: Workload, budget: int = 20000) -> tuple[list[Schedule], bool]:

@@ -205,8 +205,12 @@ class Gop:
     order: list[int] = field(default_factory=list)
 
     def visit(self, rec: NodeRec) -> None:
-        if rec.nid not in self.recs:
-            self.order.append(rec.nid)
+        """Add the record of a node not visited before: G_op only grows
+        (``tau`` names unvisited nodes), which the walk's incremental
+        configuration keys rely on."""
+        if rec.nid in self.recs:
+            raise InvariantError(f"G_op already holds n{rec.nid}")
+        self.order.append(rec.nid)
         self.recs[rec.nid] = rec
 
     def __contains__(self, nid: int) -> bool:
@@ -273,28 +277,6 @@ class SearchStructureDef:
 
     def plan_update(self, op: Operation, gop: Gop, state: DagState) -> UpdatePlan:
         """The insert/delete function applied to G_op; find plans no writes."""
-        raise NotImplementedError
-
-    def relevant_set(self, state: DagState, key: int) -> set[int]:
-        """V_k: the key's node plus graph neighbours, or the frontier the
-        key would be inserted at plus its in-neighbours."""
-        hit = state.find_alive(key)
-        reach = state.reachable()
-        if hit is not None:
-            out = {hit}
-            out.update(t for t in state.nodes[hit].edges.values() if t is not None)
-            out.update(n for n in reach
-                       if hit in state.nodes[n].edges.values())
-            return out
-        anchors = self._absent_anchors(state, key)
-        out = set(anchors)
-        for a in anchors:
-            out.update(n for n in reach if a in state.nodes[n].edges.values())
-        return out
-
-    def _absent_anchors(self, state: DagState, key: int) -> set[int]:
-        """Nodes holding the smallest key ordered after `key` (structure
-        order): the frontier an insert would link in front of."""
         raise NotImplementedError
 
     def audit(self, state: DagState) -> None:
@@ -380,12 +362,6 @@ class SortedList(SearchStructureDef):
             after = gop.edges(succ).get("next")
             return UpdatePlan(True, writes=[(pred, {"next": after})], unlink=[succ])
         return UpdatePlan(False)
-
-    def _absent_anchors(self, state, key):
-        reach = state.reachable()
-        cands = [n for n in reach if state.nodes[n].key > key]
-        best = min(cands, key=lambda n: state.nodes[n].key)
-        return {n for n in cands if state.nodes[n].key == state.nodes[best].key}
 
     def _audit_order(self, state):
         n = state.root
@@ -486,15 +462,6 @@ class Bst(SearchStructureDef):
         order = {nid: i for i, nid in enumerate(gop.order)}
         writes.sort(key=lambda wr: order[wr[0]])
         return UpdatePlan(True, writes=writes, unlink=[d])
-
-    def _absent_anchors(self, state, key):
-        pos = state.root
-        while True:
-            rec = state.nodes[pos]
-            t = rec.edges.get(self._dir(rec.key, key))
-            if t is None:
-                return {pos}
-            pos = t
 
     def _audit_order(self, state):
         def check(n, lo, hi):
@@ -605,12 +572,6 @@ class SkipList(SearchStructureDef):
         writes = sorted(patches.items(), key=lambda wr: order[wr[0]])
         return UpdatePlan(True, writes=writes, unlink=[hit])
 
-    def _absent_anchors(self, state, key):
-        reach = state.reachable()
-        cands = [n for n in reach if state.nodes[n].key > key]
-        best = min(state.nodes[n].key for n in cands)
-        return {n for n in cands if state.nodes[n].key == best}
-
     def _audit_order(self, state):
         for lvl in range(self.max_level, 0, -1):
             n = state.root
@@ -630,28 +591,6 @@ def make_structure(name: str, max_level: int = 3, seed: int = 0) -> SearchStruct
     if name == "skiplist":
         return SkipList(max_level=max_level, seed=seed)
     raise ValueError(f"unknown structure {name!r}")
-
-
-# -- relevant graph -----------------------------------------------------------
-
-
-def relevant_graph(state: DagState, def_: SearchStructureDef, key: int):
-    """R_k: the union of all root paths to the k-relevant nodes, returned
-    as (nodes, edges)."""
-    targets = def_.relevant_set(state, key)
-    nodes: set[int] = set()
-    edges: set[tuple[int, str, int]] = set()
-
-    def walk(n, path, path_edges):
-        if n in targets:
-            nodes.update(path + [n])
-            edges.update(path_edges)
-        for lab, t in sorted(state.nodes[n].edges.items()):
-            if t is not None and t not in path:
-                walk(t, path + [n], path_edges + [(n, lab, t)])
-
-    walk(state.root, [], [])
-    return nodes, edges
 
 
 def shortest_path_len(state: DagState, target: int) -> int | None:

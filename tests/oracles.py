@@ -7,8 +7,8 @@ as a BFS cut at a depth, an operation's solo step list, the schedule walk
 that steps every prefix (not every configuration) once, the per-leaf LSL
 signature rebuilt from a replay's events, and the checkers that scan
 every event once per operation with no cache.  A few small helpers only
-tests call (`alive_keys`, `release_holder`) live here too.  The tests
-compare the library against them.
+tests call (`alive_keys`, `release_holder`, and a key's relevant set and
+graph) live here too.  The tests compare the library against them.
 """
 
 from __future__ import annotations
@@ -227,6 +227,63 @@ def compile_program(def_: SearchStructureDef, op: Operation) -> StepProgram:
     if op.name not in ("insert", "delete", "find"):
         raise ValueError(f"unknown operation {op.name!r}")
     return StepProgram(def_, op)
+
+
+# -- relevant sets and graphs ----------------------------------------------------
+
+
+def absent_anchors(def_: SearchStructureDef, state: DagState, key: int) -> set[int]:
+    """The frontier an insert of the absent `key` would link in front of:
+    the nodes holding the smallest key ordered after it (sorted list,
+    skiplist), or the node whose empty child the key would hang from
+    (BST)."""
+    if def_.name == "bst":
+        pos = state.root
+        while True:
+            rec = state.nodes[pos]
+            t = rec.edges.get(def_._dir(rec.key, key))
+            if t is None:
+                return {pos}
+            pos = t
+    cands = [n for n in state.reachable() if state.nodes[n].key > key]
+    best = min(state.nodes[n].key for n in cands)
+    return {n for n in cands if state.nodes[n].key == best}
+
+
+def relevant_set(def_: SearchStructureDef, state: DagState, key: int) -> set[int]:
+    """V_k: the key's node plus graph neighbours, or the frontier the
+    key would be inserted at plus its in-neighbours."""
+    hit = state.find_alive(key)
+    reach = state.reachable()
+    if hit is not None:
+        out = {hit}
+        out.update(t for t in state.nodes[hit].edges.values() if t is not None)
+        out.update(n for n in reach if hit in state.nodes[n].edges.values())
+        return out
+    anchors = absent_anchors(def_, state, key)
+    out = set(anchors)
+    for a in anchors:
+        out.update(n for n in reach if a in state.nodes[n].edges.values())
+    return out
+
+
+def relevant_graph(state: DagState, def_: SearchStructureDef, key: int):
+    """R_k: the union of all root paths to the k-relevant nodes, returned
+    as (nodes, edges)."""
+    targets = relevant_set(def_, state, key)
+    nodes: set[int] = set()
+    edges: set[tuple[int, str, int]] = set()
+
+    def walk(n, path, path_edges):
+        if n in targets:
+            nodes.update(path + [n])
+            edges.update(path_edges)
+        for lab, t in sorted(state.nodes[n].edges.items()):
+            if t is not None and t not in path:
+                walk(t, path + [n], path_edges + [(n, lab, t)])
+
+    walk(state.root, [], [])
+    return nodes, edges
 
 
 # -- the per-prefix schedule walk and the LSL memo key --------------------------

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, report determinism, scenario validation."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -171,3 +172,37 @@ def test_free_run_that_does_not_complete_exits_2(tmp_path, monkeypatch, capsys):
     assert code == 2
     assert out == ""
     assert err == "error: free run did not complete: restart budget 100 exhausted\n"
+
+
+@pytest.mark.parametrize("argv", [["--budget", "abc", "explore", "x.json"],
+                                  ["explore"], ["reproduce", "fig9"], ["frobnicate"]])
+def test_usage_errors_exit_1(capsys, argv):
+    """A command line argparse rejects is an input error (exit 1), not a
+    rejected schedule (exit 2)."""
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_budget_environment_is_read_when_used(tmp_path):
+    """A bad SCHEDLAB_BUDGET does not break `import schedlab.cli`; explore
+    reports it as an input error, and a good one sets the default budget."""
+    p = thm2_present_scenario(tmp_path)
+    env = {**os.environ, "SCHEDLAB_BUDGET": "abc"}
+    proc = subprocess.run([sys.executable, "-c", "import schedlab.cli"], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "explore", str(p)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: SCHEDLAB_BUDGET must be a positive integer: 'abc'\n"
+    proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "--json", "explore",
+                           str(p)], env={**env, "SCHEDLAB_BUDGET": "100"},
+                          capture_output=True, text=True)
+    assert proc.returncode == 4 and json.loads(proc.stdout)["total"] == 100
+    # the flag and the scenario's budget come first
+    proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "--json",
+                           "--budget", "924", "explore", str(p)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0 and json.loads(proc.stdout)["total"] == 924

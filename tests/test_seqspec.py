@@ -16,11 +16,12 @@ from schedlab.checkers import check_ls_linearizable
 from schedlab.scheduler import free_run, workload_keys
 from schedlab.seqspec import (BudgetExceeded, Operation, dictionary_apply,
                               make_structure, non_triviality_witness,
-                              reachable_states, relevant_graph, run_operation,
-                              sequential_run, shortest_path_len)
+                              reachable_states, run_operation, sequential_run,
+                              shortest_path_len)
 
 from oracles import (alive_keys, bounded_reachable_states, compile_program,
-                     enumerate_sequential_histories, fold_dictionary)
+                     enumerate_sequential_histories, fold_dictionary,
+                     relevant_graph, relevant_set)
 from test_acceptance import random_workload
 
 LIST_KEYS = (1, 2, 3, 4)
@@ -55,14 +56,14 @@ def test_relevant_set_list_present():
     d = make_structure("sorted-list")
     st_ = build(d, (1, 3))
     # k=3 present: the node plus both graph neighbours (pred 1, tail succ)
-    got = keys_of(st_, d.relevant_set(st_, 3))
+    got = keys_of(st_, relevant_set(d, st_, 3))
     assert got == [1, 3, float("inf")]
 
 
 def test_relevant_set_two_node_list():
     d = make_structure("sorted-list")
     st_ = build(d, (5,))
-    got = d.relevant_set(st_, 5)
+    got = relevant_set(d, st_, 5)
     assert keys_of(st_, got) == [float("-inf"), 5, float("inf")]
 
 
@@ -77,14 +78,14 @@ def test_relevant_set_bst_edge_enumeration():
             incident.add(nid)
         if nid == n3:
             incident.update(t for t in rec.edges.values() if t is not None)
-    assert d.relevant_set(st_, 3) == incident
+    assert relevant_set(d, st_, 3) == incident
     assert keys_of(st_, incident) == [2, 3]
 
 
 def test_relevant_set_absent_key_insert_frontier():
     d = make_structure("sorted-list")
     st_ = build(d, (1, 3))
-    got = keys_of(st_, d.relevant_set(st_, 2))
+    got = keys_of(st_, relevant_set(d, st_, 2))
     assert got == [1, 3]  # successor node 3 plus its in-neighbour 1
 
 
@@ -122,7 +123,7 @@ def test_relevant_graph_skiplist_matches_path_oracle():
     d = make_structure("skiplist", max_level=2, seed=1)
     st_ = build(d, (1, 2, 3, 4))
     nodes, edges = relevant_graph(st_, d, 3)
-    oracle_nodes, oracle_edges = brute_force_paths(st_, d.relevant_set(st_, 3))
+    oracle_nodes, oracle_edges = brute_force_paths(st_, relevant_set(d, st_, 3))
     assert nodes == oracle_nodes and edges == oracle_edges
 
 
@@ -237,7 +238,7 @@ def test_update_locality(structure):
                 wrote = {nid for kind, nid, _ in trace if kind == "w"}
                 if not wrote:
                     continue
-                allowed = set(structure.relevant_set(state, key))
+                allowed = set(relevant_set(structure, state, key))
                 if structure.name == "bst" and name == "delete":
                     dnode = state.find_alive(key)
                     rec = state.nodes[dnode]

@@ -43,13 +43,20 @@ class ComparisonVerdict:
     right_only: list[Schedule] = field(default_factory=list)
 
 
+@dataclass
+class _Extra:
+    """A supplied schedule the walk did not count, as ``_leaves`` yields it."""
+    schedule: Schedule
+    digest: str
+    category: tuple
+
+
 def _leaves(w: Workload, impls: tuple[str, ...], lsl: bool, budget: int,
             extras: list[Schedule], wanted, tally: Tally):
     """The counted walk over the first `budget` schedules (``walk``), then
     the supplied `extras` it did not count, classified by the reference
     path, ``drive`` and ``audited_history``.  Fills `tally` and yields each
-    leaf, or extra, whose category satisfies `wanted`; an extra is yielded
-    as a ``Leaf``-like (schedule, digest, category).
+    leaf, or extra, whose category satisfies `wanted`.
 
     The walk audits a leaf and checks it only for a leaf signature it has
     not met before (see ``Leaf.signature``); the memo lives for this call,
@@ -77,14 +84,7 @@ def _leaves(w: Workload, impls: tuple[str, ...], lsl: bool, budget: int,
                check(audited_history(w, s)) if lsl else None)
         tally.add(cat)
         if wanted(cat):
-            yield Extra(s, d, cat)
-
-
-@dataclass
-class Extra:
-    schedule: Schedule
-    digest: str
-    category: tuple
+            yield _Extra(s, d, cat)
 
 
 def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,

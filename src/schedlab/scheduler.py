@@ -10,13 +10,14 @@ every driven history) and the concurrent operations, one process each.
 exactly the named event or the schedule is rejected at that slot index
 (blocked / aborted / order-mismatch).  It is the reference path.
 
-``schedule_trie`` enumerates the schedule universe - all interleavings of
-the unsynchronized machines' steps - in the DFS order of its trie, in
-process order, and classifies every schedule in the same pass: the
-machines of each requested implementation take each step the
-unsynchronized ones take, and an implementation that rejects a slot is
-dropped below it (``drive`` would reject every schedule there at the same
-slot for the same reason).
+``walk`` goes over the schedule universe - all interleavings of the
+unsynchronized machines' steps - in the DFS order of its trie, in process
+order, and classifies every schedule in the same pass: the machines of
+each requested implementation take each step the unsynchronized ones
+take, and an implementation that rejects a slot is dropped below it
+(``drive`` would reject every schedule there at the same slot for the
+same reason).  It counts the leaves by category and yields only the ones
+its caller wants; ``schedule_trie`` is the walk that wants them all.
 
 It walks a DAG of configurations, not the trie of prefixes.  Independent
 steps commute, so many prefixes end in the same configuration: a Thm. 2
@@ -24,9 +25,9 @@ universe of 924-3432 schedules has 3431-12869 prefixes but only 60-102
 configurations with ``hoh`` and ``stm``.  A memo, which lives for one
 walk, maps each configuration's key to a node whose out-edges (the fork,
 the step, each implementation's verdict on it) are computed the first
-time the walk takes them.  The leaves are then enumerated by an explicit
-stack DFS over that DAG, which carries each prefix's slots, digest state
-and rejections; every leaf is still enumerated, in the trie's order.
+time the walk takes them.  An explicit stack DFS over that DAG carries
+each prefix's slots, digest pieces, rejections and invocation/response
+order.
 
 * The key is exact by construction.  It holds every field a step reads:
   the store (records by value, ``root``, ``tail``, ``counter``), the lock
@@ -59,6 +60,10 @@ and rejections; every leaf is still enumerated, in the trie's order.
   accepted the step, the store, the lock tables, the versions, the stepped
   process's operation and its machine.  A step changes nothing else: a
   machine writes its own fields, its operation and the shared world only.
+  Within the machine (``_restep_machine``), G_op and ``stm``'s read set
+  only grow, so their keys are extended by the entries the step added;
+  ``stm``'s write set is keyed again only by a write step; the
+  operation's key is built once and serves the machine and ``ops``.
   An implementation that rejects the step is dropped before keying, so a
   queue it joined or a node its abort unlinked never reaches a key; a
   fork copies values, so its parent's key is its own.  The store's key is
@@ -82,8 +87,10 @@ and rejections; every leaf is still enumerated, in the trie's order.
   operations, and their finished machines, are shared: only aborted ones
   are ever reset.  A leaf configuration keeps its store, machines and
   trace cells for the leaves that end in it; the leaves hold no world.
-* ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets;
-  the DFS extends a copy of its prefix's sha256 state per edge.
+* ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets.
+  Each edge holds its slot's piece, and a leaf hashes its path's pieces
+  when its digest is first asked for: only the leaves a caller wants are
+  hashed.
 * The export check is per step: the events of a step an implementation
   accepts, abort-marked ones dropped, map to exactly ``[slot]`` under
   ``slot_of``.  That is ``drive``'s whole-history check, since every event
@@ -91,7 +98,7 @@ and rejections; every leaf is still enumerated, in the trie's order.
   every operation is complete and on attempt 0 (``complete`` and
   ``History.exported`` drop only abort-marked events).
 
-The LSL oracle (``metric.classify``) checks the audited replay of a leaf
+The LSL oracle (``metric``) checks the audited replay of a leaf
 (``Leaf.audited``, which is ``audited_history``) only when the leaf's
 signature (``Leaf.signature``) is new within the pass.  The signature is
 each concurrent operation's id, status, response and canonical read/write
@@ -108,6 +115,32 @@ invocation/response order, and a leaf configuration memoizes the
 signature per order: all else it holds is the configuration's, which
 every leaf that ends in it shares.  So a signature is built once per
 (end configuration, order): 6-22 times in a Thm. 2 walk.
+
+Count, don't enumerate.  Every number a report gives is a count, so the
+walk counts leaves by category and enumerates only those its caller
+wants (``walk``):
+
+* Counts per (configuration, order) node are exact.  A leaf's category is
+  (the implementations accepting it, its LSL verdict or None).  An
+  implementation accepts a leaf iff it is still in the leaf
+  configuration's key, and the verdict is a function of the signature,
+  which is a function of the end configuration and the order.  The order
+  of a leaf below a node is the node's order followed by the pieces of
+  the edges taken, so the counts below (configuration, order) are the sum
+  over its out-edges of the counts below (child, order + piece).  Each
+  node is summed once, when its last edge is done; a leaf node asks for
+  its verdict once.  Without a verdict the order is left out of the node.
+* The counted descent.  The first B leaves in trie order are counted by a
+  descent that takes a node whole when its counts are known and fit in
+  what is left of B, and descends edge by edge into any other node.  It
+  stops at the first edge past the B-th leaf, so it expands no
+  configuration that the leaf-by-leaf walk to the (B+1)-th leaf would not
+  expand, and ``total`` and ``partial`` are that walk's.
+* The witness rule.  A node taken whole has no wanted leaf below it;
+  leaves are hashed and turned into schedules only inside subtrees whose
+  count for the wanted category is above 0, within the budget.  A caller
+  that keeps the smallest digests (``metric.optimality_gap``) gets the
+  smallest digests within the first B leaves, as an enumeration would.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  After a blocked step it asks every
@@ -378,8 +411,6 @@ def _locks_key(lm: LockManager) -> tuple:
     dropped: ``LockManager`` reads them only by node, with an empty default
     (``clone`` drops empty ones too)."""
     d = _exact_fields(lm, _LOCK_FIELDS)
-    if not (d["shared"] or d["exclusive"] or d["queues"]):
-        return (), (), ()  # no lock taken yet, or a world that takes none
     return (tuple(sorted((n, tuple(sorted(s))) for n, s in d["shared"].items() if s)),
             tuple(sorted(d["exclusive"].items())),
             tuple(sorted((n, tuple(q)) for n, q in d["queues"].items() if q)))
@@ -775,15 +806,21 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     key = _config_key(world, machines, runs, {})
     root = _Config(0, key, world, machines, runs, {})
     memo = {key: root}
-    tally._root, tally._by_order = root, verdict is not None
-    by_order = verdict is not None
+    tally._root = root
+    by_order = tally._by_order = verdict is not None
     counts = tally.counts
     pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
     slots: list[Slot] = []  # the prefix's slots and digest pieces
     texts: list[bytes] = []
-    left = budget  # leaves the budget still takes; None: no budget
+    # leaves the budget still takes; None: no budget
+    left = None if budget is None else max(budget, 0)
     stack = []  # [configuration, order, rejections, counts key, next edge]
     entering = (root, (), {})
+
+    def leaf_here(node: _Config, order: tuple, rejected: dict) -> Leaf:
+        return Leaf(tuple(slots), tuple(texts), rejected, node.machines,
+                    node.world.state, node.traces, order, node.signatures)
+
     if left == 0:  # every universe holds a schedule
         tally.partial = True
         return
@@ -803,8 +840,7 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                 if known is None:
                     v = None
                     if verdict is not None:
-                        leaf = Leaf(tuple(slots), tuple(texts), rejected, node.machines,
-                                    node.world.state, node.traces, order, node.signatures)
+                        leaf = leaf_here(node, order, rejected)
                         v = verdict(leaf)
                     cat = (node.accepting, v)
                     known = node.counts[okey] = ({cat: 1}, 1, wanted is None or wanted(cat))
@@ -814,9 +850,7 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                 if left is not None:
                     left -= 1
                 if known[2]:
-                    if leaf is None:
-                        leaf = Leaf(tuple(slots), tuple(texts), rejected, node.machines,
-                                    node.world.state, node.traces, order, node.signatures)
+                    leaf = leaf or leaf_here(node, order, rejected)
                     leaf.category = cat
                     yield leaf
             else:

@@ -25,7 +25,8 @@ from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (accepted_set, classify, lsl_set, optimality_gap,
                              workload_keys)
-from schedlab.scheduler import Tally, Workload, walk
+from schedlab import scheduler
+from schedlab.scheduler import Tally, Workload, schedule_trie, walk
 from schedlab.seqspec import Operation, make_structure
 
 from oracles import prefix_walk
@@ -178,3 +179,42 @@ def test_extras_beyond_the_budget_are_classified_once():
         assert sets[impl].digests == set(members(leaves, lambda acc, v: impl in acc))
     assert sets["lsl"].digests == set(members(leaves, lambda acc, v: v is True))
     assert sets["lsl"].total == 301 and sets["lsl"].partial
+
+
+@pytest.mark.parametrize("budget", (0, -3))
+def test_a_budget_below_one_counts_nothing(budget):
+    """No schedule fits, and the universe holds one, so the walk is partial
+    at once."""
+    w = thm2_bundle(make_structure("sorted-list")).w_present
+    for ss in classify(w, IMPLS, lsl=True, budget=budget).values():
+        assert (ss.total, ss.partial, ss.digests) == (0, True, frozenset())
+    gap = optimality_gap("hoh", w, budget)
+    assert (gap.total, gap.partial, gap.missing, gap.ratio) == (0, True, [], 1.0)
+
+
+def expanded_keys(monkeypatch, run):
+    """The keys of the configurations `run()` creates."""
+    keys = []
+    init = scheduler._Config.__init__
+
+    def recording(self, depth, key, *args):
+        keys.append(key)
+        init(self, depth, key, *args)
+
+    monkeypatch.setattr(scheduler._Config, "__init__", recording)
+    run()
+    monkeypatch.undo()
+    return keys
+
+
+@pytest.mark.parametrize("budget", (1, 100, 1000, 3263))
+def test_the_counted_descent_expands_only_what_the_first_leaves_reach(monkeypatch,
+                                                                       budget):
+    """Counting the first B schedules, with verdicts and witnesses, creates
+    no configuration that enumerating the first B + 1 leaves does not."""
+    w = thm2_bundle(make_structure("sorted-list")).w_absent
+    counted = expanded_keys(monkeypatch, lambda: optimality_gap("hoh", w, budget))
+    enumerated = expanded_keys(monkeypatch, lambda: list(
+        itertools.islice(schedule_trie(w, ("hoh",)), budget + 1)))
+    assert len(set(counted)) == len(counted)
+    assert set(counted) <= set(enumerated)

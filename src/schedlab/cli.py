@@ -345,7 +345,6 @@ def main(argv=None) -> int:
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--out", metavar="PATH", help="write the report to a file")
-    p.add_argument("--seed", type=int, default=0, help="free-run scheduler seed")
     p.add_argument("--budget", type=int, default=None,
                    help="schedule budget for exploration")
     sub = p.add_subparsers(dest="command", required=True)

@@ -13,10 +13,11 @@ consistent exporting history.
 from __future__ import annotations
 
 import heapq
+from collections.abc import KeysView
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .model import History, Schedule
+from .model import Schedule
 from .scheduler import (Tally, Workload, audited_history, drive, walk,
                         workload_keys)
 from .checkers import check_ls_linearizable
@@ -26,14 +27,18 @@ from .checkers import check_ls_linearizable
 class ScheduleSet:
     impl: str
     fingerprint: str
-    digests: frozenset[str]
-    representatives: dict[str, Schedule]
+    members: dict[str, Schedule]  # digest -> schedule
     total: int
     partial: bool = False
     inconclusive: frozenset[str] = frozenset()
 
+    @property
+    def digests(self) -> KeysView[str]:
+        """The members' digests, a read-only view."""
+        return self.members.keys()
+
     def __contains__(self, schedule: Schedule) -> bool:
-        return schedule.digest() in self.digests
+        return schedule.digest() in self.members
 
 
 @dataclass
@@ -43,48 +48,20 @@ class ComparisonVerdict:
     right_only: list[Schedule] = field(default_factory=list)
 
 
-@dataclass
-class _Extra:
-    """A supplied schedule the walk did not count, as ``_leaves`` yields it."""
-    schedule: Schedule
-    digest: str
-    category: tuple
-
-
-def _leaves(w: Workload, impls: tuple[str, ...], lsl: bool, budget: int,
-            extras: list[Schedule], wanted, tally: Tally):
-    """The counted walk over the first `budget` schedules (``walk``), then
-    the supplied `extras` it did not count, classified by the reference
-    path, ``drive`` and ``audited_history``.  Fills `tally` and yields each
-    leaf, or extra, whose category satisfies `wanted`.
-
-    The walk audits a leaf and checks it only for a leaf signature it has
-    not met before (see ``Leaf.signature``); the memo lives for this call,
-    within which the workload and keys are fixed."""
+def _lsl_verdict(w: Workload):
+    """The LSL verdict of a walk's leaf: its audited history, checked once
+    per leaf signature (see ``Leaf.signature``).  The memo lives for one
+    call, within which the workload and keys are fixed."""
     keys = workload_keys(w)
     verdicts: dict[tuple, bool | None] = {}
-
-    def check(h: History) -> bool | None:
-        return check_ls_linearizable(h, w.structure, keys).verdict
 
     def verdict(leaf) -> bool | None:
         sig = leaf.signature()
         if sig not in verdicts:
-            verdicts[sig] = check(leaf.audited(w))
+            verdicts[sig] = check_ls_linearizable(audited_history(w, leaf.schedule),
+                                                  w.structure, keys).verdict
         return verdicts[sig]
-
-    yield from walk(w, impls, budget, verdict if lsl else None, wanted, tally)
-    done = set()
-    for s in extras:
-        d = s.digest()
-        if d in done or tally.counted(s):
-            continue
-        done.add(d)
-        cat = (tuple(i for i in impls if drive(i, w, s).accepted),
-               check(audited_history(w, s)) if lsl else None)
-        tally.add(cat)
-        if wanted(cat):
-            yield _Extra(s, d, cat)
+    return verdict
 
 
 def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
@@ -95,9 +72,10 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
     the first `budget` schedules of the universe; the sets are partial when
     the universe holds more than `budget`.  Supplied `extras` (for
     workloads whose full universe is infeasible) that the walk did not
-    count are classified by the reference path, ``drive`` and
-    ``audited_history``.  Only the members of some set (and, with `lsl`,
-    the inconclusive schedules) are enumerated and hashed."""
+    count are classified by the same walk, through its memo and verdict
+    memo, and counted; one that is not a schedule of the universe raises
+    MalformedScheduleError.  Only the members of some set (and, with
+    `lsl`, the inconclusive schedules) are enumerated and hashed."""
     members: dict[str, dict[str, Schedule]] = {n: {} for n in (*impls, "lsl")}
     inconclusive: set[str] = set()
 
@@ -105,7 +83,8 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
         return bool(cat[0]) or (lsl and cat[1] is not False)
 
     tally = Tally()
-    for leaf in _leaves(w, impls, lsl, budget, extras, wanted, tally):
+    for leaf in walk(w, impls, budget, _lsl_verdict(w) if lsl else None, wanted,
+                     tally, extras):
         accepting, verdict = leaf.category
         d, s = leaf.digest, leaf.schedule
         for impl in accepting:
@@ -115,11 +94,11 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
         elif verdict is None and lsl:
             inconclusive.add(d)
     fp, total = w.fingerprint(), tally.total
-    out = {impl: ScheduleSet(impl, fp, frozenset(members[impl]), members[impl],
-                             total, tally.partial) for impl in impls}
+    out = {impl: ScheduleSet(impl, fp, members[impl], total, tally.partial)
+           for impl in impls}
     if lsl:
-        out["lsl"] = ScheduleSet("lsl", fp, frozenset(members["lsl"]), members["lsl"],
-                                 total, tally.partial, frozenset(inconclusive))
+        out["lsl"] = ScheduleSet("lsl", fp, members["lsl"], total, tally.partial,
+                                 frozenset(inconclusive))
     return out
 
 
@@ -150,8 +129,8 @@ def compare(a: ScheduleSet, b: ScheduleSet, max_witnesses: int = 3) -> Compariso
     else:
         rel = "incomparable"
     return ComparisonVerdict(rel,
-                             [a.representatives[d] for d in left[:max_witnesses]],
-                             [b.representatives[d] for d in right[:max_witnesses]])
+                             [a.members[d] for d in left[:max_witnesses]],
+                             [b.members[d] for d in right[:max_witnesses]])
 
 
 def verify_witness(impl_in: str, impl_out: str, w: Workload,
@@ -176,13 +155,14 @@ class OptimalityGap:
 def optimality_gap(impl: str, w: Workload, budget: int = 20000,
                    max_witnesses: int = 3,
                    extras: list[Schedule] = ()) -> OptimalityGap:
-    """Counts from one counted walk; only the LSL schedules the
-    implementation misses are enumerated, and the `max_witnesses` with the
-    smallest digests are kept (inconclusive schedules are excluded, so the
-    ratio is a lower bound)."""
+    """Counts from one counted walk, `extras` it did not count included
+    (see ``classify``); only the LSL schedules the implementation misses
+    are enumerated, and the `max_witnesses` with the smallest digests are
+    kept (inconclusive schedules are excluded, so the ratio is a lower
+    bound)."""
     tally = Tally()
-    leaves = _leaves(w, (impl,), True, budget, extras,
-                     lambda cat: cat[1] is True and not cat[0], tally)
+    leaves = walk(w, (impl,), budget, _lsl_verdict(w),
+                  lambda cat: cat[1] is True and not cat[0], tally, extras)
     missing = heapq.nsmallest(max_witnesses, leaves, key=attrgetter("digest"))
     for _ in leaves:  # what nsmallest left unread (max_witnesses 0)
         pass
@@ -214,7 +194,7 @@ def incomparability(w1: Workload, sigma: Schedule, w2: Workload,
     sets = classify(w1, ("hoh", "stm"), budget=budget, extras=[sigma])
     hoh1, stm1 = sets["hoh"], sets["stm"]
     c1 = compare(stm1, hoh1)
-    sigma_ok = sigma.digest() in stm1.digests and sigma.digest() not in hoh1.digests \
+    sigma_ok = sigma in stm1 and sigma not in hoh1 \
         and verify_witness("stm", "hoh", w1, sigma)
     sigma0_ok = verify_witness("hoh", "stm", w2, sigma0)
     verdict = "incomparable" if (sigma_ok and sigma0_ok) else "comparable"

@@ -99,7 +99,7 @@ order.
   ``History.exported`` drop only abort-marked events).
 
 The LSL oracle (``metric``) checks the audited replay of a leaf
-(``Leaf.audited``, which is ``audited_history``) only when the leaf's
+(``audited_history`` of its schedule) only when the leaf's
 signature (``Leaf.signature``) is new within the pass.  The signature is
 each concurrent operation's id, status, response and canonical read/write
 trace, the order of the invocations and responses, and the final store's
@@ -141,6 +141,12 @@ wants (``walk``):
   count for the wanted category is above 0, within the budget.  A caller
   that keeps the smallest digests (``metric.optimality_gap``) gets the
   smallest digests within the first B leaves, as an enumeration would.
+* Extras.  After the descent each distinct supplied schedule descends its
+  own slots from the root, through the same memo.  Its rank, the counts of
+  the edges left of its path, says whether the descent counted it; if not,
+  it is classified at its leaf node like any leaf, and counted.  A slot no
+  edge matches, an unknown or finished process, or a schedule that ends
+  early is not a leaf of the universe, and raises MalformedScheduleError.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  After a blocked step it asks every
@@ -153,6 +159,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -340,11 +347,14 @@ def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
 
 def audited_history(w: Workload, schedule: Schedule) -> History:
     """Legal replay of the schedule plus the sequential audit finds: the
-    history the LSL oracle checks for it (see ``metric``)."""
+    history the LSL oracle checks for it (see ``metric``).  Raises
+    MalformedScheduleError for a schedule that is not in the universe."""
     world, machines, start = build_world("unsync", w)
     initial = world.state.snapshot()
-    for slot in schedule.slots:
-        machines[slot.proc].step(world)
+    for idx, slot in enumerate(schedule.slots):
+        if slot.proc not in machines or _step_slot(world, machines, idx, slot):
+            raise MalformedScheduleError(f"slot {idx} is not a step of the "
+                                         f"universe: {slot}")
     if not all(m.finished for m in machines.values()):
         raise MalformedScheduleError("schedule leaves operations incomplete")
     return run_audit_finds(world, w, start, initial)
@@ -626,11 +636,6 @@ class Leaf:
                 b"[" + b"".join(self.pieces) + b"]").hexdigest()[:16]
         return self._digest
 
-    def audited(self, w: Workload) -> History:
-        """The schedule's legal replay plus the audit finds
-        (``audited_history``)."""
-        return audited_history(w, self.schedule)
-
     def signature(self) -> tuple:
         """All that the LSL verdict of the leaf's audited history depends
         on, for one workload: (operation id, status, response, canonical
@@ -744,14 +749,12 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
 
 
 class Tally:
-    """What one ``walk`` counted: leaves per category within its budget,
-    and whether the universe holds more (`partial`)."""
+    """What one ``walk`` counted: leaves per category within its budget
+    (and extras), and whether the universe holds more (`partial`)."""
 
     def __init__(self):
         self.counts: dict[tuple, int] = {}  # (accepting impls, verdict) -> leaves
         self.partial = False
-        self._root: _Config | None = None
-        self._by_order = False
 
     @property
     def total(self) -> int:
@@ -761,56 +764,29 @@ class Tally:
         """The leaves whose category satisfies `pred`."""
         return sum(n for cat, n in self.counts.items() if pred(cat))
 
-    def add(self, category: tuple) -> None:
-        self.counts[category] = self.counts.get(category, 0) + 1
-
-    def counted(self, schedule: Schedule) -> bool:
-        """Whether the walk counted this schedule: it is a leaf of the
-        universe, and fewer than `total` leaves precede it in trie order.
-        Its rank is the sum of the subtree counts of the edges left of its
-        path, each known once the walk has finished that subtree."""
-        node, order, before = self._root, (), 0
-        for slot in schedule.slots:
-            for s, _, io, child, _ in node.edges:
-                if s == slot:
-                    break
-                c = child.counts.get(order + io if self._by_order else ())
-                if c is None:  # not finished: the walk stopped before `schedule`
-                    return False
-                before += c[1]
-            else:
-                return False  # an edge the walk never took, or no edge at all
-            node, order = child, order + io
-        return not node.live and before < self.total
-
 
 def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
-         wanted, tally: Tally) -> Iterator[Leaf]:
+         wanted, tally: Tally, extras: list[Schedule] = ()) -> Iterator[Leaf]:
     """The counted descent over the first `budget` leaves (all of them for
-    None) in trie order.  It fills `tally` with their category counts and
-    yields, in trie order, each of them whose category satisfies `wanted`
-    (every one for None).  A category is (the implementations of `impls`
-    still accepting, ``verdict(leaf)`` or None without `verdict`); it is a
-    function of the (configuration, invocation/response order) node the
-    leaf ends in, and so are the counts below any node (the module
-    docstring).  The order is left out of a node when there is no verdict.
-
-    A node whose counts are known and fit in what is left of the budget is
-    taken whole when no leaf below it is wanted; any other node is
-    descended, and its counts are known once all its edges are.  A node's
-    counts are thus summed once, and the walk expands only configurations
-    on the paths to the first `budget` leaves: the (budget+1)-th leaf,
-    which shows the universe is `partial`, is never reached."""
+    None) in trie order, then the schedules of `extras` it did not count.
+    It fills `tally` with their category counts and yields, in that order,
+    each of them whose category satisfies `wanted` (every one for None).  A
+    category is (the implementations of `impls` still accepting,
+    ``verdict(leaf)`` or None without `verdict`); it is a function of the
+    (configuration, invocation/response order) node the leaf ends in, and
+    so are the counts below any node.  The order is left out of a node when
+    there is no verdict.  The counted descent, and how an extra is ranked
+    and classified: the module docstring.  A schedule of `extras` that is
+    not a leaf of the universe raises MalformedScheduleError."""
     world, machines, _ = build_world("unsync", w)
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
     key = _config_key(world, machines, runs, {})
     root = _Config(0, key, world, machines, runs, {})
     memo = {key: root}
-    tally._root = root
-    by_order = tally._by_order = verdict is not None
+    by_order = verdict is not None
     counts = tally.counts
     pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
-    slots: list[Slot] = []  # the prefix's slots and digest pieces
+    slots: list[Slot] = []  # the path's slots and digest pieces
     texts: list[bytes] = []
     # leaves the budget still takes; None: no budget
     left = None if budget is None else max(budget, 0)
@@ -821,9 +797,30 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
         return Leaf(tuple(slots), tuple(texts), rejected, node.machines,
                     node.world.state, node.traces, order, node.signatures)
 
+    def classified(node: _Config, order: tuple, rejected: dict) -> Leaf | None:
+        """Count the leaf the path ends in, at leaf node `node`; return it
+        if it is wanted.  The first visit of (node, order) classifies it."""
+        okey = order if by_order else ()
+        known = node.counts.get(okey)
+        leaf = None
+        if known is None:
+            v = None
+            if verdict is not None:
+                leaf = leaf_here(node, order, rejected)
+                v = verdict(leaf)
+            cat = (node.accepting, v)
+            known = node.counts[okey] = ({cat: 1}, 1, wanted is None or wanted(cat))
+        cat, = known[0]
+        counts[cat] = counts.get(cat, 0) + 1
+        if not known[2]:
+            return None
+        leaf = leaf or leaf_here(node, order, rejected)
+        leaf.category = cat
+        return leaf
+
     if left == 0:  # every universe holds a schedule
         tally.partial = True
-        return
+        entering = None
     while True:
         if entering is not None:
             node, order, rejected = entering
@@ -836,33 +833,21 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                 if left is not None:
                     left -= known[1]
             elif not node.live:
-                leaf = None
-                if known is None:
-                    v = None
-                    if verdict is not None:
-                        leaf = leaf_here(node, order, rejected)
-                        v = verdict(leaf)
-                    cat = (node.accepting, v)
-                    known = node.counts[okey] = ({cat: 1}, 1, wanted is None or wanted(cat))
-                else:
-                    cat, = known[0]
-                counts[cat] = counts.get(cat, 0) + 1
+                leaf = classified(node, order, rejected)
                 if left is not None:
                     left -= 1
-                if known[2]:
-                    leaf = leaf or leaf_here(node, order, rejected)
-                    leaf.category = cat
+                if leaf is not None:
                     yield leaf
             else:
                 stack.append([node, order, rejected, okey, 0])
         if not stack:
-            return
+            break
         frame = stack[-1]
         node, order, rejected, okey, i = frame
         if i < len(node.live):
             if left == 0:  # a leaf beyond the budget lies below this edge
                 tally.partial = True
-                return
+                break
             frame[4] = i + 1
             if i == len(node.edges):
                 _expand(node, memo, pieces)
@@ -882,21 +867,52 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
             node.counts[okey] = (acc, sum(acc.values()),
                                  wanted is None or any(wanted(c) for c in acc))
 
+    counted, done = tally.total, set()
+    for s in extras:
+        if s.slots in done:
+            continue
+        done.add(s.slots)
+        # descend its slots from the root, stepping a node's edges in
+        # process order up to the one it takes; its rank is the count of
+        # the leaves left of its path, past the descent's if a subtree
+        # there is unfinished
+        node, order, rejected, rank = root, (), {}, 0
+        del slots[:], texts[:]
+        for idx, slot in enumerate(s.slots):
+            if slot.proc not in node.live:
+                raise MalformedScheduleError(f"slot {idx}: process {slot.proc} "
+                                             f"is unknown or finished")
+            i = node.live.index(slot.proc)
+            while len(node.edges) <= i:
+                _expand(node, memo, pieces)
+            for _, _, io, child, _ in node.edges[:i]:
+                c = child.counts.get(order + io if by_order else ())
+                rank += math.inf if c is None else c[1]
+            step, piece, io, node, rejections = node.edges[i]
+            if step != slot:
+                raise MalformedScheduleError(f"slot {idx} is not a step of the "
+                                             f"universe: {slot}")
+            slots.append(slot)
+            texts.append(piece)
+            order += io
+            if rejections:
+                rejected = {**rejected, **rejections}
+        if node.live:
+            raise MalformedScheduleError("schedule leaves operations incomplete")
+        if rank >= counted:
+            leaf = classified(node, order, rejected)
+            if leaf is not None:
+                yield leaf
+
 
 def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
     """Every schedule of the workload, classified under each of `impls`,
     in the DFS order of the trie of the unsynchronized machines'
     next-step choices, in process order.  Deterministic: the walk with no
-    budget, no verdict and every leaf wanted.
-
-    The walk steps each distinct configuration's out-edges once (the
-    module docstring), giving each implementation the step the
-    unsynchronized machine just took; one that rejects it is dropped below
-    that edge, with that slot's index and reason.  A step it accepts must
-    export exactly that slot, else InvariantError; an implementation still
-    present at a leaf must have finished every operation there.  Each leaf
-    carries its digest, its invocation/response order and its end
-    configuration (see ``Leaf``)."""
+    budget, no verdict and every leaf wanted.  An implementation that
+    rejects a slot is dropped below it, with that slot's index and reason
+    (the module docstring); each leaf carries its digest, its
+    invocation/response order and its end configuration (see ``Leaf``)."""
     return walk(w, impls, None, None, None, Tally())
 
 

@@ -185,6 +185,15 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_there_is_no_global_seed_flag(tmp_path, capsys):
+    """A free run takes its seed from the scenario's own "seed"; a global
+    --seed is a usage error."""
+    assert main(["--seed", "3", "run", str(free_run_scenario(tmp_path))]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_budget_environment_is_read_when_used(tmp_path):
     """A bad SCHEDLAB_BUDGET does not break `import schedlab.cli`; explore
     reports it as an input error, and a good one sets the default budget."""

@@ -103,6 +103,22 @@ def test_audited_history_rejects_an_incomplete_schedule():
         audited_history(w, Schedule(s.slots[:-1]))
 
 
+def test_audited_history_rejects_a_slot_the_step_does_not_take():
+    """A read of an element the unsynchronized step does not read, or a
+    slot for a process the workload does not have, is no schedule of the
+    universe: the replay does not step past it."""
+    w = fixtures.thm2_bundle(make_structure("sorted-list")).w_present
+    s = universe(w, budget=1)[0][0]
+    assert s.slots[2].elem == "key:1"
+    forged = Schedule(s.slots[:2] + (dataclasses.replace(s.slots[2], elem="key:99"),)
+                      + s.slots[3:])
+    with pytest.raises(MalformedScheduleError, match="slot 2"):
+        audited_history(w, forged)
+    with pytest.raises(MalformedScheduleError, match="slot 12"):
+        audited_history(w, Schedule(s.slots + (dataclasses.replace(s.slots[0],
+                                                                   proc=9),)))
+
+
 def with_machine(leaf, proc, **changes):
     """The leaf with a copy of one of its end machines, changed; the walk's
     own configuration stays as it is."""

@@ -143,12 +143,12 @@ def test_pass_matches_reference_under_truncated_budget():
 
 
 def test_leaf_audit_equals_audited_history():
-    """A leaf's audit, a replay of its schedule, is the history that the
+    """The audited replay of a leaf's schedule is the history that the
     per-prefix walk's leaf audits in place, in the world that ran it."""
     w = thm2_bundle(make_structure("bst")).w_absent
     for leaf, ref_leaf in itertools.islice(zip(schedule_trie(w), prefix_walk(w)), 200):
         assert leaf.schedule == ref_leaf.schedule
-        audited = leaf.audited(w)
+        audited = audited_history(w, leaf.schedule)
         ref = ref_leaf.audited(w)
         assert audited.render_json() == ref.render_json()
         assert audited.initial == ref.initial
@@ -174,8 +174,8 @@ def test_lsl_set_checks_once_per_leaf_signature(monkeypatch, structure, instance
     monkeypatch.undo()
     keys = workload_keys(w)
     want = {leaf.schedule.digest() for leaf in schedule_trie(w)
-            if check_ls_linearizable(leaf.audited(w), w.structure, keys,
-                                     len(keys) + 1).verdict is True}
+            if check_ls_linearizable(audited_history(w, leaf.schedule), w.structure,
+                                     keys, len(keys) + 1).verdict is True}
     assert got.digests == want
     assert got.total > 20 and not got.inconclusive
 

@@ -120,20 +120,27 @@ def _default_apply(state: frozenset, op: OperationInstance):
     return frozenset(q2.items()), resp
 
 
-def check_linearizable(h: History, apply_fn=None, size_cap: int = 12,
-                       q0=None) -> CheckResult:
+# the most operations the exact searches take on, a longer history is
+# inconclusive: (safe-)strict serializability counts the complete ones
+LINEARIZABLE_CAP = 12
+STRICT_CAP = 8
+
+
+def check_linearizable(h: History, apply_fn=None, q0=None) -> CheckResult:
     """Exact decision by DFS with state memoization.
 
     Incomplete operations may be completed (their response is whatever the
     specification yields) or dropped; aborted operations are not part of
-    the high-level history at all.  `q0` overrides the initial abstract
-    state (needed for composed objects, whose state is a pair).
+    the high-level history at all.  `apply_fn` and `q0` override the
+    sequential specification and its initial abstract state (needed for
+    composed objects, whose state is a pair).  A history with more than
+    ``LINEARIZABLE_CAP`` operations is inconclusive.
     """
     apply_fn = apply_fn or _default_apply
     hx = h.exported()
     ops = {i: o for i, o in hx.ops.items() if o.status != ABORTED}
-    if len(ops) > size_cap:
-        return CheckResult(None, reason=f"more than {size_cap} operations")
+    if len(ops) > LINEARIZABLE_CAP:
+        return CheckResult(None, reason=f"more than {LINEARIZABLE_CAP} operations")
     iv = op_intervals(hx)
     ops = {i: o for i, o in ops.items() if i in iv}
     if q0 is None:
@@ -221,11 +228,11 @@ def check_locally_serializable(h: History, def_: SearchStructureDef,
 
 def check_ls_linearizable(h: History, def_: SearchStructureDef,
                           keys: tuple[int, ...], max_ops: int | None = None,
-                          state_cap: int = 4000, apply_fn=None) -> CheckResult:
+                          state_cap: int = 4000) -> CheckResult:
     ls = check_locally_serializable(h, def_, keys, max_ops, state_cap)
     if ls.verdict is not True:
         return ls
-    lin = check_linearizable(h, apply_fn=apply_fn)
+    lin = check_linearizable(h)
     if lin.verdict is not True:
         return lin
     return CheckResult(True, witness={"local": ls.witness, "linearization": lin.witness})
@@ -275,14 +282,16 @@ class _Replay:
         return True
 
 
-def check_strictly_serializable(h: History, size_cap: int = 8) -> CheckResult:
+def check_strictly_serializable(h: History) -> CheckResult:
     """Search permutations of the complete operations respecting real time
     for one whose read/write replay is legal; on failure return a
-    dependency cycle (real-time, read-from, and anti-dependency edges)."""
+    dependency cycle (real-time, read-from, and anti-dependency edges).  A
+    history with more than ``STRICT_CAP`` complete operations is
+    inconclusive."""
     hx = h.exported()
     comp = sorted(i for i, o in hx.ops.items() if o.is_complete())
-    if len(comp) > size_cap:
-        return CheckResult(None, reason=f"more than {size_cap} complete operations")
+    if len(comp) > STRICT_CAP:
+        return CheckResult(None, reason=f"more than {STRICT_CAP} complete operations")
     iv = op_intervals(hx)
     op_traces = _op_traces(_attempt_index(hx))
     traces = {i: op_traces.get(i, []) for i in comp}
@@ -398,7 +407,7 @@ def _dependency_cycle(hx, comp, traces, iv):
 # -- safe-strict serializability ----------------------------------------------
 
 
-def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
+def check_safe_strict(h: History) -> CheckResult:
     """Strict serializability of the complete operations, plus: every
     operation execution (aborted and incomplete attempts included) observes
     a legal sequential execution over some subset of the operations
@@ -407,8 +416,10 @@ def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
 
     Each restart attempt is its own unit for condition (2): an aborted
     attempt must have observed a committed-prefix state even though a later
-    attempt completed the operation."""
-    strict = check_strictly_serializable(h, size_cap)
+    attempt completed the operation.  Condition (2) searches subsets of
+    the complete operations, which condition (1) has already capped at
+    ``STRICT_CAP``."""
+    strict = check_strictly_serializable(h)
     if strict.verdict is not True:
         return CheckResult(strict.verdict, violation=strict.violation,
                            reason=strict.reason or "condition (1) fails")
@@ -425,9 +436,6 @@ def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
             last = evs[-1].seq
             completed = [i for i, o in h.ops.items()
                          if i != k and o.is_complete() and or_seq.get(i, 1 << 60) <= last]
-            if len(completed) > size_cap:
-                return CheckResult(None, reason=f"prefix of op {k} has more than "
-                                                f"{size_cap} complete operations")
             traces = {i: hx_traces.get(i, []) for i in completed}
             if not _prefix_witness(h.initial, trace_k, completed, traces):
                 return CheckResult(

@@ -85,8 +85,8 @@ def parse_scenario(doc: dict) -> dict:
         concurrent.append((d["proc"], parse_operation(d)))
     impl = doc["impl"]
     _require(impl in ("hoh", "stm", "stm-commit-only"), f"unknown impl {impl!r}")
-    if doc.get("validation") == "commit-only":
-        impl = "stm-commit-only"
+    _require("validation" not in doc, "scenario field 'validation' is not supported: "
+             "select commit-only validation with \"impl\": \"stm-commit-only\"")
     try:
         w = Workload(def_, setup, concurrent)
     except ValueError as e:

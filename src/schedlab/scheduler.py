@@ -31,29 +31,33 @@ order.
 
 * The key is exact by construction.  It holds every field a step reads:
   the store (records by value, ``root``, ``tail``, ``counter``), the lock
-  tables with their queues, the versions, each operation (status and
-  response included), and every machine field but the structure definition
-  ``def_``, which the whole walk shares: G_op, the plan, ``write_idx``,
-  ``attempt``, ``stm``'s read and write sets, ``hoh``'s held locks.  It
-  holds the same for each implementation still accepting, and each
-  operation's raw read/write trace, so that the leaf signature below is
-  equal on every path.  It leaves out only the execution record, the
-  events and ``seq``: no step reads it, and the walk reads only the events
-  of the step it just took.  Memo cells (``DagState``'s cell of
-  ``canonical()`` and of its own key, the keys cached on records, plans,
-  complete operations and trace cells, none of which changes again) are
-  left out as well.  An attribute the key was not written for is keyed
-  like any other, and a value of a type it does not know raises.  The
-  lock tables and version counters are keyed sorted by node, empty holder
-  sets and queues dropped, since they are only read by node with an empty
-  default.
+  tables with their queues, the versions, and every machine field but the
+  structure definition ``def_``, which the whole walk shares: the
+  operation (status and response included), G_op, the plan,
+  ``write_idx``, ``attempt``, ``stm``'s read and write sets, ``hoh``'s held
+  locks.  It holds the same for each implementation still accepting.  It
+  leaves out the execution record, the events and ``seq``: no step reads
+  it, and the walk reads only the events of the step it just took.  It
+  leaves out the world's ``ops`` too: each concurrent operation is the
+  same object as its machine's ``op`` (``_spawn`` puts it in both, and a
+  fork gives the machine the fork's copy), which is keyed with the
+  machine, and the setup's operations are complete and the same for the
+  whole walk.  It holds no traces: an operation's raw read/write trace is
+  a function of its unsynchronized machine's G_op records, plan and
+  ``write_idx``.  Memo cells (``DagState``'s cell of ``canonical()`` and of
+  its own key, the keys cached on records, plans and complete operations,
+  none of which changes again) are left out as well.  An attribute the key
+  was not written for is keyed like any other, and a value of a type it
+  does not know raises.  The lock tables and version counters are keyed
+  sorted by node, empty holder sets and queues dropped, since they are
+  only read by node with an empty default.
 * Equal keys have equal futures.  A step's outcome, its events (but their
   sequence numbers) and the configuration after it are functions of the
   fields above, so from two configurations with equal keys the same slots
   lead to configurations with equal keys, with the same verdicts and
   checks on the way.  A leaf's outputs are its path's (the schedule, its
   digest, the rejections collected on it) plus functions of its key: the
-  operations, their traces and the store that ``Leaf.signature`` reads.
+  unsynchronized machines and the store that ``Leaf.signature`` reads.
 * Each configuration carries its key, and an edge builds its child's key
   from it (``_step_key``), keying again only what a progressing step can
   change: in the unsynchronized world and in each implementation that
@@ -62,8 +66,7 @@ order.
   machine writes its own fields, its operation and the shared world only.
   Within the machine (``_restep_machine``), G_op and ``stm``'s read set
   only grow, so their keys are extended by the entries the step added;
-  ``stm``'s write set is keyed again only by a write step; the
-  operation's key is built once and serves the machine and ``ops``.
+  ``stm``'s write set is keyed again only by a write step.
   An implementation that rejects the step is dropped before keying, so a
   queue it joined or a node its abort unlinked never reaches a key; a
   fork copies values, so its parent's key is its own.  The store's key is
@@ -77,16 +80,17 @@ order.
   prefix that reaches it.  A rejection's index is the depth of the
   configuration it leaves, and a configuration's depth is a function of
   its key: every slot is one step of one unsynchronized machine, and a
-  machine's step count is its invocation, its reads and writes (one trace
-  cell each) and its response.  So the index is the path length on every
-  path; the walk checks that each configuration is reached at one depth.
+  machine's step count is its invocation, its reads (G_op's entries), its
+  writes (``write_idx``) and its response.  So the index is the path
+  length on every path; the walk checks that each configuration is reached
+  at one depth.
 * An expanded configuration gives its worlds to its last child; the
   others get forks.  Forks are copy-on-write: a ``NodeRec`` in a store is
   never changed (a write or an unlink installs a new one), so a fork copies
   dicts of references and G_op holds the records read.  Complete
   operations, and their finished machines, are shared: only aborted ones
-  are ever reset.  A leaf configuration keeps its store, machines and
-  trace cells for the leaves that end in it; the leaves hold no world.
+  are ever reset.  A leaf configuration keeps its store and machines for
+  the leaves that end in it; the leaves hold no world.
 * ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets.
   Each edge holds its slot's piece, and a leaf hashes its path's pieces
   when its digest is first asked for: only the leaves a caller wants are
@@ -108,13 +112,15 @@ its local serializability; with the order they are all that the
 linearizability check sees; the store decides the audit finds, which run
 alone afterwards; the workload fixes the rest.  Unsynchronized leaves
 never abort or restart, which it does not cover; it raises if one does.
-The traces grow one ``TraceCell`` per read or write, renamed on first
-use; the store's ``canonical()`` is memoized in a cell a fork shares until
-either side changes the store.  The DFS carries each prefix's
-invocation/response order, and a leaf configuration memoizes the
-signature per order: all else it holds is the configuration's, which
-every leaf that ends in it shares.  So a signature is built once per
-(end configuration, order): 6-22 times in a Thm. 2 walk.
+Each operation's trace is read off its unsynchronized machine: the reads
+are the records G_op holds, in visit order, and the writes are the plan's
+first ``write_idx`` patches (an unsynchronized machine reads, then plans,
+then writes, and every read is of a node not read before).  The store's
+``canonical()`` is memoized in a cell a fork shares until either side
+changes the store.  The walk asks for a leaf's verdict once per (leaf
+configuration, invocation/response order) node (the counts below), so a
+signature is built once per node and needs no memo of its own: 6-18 times
+in an ``lsl_set`` pass over a Thm. 2 workload.
 
 Count, don't enumerate.  Every number a report gives is a count, so the
 walk counts leaves by category and enumerates only those its caller
@@ -164,11 +170,11 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .model import (COMPLETE, OI, OR, RI, RR, WI, Event, History,
+from .model import (COMPLETE, OI, OR, RI, WI, Event, History,
                     InvariantError, OperationInstance, Schedule, Slot,
                     complete, schedule_of, slot_of)
 from .seqspec import (DagState, Gop, NodeRec, Operation, SearchStructureDef,
-                      UpdatePlan, canonical_step)
+                      UpdatePlan, canonical_steps)
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
                    LockManager, StepMachine, StmMachine, UnsyncMachine,
                    VersionStore, World, make_machine, restart)
@@ -446,17 +452,16 @@ def _grown_key(before: tuple, items) -> tuple:
                            itertools.islice(items, len(before), None)])
 
 
-def _restep_machine(before: tuple, m: StepMachine, op_key: tuple) -> tuple:
+def _restep_machine(before: tuple, m: StepMachine) -> tuple:
     """``_machine_key(m)`` after a progressing step of `m`, from its key
-    before the step.  The operation's key is `op_key`, which ``ops``
-    holds too.  G_op and ``stm``'s read set only grow, so their keys are
-    extended by the entries the step added (a read adds one record and
+    before the step.  G_op and ``stm``'s read set only grow, so their keys
+    are extended by the entries the step added (a read adds one record and
     one version; ``Gop.visit`` raises on a node it already holds, and
     ``setdefault`` never changes an entry).  ``stm``'s write set changes
     only in a write step, the step that moves ``write_idx``; it is keyed
-    again then.  Every other field is keyed again: scalars, the cached
-    plan, ``hoh``'s held locks.  A field added or dropped since `before`
-    keys the machine whole."""
+    again then.  Every other field is keyed again: scalars, the operation,
+    the cached plan, ``hoh``'s held locks.  A field added or dropped since
+    `before` keys the machine whole."""
     typ, old = before
     if type(m) is not typ:
         return _machine_key(m)
@@ -473,8 +478,6 @@ def _restep_machine(before: tuple, m: StepMachine, op_key: tuple) -> tuple:
             if n == "write_idx":
                 wrote = v != k
             k = v
-        elif n == "op":
-            k = op_key
         elif n == "gop" and type(v) is Gop:
             (_, recs), (_, order) = k
             if len(v.order) > len(order):
@@ -499,8 +502,10 @@ _KEY_OF = {
     tuple: _seq_key,
     list: _seq_key,
     dict: lambda x: tuple([(_key(k), _key(v)) for k, v in x.items()]),
-    # no step reads the execution record or the canonical() memo
-    World: lambda x: _fields_key(x, ("events", "seq")),
+    # no step reads the execution record or the canonical() memo; a
+    # concurrent operation in `ops` is its machine's `op`, keyed there, and
+    # the setup's operations are the same complete ones for the whole walk
+    World: lambda x: _fields_key(x, ("events", "ops", "seq")),
     DagState: lambda x: _fields_key(x, ("_canon",)),
     LockManager: _locks_key,
     VersionStore: _versions_key,
@@ -515,44 +520,12 @@ _KEY_OF = {
 }
 
 
-class TraceCell:
-    """One read or write of an operation on a walk path, after its earlier
-    ones (`parent`).  ``steps()``, the ``canonical_steps`` of the trace up
-    to here, is renamed on first use and shared by the leaves below; `key`
-    is the raw trace up to here, as a configuration key."""
-
-    __slots__ = ("parent", "step", "key", "_steps", "_names")
-
-    def __init__(self, parent: TraceCell | None, step: tuple):
-        self.parent = parent
-        self.step = step
-        self.key = (None if parent is None else parent.key, _key(step))
-        self._steps = None
-        self._names = None
-
-    def steps(self) -> tuple:
-        if self._steps is None:
-            if self.parent is None:
-                before, names = (), {}
-            else:
-                before = self.parent.steps()
-                names = dict(self.parent._names)
-            self._steps = before + (canonical_step(self.step, names),)
-            self._names = names
-        return self._steps
-
-
-def _traces_key(traces: dict[int, TraceCell]) -> tuple:
-    return tuple([(i, traces[i].key) for i in sorted(traces)])
-
-
-def _config_key(world: World, machines: dict[int, StepMachine], runs: dict,
-                traces: dict[int, TraceCell]) -> tuple:
+def _config_key(world: World, machines: dict[int, StepMachine],
+                runs: dict) -> tuple:
     """A configuration's key from scratch: the walk keys its root so, and
     ``_step_key`` must give the same value for every other configuration."""
     return (_key(world), _key(machines),
-            tuple([(impl, _key(iw), _key(im)) for impl, (iw, im) in runs.items()]),
-            _traces_key(traces))
+            tuple([(impl, _key(iw), _key(im)) for impl, (iw, im) in runs.items()]))
 
 
 def _store_key(state: DagState) -> tuple:
@@ -564,47 +537,42 @@ def _store_key(state: DagState) -> tuple:
     return cell[1]
 
 
-def _restep(world_key: tuple, machines_key: tuple, world: World,
-            machines: dict[int, StepMachine], proc: int) -> tuple[tuple, tuple]:
+def _restep(machines_key: tuple, world: World, machines: dict[int, StepMachine],
+            proc: int) -> tuple[tuple, tuple]:
     """The keys of `world` and of its machines after a progressing step of
-    process `proc`, from their keys before it.  The store, the locks, the
-    versions, the process's operation and its machine are keyed again; the
-    other operations and machines keep their keys (the module docstring)."""
-    m = machines[proc]
-    op, op_key = m.op.id, _op_key(m.op)
-    m_key = _restep_machine(dict(machines_key)[proc], m, op_key)
+    process `proc`, from the machines' keys before it.  The store, the
+    locks, the versions and the process's machine (its operation with it)
+    are keyed again; the other machines keep their keys (the module
+    docstring)."""
+    m_key = _restep_machine(dict(machines_key)[proc], machines[proc])
     return ((("state", _store_key(world.state)),
              ("locks", _locks_key(world.locks)),
-             ("versions", _versions_key(world.versions)),
-             # world_key[3] is ("ops", ((operation id, key), ...))
-             ("ops", tuple([(i, op_key if i == op else k)
-                            for i, k in world_key[3][1]]))),
+             ("versions", _versions_key(world.versions))),
             tuple([(p, m_key if p == proc else k) for p, k in machines_key]))
 
 
 def _step_key(parent: tuple, proc: int, world: World,
-              machines: dict[int, StepMachine], runs: dict,
-              traces: dict[int, TraceCell]) -> tuple:
-    """``_config_key(world, machines, runs, traces)`` of the configuration
+              machines: dict[int, StepMachine], runs: dict) -> tuple:
+    """``_config_key(world, machines, runs)`` of the configuration
     a progressing step of process `proc` leads to from the one keyed
     `parent`, re-keying only what the step can change: see ``_restep``.
     `runs` holds the implementations that accepted the step."""
-    world_key, machines_key, run_keys, _ = parent
-    before = {impl: (wk, mk) for impl, wk, mk in run_keys}
-    return (*_restep(world_key, machines_key, world, machines, proc),
-            tuple([(impl, *_restep(*before[impl], iw, im, proc))
-                   for impl, (iw, im) in runs.items()]),
-            _traces_key(traces))
+    _, machines_key, run_keys = parent
+    before = {impl: mk for impl, _, mk in run_keys}
+    return (*_restep(machines_key, world, machines, proc),
+            tuple([(impl, *_restep(before[impl], iw, im, proc))
+                   for impl, (iw, im) in runs.items()]))
 
 
 @dataclass(slots=True)
 class Leaf:
     """One schedule of the universe with its verdicts from the walk.
 
-    `machines`, `state`, `traces` and `signatures` are the walk's
-    configuration at the end of the schedule, which every schedule that
-    ends in it shares: read them, change nothing.  The schedule and its
-    digest are built on first use."""
+    `machines` and `state` are the walk's configuration at the end of the
+    schedule, which every schedule that ends in it shares: read them,
+    change nothing.  The schedule and its digest are built on first use;
+    the signature is built at each call, which the walk makes once per
+    (end configuration, order) node."""
 
     slots: tuple[Slot, ...]
     pieces: tuple[bytes, ...]  # the slots' digest JSON, comma-led but the first
@@ -612,10 +580,7 @@ class Leaf:
     rejected: dict[str, tuple[str, int]]
     machines: dict[int, StepMachine]  # the unsynchronized ones, by process
     state: DagState  # the store at the end of the schedule
-    traces: dict[int, TraceCell]  # operation id -> its last read/write
     order: tuple  # (operation id, OI or OR) per invocation and response
-    # invocation/response order -> the signature of a leaf that ends here
-    signatures: dict[tuple, tuple]
     # (the implementations accepting, the LSL verdict or None), set by the walk
     category: tuple | None = None
     _schedule: Schedule | None = field(default=None, init=False, repr=False)
@@ -640,27 +605,32 @@ class Leaf:
         """All that the LSL verdict of the leaf's audited history depends
         on, for one workload: (operation id, status, response, canonical
         trace) per operation in invocation order, the invocation/response
-        order, and the store's ``canonical()`` (why it is exact: the module
-        docstring).  Built once per end configuration and order.  Raises
-        InvariantError on an aborted operation or a restarted attempt,
-        which it does not cover."""
+        order, and the store's ``canonical()`` (why it is exact, and how
+        the traces are read off the machines: the module docstring).
+        Raises InvariantError on an aborted operation or a restarted
+        attempt, which it does not cover."""
+        by_op = {}
         for m in self.machines.values():
             if m.attempt != 0 or m.op.status != COMPLETE:
                 raise InvariantError(f"leaf has an abort or a restart: "
                                      f"{m.op.describe()} attempt {m.attempt} "
                                      f"{m.op.status}")
-        sig = self.signatures.get(self.order)
-        if sig is None:
-            sig = self.signatures[self.order] = self._signature()
-        return sig
-
-    def _signature(self) -> tuple:
-        ops = {m.op.id: m.op for m in self.machines.values()}
-        traces = self.traces
-        return (tuple([(i, ops[i].status, ops[i].response,
-                        traces[i].steps() if i in traces else ())
+            by_op[m.op.id] = m
+        return (tuple([(i, by_op[i].op.status, by_op[i].op.response,
+                        _trace(by_op[i]))
                        for i, kind in self.order if kind == OI]),
                 self.order, self.state.canonical())
+
+
+def _trace(m: StepMachine) -> tuple:
+    """``canonical_steps`` of an unsynchronized machine's raw read/write
+    trace, as its events carry it: each read's record, in G_op order,
+    then each write's patch of ``n<id>`` tokens."""
+    gop = m.gop
+    return canonical_steps(
+        [("r", n, gop.recs[n].snap()) for n in gop.order]
+        + [("w", n, {lab: None if t is None else f"n{t}" for lab, t in patch.items()})
+           for n, patch in m.plan.writes[:m.write_idx]])
 
 
 class _Config:
@@ -669,23 +639,22 @@ class _Config:
     per live process in process order, are (slot, digest piece, order
     piece, child, rejections) and are stepped the first time the walk takes
     them; after the last one the configuration's worlds belong to its
-    children, except at a leaf, which keeps them, the implementations
-    still accepting there and a memo of its signatures.  `counts` maps an
-    invocation/response order to the category counts below (``walk``)."""
+    children, except at a leaf, which keeps them and the implementations
+    still accepting there.  `counts` maps an invocation/response order to
+    the category counts below (``walk``); a leaf's verdict is asked for
+    when its order's counts are first made, so no signature memo is kept."""
 
-    __slots__ = ("depth", "key", "live", "world", "machines", "runs", "traces",
-                 "edges", "signatures", "accepting", "counts")
+    __slots__ = ("depth", "key", "live", "world", "machines", "runs", "edges",
+                 "accepting", "counts")
 
     def __init__(self, depth: int, key: tuple, world: World,
-                 machines: dict[int, StepMachine], runs: dict,
-                 traces: dict[int, TraceCell]):
+                 machines: dict[int, StepMachine], runs: dict):
         self.depth, self.key = depth, key
         self.live = tuple(sorted(p for p, m in machines.items() if not m.finished))
-        self.world, self.machines, self.traces = world, machines, traces
+        self.world, self.machines = world, machines
         self.runs = runs
         self.edges: list[tuple] = []
         self.counts: dict[tuple, tuple] = {}
-        self.signatures = None if self.live else {}
         self.accepting = None
         if not self.live:
             for _, im in runs.values():
@@ -724,16 +693,10 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
             runs[impl] = (iw, im)
         else:
             rejections[impl] = (reason, idx)
-    traces = node.traces
-    for e in out.events:
-        if e.kind == RR or e.kind == WI:
-            step = (("r", e.nid, e.value) if e.kind == RR
-                    else ("w", e.nid, e.value["edges"]))
-            traces = {**traces, e.op: TraceCell(traces.get(e.op), step)}
-    key = _step_key(node.key, proc, world, machines, runs, traces)
+    key = _step_key(node.key, proc, world, machines, runs)
     child = memo.get(key)
     if child is None:
-        child = memo[key] = _Config(idx + 1, key, world, machines, runs, traces)
+        child = memo[key] = _Config(idx + 1, key, world, machines, runs)
     elif child.depth != idx + 1:
         raise InvariantError(f"configuration reached at depths {child.depth} "
                              f"and {idx + 1}")
@@ -745,7 +708,7 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
         else ()
     node.edges.append((slot, piece if idx else piece[1:], io, child, rejections))
     if last:
-        node.world = node.machines = node.runs = node.traces = None
+        node.world = node.machines = node.runs = None
 
 
 class Tally:
@@ -780,8 +743,8 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     not a leaf of the universe raises MalformedScheduleError."""
     world, machines, _ = build_world("unsync", w)
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
-    key = _config_key(world, machines, runs, {})
-    root = _Config(0, key, world, machines, runs, {})
+    key = _config_key(world, machines, runs)
+    root = _Config(0, key, world, machines, runs)
     memo = {key: root}
     by_order = verdict is not None
     counts = tally.counts
@@ -795,7 +758,7 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
 
     def leaf_here(node: _Config, order: tuple, rejected: dict) -> Leaf:
         return Leaf(tuple(slots), tuple(texts), rejected, node.machines,
-                    node.world.state, node.traces, order, node.signatures)
+                    node.world.state, order)
 
     def classified(node: _Config, order: tuple, rejected: dict) -> Leaf | None:
         """Count the leaf the path ends in, at leaf node `node`; return it

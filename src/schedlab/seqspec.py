@@ -510,9 +510,6 @@ class SkipList(SearchStructureDef):
         st.root, st.tail = root, tail
         return st
 
-    def _levels_of(self, gop, nid) -> list[int]:
-        return sorted((int(lab[4:]) for lab in gop.edges(nid)), reverse=True)
-
     def _search(self, op, gop, state_root):
         """Replan the canonical descent over visited nodes.
 

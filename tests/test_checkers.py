@@ -180,6 +180,22 @@ def test_max_ops_below_the_fixpoint_is_inconclusive(fig3_history):
                                           max_ops).verdict is True
 
 
+def test_histories_past_the_caps_are_inconclusive():
+    """The exact searches report a history past their caps as
+    inconclusive, with the reason, and decide one at the cap."""
+    d = make_structure("sorted-list")
+    ops = [Operation(("insert", "find", "delete")[k % 3], k % 4) for k in range(13)]
+    res = check_linearizable(sequential_run(d, ops)[2])
+    assert res.verdict is None and res.reason == "more than 12 operations"
+    assert check_linearizable(sequential_run(d, ops[:12])[2]).verdict is True
+    nine = sequential_run(d, ops[:9])[2]
+    for check in (check_strictly_serializable, check_safe_strict):
+        res = check(nine)
+        assert res.verdict is None, check
+        assert res.reason == "more than 8 complete operations", check
+        assert check(sequential_run(d, ops[:8])[2]).verdict is True, check
+
+
 # -- LS-linearizability ------------------------------------------------------------
 
 

@@ -62,6 +62,24 @@ def test_parse_scenario_validation_errors():
                         "concurrent": [], "impl": "hoh", "schedule": []})
 
 
+@pytest.mark.parametrize("impl", ["hoh", "stm", "stm-commit-only"])
+def test_validation_field_is_an_input_error(tmp_path, impl):
+    """Commit-only validation is an impl of its own; a scenario that asks
+    for it through a `validation` field is refused and told which impl to
+    name, whatever impl it names."""
+    doc = {"structure": "sorted-list", "setup": [],
+           "concurrent": [{"proc": 1, "op": "find", "key": 1}], "impl": impl,
+           "validation": "commit-only", "schedule": []}
+    with pytest.raises(ScenarioError, match="stm-commit-only"):
+        parse_scenario(doc)
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(doc))
+    code, out, err = run_cli("run", str(p))
+    assert code == 1 and "stm-commit-only" in err and not out
+    del doc["validation"]
+    assert parse_scenario(doc)["impl"] == impl
+
+
 @pytest.mark.parametrize("figure", ["fig2", "fig3", "thm2", "thm3"])
 def test_reproduce_exits_0(figure):
     code, out, _ = run_cli("reproduce", figure)

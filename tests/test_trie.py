@@ -27,8 +27,7 @@ from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
-from schedlab.model import (ABORTED, COMPLETE, History, OperationInstance,
-                            schedule_of)
+from schedlab.model import ABORTED, COMPLETE, History, schedule_of
 from schedlab.scheduler import (Workload, _fork, build_world, drive,
                                 schedule_trie, universe)
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
@@ -311,12 +310,20 @@ def test_dag_walk_matches_prefix_walk_on_thm3():
     assert assert_walks_agree(w, budget=2000) == 2000
 
 
+# configurations of a Thm. 2 walk under `hoh` and `stm`
+CONFIGURATIONS = {
+    ("sorted-list", "w_present"): 60, ("sorted-list", "w_absent"): 102,
+    ("bst", "w_present"): 60, ("bst", "w_absent"): 83,
+    ("skiplist", "w_present"): 77, ("skiplist", "w_absent"): 100,
+}
+
+
 @pytest.mark.parametrize("instance", ("w_present", "w_absent"))
 @pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
 def test_walk_steps_each_configuration_once(monkeypatch, structure, instance):
     """Independent steps commute, so a Thm. 2 universe of 924-3432
-    schedules (3431-12869 prefixes) reaches at most 150 configurations,
-    and each is expanded once."""
+    schedules (3431-12869 prefixes) reaches 60-102 configurations under
+    `hoh` and `stm`, and each is expanded once."""
     w = getattr(thm2_bundle(make_structure(structure)), instance)
     configs = []
     init = scheduler._Config.__init__
@@ -328,7 +335,7 @@ def test_walk_steps_each_configuration_once(monkeypatch, structure, instance):
     monkeypatch.setattr(scheduler._Config, "__init__", counting)
     leaves = sum(1 for _ in schedule_trie(w, IMPLS))
     assert leaves in (924, 3264, 3432)
-    assert len(configs) <= 150
+    assert len(configs) == CONFIGURATIONS[structure, instance]
     assert len(set(map(id, configs))) == len(configs)
 
 
@@ -372,7 +379,7 @@ WORLD_CHANGES = {
     "state": lambda x: x.state.write_edges(x.state.root, {"next": None}),
     "locks": lambda x: x.locks.try_acquire(99, "shared", 1),
     "versions": lambda x: x.versions.bump([99]),
-    "ops": lambda x: x.ops.__setitem__(99, OperationInstance(99, 9, "find", 1)),
+    "ops": None,  # its machine's `op`, or a setup operation
     "events": None,
     "seq": None,
 }
@@ -429,7 +436,8 @@ def test_configuration_key_holds_every_field(part, impl, steps):
     """Changing any one attribute of a world, its store, lock tables,
     version store or a machine changes its key, except the execution
     record (`events`, `seq`), the structure definition (`def_`) and memo
-    cells, which no step reads."""
+    cells, which no step reads, and the world's operations (`ops`), which
+    the machines key."""
     _, get, changes = next(p for p in KEYED_PARTS if p[0] == part)
     names = list(vars(get(*stepped(impl, steps))))
     assert set(names) <= set(changes), "an attribute the test does not know"
@@ -477,40 +485,22 @@ def test_configuration_key_ignores_what_no_read_sees():
     assert scheduler._key(world.clone()) == before
 
 
-def test_trace_key_is_the_raw_trace():
-    """Two cells hold equal keys iff their raw traces are equal."""
-    a = scheduler.TraceCell(scheduler.TraceCell(None, ("r", 0, {"key": 1})),
-                            ("w", 0, {"next": "n1"}))
-    b = scheduler.TraceCell(scheduler.TraceCell(None, ("r", 0, {"key": 1})),
-                            ("w", 0, {"next": "n1"}))
-    c = scheduler.TraceCell(scheduler.TraceCell(None, ("r", 0, {"key": 2})),
-                            ("w", 0, {"next": "n1"}))
-    assert a.key == b.key and a.key != c.key
-    assert scheduler.TraceCell(None, ("w", 0, {"next": "n1"})).key != a.key
-
-
 def test_configuration_key_holds_every_part():
     """The walk's key: the unsynchronized world and machines, each
-    implementation still accepting with its world and machines, and each
-    operation's raw trace."""
+    implementation still accepting with its world and machines."""
     world, machines = stepped("unsync", 6)
     hoh = stepped("hoh", 6)
-    cell = scheduler.TraceCell(None, ("r", 0, {"key": 1}))
-    base = (world, machines, {"hoh": hoh}, {2: cell})
+    base = (world, machines, {"hoh": hoh})
     key = scheduler._config_key(*base)
     assert scheduler._config_key(*base) == key
     bumped = world.clone()
     bumped.versions.bump([0])
     variants = [
-        (bumped, machines, {"hoh": hoh}, {2: cell}),
-        (world, stepped("unsync", 7)[1], {"hoh": hoh}, {2: cell}),
-        (world, machines, {}, {2: cell}),
-        (world, machines, {"stm": hoh}, {2: cell}),
-        (world, machines, {"hoh": stepped("hoh", 7)}, {2: cell}),
-        (world, machines, {"hoh": hoh}, {}),
-        (world, machines, {"hoh": hoh}, {3: cell}),
-        (world, machines, {"hoh": hoh},
-         {2: scheduler.TraceCell(None, ("r", 0, {"key": 2}))}),
+        (bumped, machines, {"hoh": hoh}),
+        (world, stepped("unsync", 7)[1], {"hoh": hoh}),
+        (world, machines, {}),
+        (world, machines, {"stm": hoh}),
+        (world, machines, {"hoh": stepped("hoh", 7)}),
     ]
     for i, v in enumerate(variants):
         assert scheduler._config_key(*v) != key, i
@@ -540,9 +530,9 @@ def test_incremental_key_equals_key_from_scratch(monkeypatch):
     step_key = scheduler._step_key
     edges = []
 
-    def checked(parent, proc, world, machines, runs, traces):
-        key = step_key(parent, proc, world, machines, runs, traces)
-        assert key == scheduler._config_key(world, machines, runs, traces)
+    def checked(parent, proc, world, machines, runs):
+        key = step_key(parent, proc, world, machines, runs)
+        assert key == scheduler._config_key(world, machines, runs)
         edges.append(len(runs))
         return key
 
@@ -587,24 +577,22 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
 @pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
 def test_signature_built_once_per_configuration_and_order(monkeypatch, structure,
                                                           instance):
-    """A leaf's signature is built once per end configuration and
-    invocation/response order, not once per leaf."""
+    """``lsl_set`` builds a leaf signature once per end configuration and
+    invocation/response order, not once per leaf: 6 or 18 of them for the
+    924-3432 leaves of a Thm. 2 workload."""
     w = getattr(thm2_bundle(make_structure(structure)), instance)
-    body = scheduler.Leaf._signature
+    signature = scheduler.Leaf.signature
     built = []
 
     def counting(leaf):
-        built.append((id(leaf.signatures), leaf.order))
-        return body(leaf)
+        built.append((id(leaf.machines), leaf.order))
+        return signature(leaf)
 
-    monkeypatch.setattr(scheduler.Leaf, "_signature", counting)
-    leaves = 0
-    for leaf in schedule_trie(w, IMPLS):
-        assert leaf.signature() is leaf.signature()
-        leaves += 1
-    assert leaves in (924, 3264, 3432)
-    assert len(built) == len(set(built))
-    assert len(built) < leaves // 10
+    monkeypatch.setattr(scheduler.Leaf, "signature", counting)
+    ss = metric.lsl_set(w)
+    assert ss.total in (924, 3264, 3432)
+    assert len(built) == {"w_present": 6, "w_absent": 18}[instance]
+    assert len(set(built)) == len(built)
 
 
 @pytest.mark.parametrize("budget", (923, 924))

@@ -1,6 +1,10 @@
 """Decision procedures for the correctness criteria.
 
-All checkers are pure functions over histories.  Positive verdicts carry a
+All checkers are pure functions over histories.  The LS-linearizability
+checkers are adapters over cores that take no history: ``unit_checker``
+over per-attempt units, ``linearize`` over operations and their
+intervals, and ``ls_linearizable``, which joins the two.  The walk's LSL
+verdicts (``metric``) use the same cores.  Positive verdicts carry a
 replayable witness (a linearization order, per-operation sequential runs,
 or nothing to prove); negative strict-serializability verdicts carry a
 dependency cycle whose edges are re-derivable from the history.  Bounded
@@ -127,24 +131,32 @@ STRICT_CAP = 8
 
 
 def check_linearizable(h: History, apply_fn=None, q0=None) -> CheckResult:
-    """Exact decision by DFS with state memoization.
-
-    Incomplete operations may be completed (their response is whatever the
-    specification yields) or dropped; aborted operations are not part of
-    the high-level history at all.  `apply_fn` and `q0` override the
-    sequential specification and its initial abstract state (needed for
-    composed objects, whose state is a pair).  A history with more than
-    ``LINEARIZABLE_CAP`` operations is inconclusive.
-    """
-    apply_fn = apply_fn or _default_apply
+    """``linearize`` over a history: the operations of its exported view
+    but the aborted ones, their intervals, and the abstract state of its
+    initial store.  `apply_fn` and `q0` override the sequential
+    specification and its initial abstract state (needed for composed
+    objects, whose state is a pair)."""
     hx = h.exported()
-    ops = {i: o for i, o in hx.ops.items() if o.status != ABORTED}
-    if len(ops) > LINEARIZABLE_CAP:
-        return CheckResult(None, reason=f"more than {LINEARIZABLE_CAP} operations")
-    iv = op_intervals(hx)
-    ops = {i: o for i, o in ops.items() if i in iv}
     if q0 is None:
         q0 = frozenset(abstract_state(hx.initial).items())
+    return linearize({i: o for i, o in hx.ops.items() if o.status != ABORTED},
+                     op_intervals(hx), q0, apply_fn or _default_apply)
+
+
+def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple], q0,
+              apply_fn=_default_apply) -> CheckResult:
+    """Exact decision by DFS with state memoization, over the operations
+    `ops` (none aborted) with their intervals `iv` (op id -> (invocation
+    position, response position or +inf)) from abstract state `q0`.
+
+    Incomplete operations may be completed (their response is whatever the
+    specification yields) or dropped; an operation without an interval
+    takes no part.  More than ``LINEARIZABLE_CAP`` operations are
+    inconclusive.
+    """
+    if len(ops) > LINEARIZABLE_CAP:
+        return CheckResult(None, reason=f"more than {LINEARIZABLE_CAP} operations")
+    ops = {i: o for i, o in ops.items() if i in iv}
     order = sorted(ops)
     complete_ids = [i for i in order if ops[i].is_complete()]
     seen: set[tuple] = set()
@@ -184,58 +196,88 @@ def check_linearizable(h: History, apply_fn=None, q0=None) -> CheckResult:
 # -- local serializability ----------------------------------------------------
 
 
-def check_locally_serializable(h: History, def_: SearchStructureDef,
-                               keys: tuple[int, ...], max_ops: int | None = None,
-                               state_cap: int = 4000) -> CheckResult:
-    """For each operation, search the sequential implementation's histories
-    for one whose local trace matches.  Each attempt of a restarted
-    operation is its own unit: an aborted or incomplete attempt must match
-    a prefix of a sequential trace, and the completed final attempt must
-    match one fully, response included.  A state space that needs more
-    operations than a given `max_ops` is inconclusive."""
+def unit_checker(def_: SearchStructureDef, keys: tuple[int, ...],
+                 max_ops: int | None = None, state_cap: int = 4000):
+    """Local serializability over `keys`, as a function of an iterable of
+    units.  A unit is (operation instance, attempt, canonical steps,
+    whether it completes the operation).  It holds when the sequential
+    implementation has a history in which the operation takes exactly
+    those steps and returns its response, or, for a unit that does not
+    complete the operation, takes them as a prefix; a unit with no steps
+    that does not complete it holds.  The function stops at the first unit
+    that fails.  A sequential state space past `state_cap`, or one that
+    needs more operations than a given `max_ops`, makes every verdict
+    inconclusive."""
     space = def_.space()
     try:
         states = space.states(keys, state_cap)
+        need = len(states[-1][2])
+        if max_ops is not None and need > max_ops:
+            raise BudgetExceeded(f"the sequential state space needs {need} "
+                                 f"operations, more than max_ops={max_ops}")
     except BudgetExceeded as e:
-        return CheckResult(None, reason=str(e))
-    need = len(states[-1][2])
-    if max_ops is not None and need > max_ops:
-        return CheckResult(None, reason=f"the sequential state space needs {need} "
-                                        f"operations, more than max_ops={max_ops}")
-    witnesses = {}
+        res = CheckResult(None, reason=str(e))
+        return lambda units: res
+
+    def check(units) -> CheckResult:
+        witnesses = {}
+        for op_inst, attempt, steps, complete in units:
+            if not steps and not complete:
+                witnesses[op_inst.id] = "no events"
+                continue
+            found = space.witness(states,
+                                  Operation(op_inst.name, op_inst.key, op_inst.val),
+                                  steps, op_inst.response if complete else None)
+            if found is None:
+                return CheckResult(False, violation={"op": op_inst.id, "attempt": attempt,
+                                                     "trace": steps},
+                                   reason=f"operation {op_inst.describe()} has no "
+                                          f"sequential witness")
+            witnesses[op_inst.id] = found
+        return CheckResult(True, witness=witnesses)
+    return check
+
+
+def _history_units(h: History):
+    """A history's units in operation order: each attempt of a restarted
+    operation is its own unit, and only the final attempt of a complete
+    operation completes it."""
     index = _attempt_index(h)
     for i, op_inst in sorted(h.ops.items()):
         by_attempt = index.get(i, {})
         attempts = sorted(by_attempt) or [0]
-        op = Operation(op_inst.name, op_inst.key, op_inst.val)
         for attempt in attempts:
-            complete = attempt == attempts[-1] and op_inst.is_complete()
-            trace = _rw(trim_aborted(by_attempt.get(attempt, [])))
-            if not trace and not complete:
-                witnesses[i] = "no events"
-                continue
-            steps = canonical_steps(trace)
-            found = space.witness(states, op, steps,
-                                  op_inst.response if complete else None)
-            if found is None:
-                return CheckResult(False, violation={"op": i, "attempt": attempt,
-                                                     "trace": steps},
-                                   reason=f"operation {op_inst.describe()} has no "
-                                          f"sequential witness")
-            witnesses[i] = found
-    return CheckResult(True, witness=witnesses)
+            steps = canonical_steps(_rw(trim_aborted(by_attempt.get(attempt, []))))
+            yield op_inst, attempt, steps, attempt == attempts[-1] and op_inst.is_complete()
+
+
+def check_locally_serializable(h: History, def_: SearchStructureDef,
+                               keys: tuple[int, ...], max_ops: int | None = None,
+                               state_cap: int = 4000) -> CheckResult:
+    """``unit_checker`` over the history's units: each attempt of a
+    restarted operation is its own unit, so an aborted or incomplete
+    attempt must match a prefix of a sequential trace, and the completed
+    final attempt must match one fully, response included."""
+    return unit_checker(def_, keys, max_ops, state_cap)(_history_units(h))
+
+
+def ls_linearizable(ls: CheckResult, lin) -> CheckResult:
+    """LS-linearizability from its parts: the local serializability
+    result `ls`, then, only if it holds, ``lin()``, the linearizability
+    result.  The first that is not True is the result."""
+    if ls.verdict is not True:
+        return ls
+    res = lin()
+    if res.verdict is not True:
+        return res
+    return CheckResult(True, witness={"local": ls.witness, "linearization": res.witness})
 
 
 def check_ls_linearizable(h: History, def_: SearchStructureDef,
                           keys: tuple[int, ...], max_ops: int | None = None,
                           state_cap: int = 4000) -> CheckResult:
-    ls = check_locally_serializable(h, def_, keys, max_ops, state_cap)
-    if ls.verdict is not True:
-        return ls
-    lin = check_linearizable(h)
-    if lin.verdict is not True:
-        return lin
-    return CheckResult(True, witness={"local": ls.witness, "linearization": lin.witness})
+    return ls_linearizable(check_locally_serializable(h, def_, keys, max_ops, state_cap),
+                           lambda: check_linearizable(h))
 
 
 # -- strict serializability ---------------------------------------------------

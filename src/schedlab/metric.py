@@ -4,10 +4,14 @@ The concurrency of an implementation on a workload is the set of schedules
 it accepts.  The correctness oracle is the set of LSL schedules: a schedule
 belongs to it when the history obtained by replaying it with legal reads
 (the unsynchronized machines), extended with one sequential find per
-workload key, is LS-linearizable.  The audit extension operationalizes the
-observation that a lost update is only visible to later operations: without
-it, a schedule that silently drops a key would still have a locally
-consistent exporting history.
+workload key, is LS-linearizable.  That audited history
+(``audited_history``, re-exported here as the reference path) defines the
+oracle; the walk decides it from the leaf's signature and end
+configuration, with the checkers' cores that ``check_ls_linearizable``
+runs on the history (``_lsl_verdict``).  The audit extension
+operationalizes the observation that a lost update is only visible to
+later operations: without it, a schedule that silently drops a key would
+still have a locally consistent exporting history.
 """
 
 from __future__ import annotations
@@ -17,10 +21,11 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .model import Schedule
-from .scheduler import (Tally, Workload, audited_history, drive, walk,
-                        workload_keys)
-from .checkers import check_ls_linearizable
+from .checkers import abstract_state, linearize, ls_linearizable, unit_checker
+from .model import OI, Schedule
+# audited_history is re-exported: the oracle's reference path
+from .scheduler import (Tally, Workload, audited_history, build_world, drive,
+                        walk, workload_keys)
 
 
 @dataclass
@@ -49,17 +54,37 @@ class ComparisonVerdict:
 
 
 def _lsl_verdict(w: Workload):
-    """The LSL verdict of a walk's leaf: its audited history, checked once
-    per leaf signature (see ``Leaf.signature``).  The memo lives for one
-    call, within which the workload and keys are fixed."""
-    keys = workload_keys(w)
+    """The LSL verdict of a walk's leaf, decided once per leaf signature
+    (see ``Leaf.signature``) from the leaf's end configuration, by the
+    checkers that decide an audited history: its units are each
+    concurrent operation's trace (the signature's) and response, then each
+    audit find's (``Leaf.audits``); its intervals are the leaf's
+    invocation/response order, with the finds after it one by one.  The
+    memo and the initial abstract state live for one call, within which
+    the workload and keys are fixed."""
+    check_units = unit_checker(w.structure, workload_keys(w))
+    q0 = frozenset(abstract_state(build_world("unsync", w)[0].state.snapshot()).items())
     verdicts: dict[tuple, bool | None] = {}
 
     def verdict(leaf) -> bool | None:
         sig = leaf.signature()
         if sig not in verdicts:
-            verdicts[sig] = check_ls_linearizable(audited_history(w, leaf.schedule),
-                                                  w.structure, keys).verdict
+            ops = {m.op.id: m.op for m in leaf.machines.values()}
+            units = [(ops[i], 0, trace, True) for i, _, _, trace in sorted(sig[0])]
+            iv, inv = {}, {}
+            for t, (i, kind) in enumerate(leaf.order):
+                if kind == OI:
+                    inv[i] = t
+                else:
+                    iv[i] = (inv[i], t)
+            t = len(leaf.order)
+            for op, trace in leaf.audits(w):
+                ops[op.id] = op
+                units.append((op, 0, trace, True))
+                iv[op.id] = (t, t + 1)
+                t += 2
+            verdicts[sig] = ls_linearizable(check_units(units),
+                                            lambda: linearize(ops, iv, q0)).verdict
         return verdicts[sig]
     return verdict
 

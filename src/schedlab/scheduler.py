@@ -102,16 +102,20 @@ order.
   every operation is complete and on attempt 0 (``complete`` and
   ``History.exported`` drop only abort-marked events).
 
-The LSL oracle (``metric``) checks the audited replay of a leaf
-(``audited_history`` of its schedule) only when the leaf's
-signature (``Leaf.signature``) is new within the pass.  The signature is
-each concurrent operation's id, status, response and canonical read/write
+The LSL oracle (``metric``) is defined on the audited replay of a leaf
+(``audited_history`` of its schedule, the reference path), and decided
+from the leaf's end configuration when the leaf's signature
+(``Leaf.signature``) is new within the pass.  The signature is each
+concurrent operation's id, status, response and canonical read/write
 trace, the order of the invocations and responses, and the final store's
 ``canonical()``.  It is exact: an operation's trace and response decide
 its local serializability; with the order they are all that the
 linearizability check sees; the store decides the audit finds, which run
-alone afterwards; the workload fixes the rest.  Unsynchronized leaves
-never abort or restart, which it does not cover; it raises if one does.
+alone afterwards; the workload fixes the rest.  So the verdict needs no
+replay: the audit finds run on a fork of the end store (``Leaf.audits``,
+with the runner of ``run_audit_finds``), and the order gives the
+intervals.  Unsynchronized leaves never abort or restart, which it does
+not cover; it raises if one does.
 Each operation's trace is read off its unsynchronized machine: the reads
 are the records G_op holds, in visit order, and the writes are the plan's
 first ``write_idx`` patches (an unsynchronized machine reads, then plans,
@@ -235,9 +239,9 @@ def _spawn(impl: str, w: Workload, world: World) -> dict[int, StepMachine]:
     return machines
 
 
-def _run_sequential(world: World, w: Workload, inst: OperationInstance) -> None:
+def _run_sequential(world: World, w: Workload, inst: OperationInstance) -> StepMachine:
     """Run one operation to completion, alone, on the unsynchronized
-    machine."""
+    machine; return the finished machine."""
     world.ops[inst.id] = inst
     m = make_machine("unsync", w.structure, inst)
     while not m.finished:
@@ -245,6 +249,7 @@ def _run_sequential(world: World, w: Workload, inst: OperationInstance) -> None:
         if out.kind not in (PROGRESSED, FINISHED):
             raise InvariantError(f"unsync machine of {inst.describe()} "
                                  f"{out.kind} running alone")
+    return m
 
 
 def build_world(impl: str, w: Workload) -> tuple[World, dict[int, StepMachine], int]:
@@ -268,15 +273,22 @@ def _concurrent_history(world: World, w: Workload, start: int,
     return History(events, ops, initial, w.structure.name)
 
 
+def audit_finds(world: World, w: Workload) -> list[StepMachine]:
+    """Run one sequential find per workload key, in key order, on `world`
+    after the concurrent operations; return their finished machines.  The
+    finds take the operation ids and processes after the workload's."""
+    next_id = len(w.setup) + len(w.concurrent)
+    next_proc = max((p for p, _ in w.concurrent), default=0) + 1
+    return [_run_sequential(world, w, OperationInstance(id=next_id + i, proc=next_proc + i,
+                                                        name="find", key=key))
+            for i, key in enumerate(workload_keys(w))]
+
+
 def run_audit_finds(world: World, w: Workload, start: int, initial: dict) -> History:
-    """Run one sequential find per workload key after the concurrent
+    """Run the audit finds (``audit_finds``) after the concurrent
     operations; return the concurrent history with the finds, which the
     LSL oracle checks (see ``metric``)."""
-    next_id = max(world.ops) + 1
-    next_proc = max((p for p, _ in w.concurrent), default=0) + 1
-    for i, key in enumerate(workload_keys(w)):
-        _run_sequential(world, w, OperationInstance(id=next_id + i, proc=next_proc + i,
-                                                    name="find", key=key))
+    audit_finds(world, w)
     return _concurrent_history(world, w, start, initial)
 
 
@@ -606,7 +618,8 @@ class Leaf:
         on, for one workload: (operation id, status, response, canonical
         trace) per operation in invocation order, the invocation/response
         order, and the store's ``canonical()`` (why it is exact, and how
-        the traces are read off the machines: the module docstring).
+        the traces are read off the machines: the module docstring).  The
+        verdict is decided from it, the order and ``audits`` (``metric``).
         Raises InvariantError on an aborted operation or a restarted
         attempt, which it does not cover."""
         by_op = {}
@@ -620,6 +633,12 @@ class Leaf:
                         _trace(by_op[i]))
                        for i, kind in self.order if kind == OI]),
                 self.order, self.state.canonical())
+
+    def audits(self, w: Workload) -> list[tuple[OperationInstance, tuple]]:
+        """(operation, canonical trace) of each audit find of the leaf's
+        audited history (``audit_finds``), run on a fork of its end store,
+        which is left as it is."""
+        return [(m.op, _trace(m)) for m in audit_finds(World(self.state.clone()), w)]
 
 
 def _trace(m: StepMachine) -> tuple:

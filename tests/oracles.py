@@ -18,9 +18,9 @@ import itertools
 import json
 from dataclasses import dataclass
 
-from schedlab.checkers import (CheckResult, _default_apply, _dependency_cycle,
-                               _prefix_witness, _Replay, abstract_state,
-                               op_intervals)
+from schedlab.checkers import (STRICT_CAP, CheckResult, _default_apply,
+                               _dependency_cycle, _prefix_witness, _Replay,
+                               abstract_state, op_intervals)
 from schedlab.model import (ABORTED, OI, OR, RI, RR, WI, WR, History,
                             InvariantError, Schedule, Slot,
                             restrict_to_operation, slot_of)
@@ -458,11 +458,11 @@ def check_locally_serializable(h: History, def_: SearchStructureDef,
     return CheckResult(True, witness=witnesses)
 
 
-def check_strictly_serializable(h: History, size_cap: int = 8) -> CheckResult:
+def check_strictly_serializable(h: History) -> CheckResult:
     hx = h.exported()
     comp = sorted(i for i, o in hx.ops.items() if o.is_complete())
-    if len(comp) > size_cap:
-        return CheckResult(None, reason=f"more than {size_cap} complete operations")
+    if len(comp) > STRICT_CAP:
+        return CheckResult(None, reason=f"more than {STRICT_CAP} complete operations")
     iv = op_intervals(hx)
     traces = {i: rw_trace(hx, i) for i in comp}
 
@@ -500,8 +500,8 @@ def _attempt_trace(evs: list) -> list[tuple]:
     return out
 
 
-def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
-    strict = check_strictly_serializable(h, size_cap)
+def check_safe_strict(h: History) -> CheckResult:
+    strict = check_strictly_serializable(h)
     if strict.verdict is not True:
         return CheckResult(strict.verdict, violation=strict.violation,
                            reason=strict.reason or "condition (1) fails")
@@ -516,9 +516,6 @@ def check_safe_strict(h: History, size_cap: int = 8) -> CheckResult:
             last = evs[-1].seq
             completed = [i for i, o in h.ops.items()
                          if i != k and o.is_complete() and or_seq.get(i, 1 << 60) <= last]
-            if len(completed) > size_cap:
-                return CheckResult(None, reason=f"prefix of op {k} has more than "
-                                                f"{size_cap} complete operations")
             traces = {i: rw_trace(hx, i) for i in completed}
             if not _prefix_witness(h.initial, trace_k, completed, traces):
                 return CheckResult(

@@ -23,7 +23,8 @@ from collections import Counter
 import pytest
 
 from schedlab import metric, scheduler
-from schedlab.checkers import check_ls_linearizable
+from schedlab.checkers import (LINEARIZABLE_CAP, check_ls_linearizable,
+                               ls_linearizable)
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (accepted_set, audited_history, classify, lsl_set,
                              optimality_gap, workload_keys)
@@ -191,8 +192,8 @@ def test_extras_beyond_the_budget_are_classified_once():
 def test_extras_past_the_budget_are_classified_as_the_reference(monkeypatch):
     """Extras past the budget get the per-prefix reference's categories and
     are counted as if the budget took them; a signature the walk has
-    checked is not checked again, so the checker runs once per distinct
-    signature among the leaves classified."""
+    decided is not decided again, so the verdict is decided once per
+    distinct signature among the leaves classified."""
     w = thm3_bundle(make_structure("sorted-list")).workload
     sigs = [leaf.signature() for leaf in itertools.islice(prefix_walk(w, IMPLS), 400)]
     # the 100 extras repeat a few signatures, some of them the descent's
@@ -203,9 +204,9 @@ def test_extras_past_the_budget_are_classified_as_the_reference(monkeypatch):
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return check_ls_linearizable(*args, **kwargs)
+        return ls_linearizable(*args, **kwargs)
 
-    monkeypatch.setattr(metric, "check_ls_linearizable", counting)
+    monkeypatch.setattr(metric, "ls_linearizable", counting)
     sets = classify(w, IMPLS, lsl=True, budget=300, extras=extras)
     assert len(calls) == len(set(sigs))
     del calls[:]
@@ -222,6 +223,24 @@ def test_extras_past_the_budget_are_classified_as_the_reference(monkeypatch):
     accepted = members(ref, lambda acc, v: "hoh" in acc)
     assert (gap.accepted, gap.lsl, gap.total) == (len(accepted), len(lsl), 400)
     assert gap.missing == [lsl[d] for d in sorted(set(lsl) - set(accepted))[:3]]
+
+
+def test_an_inconclusive_verdict_is_counted_as_the_reference():
+    """Past ``LINEARIZABLE_CAP`` operations the LSL verdict is inconclusive
+    on both paths: on the sorted list with setup {1..9}, insert(10) ∥
+    find(11) has 11 audit finds, 13 operations in all.  Every one of the
+    first 30 leaves is inconclusive; ``lsl_set`` reports each of them as
+    the reference does, and ``optimality_gap`` counts them all."""
+    w = Workload(make_structure("sorted-list"), [Operation("insert", k) for k in range(1, 10)],
+                 [(1, Operation("insert", 10)), (2, Operation("find", 11))])
+    assert len(w.concurrent) + len(workload_keys(w)) == LINEARIZABLE_CAP + 1
+    ref = reference(w, 30)
+    assert all(v is None for *_, v in ref)
+    lsl = lsl_set(w, 30)
+    assert lsl.inconclusive == set(members(ref, lambda acc, v: v is None))
+    assert not lsl.digests and lsl.partial
+    gap = optimality_gap("hoh", w, 30)
+    assert (gap.inconclusive, gap.total, gap.lsl) == (30, 30, 0)
 
 
 @pytest.mark.parametrize("case", ("forged", "prefix", "unknown", "finished"))

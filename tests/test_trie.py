@@ -23,7 +23,7 @@ from collections import deque
 import pytest
 
 from schedlab import metric, scheduler, sync
-from schedlab.checkers import check_ls_linearizable
+from schedlab.checkers import check_ls_linearizable, ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
@@ -157,19 +157,20 @@ def test_leaf_audit_equals_audited_history():
 @pytest.mark.parametrize("instance", ("w_present", "w_absent"))
 @pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
 def test_lsl_set_checks_once_per_leaf_signature(monkeypatch, structure, instance):
-    """The memoized pass runs the LSL checker once per distinct leaf
+    """The memoized pass decides an LSL verdict once per distinct leaf
     signature - at most 20 times on a Thm. 2 workload, against 924-3432
     schedules - and yields the set the unmemoized reference path gives."""
     w = getattr(thm2_bundle(make_structure(structure)), instance)
     calls = []
+    sigs = {leaf.signature() for leaf in schedule_trie(w)}
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return check_ls_linearizable(*args, **kwargs)
+        return ls_linearizable(*args, **kwargs)
 
-    monkeypatch.setattr(metric, "check_ls_linearizable", counting)
+    monkeypatch.setattr(metric, "ls_linearizable", counting)
     got = metric.lsl_set(w)
-    assert len(calls) <= 20
+    assert len(calls) == len(sigs) <= 20
     monkeypatch.undo()
     keys = workload_keys(w)
     want = {leaf.schedule.digest() for leaf in schedule_trie(w)

@@ -427,7 +427,7 @@ def _dependency_cycle(hx, comp, traces, iv):
                     while parent[path[-1]] is not None:
                         path.append(parent[path[-1]])
                     path.reverse()
-                    cyc = path + [start] if path[0] != start else path + [start]
+                    cyc = path + [start]
                     if best is None or len(cyc) < len(best):
                         best = cyc
                     queue = []

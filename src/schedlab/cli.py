@@ -50,16 +50,21 @@ def _require(cond, msg):
         raise ScenarioError(msg)
 
 
+def _is_int(x) -> bool:
+    """An int that is not a bool, which JSON's true and false parse to."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _is_budget(x) -> bool:
-    """A schedule budget is a positive int (a bool is not one)."""
-    return isinstance(x, int) and not isinstance(x, bool) and x > 0
+    """A schedule budget is a positive int."""
+    return _is_int(x) and x > 0
 
 
 def parse_operation(d: dict) -> Operation:
     _require(isinstance(d, dict) and "op" in d and "key" in d,
              f"operation needs 'op' and 'key': {d!r}")
     _require(d["op"] in ("insert", "delete", "find"), f"unknown op {d['op']!r}")
-    _require(isinstance(d["key"], int) and d["key"] >= 0,
+    _require(_is_int(d["key"]) and d["key"] >= 0,
              f"key must be a natural number: {d!r}")
     return Operation(d["op"], d["key"], d.get("value"))
 
@@ -75,13 +80,16 @@ def parse_scenario(doc: dict) -> dict:
     else:
         _require(isinstance(struct, dict) and struct.get("name") in STRUCTURES,
                  "structure must name one of %s" % (STRUCTURES,))
-        def_ = make_structure(struct["name"],
-                              max_level=struct.get("max_level", 3),
-                              seed=struct.get("seed", 0))
+        max_level, seed = struct.get("max_level", 3), struct.get("seed", 0)
+        _require(_is_int(max_level) and max_level > 0,
+                 f"structure max_level must be a positive integer: {max_level!r}")
+        _require(_is_int(seed), f"structure seed must be an integer: {seed!r}")
+        def_ = make_structure(struct["name"], max_level=max_level, seed=seed)
     setup = [parse_operation(d) for d in doc["setup"]]
     concurrent = []
     for d in doc["concurrent"]:
         _require(isinstance(d, dict) and "proc" in d, f"concurrent op needs proc: {d!r}")
+        _require(_is_int(d["proc"]), f"proc must be an integer: {d!r}")
         concurrent.append((d["proc"], parse_operation(d)))
     impl = doc["impl"]
     _require(impl in ("hoh", "stm", "stm-commit-only"), f"unknown impl {impl!r}")

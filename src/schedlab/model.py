@@ -81,8 +81,6 @@ class OperationInstance:
     status: str = INCOMPLETE
     response: object = None
     obj: str | None = None
-    # memo of a complete operation's configuration key (``scheduler``)
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def is_complete(self) -> bool:
         return self.status == COMPLETE
@@ -92,7 +90,6 @@ class OperationInstance:
         and ``dataclasses.replace`` costs several times as much."""
         c = object.__new__(OperationInstance)
         c.__dict__.update(self.__dict__)
-        c._key = None  # the copy is the one that changes
         return c
 
     def describe(self) -> str:

@@ -45,10 +45,9 @@ order.
   whole walk.  It holds no traces: an operation's raw read/write trace is
   a function of its unsynchronized machine's G_op records, plan and
   ``write_idx``.  Memo cells (``DagState``'s cell of ``canonical()`` and of
-  its own key, the keys cached on records, plans and complete operations,
-  none of which changes again) are left out as well.  An attribute the key
-  was not written for is keyed like any other, and a value of a type it
-  does not know raises.  The lock tables and version counters are keyed
+  its own key, the key cached on each record, which never changes) are
+  left out as well.  An attribute the key was not written for is keyed
+  like any other, and a value of a type it does not know raises.  The lock tables and version counters are keyed
   sorted by node, empty holder sets and queues dropped, since they are
   only read by node with an empty default.
 * Equal keys have equal futures.  A step's outcome, its events (but their
@@ -64,9 +63,6 @@ order.
   accepted the step, the store, the lock tables, the versions, the stepped
   process's operation and its machine.  A step changes nothing else: a
   machine writes its own fields, its operation and the shared world only.
-  Within the machine (``_restep_machine``), G_op and ``stm``'s read set
-  only grow, so their keys are extended by the entries the step added;
-  ``stm``'s write set is keyed again only by a write step.
   An implementation that rejects the step is dropped before keying, so a
   queue it joined or a node its abort unlinked never reaches a key; a
   fork copies values, so its parent's key is its own.  The store's key is
@@ -400,23 +396,12 @@ def _fields_key(x, skip: tuple[str, ...] = ()) -> tuple:
                   for n, v in x.__dict__.items() if n not in skip])
 
 
-def _cached_key(x) -> tuple:
-    """``_fields_key`` of a value that never changes, kept in its `_key`
-    memo cell."""
-    k = x._key
+def _cached_key(rec: NodeRec) -> tuple:
+    """``_fields_key`` of a record, kept in its `_key` memo cell: a record
+    in a store is never changed."""
+    k = rec._key
     if k is None:
-        k = x._key = _fields_key(x, ("_key",))
-    return k
-
-
-def _op_key(op: OperationInstance) -> tuple:
-    """An operation's fields, cached once it is complete: nothing changes
-    a complete operation again (``restart`` resets only aborted ones)."""
-    k = op._key
-    if k is None:
-        k = _fields_key(op, ("_key",))
-        if op.status == COMPLETE:
-            op._key = k
+        k = rec._key = _fields_key(rec, ("_key",))
     return k
 
 
@@ -431,7 +416,7 @@ def _exact_fields(x, names: frozenset) -> dict:
 
 
 _LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
-_VERSION_FIELDS = frozenset(("versions", "commit_clock"))
+_VERSION_FIELDS = frozenset(("versions",))
 
 
 def _locks_key(lm: LockManager) -> tuple:
@@ -445,64 +430,14 @@ def _locks_key(lm: LockManager) -> tuple:
 
 
 def _versions_key(vs: VersionStore) -> tuple:
-    """The version counters sorted by node (read only by node) and the
-    commit clock."""
-    d = _exact_fields(vs, _VERSION_FIELDS)
-    return tuple(sorted(d["versions"].items())), d["commit_clock"]
+    """The version counters sorted by node: they are read only by node."""
+    return tuple(sorted(_exact_fields(vs, _VERSION_FIELDS)["versions"].items()))
 
 
 def _machine_key(m: StepMachine) -> tuple:
     """Every field but the structure definition, which the whole walk
     shares."""
     return type(m), _fields_key(m, ("def_",))
-
-
-def _grown_key(before: tuple, items) -> tuple:
-    """The key of an append-only dict or list that held `before`'s
-    entries: `before` plus the entries added since."""
-    return before + tuple([_key(x) for x in
-                           itertools.islice(items, len(before), None)])
-
-
-def _restep_machine(before: tuple, m: StepMachine) -> tuple:
-    """``_machine_key(m)`` after a progressing step of `m`, from its key
-    before the step.  G_op and ``stm``'s read set only grow, so their keys
-    are extended by the entries the step added (a read adds one record and
-    one version; ``Gop.visit`` raises on a node it already holds, and
-    ``setdefault`` never changes an entry).  ``stm``'s write set changes
-    only in a write step, the step that moves ``write_idx``; it is keyed
-    again then.  Every other field is keyed again: scalars, the operation,
-    the cached plan, ``hoh``'s held locks.  A field added or dropped since
-    `before` keys the machine whole."""
-    typ, old = before
-    if type(m) is not typ:
-        return _machine_key(m)
-    wrote = True  # until `write_idx` says otherwise
-    fields = []
-    olds = iter(old)
-    for n, v in m.__dict__.items():
-        if n == "def_":
-            continue
-        was, k = next(olds, (None, None))
-        if was != n:
-            return _machine_key(m)
-        if v is None or type(v) in _SCALARS:
-            if n == "write_idx":
-                wrote = v != k
-            k = v
-        elif n == "gop" and type(v) is Gop:
-            (_, recs), (_, order) = k
-            if len(v.order) > len(order):
-                k = (("recs", _grown_key(recs, v.recs.items())),
-                     ("order", _grown_key(order, v.order)))
-        elif n == "read_set" and type(v) is dict:
-            k = _grown_key(k, v.items())
-        elif n != "write_set" or wrote:
-            k = _key(v)
-        fields.append((n, k))
-    if next(olds, None) is not None:
-        return _machine_key(m)
-    return typ, tuple(fields)
 
 
 def _seq_key(x) -> tuple:
@@ -522,8 +457,8 @@ _KEY_OF = {
     LockManager: _locks_key,
     VersionStore: _versions_key,
     NodeRec: _cached_key,
-    UpdatePlan: _cached_key,
-    OperationInstance: _op_key,
+    UpdatePlan: _fields_key,
+    OperationInstance: _fields_key,
     Operation: _fields_key,
     Gop: _fields_key,
     UnsyncMachine: _machine_key,
@@ -556,11 +491,11 @@ def _restep(machines_key: tuple, world: World, machines: dict[int, StepMachine],
     locks, the versions and the process's machine (its operation with it)
     are keyed again; the other machines keep their keys (the module
     docstring)."""
-    m_key = _restep_machine(dict(machines_key)[proc], machines[proc])
     return ((("state", _store_key(world.state)),
              ("locks", _locks_key(world.locks)),
              ("versions", _versions_key(world.versions))),
-            tuple([(p, m_key if p == proc else k) for p, k in machines_key]))
+            tuple([(p, _machine_key(machines[p]) if p == proc else k)
+                   for p, k in machines_key]))
 
 
 def _step_key(parent: tuple, proc: int, world: World,
@@ -921,12 +856,8 @@ def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
     later, aborted machines are restarted.  Returns the full history
     (setup included); aborted attempts' events are excluded from the
     exported view per the history model."""
-    world = World(w.structure.new_state())
-    initial = world.state.snapshot()
-    for i, op in enumerate(w.setup):
-        _run_sequential(world, w, OperationInstance(id=i, proc=0, name=op.name,
-                                                    key=op.key, val=op.val))
-    machines = _spawn(impl, w, world)
+    world, machines, _ = build_world(impl, w)
+    initial = w.structure.new_state().snapshot()
     rng = random.Random(seed)
     restarts = 0
     steps = 0

@@ -206,8 +206,7 @@ class Gop:
 
     def visit(self, rec: NodeRec) -> None:
         """Add the record of a node not visited before: G_op only grows
-        (``tau`` names unvisited nodes), which the walk's incremental
-        configuration keys rely on."""
+        (``tau`` names unvisited nodes)."""
         if rec.nid in self.recs:
             raise InvariantError(f"G_op already holds n{rec.nid}")
         self.order.append(rec.nid)
@@ -249,9 +248,6 @@ class UpdatePlan:
     writes: list[tuple[int, dict[str, int | None]]] = field(default_factory=list)
     new_nodes: list[int] = field(default_factory=list)
     unlink: list[int] = field(default_factory=list)
-    # memo of the plan's configuration key (``scheduler``); a plan is never
-    # changed once made
-    _key: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
 
 # -- structure definitions ---------------------------------------------------

@@ -21,10 +21,11 @@ Two wrappers are provided plus an unsynchronized reference machine:
 * ``stm`` - optimistic lazy-versioning.  Reads return the last committed
   record and (in the default per-read mode) revalidate the whole read set
   against current versions; writes are buffered; the response step commits:
-  validate, install the write set with bumped versions under one global
-  commit timestamp.  Conflicts abort the operation, which may be restarted.
-  ``validation="commit-only"`` skips per-read validation; it exists to
-  demonstrate (via the checkers) that doomed reads violate safe-strictness.
+  validate, install the write set and bump the written nodes' versions.
+  Conflicts abort the operation, which may be restarted.  The
+  ``stm-commit-only`` implementation (``StmMachine(commit_only=True)``)
+  skips per-read validation; it exists to demonstrate (via the checkers)
+  that doomed reads violate safe-strictness.
 
 * ``unsync`` - no synchronization at all: the raw sequential code sharing
   the store.  Its interleavings define the schedule universe.
@@ -138,25 +139,22 @@ class LockManager:
 
 
 class VersionStore:
-    """Committed version counters per element plus a global commit clock."""
+    """Committed version counters per element; only ``stm`` reads or
+    bumps them."""
 
     def __init__(self):
         self.versions: dict[int, int] = {}
-        self.commit_clock = 0
 
     def current(self, nid: int) -> int:
         return self.versions.get(nid, 0)
 
-    def bump(self, nids) -> int:
-        self.commit_clock += 1
+    def bump(self, nids) -> None:
         for nid in nids:
             self.versions[nid] = self.versions.get(nid, 0) + 1
-        return self.commit_clock
 
     def clone(self) -> VersionStore:
         vs = VersionStore()
         vs.versions = dict(self.versions)
-        vs.commit_clock = self.commit_clock
         return vs
 
 
@@ -285,6 +283,23 @@ class StepMachine:
         for nid in self.plan.unlink:
             world.state.unlink(nid)
 
+    def _read(self, world, nid) -> StepOutcome:
+        """The sequential code's read of the shared store, unsynchronized."""
+        rec = world.state.read(nid)
+        self.gop.visit(rec)
+        return StepOutcome(PROGRESSED, self._emit_read(world, nid, rec.snap()))
+
+    def _write(self, world) -> StepOutcome:
+        """The sequential code's next write to the shared store,
+        unsynchronized; the last one applies the plan's unlinks."""
+        nid, patch = self.plan.writes[self.write_idx]
+        world.state.write_edges(nid, patch)
+        self.write_idx += 1
+        evs = self._emit_write(world, nid, patch)
+        if self.write_idx == len(self.plan.writes):
+            self._apply_unlink(world)
+        return StepOutcome(PROGRESSED, evs)
+
     def write_targets(self) -> list[int]:
         return [nid for nid, _ in self.plan.writes]
 
@@ -313,21 +328,6 @@ class UnsyncMachine(StepMachine):
     def _invoke(self, world):
         self.invoked = True
         return StepOutcome(PROGRESSED, (self._emit_oi(world),))
-
-    def _read(self, world, nid):
-        rec = world.state.read(nid)
-        self.gop.visit(rec)
-        return StepOutcome(PROGRESSED, self._emit_read(world, nid, rec.snap()))
-
-    def _write(self, world):
-        nid, patch = self.plan.writes[self.write_idx]
-        world.state.write_edges(nid, patch)
-        world.versions.bump([nid])
-        self.write_idx += 1
-        evs = self._emit_write(world, nid, patch)
-        if self.write_idx == len(self.plan.writes):
-            self._apply_unlink(world)
-        return StepOutcome(PROGRESSED, evs)
 
     def _respond(self, world):
         return self._finish(world, ())
@@ -385,9 +385,7 @@ class HohMachine(StepMachine):
             if self.held_shared is not None:
                 world.locks.release(self.held_shared, self._holder())
             self.held_shared = nid
-        rec = world.state.read(nid)
-        self.gop.visit(rec)
-        return StepOutcome(PROGRESSED, self._emit_read(world, nid, rec.snap()))
+        return super()._read(world, nid)
 
     def _write(self, world):
         if self.write_idx == 0:
@@ -396,14 +394,7 @@ class HohMachine(StepMachine):
             if blocked is not None:
                 return StepOutcome(BLOCKED, blocked_on=blocked)
             self.write_locked = self.write_targets()
-        nid, patch = self.plan.writes[self.write_idx]
-        world.state.write_edges(nid, patch)
-        world.versions.bump([nid])
-        self.write_idx += 1
-        evs = self._emit_write(world, nid, patch)
-        if self.write_idx == len(self.plan.writes):
-            self._apply_unlink(world)
-        return StepOutcome(PROGRESSED, evs)
+        return super()._write(world)
 
     def _respond(self, world):
         holder = self._holder()

@@ -141,6 +141,53 @@ def test_explore_rejects_a_bad_scenario_budget(tmp_path, capsys, budget):
     assert err == f"error: budget must be a positive integer: {budget!r}\n"
 
 
+def skiplist_scenario(tmp_path, structure=None, **concurrent):
+    """A skiplist scenario of two concurrent operations; `structure` and
+    `concurrent` override fields of the structure object and of the first
+    concurrent operation."""
+    doc = {"structure": {"name": "skiplist", **(structure or {})},
+           "setup": [{"op": "insert", "key": 2}],
+           "concurrent": [{"proc": 1, "op": "insert", "key": 1, **concurrent},
+                          {"proc": 2, "op": "find", "key": 1}],
+           "impl": "hoh", "schedule": "enumerate"}
+    p = tmp_path / "skiplist.json"
+    p.write_text(json.dumps(doc))
+    return p, doc
+
+
+@pytest.mark.parametrize("structure, concurrent, message", [
+    ({}, {"proc": "a"}, "proc must be an integer"),
+    ({}, {"proc": True}, "proc must be an integer"),
+    ({}, {"key": True}, "key must be a natural number"),
+    ({"max_level": "3"}, {}, "structure max_level must be a positive integer: '3'"),
+    ({"max_level": 0}, {}, "structure max_level must be a positive integer: 0"),
+    ({"max_level": True}, {}, "structure max_level must be a positive integer"),
+    ({"seed": "x"}, {}, "structure seed must be an integer: 'x'"),
+    ({"seed": 1.5}, {}, "structure seed must be an integer: 1.5"),
+], ids=["proc-str", "proc-bool", "key-bool", "max_level-str", "max_level-0",
+        "max_level-bool", "seed-str", "seed-float"])
+def test_explore_rejects_a_malformed_field(tmp_path, capsys, structure, concurrent,
+                                           message):
+    """A process or key that is no int, or a bool, and a structure object's
+    max_level that is no positive int or seed that is no int: an input
+    error, not a traceback or a report about process or key True."""
+    p, doc = skiplist_scenario(tmp_path, structure, **concurrent)
+    with pytest.raises(ScenarioError, match=message):
+        parse_scenario(doc)
+    assert main(["explore", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_explore_takes_a_structure_object(tmp_path, capsys):
+    p, doc = skiplist_scenario(tmp_path, {"max_level": 2, "seed": -1})
+    assert parse_scenario(doc)["workload"].structure.fingerprint() == \
+        ("skiplist", 2, -1)
+    assert main(["--json", "explore", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] > 0
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_explore_rejects_a_bad_budget_flag(tmp_path, capsys, budget):
     p = thm2_present_scenario(tmp_path)

@@ -227,6 +227,22 @@ def test_stm_write_only_commit_is_unconditional():
     assert m.step(world).kind == FINISHED    # commit despite the bump
 
 
+@pytest.mark.parametrize("impl", ["unsync", "hoh", "stm"])
+def test_only_stm_keeps_versions(structure, impl):
+    """Versions exist for ``stm``'s validation alone: ``unsync`` and
+    ``hoh`` machines run to completion leave their world with none."""
+    w = Workload(structure, [Operation("insert", 1), Operation("insert", 5)],
+                 [(1, Operation("insert", 3)), (2, Operation("delete", 5)),
+                  (3, Operation("find", 1))])
+    world, machines, _ = build_world(impl, w)
+    while not all(m.finished for m in machines.values()):
+        for m in machines.values():
+            if not m.finished:
+                m.step(world)
+    # the first stm commit validates against no other commit and bumps
+    assert (world.versions.versions != {}) == (impl == "stm")
+
+
 def test_restart_preserves_identity():
     d = make_structure("sorted-list")
     w = Workload(d, [Operation("insert", 1)],

@@ -398,7 +398,6 @@ LOCK_CHANGES = {
 }
 VERSION_CHANGES = {
     "versions": lambda x: x.versions.__setitem__(99, 1),
-    "commit_clock": lambda x: setattr(x, "commit_clock", changed(x.commit_clock)),
 }
 MACHINE_CHANGES = {
     "def_": None,  # the walk's one structure

@@ -66,6 +66,8 @@ def parse_operation(d: dict) -> Operation:
     _require(d["op"] in ("insert", "delete", "find"), f"unknown op {d['op']!r}")
     _require(_is_int(d["key"]) and d["key"] >= 0,
              f"key must be a natural number: {d!r}")
+    _require("value" not in d or _is_int(d["value"]),
+             f"value must be an integer: {d!r}")
     return Operation(d["op"], d["key"], d.get("value"))
 
 
@@ -85,6 +87,9 @@ def parse_scenario(doc: dict) -> dict:
                  f"structure max_level must be a positive integer: {max_level!r}")
         _require(_is_int(seed), f"structure seed must be an integer: {seed!r}")
         def_ = make_structure(struct["name"], max_level=max_level, seed=seed)
+    for field in ("setup", "concurrent"):
+        _require(isinstance(doc[field], list),
+                 f"{field} must be a list: {doc[field]!r}")
     setup = [parse_operation(d) for d in doc["setup"]]
     concurrent = []
     for d in doc["concurrent"]:
@@ -108,11 +113,13 @@ def parse_scenario(doc: dict) -> dict:
             schedule = Schedule.from_json(sched)
         except (KeyError, ValueError) as e:
             raise ScenarioError(f"bad schedule slot: {e}")
+    seed = doc.get("seed", 0)
+    _require(_is_int(seed), f"seed must be an integer: {seed!r}")
     budget = doc.get("budget")  # None: the default, resolved by explore
     _require("budget" not in doc or _is_budget(budget),
              f"budget must be a positive integer: {budget!r}")
     return {"workload": w, "impl": impl, "mode": mode, "schedule": schedule,
-            "seed": doc.get("seed", 0), "budget": budget}
+            "seed": seed, "budget": budget}
 
 
 def default_budget() -> int:

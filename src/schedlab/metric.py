@@ -21,7 +21,8 @@ from collections.abc import KeysView
 from dataclasses import dataclass, field
 from operator import attrgetter
 
-from .checkers import abstract_state, linearize, ls_linearizable, unit_checker
+from .checkers import (CheckResult, abstract_state, linearize, ls_linearizable,
+                       unit_checker)
 from .model import OI, Schedule
 # audited_history is re-exported: the oracle's reference path
 from .scheduler import (Tally, Workload, audited_history, build_world, drive,
@@ -54,23 +55,42 @@ class ComparisonVerdict:
 
 
 def _lsl_verdict(w: Workload):
-    """The LSL verdict of a walk's leaf, decided once per leaf signature
-    (see ``Leaf.signature``) from the leaf's end configuration, by the
-    checkers that decide an audited history: its units are each
+    """The LSL verdict of a walk's leaf, from the leaf's end configuration,
+    by the checkers that decide an audited history: its units are each
     concurrent operation's trace (the signature's) and response, then each
     audit find's (``Leaf.audits``); its intervals are the leaf's
-    invocation/response order, with the finds after it one by one.  The
-    memo and the initial abstract state live for one call, within which
-    the workload and keys are fixed."""
+    invocation/response order, with the finds after it one by one.
+
+    Each part is decided once per value of what it reads (the parts of
+    ``Leaf.signature``):
+    - the audit finds, once per end store (``canonical()``), which decides
+      them: their ids and processes are fixed by the workload;
+    - local serializability, once per (concurrent operations' id, status,
+      response and trace by id, end store); it reads no order;
+    - linearizability, and so the verdict, once per signature, since it
+      reads the order.
+    The memos and the initial abstract state live for one call, within
+    which the workload and keys are fixed."""
     check_units = unit_checker(w.structure, workload_keys(w))
     q0 = frozenset(abstract_state(build_world("unsync", w)[0].state.snapshot()).items())
-    verdicts: dict[tuple, bool | None] = {}
+    finds: dict[tuple, list] = {}  # end store -> audit (operation, trace)s
+    local: dict[tuple, CheckResult] = {}  # (units by id, end store) -> result
+    verdicts: dict[tuple, bool | None] = {}  # signature -> verdict
 
     def verdict(leaf) -> bool | None:
         sig = leaf.signature()
         if sig not in verdicts:
+            store = sig[2]
+            if store not in finds:
+                finds[store] = leaf.audits(w)
+            audits = finds[store]
             ops = {m.op.id: m.op for m in leaf.machines.values()}
-            units = [(ops[i], 0, trace, True) for i, _, _, trace in sorted(sig[0])]
+            ops.update((op.id, op) for op, _ in audits)
+            lkey = (tuple(sorted(sig[0])), store)
+            if lkey not in local:
+                local[lkey] = check_units(
+                    [(ops[i], 0, trace, True) for i, _, _, trace in lkey[0]]
+                    + [(op, 0, trace, True) for op, trace in audits])
             iv, inv = {}, {}
             for t, (i, kind) in enumerate(leaf.order):
                 if kind == OI:
@@ -78,12 +98,10 @@ def _lsl_verdict(w: Workload):
                 else:
                     iv[i] = (inv[i], t)
             t = len(leaf.order)
-            for op, trace in leaf.audits(w):
-                ops[op.id] = op
-                units.append((op, 0, trace, True))
+            for op, _ in audits:
                 iv[op.id] = (t, t + 1)
                 t += 2
-            verdicts[sig] = ls_linearizable(check_units(units),
+            verdicts[sig] = ls_linearizable(local[lkey],
                                             lambda: linearize(ops, iv, q0)).verdict
         return verdicts[sig]
     return verdict

@@ -110,8 +110,12 @@ linearizability check sees; the store decides the audit finds, which run
 alone afterwards; the workload fixes the rest.  So the verdict needs no
 replay: the audit finds run on a fork of the end store (``Leaf.audits``,
 with the runner of ``run_audit_finds``), and the order gives the
-intervals.  Unsynchronized leaves never abort or restart, which it does
-not cover; it raises if one does.
+intervals.  Each part is decided once per value of the signature's parts
+it reads: the audit finds once per end store, local serializability once
+per (operations with their traces and responses, end store), and
+linearizability once per signature, since only it reads the order.
+Unsynchronized leaves never abort or restart, which it does not cover; it
+raises if one does.
 Each operation's trace is read off its unsynchronized machine: the reads
 are the records G_op holds, in visit order, and the writes are the plan's
 first ``write_idx`` patches (an unsynchronized machine reads, then plans,

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -178,6 +179,47 @@ def test_explore_rejects_a_malformed_field(tmp_path, capsys, structure, concurre
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"seed": [1]}, "seed must be an integer: [1]"),
+    ({"seed": "1"}, "seed must be an integer: '1'"),
+    ({"seed": True}, "seed must be an integer: True"),
+    ({"setup": 5}, "setup must be a list: 5"),
+    ({"setup": {"op": "insert", "key": 2}}, "setup must be a list"),
+    ({"concurrent": "p1"}, "concurrent must be a list: 'p1'"),
+    ({"concurrent": [{"proc": 1, "op": "insert", "key": 1, "value": [1]}]},
+     "value must be an integer"),
+    ({"concurrent": [{"proc": 1, "op": "insert", "key": 1, "value": True}]},
+     "value must be an integer"),
+    ({"setup": [{"op": "insert", "key": 2, "value": "x"}]},
+     "value must be an integer"),
+], ids=["seed-list", "seed-str", "seed-bool", "setup-int", "setup-object",
+        "concurrent-str", "value-list", "value-bool", "setup-value-str"])
+@pytest.mark.parametrize("command", ["run", "explore"])
+def test_scenario_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, command,
+                                                            fields, message):
+    """A top-level seed that is no int, a setup or concurrent that is no
+    list, and an operation's value that is no int: an `error: ...` line
+    and exit 1 from either command, not a traceback."""
+    p, doc = skiplist_scenario(tmp_path)
+    doc.update(fields)
+    if command == "run":
+        del doc["schedule"]  # a free run, which reads the seed
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=re.escape(message)):
+        parse_scenario(doc)
+    assert main([command, str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_an_integer_value_is_taken(tmp_path, capsys):
+    p, doc = skiplist_scenario(tmp_path, value=7)
+    assert parse_scenario(doc)["workload"].concurrent[0][1].val == 7
+    assert main(["--json", "explore", str(p)]) == 0
+    assert json.loads(capsys.readouterr().out)["total"] > 0
 
 
 def test_explore_takes_a_structure_object(tmp_path, capsys):

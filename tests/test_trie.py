@@ -11,7 +11,10 @@ The walk over the DAG of configurations must match the per-prefix walk
 configurations, and its configuration key must hold every field a step
 reads.  The key each edge builds from its parent's must equal the key
 computed from scratch, and a leaf signature is built once per end
-configuration and invocation/response order.  Forks share records and
+configuration and invocation/response order.  An LSL pass runs the audit
+finds once per end store and checks local serializability once per
+(concurrent units, end store), and matches the reference on soundness
+witnesses where local serializability fails.  Forks share records and
 operations copy-on-write.
 """
 
@@ -178,6 +181,73 @@ def test_lsl_set_checks_once_per_leaf_signature(monkeypatch, structure, instance
                                      keys, len(keys) + 1).verdict is True}
     assert got.digests == want
     assert got.total > 20 and not got.inconclusive
+
+
+@pytest.mark.parametrize("instance", ("w_present", "w_absent"))
+@pytest.mark.parametrize("structure", ("sorted-list", "bst", "skiplist"))
+def test_lsl_set_decides_each_part_once_per_what_it_reads(monkeypatch, structure,
+                                                          instance):
+    """An ``lsl_set`` pass runs the audit finds once per end store and
+    checks local serializability once per (concurrent units, end store):
+    on a Thm. 2 workload, whose 6 or 14 signatures share one end store and
+    1 or 3 unit sets, that is one audit and 1 or 3 unit checks."""
+    w = getattr(thm2_bundle(make_structure(structure)), instance)
+    sigs = {leaf.signature() for leaf in schedule_trie(w)}
+    local_keys = {(tuple(sorted(ops)), store) for ops, _, store in sigs}
+    audits, checked = [], []
+    audit_finds, unit_checker = scheduler.audit_finds, metric.unit_checker
+
+    def counting_audit(*args):
+        audits.append(1)
+        return audit_finds(*args)
+
+    def counting_checker(*args, **kwargs):
+        check = unit_checker(*args, **kwargs)
+
+        def counted(units):
+            checked.append(tuple((op.id, steps) for op, _, steps, _ in units))
+            return check(units)
+        return counted
+
+    monkeypatch.setattr(scheduler, "audit_finds", counting_audit)
+    monkeypatch.setattr(metric, "unit_checker", counting_checker)
+    metric.lsl_set(w)
+    assert len(sigs) in (6, 14)
+    assert len({store for _, _, store in sigs}) == len(audits) == 1
+    assert len(set(checked)) == len(checked) == len(local_keys) in (1, 3)
+
+
+def skiplist_witness():
+    """`stm` and `hoh` accept schedules of it that are not LSL (heights 3, 1,
+    3 for keys 3, 4, 5)."""
+    return Workload(make_structure("skiplist", seed=0),
+                    [Operation("insert", 3), Operation("insert", 4)],
+                    [(1, Operation("find", 4)), (2, Operation("insert", 5))])
+
+
+def bst_witness():
+    """`stm` and `hoh` accept schedules of it that are not LSL."""
+    return Workload(make_structure("bst"), [Operation("insert", k) for k in (3, 4, 5)],
+                    [(1, Operation("delete", 3)), (2, Operation("find", 4)),
+                     (3, Operation("insert", 2))])
+
+
+@pytest.mark.parametrize("make, budget, stores", [(skiplist_witness, 3003, 1),
+                                                  (bst_witness, 2600, 2)],
+                         ids=["skiplist", "bst"])
+def test_pass_matches_reference_where_local_serializability_fails(make, budget, stores):
+    """Two soundness witnesses, whose leaves hold non-LSL verdicts, several
+    concurrent unit sets per end store and, on the BST, two end stores: the
+    verdicts the pass keys by part match the reference's schedule by
+    schedule.  The skiplist's whole universe is 3003 schedules; the BST's
+    first 2600 reach its second end store."""
+    w = make()
+    sets = assert_pass_matches_reference(w, budget)
+    sigs = {leaf.signature() for leaf in itertools.islice(schedule_trie(w), budget)}
+    assert len({store for _, _, store in sigs}) == stores
+    assert len({(tuple(sorted(ops)), store) for ops, _, store in sigs}) > stores
+    lsl = sets["lsl"]
+    assert 0 < len(lsl.digests) < lsl.total and not lsl.inconclusive
 
 
 # -- copy-on-write forks ------------------------------------------------------

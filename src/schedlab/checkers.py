@@ -197,7 +197,7 @@ def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple], q0,
 
 
 def unit_checker(def_: SearchStructureDef, keys: tuple[int, ...],
-                 max_ops: int | None = None, state_cap: int = 4000):
+                 max_ops: int | None = None):
     """Local serializability over `keys`, as a function of an iterable of
     units.  A unit is (operation instance, attempt, canonical steps,
     whether it completes the operation).  It holds when the sequential
@@ -205,12 +205,12 @@ def unit_checker(def_: SearchStructureDef, keys: tuple[int, ...],
     those steps and returns its response, or, for a unit that does not
     complete the operation, takes them as a prefix; a unit with no steps
     that does not complete it holds.  The function stops at the first unit
-    that fails.  A sequential state space past `state_cap`, or one that
-    needs more operations than a given `max_ops`, makes every verdict
-    inconclusive."""
+    that fails.  A sequential state space past ``seqspec.STATE_CAP``
+    states, or one that needs more operations than a given `max_ops`,
+    makes every verdict inconclusive."""
     space = def_.space()
     try:
-        states = space.states(keys, state_cap)
+        states = space.states(keys)
         need = len(states[-1][2])
         if max_ops is not None and need > max_ops:
             raise BudgetExceeded(f"the sequential state space needs {need} "
@@ -252,13 +252,13 @@ def _history_units(h: History):
 
 
 def check_locally_serializable(h: History, def_: SearchStructureDef,
-                               keys: tuple[int, ...], max_ops: int | None = None,
-                               state_cap: int = 4000) -> CheckResult:
+                               keys: tuple[int, ...],
+                               max_ops: int | None = None) -> CheckResult:
     """``unit_checker`` over the history's units: each attempt of a
     restarted operation is its own unit, so an aborted or incomplete
     attempt must match a prefix of a sequential trace, and the completed
     final attempt must match one fully, response included."""
-    return unit_checker(def_, keys, max_ops, state_cap)(_history_units(h))
+    return unit_checker(def_, keys, max_ops)(_history_units(h))
 
 
 def ls_linearizable(ls: CheckResult, lin) -> CheckResult:
@@ -274,9 +274,9 @@ def ls_linearizable(ls: CheckResult, lin) -> CheckResult:
 
 
 def check_ls_linearizable(h: History, def_: SearchStructureDef,
-                          keys: tuple[int, ...], max_ops: int | None = None,
-                          state_cap: int = 4000) -> CheckResult:
-    return ls_linearizable(check_locally_serializable(h, def_, keys, max_ops, state_cap),
+                          keys: tuple[int, ...],
+                          max_ops: int | None = None) -> CheckResult:
+    return ls_linearizable(check_locally_serializable(h, def_, keys, max_ops),
                            lambda: check_linearizable(h))
 
 

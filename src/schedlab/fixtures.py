@@ -109,7 +109,6 @@ class Thm3Bundle:
     mid_key: int  # the traversed node the first delete removes
     workload: Workload
     sigma0: Schedule
-    expected: dict[str, bool]
 
 
 def thm3_bundle(def_: SearchStructureDef) -> Thm3Bundle:
@@ -137,5 +136,4 @@ def thm3_bundle(def_: SearchStructureDef) -> Thm3Bundle:
                   (3, Operation("delete", wit.key))])
     # the find pauses after oi plus every read strictly before a
     sched = _staged_schedule(w, [(1, 1 + idx_a), (2, None), (3, None), (1, None)])
-    expected = {"find": False, "delete_mid": True, "delete_key": True}
-    return Thm3Bundle(def_, wit.key, mid_key, w, sched, expected)
+    return Thm3Bundle(def_, wit.key, mid_key, w, sched)

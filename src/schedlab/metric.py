@@ -108,17 +108,13 @@ def _lsl_verdict(w: Workload):
 
 
 def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
-             budget: int = 20000,
-             extras: list[Schedule] = ()) -> dict[str, ScheduleSet]:
+             budget: int | None = 20000) -> dict[str, ScheduleSet]:
     """The accepted set of every implementation in `impls` and, with
     `lsl`, the LSL set (under the name "lsl"), from one counted walk over
-    the first `budget` schedules of the universe; the sets are partial when
-    the universe holds more than `budget`.  Supplied `extras` (for
-    workloads whose full universe is infeasible) that the walk did not
-    count are classified by the same walk, through its memo and verdict
-    memo, and counted; one that is not a schedule of the universe raises
-    MalformedScheduleError.  Only the members of some set (and, with
-    `lsl`, the inconclusive schedules) are enumerated and hashed."""
+    the first `budget` schedules of the universe (all of them for None);
+    the sets are partial when the universe holds more than `budget`.  Only
+    the members of some set (and, with `lsl`, the inconclusive schedules)
+    are enumerated and hashed."""
     members: dict[str, dict[str, Schedule]] = {n: {} for n in (*impls, "lsl")}
     inconclusive: set[str] = set()
 
@@ -127,7 +123,7 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
 
     tally = Tally()
     for leaf in walk(w, impls, budget, _lsl_verdict(w) if lsl else None, wanted,
-                     tally, extras):
+                     tally):
         accepting, verdict = leaf.category
         d, s = leaf.digest, leaf.schedule
         for impl in accepting:
@@ -145,17 +141,15 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
     return out
 
 
-def accepted_set(impl: str, w: Workload, budget: int = 20000,
-                 extras: list[Schedule] = ()) -> ScheduleSet:
-    """Accepted schedules over the enumerated universe plus any explicitly
-    supplied schedules (for workloads whose full universe is infeasible)."""
-    return classify(w, (impl,), budget=budget, extras=extras)[impl]
+def accepted_set(impl: str, w: Workload, budget: int = 20000) -> ScheduleSet:
+    """The schedules `impl` accepts among the first `budget` of the
+    universe (see ``classify``)."""
+    return classify(w, (impl,), budget=budget)[impl]
 
 
-def lsl_set(w: Workload, budget: int = 20000,
-            extras: list[Schedule] = ()) -> ScheduleSet:
+def lsl_set(w: Workload, budget: int = 20000) -> ScheduleSet:
     """Schedules with an LS-linearizable exporting history (audited)."""
-    return classify(w, lsl=True, budget=budget, extras=extras)["lsl"]
+    return classify(w, lsl=True, budget=budget)["lsl"]
 
 
 def compare(a: ScheduleSet, b: ScheduleSet, max_witnesses: int = 3) -> ComparisonVerdict:
@@ -196,16 +190,14 @@ class OptimalityGap:
 
 
 def optimality_gap(impl: str, w: Workload, budget: int = 20000,
-                   max_witnesses: int = 3,
-                   extras: list[Schedule] = ()) -> OptimalityGap:
-    """Counts from one counted walk, `extras` it did not count included
-    (see ``classify``); only the LSL schedules the implementation misses
-    are enumerated, and the `max_witnesses` with the smallest digests are
-    kept (inconclusive schedules are excluded, so the ratio is a lower
-    bound)."""
+                   max_witnesses: int = 3) -> OptimalityGap:
+    """Counts from one counted walk (see ``classify``); only the LSL
+    schedules the implementation misses are enumerated, and the
+    `max_witnesses` with the smallest digests are kept (inconclusive
+    schedules are excluded, so the ratio is a lower bound)."""
     tally = Tally()
     leaves = walk(w, (impl,), budget, _lsl_verdict(w),
-                  lambda cat: cat[1] is True and not cat[0], tally, extras)
+                  lambda cat: cat[1] is True and not cat[0], tally)
     missing = heapq.nsmallest(max_witnesses, leaves, key=attrgetter("digest"))
     for _ in leaves:  # what nsmallest left unread (max_witnesses 0)
         pass
@@ -229,12 +221,13 @@ class IncomparabilityReport:
 
 
 def incomparability(w1: Workload, sigma: Schedule, w2: Workload,
-                    sigma0: Schedule, budget: int = 20000) -> IncomparabilityReport:
+                    sigma0: Schedule) -> IncomparabilityReport:
     """The headline result: the two techniques accept incomparable schedule
-    sets.  w1 is the identical-insert family (enumerated in full and
-    compared set-to-set), w2 the find/delete/delete family, whose universe
-    is far beyond enumeration - its witness is re-driven directly."""
-    sets = classify(w1, ("hoh", "stm"), budget=budget, extras=[sigma])
+    sets.  w1 is the identical-insert family, classified whole (no budget)
+    and compared set-to-set; its witness `sigma` must be in stm's set, not
+    in hoh's, and re-drive so.  w2 is the find/delete/delete family, whose
+    witness `sigma0` is re-driven directly."""
+    sets = classify(w1, ("hoh", "stm"), budget=None)
     hoh1, stm1 = sets["hoh"], sets["stm"]
     c1 = compare(stm1, hoh1)
     sigma_ok = sigma in stm1 and sigma not in hoh1 \

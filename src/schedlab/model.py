@@ -226,13 +226,29 @@ class Slot:
 
     @staticmethod
     def from_json(d: dict) -> Slot:
-        kind = d["kind"]
+        """Raises KeyError on a missing field and ValueError on a slot that
+        is no object or a field of the wrong type: `proc` an int (not a
+        bool), an oi slot's `op` insert, delete or find and its `key` a
+        natural number, an ri or wi slot's `elem` a string."""
+        if not isinstance(d, dict):
+            raise ValueError(f"slot must be an object: {d!r}")
+        kind, proc = d["kind"], d["proc"]
+        if not isinstance(proc, int) or isinstance(proc, bool):
+            raise ValueError(f"proc must be an integer: {d!r}")
         if kind == OI:
-            return Slot(d["proc"], OI, op_name=d["op"], key=d["key"])
+            op, key = d["op"], d["key"]
+            if op not in ("insert", "delete", "find"):
+                raise ValueError(f"unknown op {op!r}: {d!r}")
+            if not isinstance(key, int) or isinstance(key, bool) or key < 0:
+                raise ValueError(f"key must be a natural number: {d!r}")
+            return Slot(proc, OI, op_name=op, key=key)
         if kind in (RI, WI):
-            return Slot(d["proc"], kind, elem=d["elem"])
+            elem = d["elem"]
+            if not isinstance(elem, str):
+                raise ValueError(f"elem must be a string: {d!r}")
+            return Slot(proc, kind, elem=elem)
         if kind == OR:
-            return Slot(d["proc"], OR)
+            return Slot(proc, OR)
         raise ValueError(f"bad slot kind: {kind!r}")
 
 

@@ -151,12 +151,6 @@ wants (``walk``):
   count for the wanted category is above 0, within the budget.  A caller
   that keeps the smallest digests (``metric.optimality_gap``) gets the
   smallest digests within the first B leaves, as an enumeration would.
-* Extras.  After the descent each distinct supplied schedule descends its
-  own slots from the root, through the same memo.  Its rank, the counts of
-  the edges left of its path, says whether the descent counted it; if not,
-  it is classified at its leaf node like any leaf, and counted.  A slot no
-  edge matches, an unknown or finished process, or a schedule that ends
-  early is not a leaf of the universe, and raises MalformedScheduleError.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  After a blocked step it asks every
@@ -169,7 +163,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -670,8 +663,8 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
 
 
 class Tally:
-    """What one ``walk`` counted: leaves per category within its budget
-    (and extras), and whether the universe holds more (`partial`)."""
+    """What one ``walk`` counted: leaves per category within its budget,
+    and whether the universe holds more (`partial`)."""
 
     def __init__(self):
         self.counts: dict[tuple, int] = {}  # (accepting impls, verdict) -> leaves
@@ -687,18 +680,16 @@ class Tally:
 
 
 def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
-         wanted, tally: Tally, extras: list[Schedule] = ()) -> Iterator[Leaf]:
+         wanted, tally: Tally) -> Iterator[Leaf]:
     """The counted descent over the first `budget` leaves (all of them for
-    None) in trie order, then the schedules of `extras` it did not count.
-    It fills `tally` with their category counts and yields, in that order,
-    each of them whose category satisfies `wanted` (every one for None).  A
-    category is (the implementations of `impls` still accepting,
-    ``verdict(leaf)`` or None without `verdict`); it is a function of the
-    (configuration, invocation/response order) node the leaf ends in, and
-    so are the counts below any node.  The order is left out of a node when
-    there is no verdict.  The counted descent, and how an extra is ranked
-    and classified: the module docstring.  A schedule of `extras` that is
-    not a leaf of the universe raises MalformedScheduleError."""
+    None) in trie order.  It fills `tally` with their category counts and
+    yields, in that order, each of them whose category satisfies `wanted`
+    (every one for None).  A category is (the implementations of `impls`
+    still accepting, ``verdict(leaf)`` or None without `verdict`); it is a
+    function of the (configuration, invocation/response order) node the
+    leaf ends in, and so are the counts below any node.  The order is left
+    out of a node when there is no verdict.  The counted descent: the
+    module docstring."""
     world, machines, _ = build_world("unsync", w)
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
     key = _config_key(world, machines, runs)
@@ -713,32 +704,6 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     left = None if budget is None else max(budget, 0)
     stack = []  # [configuration, order, rejections, counts key, next edge]
     entering = (root, (), {})
-
-    def leaf_here(node: _Config, order: tuple, rejected: dict) -> Leaf:
-        return Leaf(tuple(slots), tuple(texts), rejected, node.machines,
-                    node.world.state, order)
-
-    def classified(node: _Config, order: tuple, rejected: dict) -> Leaf | None:
-        """Count the leaf the path ends in, at leaf node `node`; return it
-        if it is wanted.  The first visit of (node, order) classifies it."""
-        okey = order if by_order else ()
-        known = node.counts.get(okey)
-        leaf = None
-        if known is None:
-            v = None
-            if verdict is not None:
-                leaf = leaf_here(node, order, rejected)
-                v = verdict(leaf)
-            cat = (node.accepting, v)
-            known = node.counts[okey] = ({cat: 1}, 1, wanted is None or wanted(cat))
-        cat, = known[0]
-        counts[cat] = counts.get(cat, 0) + 1
-        if not known[2]:
-            return None
-        leaf = leaf or leaf_here(node, order, rejected)
-        leaf.category = cat
-        return leaf
-
     if left == 0:  # every universe holds a schedule
         tally.partial = True
         entering = None
@@ -754,10 +719,21 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                 if left is not None:
                     left -= known[1]
             elif not node.live:
-                leaf = classified(node, order, rejected)
+                # a leaf: the first visit of (node, order) classifies it
+                leaf = None
+                if known is None or known[2]:
+                    leaf = Leaf(tuple(slots), tuple(texts), rejected,
+                                node.machines, node.world.state, order)
+                if known is None:
+                    cat = (node.accepting, None if verdict is None else verdict(leaf))
+                    known = node.counts[okey] = ({cat: 1}, 1,
+                                                 wanted is None or wanted(cat))
+                cat, = known[0]
+                counts[cat] = counts.get(cat, 0) + 1
                 if left is not None:
                     left -= 1
-                if leaf is not None:
+                if known[2]:
+                    leaf.category = cat
                     yield leaf
             else:
                 stack.append([node, order, rejected, okey, 0])
@@ -787,43 +763,6 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                     acc[cat] = acc.get(cat, 0) + n
             node.counts[okey] = (acc, sum(acc.values()),
                                  wanted is None or any(wanted(c) for c in acc))
-
-    counted, done = tally.total, set()
-    for s in extras:
-        if s.slots in done:
-            continue
-        done.add(s.slots)
-        # descend its slots from the root, stepping a node's edges in
-        # process order up to the one it takes; its rank is the count of
-        # the leaves left of its path, past the descent's if a subtree
-        # there is unfinished
-        node, order, rejected, rank = root, (), {}, 0
-        del slots[:], texts[:]
-        for idx, slot in enumerate(s.slots):
-            if slot.proc not in node.live:
-                raise MalformedScheduleError(f"slot {idx}: process {slot.proc} "
-                                             f"is unknown or finished")
-            i = node.live.index(slot.proc)
-            while len(node.edges) <= i:
-                _expand(node, memo, pieces)
-            for _, _, io, child, _ in node.edges[:i]:
-                c = child.counts.get(order + io if by_order else ())
-                rank += math.inf if c is None else c[1]
-            step, piece, io, node, rejections = node.edges[i]
-            if step != slot:
-                raise MalformedScheduleError(f"slot {idx} is not a step of the "
-                                             f"universe: {slot}")
-            slots.append(slot)
-            texts.append(piece)
-            order += io
-            if rejections:
-                rejected = {**rejected, **rejections}
-        if node.live:
-            raise MalformedScheduleError("schedule leaves operations incomplete")
-        if rank >= counted:
-            leaf = classified(node, order, rejected)
-            if leaf is not None:
-                yield leaf
 
 
 def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:

@@ -755,8 +755,12 @@ class BudgetExceeded(Exception):
     pass
 
 
-def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
-                     state_cap: int = 4000):
+# the most sequential states ``reachable_states`` builds; a larger space
+# makes local serializability inconclusive
+STATE_CAP = 4000
+
+
+def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...]):
     """Every state the sequential code reaches from the empty structure by
     inserts and deletes of `keys`, one per canonical shape, as
     [(state, ops_path)] in BFS order.
@@ -764,7 +768,7 @@ def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
     The BFS runs to its fixpoint, the first level that adds no new shape.
     The shapes are finite (a set of keys with a fixed layout, or a BST
     over them, which its preorder inserts build), so within |keys| levels.
-    Raises BudgetExceeded past `state_cap` states."""
+    Raises BudgetExceeded past ``STATE_CAP`` states."""
     base = def_.new_state()
     out = [(base, [])]
     seen = {base.canonical()}
@@ -779,8 +783,8 @@ def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
                     canon = st.canonical()
                     if canon in seen:
                         continue
-                    if len(out) >= state_cap:
-                        raise BudgetExceeded(f"state cap {state_cap} hit")
+                    if len(out) >= STATE_CAP:
+                        raise BudgetExceeded(f"state cap {STATE_CAP} hit")
                     seen.add(canon)
                     entry = (st, path + [op])
                     out.append(entry)
@@ -791,7 +795,7 @@ def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
 
 class SequentialSpace:
     """One structure's sequential side of local serializability: its
-    ``reachable_states`` per (keys, state_cap) and each operation's
+    ``reachable_states`` per key set and each operation's
     ``local_trace`` per state shape, cached as long as the structure lives.
     A local trace depends only on the shape and the operation, so all key
     sets share the traces, keyed by (shape number, operation)."""
@@ -802,16 +806,16 @@ class SequentialSpace:
         self._shapes: dict[tuple, int] = {}   # canonical shape -> its number
         self._traces: dict[tuple, tuple] = {}  # (shape, op) -> local trace
 
-    def states(self, keys: tuple[int, ...], state_cap: int = 4000) -> list:
+    def states(self, keys: tuple[int, ...]) -> list:
         """[(shape number, state, ops_path)] of ``reachable_states``,
-        computed on the first call for these keys and cap."""
-        key = (tuple(keys), state_cap)
-        out = self._states.get(key)
+        computed on the first call for these keys."""
+        keys = tuple(keys)
+        out = self._states.get(keys)
         if out is None:
             shapes = self._shapes
-            out = self._states[key] = [
+            out = self._states[keys] = [
                 (shapes.setdefault(st.canonical(), len(shapes)), st, path)
-                for st, path in reachable_states(self.def_, key[0], state_cap)]
+                for st, path in reachable_states(self.def_, keys)]
         return out
 
     def witness(self, states: list, op: Operation, steps: tuple,

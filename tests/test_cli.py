@@ -230,6 +230,44 @@ def test_explore_takes_a_structure_object(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["total"] > 0
 
 
+def fig2a_slots():
+    with open(scenario_path("fig2a_stm.json")) as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("slot, change, message", [
+    (0, 1, "slot must be an object: 1"),
+    (0, [1], "slot must be an object: [1]"),
+    (0, {"proc": [1]}, "proc must be an integer"),
+    (0, {"proc": True}, "proc must be an integer"),
+    (0, {"proc": "1"}, "proc must be an integer"),
+    (0, {"op": "upsert"}, "unknown op 'upsert'"),
+    (0, {"key": [1]}, "key must be a natural number"),
+    (0, {"key": True}, "key must be a natural number"),
+    (0, {"key": -1}, "key must be a natural number"),
+    (1, {"elem": ["root"]}, "elem must be a string"),
+    (1, {"elem": None}, "elem must be a string"),
+], ids=["int", "list", "proc-list", "proc-bool", "proc-str", "op-unknown",
+        "key-list", "key-bool", "key-negative", "elem-list", "elem-null"])
+def test_a_malformed_schedule_slot_is_an_input_error(tmp_path, capsys, slot, change,
+                                                     message):
+    """A slot that is no object, a process that is no int or a bool, an oi
+    slot's unknown op or key that is no natural number, and an ri slot's
+    element that is no string: an `error: bad schedule slot: ...` line and
+    exit 1, not a traceback or a driven run that is rejected."""
+    doc = fig2a_slots()
+    sched = doc["schedule"]
+    sched[slot] = {**sched[slot], **change} if isinstance(change, dict) else change
+    p = tmp_path / "slot.json"
+    p.write_text(json.dumps(doc))
+    with pytest.raises(ScenarioError, match=re.escape(f"bad schedule slot: {message}")):
+        parse_scenario(doc)
+    assert main(["run", str(p)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: bad schedule slot: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("budget", ["0", "-5"])
 def test_explore_rejects_a_bad_budget_flag(tmp_path, capsys, budget):
     p = thm2_present_scenario(tmp_path)

@@ -16,21 +16,17 @@ at 2000 schedules, and the BST witness setup {1, 2, 5}, `delete(1)` ∥
 `find(5)` ∥ `insert(1)` cut at 3000 (`hoh` accepts 552 of its schedules).
 """
 
-import dataclasses
 import itertools
 from collections import Counter
 
 import pytest
 
-from schedlab import metric, scheduler
-from schedlab.checkers import (LINEARIZABLE_CAP, check_ls_linearizable,
-                               ls_linearizable)
+from schedlab import scheduler
+from schedlab.checkers import LINEARIZABLE_CAP, check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (accepted_set, audited_history, classify, lsl_set,
                              optimality_gap, workload_keys)
-from schedlab.model import Schedule
-from schedlab.scheduler import (MalformedScheduleError, Tally, Workload,
-                                schedule_trie, universe, walk)
+from schedlab.scheduler import Tally, Workload, schedule_trie, walk
 from schedlab.seqspec import Operation, make_structure
 
 from oracles import prefix_walk
@@ -163,68 +159,6 @@ def test_counted_walk_on_the_bst_witness():
     assert assert_counted_walk_equals_enumeration(w, limit=3000) == 3001
 
 
-def test_extras_beyond_the_budget_are_classified_once():
-    """An extra schedule the walk counted is not counted again; one past
-    the budget, or given twice, is classified once, in whatever order the
-    extras come; a schedule of another workload's universe raises."""
-    w = thm3_bundle(make_structure("sorted-list")).workload
-    ref = reference(w, 302)
-    inside, outside, beyond = ref[299], ref[300], ref[301]
-
-    def total(extras):
-        return classify(w, IMPLS, lsl=True, budget=300, extras=extras)["lsl"].total
-
-    assert total([inside[0], ref[0][0]]) == 300
-    assert total([outside[0]]) == total([outside[0], outside[0]]) == 301
-    assert total([beyond[0], outside[0]]) == total([outside[0], beyond[0]]) == 302
-    other = thm2_bundle(make_structure("sorted-list")).sigma
-    with pytest.raises(MalformedScheduleError):
-        total([other])
-    sets = classify(w, IMPLS, lsl=True, budget=300,
-                    extras=[inside[0], outside[0], outside[0]])
-    leaves = ref[:300] + [outside]
-    for impl in IMPLS:
-        assert sets[impl].digests == set(members(leaves, lambda acc, v: impl in acc))
-    assert sets["lsl"].digests == set(members(leaves, lambda acc, v: v is True))
-    assert sets["lsl"].total == 301 and sets["lsl"].partial
-
-
-def test_extras_past_the_budget_are_classified_as_the_reference(monkeypatch):
-    """Extras past the budget get the per-prefix reference's categories and
-    are counted as if the budget took them; a signature the walk has
-    decided is not decided again, so the verdict is decided once per
-    distinct signature among the leaves classified."""
-    w = thm3_bundle(make_structure("sorted-list")).workload
-    sigs = [leaf.signature() for leaf in itertools.islice(prefix_walk(w, IMPLS), 400)]
-    # the 100 extras repeat a few signatures, some of them the descent's
-    assert len(set(sigs[300:]) - set(sigs[:300])) < 10
-    ref = reference(w, 400)
-    extras = [s for s, *_ in ref[300:]]
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return ls_linearizable(*args, **kwargs)
-
-    monkeypatch.setattr(metric, "ls_linearizable", counting)
-    sets = classify(w, IMPLS, lsl=True, budget=300, extras=extras)
-    assert len(calls) == len(set(sigs))
-    del calls[:]
-    gap = optimality_gap("hoh", w, 300, extras=extras)
-    assert len(calls) == len(set(sigs))
-    monkeypatch.undo()
-    for name in (*IMPLS, "lsl"):
-        want = members(ref, (lambda acc, v: v is True) if name == "lsl"
-                       else (lambda acc, v, name=name: name in acc))
-        assert sets[name].members == want, name
-        assert (sets[name].total, sets[name].partial) == (400, True), name
-    assert sets["lsl"].inconclusive == set(members(ref, lambda acc, v: v is None))
-    lsl = members(ref, lambda acc, v: v is True)
-    accepted = members(ref, lambda acc, v: "hoh" in acc)
-    assert (gap.accepted, gap.lsl, gap.total) == (len(accepted), len(lsl), 400)
-    assert gap.missing == [lsl[d] for d in sorted(set(lsl) - set(accepted))[:3]]
-
-
 def test_an_inconclusive_verdict_is_counted_as_the_reference():
     """Past ``LINEARIZABLE_CAP`` operations the LSL verdict is inconclusive
     on both paths: on the sorted list with setup {1..9}, insert(10) ∥
@@ -241,31 +175,6 @@ def test_an_inconclusive_verdict_is_counted_as_the_reference():
     assert not lsl.digests and lsl.partial
     gap = optimality_gap("hoh", w, 30)
     assert (gap.inconclusive, gap.total, gap.lsl) == (30, 30, 0)
-
-
-@pytest.mark.parametrize("case", ("forged", "prefix", "unknown", "finished"))
-def test_an_extra_that_is_not_in_the_universe_raises(case):
-    """Inside the budget or past it, a schedule that is not a leaf of the
-    universe raises from every function that takes extras: a read of an
-    element the step does not read, a strict prefix, a slot for a process
-    the workload does not have, and one for a process that has finished."""
-    w = thm2_bundle(make_structure("sorted-list")).w_present
-    first = universe(w, 1)[0][0].slots
-    assert first[2].elem == "key:1"
-    extras = [Schedule({
-        "forged": first[:2] + (dataclasses.replace(first[2], elem="key:99"),) + first[3:],
-        "prefix": first[:-1],
-        "unknown": first + (dataclasses.replace(first[0], proc=9),),
-        "finished": first[:6] + first[:1] + first[6:],
-    }[case])]
-    for budget in (10, 0):
-        calls = [lambda: classify(w, IMPLS, lsl=True, budget=budget, extras=extras),
-                 lambda: accepted_set("hoh", w, budget, extras=extras),
-                 lambda: lsl_set(w, budget, extras=extras),
-                 lambda: optimality_gap("stm", w, budget, extras=extras)]
-        for call in calls:
-            with pytest.raises(MalformedScheduleError):
-                call()
 
 
 @pytest.mark.parametrize("budget", (0, -3))

@@ -2,10 +2,12 @@
 
 import pytest
 
+from schedlab.checkers import check_ls_linearizable
 from schedlab.fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
-from schedlab.metric import (accepted_set, compare, incomparability, lsl_set,
-                             optimality_gap, verify_witness)
-from schedlab.scheduler import Workload, drive
+from schedlab.metric import (accepted_set, audited_history, compare,
+                             incomparability, lsl_set, optimality_gap,
+                             verify_witness)
+from schedlab.scheduler import Workload, drive, workload_keys
 from schedlab.seqspec import Operation, make_structure
 
 
@@ -38,14 +40,22 @@ def test_single_op_sets_trivial(structure):
     assert hoh.digests == stm.digests == oracle.digests
 
 
+def reference_lsl(w, schedule):
+    """The LSL verdict of the schedule by the reference path."""
+    keys = workload_keys(w)
+    return check_ls_linearizable(audited_history(w, schedule), w.structure, keys,
+                                 len(keys) + 1).verdict
+
+
 def test_lsl_set_membership():
+    """Fig. 3's universe is far past the default budget, so its sigma0 is
+    checked on the reference path."""
     w, sigma = fig2a()
     assert sigma in lsl_set(w)
     w2, sigma_p = fig2b()
     assert sigma_p not in lsl_set(w2)
     w3, sigma0 = fig3()
-    oracle3 = lsl_set(w3, budget=400, extras=[sigma0])
-    assert sigma0 in oracle3
+    assert reference_lsl(w3, sigma0) is True
 
 
 def test_compare_reflexive(thm2_list):
@@ -76,9 +86,9 @@ def test_thm3_witness_redrives(thm3_list):
     assert verify_witness("hoh", "stm", t.workload, t.sigma0)
 
 
-def test_incomparability_report(thm2_list, thm3_list):
-    rep = incomparability(thm2_list.w_present, thm2_list.sigma,
-                          thm3_list.workload, thm3_list.sigma0)
+def test_incomparability_report(structure):
+    b2, b3 = thm2_bundle(structure), thm3_bundle(structure)
+    rep = incomparability(b2.w_present, b2.sigma, b3.workload, b3.sigma0)
     assert rep.verdict == "incomparable"
     assert rep.sigma_verified and rep.sigma0_verified
 
@@ -92,10 +102,13 @@ def test_optimality_gap_hoh_below_one(thm2_list):
 
 
 def test_optimality_gap_stm_below_one(thm3_list):
+    """stm misses LSL schedules within the first 250, and at sigma0, which
+    is checked on the reference path."""
     t = thm3_list
-    gap = optimality_gap("stm", t.workload, budget=250, extras=[t.sigma0])
-    assert gap.ratio < 1
-    assert t.sigma0.digest() in {s.digest() for s in gap.missing} or gap.lsl > gap.accepted
+    gap = optimality_gap("stm", t.workload, budget=250)
+    assert gap.ratio < 1 and gap.missing
+    assert not drive("stm", t.workload, t.sigma0).accepted
+    assert reference_lsl(t.workload, t.sigma0) is True
 
 
 def test_optimality_gap_sequential_workload(structure):

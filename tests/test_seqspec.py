@@ -354,9 +354,9 @@ def test_each_structure_owns_its_space(monkeypatch):
     calls = []
     enumerate_states = seqspec.reachable_states
 
-    def counting(def_, keys, state_cap=4000):
+    def counting(def_, keys):
         calls.append((id(def_), keys))
-        return enumerate_states(def_, keys, state_cap)
+        return enumerate_states(def_, keys)
 
     monkeypatch.setattr(seqspec, "reachable_states", counting)
     d1, d2 = make_structure("sorted-list"), make_structure("sorted-list")

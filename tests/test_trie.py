@@ -79,7 +79,7 @@ def reference_verdicts(w, s):
     return drives, lsl
 
 
-def assert_pass_matches_reference(w, budget, extras=()):
+def assert_pass_matches_reference(w, budget):
     schedules = reference_universe(w, budget + 1)
     partial = len(schedules) > budget  # a schedule beyond the budget exists
     schedules = schedules[:budget]
@@ -88,24 +88,19 @@ def assert_pass_matches_reference(w, budget, extras=()):
     for leaf in leaves:
         assert leaf.digest == leaf.schedule.digest()
         assert leaf.signature() == leaf_signature(w, leaf)
-    sets = classify(w, IMPLS, lsl=True, budget=budget, extras=extras)
-    visited = {s.digest() for s in schedules}
-    new_extras = list({s.digest(): s for s in extras
-                       if s.digest() not in visited}.values())
-    for s, leaf in itertools.zip_longest(schedules + new_extras, leaves):
+    sets = classify(w, IMPLS, lsl=True, budget=budget)
+    for s, leaf in zip(schedules, leaves):
         drives, lsl = reference_verdicts(w, s)
         d = s.digest()
         for impl in IMPLS:
             accepted, reason, slot = drives[impl]
             assert (d in sets[impl].digests) == accepted, (impl, d)
-            if leaf is not None:
-                got = leaf.rejected.get(impl)
-                assert got == (None if accepted else (reason, slot)), (impl, d)
+            assert leaf.rejected.get(impl) == (None if accepted else (reason, slot)), \
+                (impl, d)
         assert (d in sets["lsl"].digests) == (lsl is True), d
         assert (d in sets["lsl"].inconclusive) == (lsl is None), d
-    total = len(schedules) + len(new_extras)
     for ss in sets.values():
-        assert ss.total == total
+        assert ss.total == len(schedules)
         assert ss.partial == partial
     return sets
 
@@ -128,18 +123,15 @@ def test_pass_matches_reference_on_thm2(structure, instance):
 
 
 def test_pass_matches_reference_under_truncated_budget():
-    """Thm. 3 at budget 250: the same first 250 leaves, a partial result,
-    and sigma0, which lies outside them, classified by the reference path."""
+    """Thm. 3 at budget 250: the same first 250 leaves, classified as the
+    reference path does, and a partial result."""
     t = thm3_bundle(make_structure("sorted-list"))
     scheds, truncated = universe(t.workload, budget=250)
     assert truncated and len(scheds) == 250
-    assert t.sigma0 not in scheds
-    sets = assert_pass_matches_reference(t.workload, budget=250,
-                                         extras=[t.sigma0, t.sigma0])
-    assert sets["hoh"].total == 251 and sets["hoh"].partial
-    assert t.sigma0 in sets["hoh"] and t.sigma0 not in sets["stm"]
-    gap = optimality_gap("stm", t.workload, budget=250, extras=[t.sigma0])
-    assert gap.total == 251 and gap.partial
+    sets = assert_pass_matches_reference(t.workload, budget=250)
+    assert sets["hoh"].total == 250 and sets["hoh"].partial
+    gap = optimality_gap("stm", t.workload, budget=250)
+    assert gap.total == 250 and gap.partial
     assert gap.accepted == len(sets["stm"].digests)
     assert gap.lsl == len(sets["lsl"].digests)
 

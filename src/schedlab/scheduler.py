@@ -46,8 +46,14 @@ order.
   a function of its unsynchronized machine's G_op records, plan and
   ``write_idx``.  Memo cells (``DagState``'s cell of ``canonical()`` and of
   its own key, the key cached on each record, which never changes) are
-  left out as well.  An attribute the key was not written for is keyed
-  like any other, and a value of a type it does not know raises.  The lock tables and version counters are keyed
+  left out as well.  Each machine class has a fixed layout (``_unsync_key``,
+  ``_hoh_key``, ``_stm_key``): its fields by position, with its operation,
+  G_op (its records in visit order) and plan laid out inline.  The field
+  sets of the machine, its operation, its G_op and its plan, and of the
+  lock tables and version store, are declared: an attribute outside them
+  raises.  An attribute of the world or the store that the key was not
+  written for is keyed like any other, and a value of a type the key does
+  not know raises.  The lock tables and version counters are keyed
   sorted by node, empty holder sets and queues dropped, since they are
   only read by node with an empty default.
 * Equal keys have equal futures.  A step's outcome, its events (but their
@@ -165,12 +171,13 @@ import itertools
 import json
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator
 
 from .model import (COMPLETE, OI, OR, RI, WI, Event, History,
                     InvariantError, OperationInstance, Schedule, Slot,
                     complete, schedule_of, slot_of)
-from .seqspec import (DagState, Gop, NodeRec, Operation, SearchStructureDef,
+from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
                       UpdatePlan, canonical_steps)
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
                    LockManager, StepMachine, StmMachine, UnsyncMachine,
@@ -421,9 +428,11 @@ def _locks_key(lm: LockManager) -> tuple:
     dropped: ``LockManager`` reads them only by node, with an empty default
     (``clone`` drops empty ones too)."""
     d = _exact_fields(lm, _LOCK_FIELDS)
-    return (tuple(sorted((n, tuple(sorted(s))) for n, s in d["shared"].items() if s)),
+    shared, queues = d["shared"], d["queues"]
+    return (tuple(sorted((n, tuple(sorted(s))) for n, s in shared.items() if s))
+            if shared else (),
             tuple(sorted(d["exclusive"].items())),
-            tuple(sorted((n, tuple(q)) for n, q in d["queues"].items() if q)))
+            tuple(sorted((n, tuple(q)) for n, q in queues.items() if q)) if queues else ())
 
 
 def _versions_key(vs: VersionStore) -> tuple:
@@ -431,17 +440,111 @@ def _versions_key(vs: VersionStore) -> tuple:
     return tuple(sorted(_exact_fields(vs, _VERSION_FIELDS)["versions"].items()))
 
 
+_SCALARS = frozenset((bool, int, float, str))
+_SCALARS_OR_NONE = _SCALARS | {type(None)}
+
+
+def _scalars(seq) -> tuple:
+    """`seq` as a tuple when each of its values is a scalar or None, as it
+    is in every field laid out below; else each value through ``_key``."""
+    t = tuple(seq)
+    return t if _SCALARS_OR_NONE.issuperset(map(type, t)) else _seq_key(t)
+
+
+def _flat(d: dict) -> tuple:
+    """The items of a dict of scalars, in order; any other dict goes
+    through ``_key``."""
+    if (_SCALARS_OR_NONE.issuperset(map(type, d))
+            and _SCALARS_OR_NONE.issuperset(map(type, d.values()))):
+        return tuple(d.items())
+    return _key(d)
+
+
+def _patches(pairs) -> tuple:
+    """(node, edge patch) pairs, in order: a plan's writes, ``stm``'s write
+    set."""
+    return tuple([(n if type(n) is int else _key(n), _flat(patch))
+                  for n, patch in pairs])
+
+
+# The machine key's declared fields, each laid out by position below; a
+# field outside them raises (``_exact_fields``).
+_OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response", "obj"))
+_OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
+_OPERATION_FIELDS = frozenset(("name", "key", "val"))
+_OPERATION_LAYOUT = itemgetter(*sorted(_OPERATION_FIELDS))
+_GOP_FIELDS = frozenset(("recs", "order"))
+_PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
+_MACHINE_FIELDS = frozenset(("def_", "op", "operation", "attempt", "invoked",
+                             "finished", "gop", "plan", "write_idx"))
+_MACHINE_LAYOUT = itemgetter("attempt", "invoked", "finished", "write_idx")
+_HOH_FIELDS = _MACHINE_FIELDS | {"is_update", "held_shared", "write_locked"}
+_STM_FIELDS = _MACHINE_FIELDS | {"commit_only", "read_set", "write_set"}
+
+
+def _plan_key(plan: UpdatePlan) -> tuple:
+    """The response, the new nodes and the unlinks in one tuple (the
+    count of new nodes marks where the unlinks begin), and the writes."""
+    d = _exact_fields(plan, _PLAN_FIELDS)
+    new = d["new_nodes"]
+    return (_scalars((d["response"], len(new), *new, *d["unlink"])),
+            _patches(d["writes"]))
+
+
+def _step_machine_key(d: dict, own: tuple = ()) -> tuple:
+    """The fields every machine has but ``def_``, by position: its
+    operation (``op``), ``operation``, the scalar fields and then `own`, the
+    class's own scalars, in one tuple; G_op's records in visit order; the
+    plan.  ``Gop.visit`` keeps G_op's order and records in step (it raises
+    on a node G_op holds), and a record's key holds its node, so the
+    records in order are the whole of G_op."""
+    gop = _exact_fields(d["gop"], _GOP_FIELDS)
+    recs = gop["recs"]
+    plan = d["plan"]
+    return (_scalars(_OP_LAYOUT(_exact_fields(d["op"], _OP_FIELDS))
+                     + _OPERATION_LAYOUT(_exact_fields(d["operation"], _OPERATION_FIELDS))
+                     + _MACHINE_LAYOUT(d) + own),
+            tuple([_cached_key(recs[n]) for n in gop["order"]]),
+            None if plan is None else _plan_key(plan))
+
+
+def _unsync_key(m: UnsyncMachine) -> tuple:
+    return UnsyncMachine, _step_machine_key(_exact_fields(m, _MACHINE_FIELDS))
+
+
+def _hoh_key(m: HohMachine) -> tuple:
+    """The held locks are ``hoh``'s own scalars: the write locks come
+    last, so their count needs no mark."""
+    d = _exact_fields(m, _HOH_FIELDS)
+    return HohMachine, _step_machine_key(
+        d, (d["is_update"], d["held_shared"], *d["write_locked"]))
+
+
+def _stm_key(m: StmMachine) -> tuple:
+    d = _exact_fields(m, _STM_FIELDS)
+    return (StmMachine, _step_machine_key(d, (d["commit_only"],)),
+            _flat(d["read_set"]), _patches(d["write_set"].items()))
+
+
 def _machine_key(m: StepMachine) -> tuple:
     """Every field but the structure definition, which the whole walk
-    shares."""
-    return type(m), _fields_key(m, ("def_",))
+    shares, laid out by position for the machine's class; a field the
+    layout does not declare, on the machine, its operation, its G_op or its
+    plan, raises."""
+    t = type(m)
+    if t is UnsyncMachine:
+        return _unsync_key(m)
+    if t is HohMachine:
+        return _hoh_key(m)
+    if t is StmMachine:
+        return _stm_key(m)
+    raise TypeError(f"no configuration key for {t.__name__}")
 
 
 def _seq_key(x) -> tuple:
     return tuple([v if v is None or type(v) in _SCALARS else _key(v) for v in x])
 
 
-_SCALARS = frozenset((bool, int, float, str))
 _KEY_OF = {
     tuple: _seq_key,
     list: _seq_key,
@@ -454,13 +557,9 @@ _KEY_OF = {
     LockManager: _locks_key,
     VersionStore: _versions_key,
     NodeRec: _cached_key,
-    UpdatePlan: _fields_key,
-    OperationInstance: _fields_key,
-    Operation: _fields_key,
-    Gop: _fields_key,
-    UnsyncMachine: _machine_key,
-    HohMachine: _machine_key,
-    StmMachine: _machine_key,
+    UnsyncMachine: _unsync_key,
+    HohMachine: _hoh_key,
+    StmMachine: _stm_key,
 }
 
 

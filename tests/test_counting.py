@@ -14,6 +14,8 @@ tested against unmemoized checks in `test_trie.py`.
 The workloads: criterion 4's sweep, the six Thm. 2 instances, Thm. 3 cut
 at 2000 schedules, and the BST witness setup {1, 2, 5}, `delete(1)` ∥
 `find(5)` ∥ `insert(1)` cut at 3000 (`hoh` accepts 552 of its schedules).
+The three soundness witnesses' whole universes are counted against pinned
+figures, the largest universes the suite walks.
 """
 
 import itertools
@@ -24,8 +26,8 @@ import pytest
 from schedlab import scheduler
 from schedlab.checkers import LINEARIZABLE_CAP, check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
-from schedlab.metric import (accepted_set, audited_history, classify, lsl_set,
-                             optimality_gap, workload_keys)
+from schedlab.metric import (_lsl_verdict, accepted_set, audited_history, classify,
+                             lsl_set, optimality_gap, workload_keys)
 from schedlab.scheduler import Tally, Workload, schedule_trie, walk
 from schedlab.seqspec import Operation, make_structure
 
@@ -157,6 +159,37 @@ def test_counted_walk_on_the_bst_witness():
                  [(1, Operation("delete", 1)), (2, Operation("find", 5)),
                   (3, Operation("insert", 1))])
     assert assert_counted_walk_equals_enumeration(w, limit=3000) == 3001
+
+
+# the soundness witnesses, whole: (structure, setup, concurrent operations)
+# -> total and, per implementation, (accepted, accepted but not LSL)
+SOUNDNESS_WITNESSES = {
+    ("skiplist", (3, 4), (("find", 4), ("insert", 5))): (3003, (63, 6), (1613, 238)),
+    ("bst", (3, 4, 5), (("delete", 3), ("find", 4), ("insert", 2))):
+        (1410159, (101, 1), (65228, 4200)),
+    ("bst", (1, 2, 5), (("delete", 1), ("find", 5), ("insert", 1))):
+        (701218, (552, 1), (197552, 0)),
+}
+
+
+@pytest.mark.parametrize("witness", SOUNDNESS_WITNESSES,
+                         ids=["skiplist", "bst-345", "bst-125"])
+def test_soundness_witness_universes_counted_whole(witness):
+    """Each soundness witness's whole universe, counted under `hoh` and
+    `stm` with LSL verdicts (skiplist heights 3, 1, 3 for keys 3, 4, 5).
+    The counts pin the largest universes the suite keys and the open
+    soundness holes: an accepted schedule that is not LSL.  No verdict is
+    inconclusive."""
+    structure, setup, ops = witness
+    w = Workload(make_structure(structure), [Operation("insert", k) for k in setup],
+                 [(p, Operation(name, key)) for p, (name, key) in enumerate(ops, 1)])
+    tally = Tally()
+    assert list(walk(w, IMPLS, None, _lsl_verdict(w), lambda cat: False, tally)) == []
+    assert not tally.partial and tally.count(lambda cat: cat[1] is None) == 0
+    assert (tally.total,
+            *((tally.count(lambda cat: impl in cat[0]),
+               tally.count(lambda cat: impl in cat[0] and cat[1] is not True))
+              for impl in IMPLS)) == SOUNDNESS_WITNESSES[witness]
 
 
 def test_an_inconclusive_verdict_is_counted_as_the_reference():

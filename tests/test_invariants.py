@@ -219,6 +219,20 @@ def test_lock_audit_raises_on_shared_beside_exclusive():
         lm.audit()
 
 
+def test_gop_visit_raises_on_a_node_it_holds():
+    """G_op only grows by nodes it does not hold: the walk's machine key
+    lays G_op out as its records in visit order, which is the whole of it
+    only while its order and records stay in step."""
+    state = make_structure("sorted-list").new_state()
+    root = state.read(state.root)
+    gop = seqspec.Gop()
+    gop.visit(root)
+    for rec in (root, dataclasses.replace(root, alive=False)):
+        with pytest.raises(InvariantError, match="G_op already holds"):
+            gop.visit(rec)
+    assert gop.order == [root.nid] and gop.recs == {root.nid: root}
+
+
 def test_staged_schedule_raises_when_a_burst_plan_leaves_work():
     with pytest.raises(InvariantError, match="staged run left work"):
         fixtures._staged_schedule(two_inserts(), [(1, 1), (2, None)])

@@ -516,21 +516,85 @@ def test_configuration_key_holds_every_field(part, impl, steps):
             assert scheduler._key(x) != before, name
 
 
+# (implementation, steps) after which process 2's machine, an insert, has
+# read, planned and written: every field of its key holds a value
+PLANNED = (("unsync", 14), ("hoh", 20), ("stm", 14))
+
+
 def test_configuration_key_rejects_what_it_does_not_know():
-    world, machines = stepped("hoh", 5)
+    """A value of a type the key does not know raises; so does an attribute
+    the key was not written for on a machine, its operation, its G_op, its
+    plan or the lock tables.  An unknown World attribute is keyed like any
+    other."""
     with pytest.raises(TypeError, match="no configuration key"):
         scheduler._key(object())
-    machines[1].extra = object()  # a new field is keyed, and this one cannot be
-    with pytest.raises(TypeError, match="no configuration key"):
-        scheduler._key(machines)
+    for impl, steps in PLANNED:
+        _, machines = stepped(impl, steps)
+        machines[2].op.val = object()
+        with pytest.raises(TypeError, match="no configuration key"):
+            scheduler._key(machines)
+        for holder in (lambda m: m, lambda m: m.op, lambda m: m.gop, lambda m: m.plan):
+            _, machines = stepped(impl, steps)
+            holder(machines[2]).extra = 0
+            with pytest.raises(TypeError, match="does not cover"):
+                scheduler._key(machines)
+            with pytest.raises(TypeError, match="does not cover"):
+                scheduler._machine_key(machines[2])
+    world, _ = stepped("hoh", 5)
     world.locks.owner = 1  # a field the lock tables' key does not cover
     with pytest.raises(TypeError, match="does not cover"):
         scheduler._key(world)
-    world, machines = stepped("hoh", 5)
+    world, _ = stepped("hoh", 5)
     world.tick = 0  # an unknown World field is keyed like any other
     before = scheduler._key(world)
     world.tick = 1
     assert scheduler._key(world) != before
+
+
+def replace_record(m):
+    """G_op's first record swapped for one of the same node, unlinked."""
+    n = m.gop.order[0]
+    r = m.gop.recs[n]
+    m.gop.recs[n] = NodeRec(n, r.key, r.val, dict(r.edges), not r.alive)
+
+
+def repatch_first_write(m):
+    n, patch = m.plan.writes[0]
+    m.plan.writes[0] = (n, {lab: None for lab in patch})
+
+
+# a change inside a field of a machine that has read, planned and written
+NESTED_CHANGES = {
+    "op.status": lambda m: setattr(m.op, "status", "aborted"),
+    "op.response": lambda m: setattr(m.op, "response", changed(m.op.response)),
+    "gop record": replace_record,
+    "plan.writes": repatch_first_write,
+    "plan.new_nodes": lambda m: m.plan.new_nodes.append(99),
+    "plan.unlink": lambda m: m.plan.unlink.append(99),
+}
+IMPL_NESTED_CHANGES = {
+    "unsync": {},
+    "hoh": {"write_locked": lambda m: m.write_locked.__setitem__(0, 99)},
+    "stm": {
+        "read_set value": lambda m: m.read_set.__setitem__(
+            next(iter(m.read_set)), changed(next(iter(m.read_set.values())))),
+        "write_set patch": lambda m: next(iter(m.write_set.values())).__setitem__(
+            "next", None),
+    },
+}
+
+
+@pytest.mark.parametrize("impl, steps", PLANNED)
+def test_configuration_key_holds_every_nested_field(impl, steps):
+    """A change inside a machine's operation, G_op, plan, read or write set
+    or held write locks changes its key."""
+    for name, change in {**NESTED_CHANGES, **IMPL_NESTED_CHANGES[impl]}.items():
+        _, machines = stepped(impl, steps)
+        m = machines[2]
+        before = scheduler._key(m)
+        assert scheduler._machine_key(m) == before
+        change(m)
+        assert scheduler._key(m) != before, name
 
 
 def test_configuration_key_ignores_what_no_read_sees():

@@ -557,9 +557,9 @@ _KEY_OF = {
     LockManager: _locks_key,
     VersionStore: _versions_key,
     NodeRec: _cached_key,
-    UnsyncMachine: _unsync_key,
-    HohMachine: _hoh_key,
-    StmMachine: _stm_key,
+    UnsyncMachine: _machine_key,
+    HohMachine: _machine_key,
+    StmMachine: _machine_key,
 }
 
 

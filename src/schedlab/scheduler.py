@@ -29,33 +29,36 @@ time the walk takes them.  An explicit stack DFS over that DAG carries
 each prefix's slots, digest pieces, rejections and invocation/response
 order.
 
-* The key is exact by construction.  It holds every field a step reads:
-  the store (records by value, ``root``, ``tail``, ``counter``), the lock
+* The key is exact by construction.  It holds every field a step reads: the
+  store (records by value, ``root``, ``tail``, ``counter``), the lock
   tables with their queues, the versions, and every machine field but the
-  structure definition ``def_``, which the whole walk shares: the
-  operation (status and response included), G_op, the plan,
-  ``write_idx``, ``attempt``, ``stm``'s read and write sets, ``hoh``'s held
-  locks.  It holds the same for each implementation still accepting.  It
-  leaves out the execution record, the events and ``seq``: no step reads
-  it, and the walk reads only the events of the step it just took.  It
-  leaves out the world's ``ops`` too: each concurrent operation is the
-  same object as its machine's ``op`` (``_spawn`` puts it in both, and a
-  fork gives the machine the fork's copy), which is keyed with the
+  structure definition ``def_``, which the whole walk shares: the operation
+  (status and response included), G_op, the plan, ``write_idx``,
+  ``attempt`` and ``stm``'s read set.  A machine keeps no field that is a
+  function of the others: ``hoh``'s held locks follow from its operation,
+  G_op, plan and ``write_idx`` and the store's root, and ``stm`` commits
+  its plan's writes.  It holds the same for each implementation still
+  accepting.  It leaves out the execution record, the events and ``seq``:
+  no step reads it, and the walk reads only the events of the step it just
+  took.  It leaves out the world's ``ops`` too: each concurrent operation
+  is the same object as its machine's ``op`` (``_spawn`` puts it in both,
+  and a fork gives the machine the fork's copy), which is keyed with the
   machine, and the setup's operations are complete and the same for the
-  whole walk.  It holds no traces: an operation's raw read/write trace is
-  a function of its unsynchronized machine's G_op records, plan and
+  whole walk.  It holds no traces: an operation's raw read/write trace is a
+  function of its unsynchronized machine's G_op records, plan and
   ``write_idx``.  Memo cells (``DagState``'s cell of ``canonical()`` and of
-  its own key, the key cached on each record, which never changes) are
-  left out as well.  Each machine class has a fixed layout (``_unsync_key``,
-  ``_hoh_key``, ``_stm_key``): its fields by position, with its operation,
-  G_op (its records in visit order) and plan laid out inline.  The field
-  sets of the machine, its operation, its G_op and its plan, and of the
-  lock tables and version store, are declared: an attribute outside them
-  raises.  An attribute of the world or the store that the key was not
-  written for is keyed like any other, and a value of a type the key does
-  not know raises.  The lock tables and version counters are keyed
-  sorted by node, empty holder sets and queues dropped, since they are
-  only read by node with an empty default.
+  its own key, the key cached on each record, which never changes) are left
+  out as well.  Each machine class has a fixed layout (the fields every
+  machine has, and ``_stm_key`` for ``stm``'s two classes): its class and
+  its fields by position, with its operation, G_op (its records in visit
+  order) and plan laid out inline.  The field sets of the machine, its
+  operation, its G_op and its plan, and of the lock tables and version
+  store, are declared: an attribute outside them raises.  An attribute of
+  the world or the store that the key was not written for is keyed like any
+  other, and a value of a type the key does not know raises.  The lock
+  tables and version counters are keyed sorted by node, empty holder sets
+  and queues dropped, since they are only read by node with an empty
+  default.
 * Equal keys have equal futures.  A step's outcome, its events (but their
   sequence numbers) and the configuration after it are functions of the
   fields above, so from two configurations with equal keys the same slots
@@ -180,8 +183,8 @@ from .model import (COMPLETE, OI, OR, RI, WI, Event, History,
 from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
                       UpdatePlan, canonical_steps)
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
-                   LockManager, StepMachine, StmMachine, UnsyncMachine,
-                   VersionStore, World, make_machine, restart)
+                   LockManager, StepMachine, StmCommitOnlyMachine, StmMachine,
+                   UnsyncMachine, VersionStore, World, make_machine, restart)
 
 
 class MalformedScheduleError(ValueError):
@@ -461,8 +464,7 @@ def _flat(d: dict) -> tuple:
 
 
 def _patches(pairs) -> tuple:
-    """(node, edge patch) pairs, in order: a plan's writes, ``stm``'s write
-    set."""
+    """A plan's writes: (node, edge patch) pairs, in order."""
     return tuple([(n if type(n) is int else _key(n), _flat(patch))
                   for n, patch in pairs])
 
@@ -478,8 +480,7 @@ _PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
 _MACHINE_FIELDS = frozenset(("def_", "op", "operation", "attempt", "invoked",
                              "finished", "gop", "plan", "write_idx"))
 _MACHINE_LAYOUT = itemgetter("attempt", "invoked", "finished", "write_idx")
-_HOH_FIELDS = _MACHINE_FIELDS | {"is_update", "held_shared", "write_locked"}
-_STM_FIELDS = _MACHINE_FIELDS | {"commit_only", "read_set", "write_set"}
+_STM_FIELDS = _MACHINE_FIELDS | {"read_set"}
 
 
 def _plan_key(plan: UpdatePlan) -> tuple:
@@ -491,52 +492,40 @@ def _plan_key(plan: UpdatePlan) -> tuple:
             _patches(d["writes"]))
 
 
-def _step_machine_key(d: dict, own: tuple = ()) -> tuple:
+def _step_machine_key(d: dict) -> tuple:
     """The fields every machine has but ``def_``, by position: its
-    operation (``op``), ``operation``, the scalar fields and then `own`, the
-    class's own scalars, in one tuple; G_op's records in visit order; the
-    plan.  ``Gop.visit`` keeps G_op's order and records in step (it raises
-    on a node G_op holds), and a record's key holds its node, so the
-    records in order are the whole of G_op."""
+    operation (``op``), ``operation`` and the scalar fields in one tuple;
+    G_op's records in visit order; the plan.  ``Gop.visit`` keeps G_op's
+    order and records in step (it raises on a node G_op holds), and a
+    record's key holds its node, so the records in order are the whole of
+    G_op."""
     gop = _exact_fields(d["gop"], _GOP_FIELDS)
     recs = gop["recs"]
     plan = d["plan"]
     return (_scalars(_OP_LAYOUT(_exact_fields(d["op"], _OP_FIELDS))
                      + _OPERATION_LAYOUT(_exact_fields(d["operation"], _OPERATION_FIELDS))
-                     + _MACHINE_LAYOUT(d) + own),
+                     + _MACHINE_LAYOUT(d)),
             tuple([_cached_key(recs[n]) for n in gop["order"]]),
             None if plan is None else _plan_key(plan))
 
 
-def _unsync_key(m: UnsyncMachine) -> tuple:
-    return UnsyncMachine, _step_machine_key(_exact_fields(m, _MACHINE_FIELDS))
-
-
-def _hoh_key(m: HohMachine) -> tuple:
-    """The held locks are ``hoh``'s own scalars: the write locks come
-    last, so their count needs no mark."""
-    d = _exact_fields(m, _HOH_FIELDS)
-    return HohMachine, _step_machine_key(
-        d, (d["is_update"], d["held_shared"], *d["write_locked"]))
-
-
 def _stm_key(m: StmMachine) -> tuple:
+    """The class holds ``commit_only``, and the read set is the one field
+    ``stm`` adds."""
     d = _exact_fields(m, _STM_FIELDS)
-    return (StmMachine, _step_machine_key(d, (d["commit_only"],)),
-            _flat(d["read_set"]), _patches(d["write_set"].items()))
+    return type(m), _step_machine_key(d), _flat(d["read_set"])
 
 
 def _machine_key(m: StepMachine) -> tuple:
     """Every field but the structure definition, which the whole walk
     shares, laid out by position for the machine's class; a field the
     layout does not declare, on the machine, its operation, its G_op or its
-    plan, raises."""
+    plan, raises.  ``hoh`` holds no field of its own: its held locks are
+    functions of the fields every machine has and of the store's root."""
     t = type(m)
-    if t is UnsyncMachine:
-        return _unsync_key(m)
-    if t is HohMachine:
-        return _hoh_key(m)
-    if t is StmMachine:
+    if t is UnsyncMachine or t is HohMachine:
+        return t, _step_machine_key(_exact_fields(m, _MACHINE_FIELDS))
+    if t is StmMachine or t is StmCommitOnlyMachine:
         return _stm_key(m)
     raise TypeError(f"no configuration key for {t.__name__}")
 
@@ -560,6 +549,7 @@ _KEY_OF = {
     UnsyncMachine: _machine_key,
     HohMachine: _machine_key,
     StmMachine: _machine_key,
+    StmCommitOnlyMachine: _machine_key,
 }
 
 

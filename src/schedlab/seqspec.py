@@ -240,14 +240,21 @@ class UpdatePlan:
     """Write-only update phase: edge patches against already shared nodes.
 
     `writes` is ordered by the target's first-visit position (root-ward
-    first), one entry per written node; `new_nodes` were allocated private
-    and become shared when the patch linking them lands.
+    first), one entry per written node: ``hoh`` locks and releases each
+    entry's node, and ``stm``'s commit bumps its version, once, so a node
+    written twice raises.  `new_nodes` were allocated private and become
+    shared when the patch linking them lands.
     """
 
     response: bool
     writes: list[tuple[int, dict[str, int | None]]] = field(default_factory=list)
     new_nodes: list[int] = field(default_factory=list)
     unlink: list[int] = field(default_factory=list)
+
+    def __post_init__(self):
+        nodes = [nid for nid, _ in self.writes]
+        if len(set(nodes)) != len(nodes):
+            raise InvariantError(f"plan writes a node twice: {nodes}")
 
 
 # -- structure definitions ---------------------------------------------------

@@ -13,19 +13,25 @@ Two wrappers are provided plus an unsynchronized reference machine:
   first write and release in reverse order, root last.  Finds crab-walk:
   a shared lock is held on the last node read, and the next node's lock
   is acquired inside its read step before the previous one is released.
-  A step whose locks are unavailable reports blocked and changes nothing
-  but the wait queue it joins.  ``would_block`` answers whether the next
-  step would block without taking that step, so a free run detects a
-  deadlock without forking anything.
+  So the locks held are a function of the sequential state, and the
+  machine keeps none of its own: an update holds the root and, from its
+  first write to its response, the plan's write targets; a find holds
+  the last node G_op read, or the root before its first read.  A step
+  whose locks are unavailable reports blocked and changes nothing but the
+  wait queue it joins.  ``would_block`` answers whether the next step
+  would block without taking that step, so a free run detects a deadlock
+  without forking anything.
 
 * ``stm`` - optimistic lazy-versioning.  Reads return the last committed
   record and (in the default per-read mode) revalidate the whole read set
-  against current versions; writes are buffered; the response step commits:
-  validate, install the write set and bump the written nodes' versions.
+  against current versions; writes only emit their events, since the plan
+  holds them; the response step commits: validate, install the plan's
+  writes and bump each written node's version once.  The read set's
+  versions are the one state the machine adds to the sequential code's.
   Conflicts abort the operation, which may be restarted.  The
-  ``stm-commit-only`` implementation (``StmMachine(commit_only=True)``)
-  skips per-read validation; it exists to demonstrate (via the checkers)
-  that doomed reads violate safe-strictness.
+  ``stm-commit-only`` implementation (``StmCommitOnlyMachine``) skips
+  per-read validation; it exists to demonstrate (via the checkers) that
+  doomed reads violate safe-strictness.
 
 * ``unsync`` - no synchronization at all: the raw sequential code sharing
   the store.  Its interleavings define the schedule universe.
@@ -38,8 +44,7 @@ from dataclasses import dataclass, field
 
 from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
                     RR, WI, WR, InvariantError, OperationInstance)
-from .seqspec import (DagState, Gop, NodeRec, Operation, SearchStructureDef,
-                      UpdatePlan)
+from .seqspec import DagState, Gop, Operation, SearchStructureDef, UpdatePlan
 
 IMPLS = ("hoh", "stm", "stm-commit-only", "unsync")
 
@@ -336,14 +341,18 @@ class UnsyncMachine(StepMachine):
 class HohMachine(StepMachine):
     """Hand-over-hand pessimistic wrapper (class P: never aborts)."""
 
-    def __init__(self, def_, op, attempt=0):
-        super().__init__(def_, op, attempt)
-        self.is_update = op.name in ("insert", "delete")
-        self.held_shared: int | None = None
-        self.write_locked: list[int] = []
+    @property
+    def is_update(self) -> bool:
+        return self.operation.name in ("insert", "delete")
 
     def _holder(self) -> int:
         return self.op.id
+
+    def _held_shared(self, world) -> int:
+        """The node an invoked find holds shared: the last one G_op read,
+        or the root before the first read."""
+        order = self.gop.order
+        return order[-1] if order else world.state.root
 
     def _invoke(self, world):
         root = world.state.root
@@ -351,8 +360,6 @@ class HohMachine(StepMachine):
         if not world.locks.try_acquire(root, mode, self._holder()):
             return StepOutcome(BLOCKED, blocked_on=root)
         self.invoked = True
-        if not self.is_update:
-            self.held_shared = root
         return StepOutcome(PROGRESSED, (self._emit_oi(world),))
 
     def would_block(self, world):
@@ -365,7 +372,7 @@ class HohMachine(StepMachine):
         if plan is None:
             nxt = self.def_.tau(self.operation, self.gop, world.state.root)
             if nxt is not None:
-                return (not self.is_update and nxt != self.held_shared
+                return (not self.is_update and nxt != self._held_shared(world)
                         and not locks.can_acquire(nxt, SHARED, holder))
             # plan_update allocates the nodes an insert adds
             plan = self.def_.plan_update(self.operation, self.gop,
@@ -377,14 +384,14 @@ class HohMachine(StepMachine):
         return False
 
     def _read(self, world, nid):
-        if not self.is_update and nid != self.held_shared:
-            # hand-over-hand: take the next node before letting go of the
-            # last one, so the chain is never lock-free
-            if not world.locks.try_acquire(nid, SHARED, self._holder()):
-                return StepOutcome(BLOCKED, blocked_on=nid)
-            if self.held_shared is not None:
-                world.locks.release(self.held_shared, self._holder())
-            self.held_shared = nid
+        if not self.is_update:
+            held = self._held_shared(world)
+            if nid != held:
+                # hand-over-hand: take the next node before letting go of
+                # the last one, so the chain is never lock-free
+                if not world.locks.try_acquire(nid, SHARED, self._holder()):
+                    return StepOutcome(BLOCKED, blocked_on=nid)
+                world.locks.release(held, self._holder())
         return super()._read(world, nid)
 
     def _write(self, world):
@@ -393,29 +400,27 @@ class HohMachine(StepMachine):
                                               self._holder())
             if blocked is not None:
                 return StepOutcome(BLOCKED, blocked_on=blocked)
-            self.write_locked = self.write_targets()
         return super()._write(world)
 
     def _respond(self, world):
-        holder = self._holder()
-        for nid in reversed(self.write_locked):
-            if nid != world.state.root:
+        # every write is done, so every write target is locked
+        holder, root = self._holder(), world.state.root
+        for nid in reversed(self.write_targets()):
+            if nid != root:
                 world.locks.release(nid, holder)
-        if self.is_update:
-            world.locks.release(world.state.root, holder)
-        elif self.held_shared is not None:
-            world.locks.release(self.held_shared, holder)
+        world.locks.release(root if self.is_update else self._held_shared(world),
+                            holder)
         return self._finish(world, ())
 
 
 class StmMachine(StepMachine):
     """Lazy version-clock STM wrapper (class SM: never blocks)."""
 
-    def __init__(self, def_, op, attempt=0, commit_only=False):
+    commit_only = False  # validate the read set at every read, not only at commit
+
+    def __init__(self, def_, op, attempt=0):
         super().__init__(def_, op, attempt)
-        self.commit_only = commit_only
         self.read_set: dict[int, int] = {}
-        self.write_set: dict[int, dict] = {}
 
     def _invoke(self, world):
         self.invoked = True
@@ -441,13 +446,8 @@ class StmMachine(StepMachine):
         return StepOutcome(ABORT_OUT, tuple(evs), reason=f"conflict on {role}")
 
     def _read(self, world, nid):
+        # every read comes before the plan, so none sees an own write
         rec = world.state.read(nid)
-        snap = rec.snap()
-        if nid in self.write_set:  # read-own-writes from the buffer
-            patched = dict(snap["edges"])
-            patched.update({lab: (f"n{t}" if t is not None else None)
-                            for lab, t in self.write_set[nid].items()})
-            snap = {**snap, "edges": patched}
         self.read_set.setdefault(nid, world.versions.current(nid))
         role = world.role(nid)
         ri = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=nid,
@@ -456,19 +456,14 @@ class StmMachine(StepMachine):
             conflict = self._conflict(world)
             if conflict is not None:
                 return self._abort(world, nid, (ri,))
-        rr = world.emit(self.op.proc, self.op.id, RR, elem=role, value=snap,
+        rr = world.emit(self.op.proc, self.op.id, RR, elem=role, value=rec.snap(),
                         nid=nid, attempt=self.attempt)
-        # the sequential code sees the committed record overlaid with the
-        # operation's own buffered writes
-        own = self.write_set.get(nid)
-        if own:
-            rec = NodeRec(nid, rec.key, rec.val, {**rec.edges, **own}, rec.alive)
         self.gop.visit(rec)
         return StepOutcome(PROGRESSED, (ri, rr))
 
     def _write(self, world):
+        """Only the events: the commit installs the plan's writes."""
         nid, patch = self.plan.writes[self.write_idx]
-        self.write_set.setdefault(nid, {}).update(patch)
         self.write_idx += 1
         return StepOutcome(PROGRESSED, self._emit_write(world, nid, patch))
 
@@ -480,29 +475,33 @@ class StmMachine(StepMachine):
             ri = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=conflict,
                             attempt=self.attempt)
             return self._abort(world, conflict, (ri,))
-        if self.write_set:
-            for nid, patch in self.write_set.items():
+        if self.plan.writes:
+            for nid, patch in self.plan.writes:
                 world.state.write_edges(nid, patch)
-            world.versions.bump(sorted(self.write_set))
+            world.versions.bump(sorted(self.write_targets()))
             self._apply_unlink(world)
         return self._finish(world, ())
 
     def _clone_extra(self):
         self.read_set = dict(self.read_set)
-        self.write_set = {n: dict(p) for n, p in self.write_set.items()}
+
+
+class StmCommitOnlyMachine(StmMachine):
+    """``stm`` validating its read set only at commit."""
+
+    commit_only = True
+
+
+_MACHINES = {"hoh": HohMachine, "stm": StmMachine,
+             "stm-commit-only": StmCommitOnlyMachine, "unsync": UnsyncMachine}
 
 
 def make_machine(impl: str, def_: SearchStructureDef,
                  op: OperationInstance, attempt: int = 0) -> StepMachine:
-    if impl == "hoh":
-        return HohMachine(def_, op, attempt)
-    if impl == "stm":
-        return StmMachine(def_, op, attempt)
-    if impl == "stm-commit-only":
-        return StmMachine(def_, op, attempt, commit_only=True)
-    if impl == "unsync":
-        return UnsyncMachine(def_, op, attempt)
-    raise ValueError(f"unknown implementation {impl!r}")
+    cls = _MACHINES.get(impl)
+    if cls is None:
+        raise ValueError(f"unknown implementation {impl!r}")
+    return cls(def_, op, attempt)
 
 
 def restart(machine: StepMachine) -> StepMachine:
@@ -511,7 +510,4 @@ def restart(machine: StepMachine) -> StepMachine:
         raise ValueError("restart requires an aborted machine")
     machine.op.status = INCOMPLETE
     machine.op.response = None
-    impl = {HohMachine: "hoh", UnsyncMachine: "unsync"}.get(type(machine))
-    if impl is None:
-        impl = "stm-commit-only" if machine.commit_only else "stm"
-    return make_machine(impl, machine.def_, machine.op, machine.attempt + 1)
+    return type(machine)(machine.def_, machine.op, machine.attempt + 1)

@@ -13,11 +13,12 @@ from hypothesis import given, settings, strategies as st
 
 from schedlab import seqspec
 from schedlab.checkers import check_ls_linearizable
+from schedlab.model import InvariantError
 from schedlab.scheduler import free_run, workload_keys
-from schedlab.seqspec import (BudgetExceeded, Operation, dictionary_apply,
-                              make_structure, non_triviality_witness,
-                              reachable_states, run_operation, sequential_run,
-                              shortest_path_len)
+from schedlab.seqspec import (BudgetExceeded, Operation, UpdatePlan,
+                              dictionary_apply, make_structure,
+                              non_triviality_witness, reachable_states,
+                              run_operation, sequential_run, shortest_path_len)
 
 from oracles import (alive_keys, bounded_reachable_states, compile_program,
                      enumerate_sequential_histories, fold_dictionary,
@@ -165,6 +166,15 @@ def test_compile_insert_present_writes_nothing(structure):
     steps, resp = compile_program(structure, Operation("insert", 2)).steps_against(st_)
     assert resp is False
     assert all(s[0] == "read" for s in steps)
+
+
+def test_update_plan_writes_each_node_once():
+    """A plan names each written node once: ``hoh`` locks and releases,
+    and ``stm``'s commit bumps, once per entry, so a second entry for a
+    node raises."""
+    UpdatePlan(True, writes=[(1, {"next": 2}), (2, {"next": None})])
+    with pytest.raises(InvariantError, match="writes a node twice"):
+        UpdatePlan(True, writes=[(1, {"next": 2}), (1, {"left": None})])
 
 
 # -- sequential runs -------------------------------------------------------------

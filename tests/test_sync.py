@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from schedlab.model import ABORTED, OI, OperationInstance
+from schedlab.model import ABORTED, OI, RR, WR, OperationInstance
 from schedlab.scheduler import (Workload, build_world, drive, free_run,
                                 universe)
 from schedlab.seqspec import Operation, make_structure
@@ -132,17 +132,44 @@ def test_hoh_solo_find_on_empty(structure):
     assert not world.locks.exclusive
 
 
-def test_hoh_find_holds_only_last_read_node():
-    d = make_structure("sorted-list")
-    w = Workload(d, [Operation("insert", k) for k in (1, 2, 3)],
-                 [(1, Operation("find", 3))])
+def held_locks(world):
+    """The lock tables, empty holder sets and queues dropped."""
+    lm = world.locks
+    return ({n: hs for n, hs in lm.shared.items() if hs}, lm.exclusive,
+            {n: q for n, q in lm.queues.items() if q})
+
+
+def test_hoh_find_holds_only_last_read_node(structure):
+    """After each step, a find holds one shared lock, on the last node it
+    read (the root before its first read); an update holds the root, plus
+    its write targets from its first write to its response.  Neither
+    holds anything once finished."""
+    w = Workload(structure, [Operation("insert", k) for k in (1, 2, 3)],
+                 [(1, Operation("find", 3)), (2, Operation("delete", 2)),
+                  (3, Operation("insert", 4))])
     world, machines, _ = build_world("hoh", w)
-    m = machines[1]
-    m.step(world)  # oi: shared lock on the root
-    m.step(world)  # R(root)
-    m.step(world)  # R(key:1): hand-over
-    held = [nid for nid, hs in world.locks.shared.items() if hs]
-    assert held == [world.state.find_alive(1)]
+    root = world.state.root
+    find = machines[1]
+    last_read, reads = root, 0
+    while not find.finished:
+        out = find.step(world)
+        assert out.kind != BLOCKED
+        for e in out.events:
+            if e.kind == RR:
+                last_read, reads = e.nid, reads + 1
+        held = {} if find.finished else {last_read: {find.op.id}}
+        assert held_locks(world) == (held, {}, {})
+    assert reads >= 3  # two hand-overs
+    for update in (machines[2], machines[3]):
+        writing = False
+        while not update.finished:
+            out = update.step(world)
+            assert out.kind != BLOCKED
+            writing = writing or any(e.kind == WR for e in out.events)
+            held = {} if update.finished else dict.fromkeys(
+                [root] + (update.write_targets() if writing else []), update.op.id)
+            assert held_locks(world) == ({}, held, {})
+        assert update.op.response is True and update.write_targets()
 
 
 def test_hoh_never_aborts_stm_never_blocks(fig2a_case):
@@ -184,15 +211,32 @@ def test_stm_no_conflict_no_abort(structure):
         assert m.op.response is True
 
 
-def test_stm_read_own_buffered_write():
-    d = make_structure("sorted-list")
-    world, m = make_solo("stm", d, Operation("insert", 1))
-    while not m.finished:
-        m.step(world)
-    assert m.op.response is True
-    # the buffered patch was visible to the machine's own view
-    root_patch = m.write_set.get(world.state.root)
-    assert root_patch is not None
+@pytest.mark.parametrize("op", [Operation("insert", 2), Operation("delete", 3)],
+                         ids=["insert", "delete"])
+def test_stm_commit_installs_the_plan(structure, op):
+    """``stm``'s write steps leave the store and the versions as they
+    were; the response installs exactly the plan's patches and unlinks,
+    and takes each written node's version from 0 to 1."""
+    w = Workload(structure, [Operation("insert", k) for k in (1, 3)], [(1, op)])
+    world, machines, _ = build_world("stm", w)
+    m = machines[1]
+    canon = world.state.canonical()
+    while m.plan is None or m.write_idx < len(m.plan.writes):
+        assert m.step(world).kind == PROGRESSED
+        assert world.state.canonical() == canon
+        assert world.versions.versions == {}
+    before = dict(world.state.nodes)
+    assert m.step(world).kind == FINISHED
+    patches = dict(m.plan.writes)
+    assert patches and len(patches) == len(m.plan.writes)
+    changed = {n for n, rec in world.state.nodes.items() if rec is not before[n]}
+    assert changed == set(patches) | set(m.plan.unlink)
+    for n in changed:
+        old, new = before[n], world.state.nodes[n]
+        assert new.edges == {**old.edges, **patches.get(n, {})}
+        assert new.alive == (n not in m.plan.unlink)
+        assert (new.key, new.val) == (old.key, old.val)
+    assert world.versions.versions == dict.fromkeys(patches, 1)
 
 
 def test_stm_two_writers_buffer_then_second_commit_aborts():
@@ -244,24 +288,30 @@ def test_only_stm_keeps_versions(structure, impl):
 
 
 def test_restart_preserves_identity():
+    """A restart is a fresh machine of the same class for the same
+    operation instance, on the next attempt."""
     d = make_structure("sorted-list")
     w = Workload(d, [Operation("insert", 1)],
                  [(1, Operation("insert", 2)), (2, Operation("insert", 2))])
-    world, machines, _ = build_world("stm", w)
-    m1, m2 = machines[1], machines[2]
-    while not m1.finished or not m2.finished:
-        for m in (m1, m2):
-            if not m.finished:
-                m.step(world)
-    loser = m1 if m1.op.status == ABORTED else m2
-    fresh = restart(loser)
-    assert fresh.op is loser.op
-    assert fresh.attempt == loser.attempt + 1
-    assert fresh.op.status == "incomplete"
-    while not fresh.finished:
-        out = fresh.step(world)
-        assert out.kind in (PROGRESSED, FINISHED)
-    assert fresh.op.response is False  # the key is present now
+    for impl in ("stm", "stm-commit-only"):
+        world, machines, _ = build_world(impl, w)
+        m1, m2 = machines[1], machines[2]
+        while not m1.finished or not m2.finished:
+            for m in (m1, m2):
+                if not m.finished:
+                    m.step(world)
+        loser = m1 if m1.op.status == ABORTED else m2
+        fresh = restart(loser)
+        assert type(fresh) is type(loser)
+        assert fresh.op is loser.op
+        assert fresh.attempt == loser.attempt + 1
+        assert fresh.op.status == "incomplete"
+        while not fresh.finished:
+            out = fresh.step(world)
+            assert out.kind in (PROGRESSED, FINISHED)
+        assert fresh.op.response is False  # the key is present now
+    with pytest.raises(ValueError, match="unknown implementation"):
+        make_machine("tl2", d, m1.op)
 
 
 def test_free_run_identical_inserts_exactly_one_true(structure):

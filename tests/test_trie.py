@@ -34,8 +34,8 @@ from schedlab.model import ABORTED, COMPLETE, History, schedule_of
 from schedlab.scheduler import (Workload, _fork, build_world, drive,
                                 schedule_trie, universe)
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
-from schedlab.sync import (BLOCKED, HohMachine, StmMachine, UnsyncMachine,
-                           restart)
+from schedlab.sync import (BLOCKED, HohMachine, StmCommitOnlyMachine,
+                           StmMachine, UnsyncMachine, restart)
 
 from oracles import leaf_signature, prefix_walk
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
@@ -408,7 +408,7 @@ def test_walk_steps_each_configuration_once(monkeypatch, structure, instance):
 def stepped(impl, steps):
     """A workload's world and machines after `steps` round-robin steps of
     `impl`: a find beside two inserts of one key, so that hoh holds and
-    queues locks and stm has read and write sets."""
+    queues locks and stm has a read set and a plan."""
     w = Workload(make_structure("sorted-list"), [Operation("insert", 2)],
                  [(1, Operation("find", 3)), (2, Operation("insert", 3)),
                   (3, Operation("insert", 3))])
@@ -471,14 +471,8 @@ MACHINE_CHANGES = {
     "gop": lambda m: m.gop.visit(NodeRec(99, 99, 99, {})),
     "plan": lambda m: setattr(m, "plan", None if m.plan else UpdatePlan(True)),
     "write_idx": lambda m: setattr(m, "write_idx", changed(m.write_idx)),
-    # hoh
-    "is_update": lambda m: setattr(m, "is_update", changed(m.is_update)),
-    "held_shared": lambda m: setattr(m, "held_shared", changed(m.held_shared)),
-    "write_locked": lambda m: m.write_locked.append(99),
     # stm
-    "commit_only": lambda m: setattr(m, "commit_only", changed(m.commit_only)),
     "read_set": lambda m: m.read_set.__setitem__(99, 0),
-    "write_set": lambda m: m.write_set.__setitem__(99, {"next": None}),
 }
 
 KEYED_PARTS = (
@@ -492,7 +486,7 @@ KEYED_PARTS = (
 
 
 @pytest.mark.parametrize("steps", (3, 7))
-@pytest.mark.parametrize("impl", ("unsync", "hoh", "stm"))
+@pytest.mark.parametrize("impl", ("unsync", "hoh", "stm", "stm-commit-only"))
 @pytest.mark.parametrize("part", [p[0] for p in KEYED_PARTS])
 def test_configuration_key_holds_every_field(part, impl, steps):
     """Changing any one attribute of a world, its store, lock tables,
@@ -518,7 +512,7 @@ def test_configuration_key_holds_every_field(part, impl, steps):
 
 # (implementation, steps) after which process 2's machine, an insert, has
 # read, planned and written: every field of its key holds a value
-PLANNED = (("unsync", 14), ("hoh", 20), ("stm", 14))
+PLANNED = (("unsync", 14), ("hoh", 20), ("stm", 14), ("stm-commit-only", 14))
 
 
 def test_configuration_key_rejects_what_it_does_not_know():
@@ -572,22 +566,23 @@ NESTED_CHANGES = {
     "plan.new_nodes": lambda m: m.plan.new_nodes.append(99),
     "plan.unlink": lambda m: m.plan.unlink.append(99),
 }
+def rebump_first_read(m):
+    n = next(iter(m.read_set))
+    m.read_set[n] = changed(m.read_set[n])
+
+
 IMPL_NESTED_CHANGES = {
     "unsync": {},
-    "hoh": {"write_locked": lambda m: m.write_locked.__setitem__(0, 99)},
-    "stm": {
-        "read_set value": lambda m: m.read_set.__setitem__(
-            next(iter(m.read_set)), changed(next(iter(m.read_set.values())))),
-        "write_set patch": lambda m: next(iter(m.write_set.values())).__setitem__(
-            "next", None),
-    },
+    "hoh": {},
+    "stm": {"read_set value": rebump_first_read},
+    "stm-commit-only": {"read_set value": rebump_first_read},
 }
 
 
 @pytest.mark.parametrize("impl, steps", PLANNED)
 def test_configuration_key_holds_every_nested_field(impl, steps):
-    """A change inside a machine's operation, G_op, plan, read or write set
-    or held write locks changes its key."""
+    """A change inside a machine's operation, G_op, plan or read set
+    changes its key."""
     for name, change in {**NESTED_CHANGES, **IMPL_NESTED_CHANGES[impl]}.items():
         _, machines = stepped(impl, steps)
         m = machines[2]
@@ -680,7 +675,7 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
         return machine_key(m)
 
     monkeypatch.setattr(scheduler, "_machine_key", counting)
-    for cls in (UnsyncMachine, HohMachine, StmMachine):
+    for cls in (UnsyncMachine, HohMachine, StmMachine, StmCommitOnlyMachine):
         monkeypatch.setitem(scheduler._KEY_OF, cls, counting)
     expand = scheduler._expand
     per_edge = []

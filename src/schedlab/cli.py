@@ -25,11 +25,9 @@ from .checkers import check_ls_linearizable, check_strictly_serializable
 from .fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
 from .metric import optimality_gap, workload_keys
 from .model import OI, OR, RI, WI, History, Schedule
-from .scheduler import (DriveResult, LivelockError, MalformedScheduleError,
-                        Workload, drive, free_run)
+from .scheduler import (DEFAULT_BUDGET, DriveResult, LivelockError,
+                        MalformedScheduleError, Workload, drive, free_run)
 from .seqspec import STRUCTURES, Operation, make_structure
-
-DEFAULT_BUDGET = 20000
 
 
 class ScenarioError(ValueError):

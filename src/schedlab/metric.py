@@ -25,8 +25,8 @@ from .checkers import (CheckResult, abstract_state, linearize, ls_linearizable,
                        unit_checker)
 from .model import OI, Schedule
 # audited_history is re-exported: the oracle's reference path
-from .scheduler import (Tally, Workload, audited_history, build_world, drive,
-                        walk, workload_keys)
+from .scheduler import (DEFAULT_BUDGET, Tally, Workload, audited_history,
+                        build_world, drive, walk, workload_keys)
 
 
 @dataclass
@@ -108,7 +108,7 @@ def _lsl_verdict(w: Workload):
 
 
 def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
-             budget: int | None = 20000) -> dict[str, ScheduleSet]:
+             budget: int | None = DEFAULT_BUDGET) -> dict[str, ScheduleSet]:
     """The accepted set of every implementation in `impls` and, with
     `lsl`, the LSL set (under the name "lsl"), from one counted walk over
     the first `budget` schedules of the universe (all of them for None);
@@ -141,13 +141,13 @@ def classify(w: Workload, impls: tuple[str, ...] = (), lsl: bool = False,
     return out
 
 
-def accepted_set(impl: str, w: Workload, budget: int = 20000) -> ScheduleSet:
+def accepted_set(impl: str, w: Workload, budget: int = DEFAULT_BUDGET) -> ScheduleSet:
     """The schedules `impl` accepts among the first `budget` of the
     universe (see ``classify``)."""
     return classify(w, (impl,), budget=budget)[impl]
 
 
-def lsl_set(w: Workload, budget: int = 20000) -> ScheduleSet:
+def lsl_set(w: Workload, budget: int = DEFAULT_BUDGET) -> ScheduleSet:
     """Schedules with an LS-linearizable exporting history (audited)."""
     return classify(w, lsl=True, budget=budget)["lsl"]
 
@@ -189,7 +189,7 @@ class OptimalityGap:
     partial: bool = False  # the universe was cut at the budget
 
 
-def optimality_gap(impl: str, w: Workload, budget: int = 20000,
+def optimality_gap(impl: str, w: Workload, budget: int = DEFAULT_BUDGET,
                    max_witnesses: int = 3) -> OptimalityGap:
     """Counts from one counted walk (see ``classify``); only the LSL
     schedules the implementation misses are enumerated, and the

@@ -48,17 +48,17 @@ order.
   function of its unsynchronized machine's G_op records, plan and
   ``write_idx``.  Memo cells (``DagState``'s cell of ``canonical()`` and of
   its own key, the key cached on each record, which never changes) are left
-  out as well.  Each machine class has a fixed layout (the fields every
-  machine has, and ``_stm_key`` for ``stm``'s two classes): its class and
-  its fields by position, with its operation, G_op (its records in visit
-  order) and plan laid out inline.  The field sets of the machine, its
-  operation, its G_op and its plan, and of the lock tables and version
-  store, are declared: an attribute outside them raises.  An attribute of
-  the world or the store that the key was not written for is keyed like any
-  other, and a value of a type the key does not know raises.  The lock
-  tables and version counters are keyed sorted by node, empty holder sets
-  and queues dropped, since they are only read by node with an empty
-  default.
+  out as well.  One rule keys every part: a declared field set, laid out
+  by position.  A world is its store, lock tables and versions
+  (``_world_key``); the store is its root, tail and counter, then each
+  record (``_store_layout``); a record is its node, key, value and
+  liveness, then its edges flat (``_rec_key``); a machine is its class and
+  the fields of its class, with its operation, G_op (its records in visit
+  order) and plan inline (``_machine_key``).  An attribute outside a
+  declared set raises, and so does a laid-out value that is not a scalar
+  or None.  The lock tables and version counters are keyed sorted by
+  node, empty holder sets and queues dropped, since they are only read by
+  node with an empty default.
 * Equal keys have equal futures.  A step's outcome, its events (but their
   sequence numbers) and the configuration after it are functions of the
   fields above, so from two configurations with equal keys the same slots
@@ -77,7 +77,8 @@ order.
   fork copies values, so its parent's key is its own.  The store's key is
   memoized in the cell ``canonical()`` uses, which a fork shares until
   either side changes the store.  The root is keyed from scratch
-  (``_config_key``), the reference the built keys are tested against.
+  (``_config_key``, from the parts ``_restep`` keys), the reference the
+  built keys are tested against.
 * The per-edge checks run once per DAG edge: the unsynchronized machine
   must progress, a step an implementation accepts must export its slot,
   and an implementation still present at a leaf must have finished every
@@ -185,6 +186,13 @@ from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
                    LockManager, StepMachine, StmCommitOnlyMachine, StmMachine,
                    UnsyncMachine, VersionStore, World, make_machine, restart)
+
+
+# the schedules a universe, a classification or an optimality gap takes
+# by default; the universe is partial beyond them
+DEFAULT_BUDGET = 20000
+# the steps a free run takes before it is taken for a livelock
+FREE_RUN_STEP_CAP = 100000
 
 
 class MalformedScheduleError(ValueError):
@@ -384,34 +392,6 @@ def audited_history(w: Workload, schedule: Schedule) -> History:
 # -- configuration keys -----------------------------------------------------------
 
 
-def _key(x) -> object:
-    """The value of `x` as a hashable tuple tree, for the walk's memo:
-    equal keys mean equal values for every field a step reads (see the
-    module docstring).  Raises TypeError for a type it does not know."""
-    if x is None or type(x) in _SCALARS:
-        return x
-    f = _KEY_OF.get(type(x))
-    if f is None:
-        raise TypeError(f"no configuration key for {type(x).__name__}")
-    return f(x)
-
-
-def _fields_key(x, skip: tuple[str, ...] = ()) -> tuple:
-    """Every attribute of `x` but `skip`, by name: one the key does not
-    know of is in it all the same."""
-    return tuple([(n, v if v is None or type(v) in _SCALARS else _key(v))
-                  for n, v in x.__dict__.items() if n not in skip])
-
-
-def _cached_key(rec: NodeRec) -> tuple:
-    """``_fields_key`` of a record, kept in its `_key` memo cell: a record
-    in a store is never changed."""
-    k = rec._key
-    if k is None:
-        k = rec._key = _fields_key(rec, ("_key",))
-    return k
-
-
 def _exact_fields(x, names: frozenset) -> dict:
     """The attributes of `x`, for a key written field by field: one it was
     not written for raises."""
@@ -422,8 +402,73 @@ def _exact_fields(x, names: frozenset) -> dict:
     return d
 
 
+_SCALARS_OR_NONE = frozenset((bool, int, float, str, type(None)))
+
+
+def _scalars(seq) -> tuple:
+    """`seq` as a tuple, each of its values a scalar or None, as in every
+    field the key lays out; any other value raises."""
+    t = tuple(seq)
+    if not _SCALARS_OR_NONE.issuperset(map(type, t)):
+        other = next(v for v in t if type(v) not in _SCALARS_OR_NONE)
+        raise TypeError(f"no configuration key for {type(other).__name__}")
+    return t
+
+
+def _flat(d: dict) -> tuple:
+    """The items of a dict of scalars, flat and in order."""
+    return _scalars(itertools.chain.from_iterable(d.items()))
+
+
+# The key's declared fields, each laid out by position below; a field
+# outside them raises (``_exact_fields``).  Memo cells are declared and not
+# keyed, and so are the world's execution record (``events``, ``seq``) and
+# its operations (``ops``: the module docstring).
+_WORLD_FIELDS = frozenset(("state", "locks", "versions", "events", "ops", "seq"))
+_STATE_FIELDS = frozenset(("nodes", "root", "tail", "counter", "_canon"))
+# a record's `_key` memo cell is its class default until ``_rec_key`` sets it
+_REC_FIELDS = frozenset(("nid", "key", "val", "edges", "alive"))
 _LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
 _VERSION_FIELDS = frozenset(("versions",))
+_OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response", "obj"))
+_OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
+_OPERATION_FIELDS = frozenset(("name", "key", "val"))
+_OPERATION_LAYOUT = itemgetter(*sorted(_OPERATION_FIELDS))
+_GOP_FIELDS = frozenset(("recs", "order"))
+_PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
+_MACHINE_FIELDS = frozenset(("def_", "op", "operation", "attempt", "invoked",
+                             "finished", "gop", "plan", "write_idx"))
+_MACHINE_LAYOUT = itemgetter("attempt", "invoked", "finished", "write_idx")
+_STM_FIELDS = _MACHINE_FIELDS | {"read_set"}
+
+
+def _rec_key(rec: NodeRec) -> tuple:
+    """A record's node, key, value and liveness, then its edges flat and
+    in order; kept in its `_key` memo cell, since a record in a store is
+    never changed."""
+    k = rec._key
+    if k is None:
+        d = _exact_fields(rec, _REC_FIELDS)
+        k = rec._key = (_scalars((d["nid"], d["key"], d["val"], d["alive"]))
+                        + _flat(d["edges"]))
+    return k
+
+
+def _store_layout(state: DagState) -> tuple:
+    """The root, the tail and the counter, then each record's key in the
+    store's order (``alloc`` adds nodes in id order); a record's key holds
+    its node."""
+    d = _exact_fields(state, _STATE_FIELDS)
+    return (d["root"], d["tail"], d["counter"], *map(_rec_key, d["nodes"].values()))
+
+
+def _store_key(state: DagState) -> tuple:
+    """``_store_layout(state)``, memoized in the cell that ``canonical()``
+    uses: a fork shares it until either side changes the store."""
+    cell = state._canon
+    if cell[1] is None:
+        cell[1] = _store_layout(state)
+    return cell[1]
 
 
 def _locks_key(lm: LockManager) -> tuple:
@@ -443,44 +488,15 @@ def _versions_key(vs: VersionStore) -> tuple:
     return tuple(sorted(_exact_fields(vs, _VERSION_FIELDS)["versions"].items()))
 
 
-_SCALARS = frozenset((bool, int, float, str))
-_SCALARS_OR_NONE = _SCALARS | {type(None)}
-
-
-def _scalars(seq) -> tuple:
-    """`seq` as a tuple when each of its values is a scalar or None, as it
-    is in every field laid out below; else each value through ``_key``."""
-    t = tuple(seq)
-    return t if _SCALARS_OR_NONE.issuperset(map(type, t)) else _seq_key(t)
-
-
-def _flat(d: dict) -> tuple:
-    """The items of a dict of scalars, in order; any other dict goes
-    through ``_key``."""
-    if (_SCALARS_OR_NONE.issuperset(map(type, d))
-            and _SCALARS_OR_NONE.issuperset(map(type, d.values()))):
-        return tuple(d.items())
-    return _key(d)
+def _world_key(world: World) -> tuple:
+    """The store, the lock tables and the versions, by position."""
+    d = _exact_fields(world, _WORLD_FIELDS)
+    return _store_key(d["state"]), _locks_key(d["locks"]), _versions_key(d["versions"])
 
 
 def _patches(pairs) -> tuple:
-    """A plan's writes: (node, edge patch) pairs, in order."""
-    return tuple([(n if type(n) is int else _key(n), _flat(patch))
-                  for n, patch in pairs])
-
-
-# The machine key's declared fields, each laid out by position below; a
-# field outside them raises (``_exact_fields``).
-_OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response", "obj"))
-_OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
-_OPERATION_FIELDS = frozenset(("name", "key", "val"))
-_OPERATION_LAYOUT = itemgetter(*sorted(_OPERATION_FIELDS))
-_GOP_FIELDS = frozenset(("recs", "order"))
-_PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
-_MACHINE_FIELDS = frozenset(("def_", "op", "operation", "attempt", "invoked",
-                             "finished", "gop", "plan", "write_idx"))
-_MACHINE_LAYOUT = itemgetter("attempt", "invoked", "finished", "write_idx")
-_STM_FIELDS = _MACHINE_FIELDS | {"read_set"}
+    """A plan's writes in order: each one's node, then its edge patch flat."""
+    return tuple([_scalars((n,)) + _flat(patch) for n, patch in pairs])
 
 
 def _plan_key(plan: UpdatePlan) -> tuple:
@@ -505,15 +521,8 @@ def _step_machine_key(d: dict) -> tuple:
     return (_scalars(_OP_LAYOUT(_exact_fields(d["op"], _OP_FIELDS))
                      + _OPERATION_LAYOUT(_exact_fields(d["operation"], _OPERATION_FIELDS))
                      + _MACHINE_LAYOUT(d)),
-            tuple([_cached_key(recs[n]) for n in gop["order"]]),
+            tuple([_rec_key(recs[n]) for n in gop["order"]]),
             None if plan is None else _plan_key(plan))
-
-
-def _stm_key(m: StmMachine) -> tuple:
-    """The class holds ``commit_only``, and the read set is the one field
-    ``stm`` adds."""
-    d = _exact_fields(m, _STM_FIELDS)
-    return type(m), _step_machine_key(d), _flat(d["read_set"])
 
 
 def _machine_key(m: StepMachine) -> tuple:
@@ -526,48 +535,22 @@ def _machine_key(m: StepMachine) -> tuple:
     if t is UnsyncMachine or t is HohMachine:
         return t, _step_machine_key(_exact_fields(m, _MACHINE_FIELDS))
     if t is StmMachine or t is StmCommitOnlyMachine:
-        return _stm_key(m)
+        # the class holds ``commit_only``; the read set is ``stm``'s own field
+        d = _exact_fields(m, _STM_FIELDS)
+        return t, _step_machine_key(d), _flat(d["read_set"])
     raise TypeError(f"no configuration key for {t.__name__}")
-
-
-def _seq_key(x) -> tuple:
-    return tuple([v if v is None or type(v) in _SCALARS else _key(v) for v in x])
-
-
-_KEY_OF = {
-    tuple: _seq_key,
-    list: _seq_key,
-    dict: lambda x: tuple([(_key(k), _key(v)) for k, v in x.items()]),
-    # no step reads the execution record or the canonical() memo; a
-    # concurrent operation in `ops` is its machine's `op`, keyed there, and
-    # the setup's operations are the same complete ones for the whole walk
-    World: lambda x: _fields_key(x, ("events", "ops", "seq")),
-    DagState: lambda x: _fields_key(x, ("_canon",)),
-    LockManager: _locks_key,
-    VersionStore: _versions_key,
-    NodeRec: _cached_key,
-    UnsyncMachine: _machine_key,
-    HohMachine: _machine_key,
-    StmMachine: _machine_key,
-    StmCommitOnlyMachine: _machine_key,
-}
 
 
 def _config_key(world: World, machines: dict[int, StepMachine],
                 runs: dict) -> tuple:
     """A configuration's key from scratch: the walk keys its root so, and
-    ``_step_key`` must give the same value for every other configuration."""
-    return (_key(world), _key(machines),
-            tuple([(impl, _key(iw), _key(im)) for impl, (iw, im) in runs.items()]))
-
-
-def _store_key(state: DagState) -> tuple:
-    """``_key(state)``, memoized in the cell that ``canonical()`` uses: a
-    fork shares it until either side changes the store."""
-    cell = state._canon
-    if cell[1] is None:
-        cell[1] = _fields_key(state, ("_canon",))
-    return cell[1]
+    ``_step_key`` must give the same value for every other configuration.
+    Each world and its machines are keyed as ``_restep`` keys them."""
+    def machines_key(ms):
+        return tuple([(p, _machine_key(m)) for p, m in ms.items()])
+    return (_world_key(world), machines_key(machines),
+            tuple([(impl, _world_key(iw), machines_key(im))
+                   for impl, (iw, im) in runs.items()]))
 
 
 def _restep(machines_key: tuple, world: World, machines: dict[int, StepMachine],
@@ -577,9 +560,7 @@ def _restep(machines_key: tuple, world: World, machines: dict[int, StepMachine],
     locks, the versions and the process's machine (its operation with it)
     are keyed again; the other machines keep their keys (the module
     docstring)."""
-    return ((("state", _store_key(world.state)),
-             ("locks", _locks_key(world.locks)),
-             ("versions", _versions_key(world.versions))),
+    return (_world_key(world),
             tuple([(p, _machine_key(machines[p]) if p == proc else k)
                    for p, k in machines_key]))
 
@@ -865,7 +846,7 @@ def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
     return walk(w, impls, None, None, None, Tally())
 
 
-def universe(w: Workload, budget: int = 20000) -> tuple[list[Schedule], bool]:
+def universe(w: Workload, budget: int = DEFAULT_BUDGET) -> tuple[list[Schedule], bool]:
     """The first `budget` schedules of the workload in DFS order (see
     ``schedule_trie``).
 
@@ -883,7 +864,7 @@ class LivelockError(RuntimeError):
 
 
 def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
-             max_steps: int = 100000, round_robin: bool = False) -> History:
+             round_robin: bool = False) -> History:
     """Random (or round-robin) scheduler: blocked machines are retried
     later, aborted machines are restarted.  Returns the full history
     (setup included); aborted attempts' events are excluded from the
@@ -905,8 +886,8 @@ def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
             proc = rng.choice(live)
         out = machines[proc].step(world)
         steps += 1
-        if steps > max_steps:
-            raise LivelockError(f"no progress after {max_steps} steps")
+        if steps > FREE_RUN_STEP_CAP:
+            raise LivelockError(f"no progress after {FREE_RUN_STEP_CAP} steps")
         if out.kind == BLOCKED:
             blocked_everywhere = all(m.finished or m.would_block(world)
                                      for m in machines.values())

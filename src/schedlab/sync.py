@@ -204,7 +204,6 @@ class StepOutcome:
     events: tuple[Event, ...] = ()
     blocked_on: int | None = None
     reason: str | None = None
-    response: object = None
 
     @property
     def invoke_event(self) -> Event | None:
@@ -282,7 +281,7 @@ class StepMachine:
         ev = world.emit(self.op.proc, self.op.id, OR, value=resp, attempt=self.attempt)
         self.op.status, self.op.response = COMPLETE, resp
         self.finished = True
-        return StepOutcome(FINISHED, tuple(events) + (ev,), response=resp)
+        return StepOutcome(FINISHED, tuple(events) + (ev,))
 
     def _apply_unlink(self, world):
         for nid in self.plan.unlink:

@@ -34,8 +34,7 @@ from schedlab.model import ABORTED, COMPLETE, History, schedule_of
 from schedlab.scheduler import (Workload, _fork, build_world, drive,
                                 schedule_trie, universe)
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
-from schedlab.sync import (BLOCKED, HohMachine, StmCommitOnlyMachine,
-                           StmMachine, UnsyncMachine, restart)
+from schedlab.sync import BLOCKED, restart
 
 from oracles import leaf_signature, prefix_walk
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
@@ -475,13 +474,18 @@ MACHINE_CHANGES = {
     "read_set": lambda m: m.read_set.__setitem__(99, 0),
 }
 
+# (part, its object in a stepped world, the function that keys it, changes)
 KEYED_PARTS = (
-    ("world", lambda world, machines: world, WORLD_CHANGES),
-    ("state", lambda world, machines: world.state, STATE_CHANGES),
-    ("locks", lambda world, machines: world.locks, LOCK_CHANGES),
-    ("versions", lambda world, machines: world.versions, VERSION_CHANGES),
-    ("find", lambda world, machines: machines[1], MACHINE_CHANGES),
-    ("insert", lambda world, machines: machines[2], MACHINE_CHANGES),
+    ("world", lambda world, machines: world, scheduler._world_key, WORLD_CHANGES),
+    ("state", lambda world, machines: world.state, scheduler._store_layout,
+     STATE_CHANGES),
+    ("locks", lambda world, machines: world.locks, scheduler._locks_key, LOCK_CHANGES),
+    ("versions", lambda world, machines: world.versions, scheduler._versions_key,
+     VERSION_CHANGES),
+    ("find", lambda world, machines: machines[1], scheduler._machine_key,
+     MACHINE_CHANGES),
+    ("insert", lambda world, machines: machines[2], scheduler._machine_key,
+     MACHINE_CHANGES),
 )
 
 
@@ -493,21 +497,21 @@ def test_configuration_key_holds_every_field(part, impl, steps):
     version store or a machine changes its key, except the execution
     record (`events`, `seq`), the structure definition (`def_`) and memo
     cells, which no step reads, and the world's operations (`ops`), which
-    the machines key."""
-    _, get, changes = next(p for p in KEYED_PARTS if p[0] == part)
+    the machines key.  The store is keyed by its unmemoized layout."""
+    _, get, key, changes = next(p for p in KEYED_PARTS if p[0] == part)
     names = list(vars(get(*stepped(impl, steps))))
     assert set(names) <= set(changes), "an attribute the test does not know"
     for name in names:
         x = get(*stepped(impl, steps))
-        before = scheduler._key(x)
-        assert scheduler._key(x) == before
+        before = key(x)
+        assert key(x) == before
         change = changes[name]
         if change is None:
             setattr(x, name, object())  # not even read
-            assert scheduler._key(x) == before, name
+            assert key(x) == before, name
         else:
             change(x)
-            assert scheduler._key(x) != before, name
+            assert key(x) != before, name
 
 
 # (implementation, steps) after which process 2's machine, an insert, has
@@ -518,31 +522,41 @@ PLANNED = (("unsync", 14), ("hoh", 20), ("stm", 14), ("stm-commit-only", 14))
 def test_configuration_key_rejects_what_it_does_not_know():
     """A value of a type the key does not know raises; so does an attribute
     the key was not written for on a machine, its operation, its G_op, its
-    plan or the lock tables.  An unknown World attribute is keyed like any
-    other."""
-    with pytest.raises(TypeError, match="no configuration key"):
-        scheduler._key(object())
+    plan, the world, its store, a record or the lock tables."""
+    with pytest.raises(TypeError, match="no configuration key for object"):
+        scheduler._machine_key(object())
     for impl, steps in PLANNED:
-        _, machines = stepped(impl, steps)
+        world, machines = stepped(impl, steps)
         machines[2].op.val = object()
         with pytest.raises(TypeError, match="no configuration key"):
-            scheduler._key(machines)
+            scheduler._config_key(world, machines, {})
         for holder in (lambda m: m, lambda m: m.op, lambda m: m.gop, lambda m: m.plan):
-            _, machines = stepped(impl, steps)
+            world, machines = stepped(impl, steps)
             holder(machines[2]).extra = 0
             with pytest.raises(TypeError, match="does not cover"):
-                scheduler._key(machines)
+                scheduler._config_key(world, machines, {})
             with pytest.raises(TypeError, match="does not cover"):
                 scheduler._machine_key(machines[2])
     world, _ = stepped("hoh", 5)
     world.locks.owner = 1  # a field the lock tables' key does not cover
     with pytest.raises(TypeError, match="does not cover"):
-        scheduler._key(world)
+        scheduler._world_key(world)
     world, _ = stepped("hoh", 5)
-    world.tick = 0  # an unknown World field is keyed like any other
-    before = scheduler._key(world)
-    world.tick = 1
-    assert scheduler._key(world) != before
+    world.tick = 0  # nor does the world's
+    with pytest.raises(TypeError, match="does not cover"):
+        scheduler._world_key(world)
+    world, _ = stepped("hoh", 5)
+    world.state.extra = 0  # nor the store's
+    with pytest.raises(TypeError, match="does not cover"):
+        scheduler._store_layout(world.state)
+    rec = NodeRec(99, 99, 99, {"next": None})
+    rec.extra = 0  # nor a record's, before its key is memoized
+    with pytest.raises(TypeError, match="does not cover"):
+        scheduler._rec_key(rec)
+    state = stepped("hoh", 5)[0].state
+    state.nodes = {**state.nodes, 99: NodeRec(99, 99, object(), {"next": None})}
+    with pytest.raises(TypeError, match="no configuration key for object"):
+        scheduler._store_layout(state)
 
 
 def replace_record(m):
@@ -586,10 +600,10 @@ def test_configuration_key_holds_every_nested_field(impl, steps):
     for name, change in {**NESTED_CHANGES, **IMPL_NESTED_CHANGES[impl]}.items():
         _, machines = stepped(impl, steps)
         m = machines[2]
-        before = scheduler._key(m)
+        before = scheduler._machine_key(m)
         assert scheduler._machine_key(m) == before
         change(m)
-        assert scheduler._key(m) != before, name
+        assert scheduler._machine_key(m) != before, name
 
 
 def test_configuration_key_ignores_what_no_read_sees():
@@ -597,13 +611,13 @@ def test_configuration_key_ignores_what_no_read_sees():
     empty default, so insertion order and empty holder sets or queues do
     not change their keys."""
     world, _ = stepped("hoh", 7)
-    before = scheduler._key(world)
+    before = scheduler._world_key(world)
     world.locks.shared[98] = set()
     world.locks.queues[98] = deque()
     world.locks.exclusive = dict(reversed(world.locks.exclusive.items()))
     world.versions.versions = dict(reversed(world.versions.versions.items()))
-    assert scheduler._key(world) == before
-    assert scheduler._key(world.clone()) == before
+    assert scheduler._world_key(world) == before
+    assert scheduler._world_key(world.clone()) == before
 
 
 def test_configuration_key_holds_every_part():
@@ -647,13 +661,16 @@ def key_check_walks():
 def test_incremental_key_equals_key_from_scratch(monkeypatch):
     """At every DAG edge of every walk, under every implementation, the key
     built from the parent's by re-keying what the step changed is the key
-    ``_config_key`` computes from scratch."""
+    ``_config_key`` computes from scratch, and each store's memoized key is
+    its layout."""
     step_key = scheduler._step_key
     edges = []
 
     def checked(parent, proc, world, machines, runs):
         key = step_key(parent, proc, world, machines, runs)
         assert key == scheduler._config_key(world, machines, runs)
+        for w in (world, *(iw for iw, _ in runs.values())):
+            assert scheduler._store_key(w.state) == scheduler._store_layout(w.state)
         edges.append(len(runs))
         return key
 
@@ -675,8 +692,6 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
         return machine_key(m)
 
     monkeypatch.setattr(scheduler, "_machine_key", counting)
-    for cls in (UnsyncMachine, HohMachine, StmMachine, StmCommitOnlyMachine):
-        monkeypatch.setitem(scheduler._KEY_OF, cls, counting)
     expand = scheduler._expand
     per_edge = []
 

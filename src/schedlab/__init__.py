@@ -4,14 +4,13 @@ structures under pessimistic (hand-over-hand locking) and optimistic
 serializability checkers and a schedule-acceptance concurrency metric."""
 
 from .model import Event, History, Schedule, Slot, complete, precedes, \
-    project_process, restrict_to_object, restrict_to_operation, schedule_of
+    project_process, restrict_to_operation, schedule_of
 from .seqspec import Operation, SearchStructureDef, make_structure, \
     non_triviality_witness, sequential_run
 from .scheduler import DriveResult, Workload, drive, free_run, universe
-from .checkers import (CheckResult, check_compositionality,
-                       check_linearizable, check_locally_serializable,
-                       check_ls_linearizable, check_safe_strict,
-                       check_strictly_serializable, compose_histories)
+from .checkers import CheckResult, check_linearizable, \
+    check_locally_serializable, check_ls_linearizable, check_safe_strict, \
+    check_strictly_serializable
 from .metric import accepted_set, compare, incomparability, lsl_set, \
     optimality_gap
 
@@ -19,13 +18,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Event", "History", "Schedule", "Slot", "complete", "precedes",
-    "project_process", "restrict_to_object", "restrict_to_operation",
-    "schedule_of", "Operation", "SearchStructureDef", "make_structure",
-    "non_triviality_witness", "sequential_run", "DriveResult", "Workload",
-    "drive", "free_run", "universe", "CheckResult",
-    "check_compositionality", "check_linearizable",
+    "project_process", "restrict_to_operation", "schedule_of", "Operation",
+    "SearchStructureDef", "make_structure", "non_triviality_witness",
+    "sequential_run", "DriveResult", "Workload", "drive", "free_run",
+    "universe", "CheckResult", "check_linearizable",
     "check_locally_serializable", "check_ls_linearizable",
-    "check_safe_strict", "check_strictly_serializable", "compose_histories",
-    "accepted_set", "compare", "incomparability", "lsl_set",
-    "optimality_gap",
+    "check_safe_strict", "check_strictly_serializable", "accepted_set",
+    "compare", "incomparability", "lsl_set", "optimality_gap",
 ]

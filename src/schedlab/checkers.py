@@ -22,7 +22,7 @@ appearance (sequential witnesses allocate their own nodes).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .model import (ABORTED, OI, OR, RR, WI, Event, History,
                     OperationInstance, trim_aborted)
@@ -130,17 +130,13 @@ LINEARIZABLE_CAP = 12
 STRICT_CAP = 8
 
 
-def check_linearizable(h: History, apply_fn=None, q0=None) -> CheckResult:
+def check_linearizable(h: History) -> CheckResult:
     """``linearize`` over a history: the operations of its exported view
     but the aborted ones, their intervals, and the abstract state of its
-    initial store.  `apply_fn` and `q0` override the sequential
-    specification and its initial abstract state (needed for composed
-    objects, whose state is a pair)."""
+    initial store."""
     hx = h.exported()
-    if q0 is None:
-        q0 = frozenset(abstract_state(hx.initial).items())
     return linearize({i: o for i, o in hx.ops.items() if o.status != ABORTED},
-                     op_intervals(hx), q0, apply_fn or _default_apply)
+                     op_intervals(hx), frozenset(abstract_state(hx.initial).items()))
 
 
 def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple], q0,
@@ -508,115 +504,3 @@ def _prefix_witness(initial, k_trace, completed, traces) -> bool:
 
     return dfs(frozenset(), _Replay(initial))
 
-
-# -- compositionality ---------------------------------------------------------
-
-
-@dataclass
-class ComposedObject:
-    """Two independent components; operations and nodes carry the tag of
-    exactly one of them."""
-
-    defs: dict[str, SearchStructureDef]
-
-    def apply_fn(self):
-        def apply(state: tuple, op: OperationInstance):
-            q1, q2 = dict(state[0]), dict(state[1])
-            target = q1 if op.obj == "O1" else q2
-            q, resp = dictionary_apply(target, Operation(op.name, op.key, op.val))
-            if op.obj == "O1":
-                return (frozenset(q.items()), frozenset(q2.items())), resp
-            return (frozenset(q1.items()), frozenset(q.items())), resp
-        return apply
-
-
-def compose_histories(h1: History, h2: History, interleave) -> History:
-    """Merge two histories over independent objects into one, tagging every
-    event and operation with its component.  `interleave` is a random.Random
-    or a list of "O1"/"O2" pulls."""
-    offset_op = max(h1.ops, default=-1) + 1
-    offset_proc = max((o.proc for o in h1.ops.values()), default=0) + 1
-    offset_nid = 10000
-
-    def remap2(e: Event, seq: int) -> Event:
-        return replace(e, seq=seq, op=e.op + offset_op, proc=e.proc + offset_proc,
-                       nid=(e.nid + offset_nid if e.nid is not None else None),
-                       value=_shift_value(e.value, offset_nid), obj="O2")
-
-    ev1 = [replace(e, obj="O1") for e in h1.events]
-    ev2 = list(h2.events)
-    merged: list[Event] = []
-    i = j = 0
-    while i < len(ev1) or j < len(ev2):
-        if i == len(ev1):
-            pick = "O2"
-        elif j == len(ev2):
-            pick = "O1"
-        elif isinstance(interleave, list):
-            pick = interleave[(i + j) % len(interleave)]
-        else:
-            pick = interleave.choice(("O1", "O2"))
-        if pick == "O1":
-            merged.append(replace(ev1[i], seq=len(merged)))
-            i += 1
-        else:
-            merged.append(remap2(ev2[j], len(merged)))
-            j += 1
-    ops = {i: replace(o, obj="O1") for i, o in h1.ops.items()}
-    for i, o in h2.ops.items():
-        ops[i + offset_op] = replace(o, id=i + offset_op, proc=o.proc + offset_proc,
-                                     obj="O2")
-    initial = dict(h1.initial)
-    initial.update({nid + offset_nid: _shift_record(rec, offset_nid)
-                    for nid, rec in h2.initial.items()})
-    nids = {"O1": frozenset(h1.initial) | {e.nid for e in ev1 if e.nid is not None},
-            "O2": frozenset(nid + offset_nid for nid in h2.initial)
-                  | {e.nid + offset_nid for e in h2.events if e.nid is not None}}
-    return History(merged, ops, initial, "composed", nids)
-
-
-def _shift_value(value, off):
-    if isinstance(value, dict):
-        out = dict(value)
-        if "edges" in out:
-            out["edges"] = {lab: (f"n{int(t[1:]) + off}" if t else None)
-                            for lab, t in out["edges"].items()}
-        return out
-    return value
-
-
-def _shift_record(rec, off):
-    return {"key": rec["key"], "val": rec["val"],
-            "edges": {lab: (f"n{int(t[1:]) + off}" if t else None)
-                      for lab, t in rec["edges"].items()}}
-
-
-def _restrict_renumbered(h: History, obj: str) -> History:
-    """Component view with node ids shifted back so replay sees root = 0."""
-    from .model import restrict_to_object
-    sub = restrict_to_object(h, obj)
-    if obj == "O1":
-        return sub
-    off = 10000
-    ev = [replace(e, nid=(e.nid - off if e.nid is not None else None),
-                  value=_shift_value(e.value, -off)) for e in sub.events]
-    initial = {nid - off: _shift_record(rec, -off) for nid, rec in sub.initial.items()}
-    return History(ev, sub.ops, initial, sub.structure)
-
-
-def check_compositionality(h: History, defs: dict[str, SearchStructureDef],
-                           keys: tuple[int, ...]) -> CheckResult:
-    """Falsifier for 'LSL components imply LSL composition': returns True
-    unless both projections are LSL while the composition is not.  Each
-    operation's local witness lives in its component, checked just above."""
-    subs = {obj: _restrict_renumbered(h, obj) for obj in defs}
-    if not all(check_ls_linearizable(subs[obj], d, keys).verdict is True
-               for obj, d in defs.items()):
-        return CheckResult(True, witness="vacuous: a component is not LSL")
-    q0 = (frozenset(abstract_state(subs["O1"].initial).items()),
-          frozenset(abstract_state(subs["O2"].initial).items()))
-    lin = check_linearizable(h, apply_fn=ComposedObject(defs).apply_fn(), q0=q0)
-    if lin.verdict is True:
-        return CheckResult(True, witness=lin.witness)
-    return CheckResult(False, violation="composed high-level history not linearizable",
-                       reason="compositionality falsified")

@@ -55,7 +55,6 @@ class Event:
     value: object = None
     nid: int | None = None
     attempt: int = 0
-    obj: str | None = None
 
     def is_abort(self) -> bool:
         return self.value == ABORT
@@ -80,7 +79,6 @@ class OperationInstance:
     val: object = None
     status: str = INCOMPLETE
     response: object = None
-    obj: str | None = None
 
     def is_complete(self) -> bool:
         return self.status == COMPLETE
@@ -114,7 +112,6 @@ class History:
     ops: dict[int, OperationInstance] = field(default_factory=dict)
     initial: dict[int, dict] = field(default_factory=dict)
     structure: str | None = None
-    obj_nids: dict[str, frozenset[int]] | None = None
 
     # -- derived views ---------------------------------------------------
 
@@ -126,7 +123,7 @@ class History:
                 final[e.op] = e.attempt
         kept = [e for e in self.events
                 if e.attempt == final[e.op] and not e.is_abort()]
-        return History(kept, self.ops, self.initial, self.structure, self.obj_nids)
+        return History(kept, self.ops, self.initial, self.structure)
 
     def events_json(self) -> list[dict]:
         return [e.to_json() for e in self.events]
@@ -142,14 +139,14 @@ def project_process(h: History, proc: int) -> History:
     """Subsequence of h restricted to one process's events."""
     sub = [e for e in h.events if e.proc == proc]
     ops = {i: o for i, o in h.ops.items() if o.proc == proc}
-    return History(sub, ops, h.initial, h.structure, h.obj_nids)
+    return History(sub, ops, h.initial, h.structure)
 
 
 def complete(h: History) -> History:
     """Subsequence consisting of the events of complete operations."""
     sub = [e for e in h.events if h.ops[e.op].is_complete()]
     ops = {i: o for i, o in h.ops.items() if o.is_complete()}
-    return History(sub, ops, h.initial, h.structure, h.obj_nids)
+    return History(sub, ops, h.initial, h.structure)
 
 
 def restrict_to_operation(h: History, op_id: int,
@@ -177,22 +174,14 @@ def trim_aborted(evs: list[Event]) -> list[Event]:
 
 
 def precedes(h: History, op_a: int, op_b: int) -> bool:
-    """True iff op_a's response occurs before op_b's invocation in h."""
+    """True iff op_a's response occurs before op_b's invocation in h.  An
+    aborted attempt's abort response is no response of the operation."""
     if op_a == op_b:
         return False
-    resp_a = next((e.seq for e in h.events if e.op == op_a and e.kind == OR), None)
+    resp_a = next((e.seq for e in h.events
+                   if e.op == op_a and e.kind == OR and not e.is_abort()), None)
     inv_b = next((e.seq for e in h.events if e.op == op_b and e.kind == OI), None)
     return resp_a is not None and inv_b is not None and resp_a < inv_b
-
-
-def restrict_to_object(h: History, obj: str) -> History:
-    """Events on one component of a composed object."""
-    sub = [e for e in h.events if e.obj == obj]
-    ops = {i: o for i, o in h.ops.items() if o.obj == obj}
-    nids = (h.obj_nids or {}).get(obj)
-    initial = ({n: s for n, s in h.initial.items() if n in nids}
-               if nids is not None else dict(h.initial))
-    return History(sub, ops, initial, h.structure, None)
 
 
 # -- schedules -----------------------------------------------------------

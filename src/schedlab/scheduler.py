@@ -17,7 +17,7 @@ each requested implementation take each step the unsynchronized ones
 take, and an implementation that rejects a slot is dropped below it
 (``drive`` would reject every schedule there at the same slot for the
 same reason).  It counts the leaves by category and yields only the ones
-its caller wants; ``schedule_trie`` is the walk that wants them all.
+its caller wants; ``universe`` wants them all.
 
 It walks a DAG of configurations, not the trie of prefixes.  Independent
 steps commute, so many prefixes end in the same configuration: a Thm. 2
@@ -119,8 +119,8 @@ its local serializability; with the order they are all that the
 linearizability check sees; the store decides the audit finds, which run
 alone afterwards; the workload fixes the rest.  So the verdict needs no
 replay: the audit finds run on a fork of the end store (``Leaf.audits``,
-with the runner of ``run_audit_finds``), and the order gives the
-intervals.  Each part is decided once per value of the signature's parts
+through ``audit_finds`` as in ``audited_history``), and the order gives
+the intervals.  Each part is decided once per value of the signature's parts
 it reads: the audit finds once per end store, local serializability once
 per (operations with their traces and responses, end store), and
 linearizability once per signature, since only it reads the order.
@@ -295,14 +295,6 @@ def audit_finds(world: World, w: Workload) -> list[StepMachine]:
             for i, key in enumerate(workload_keys(w))]
 
 
-def run_audit_finds(world: World, w: Workload, start: int, initial: dict) -> History:
-    """Run the audit finds (``audit_finds``) after the concurrent
-    operations; return the concurrent history with the finds, which the
-    LSL oracle checks (see ``metric``)."""
-    audit_finds(world, w)
-    return _concurrent_history(world, w, start, initial)
-
-
 def _fork(world: World, machines: dict[int, StepMachine]):
     w2 = world.clone()
     m2 = {p: m.clone(w2.ops) for p, m in machines.items()}
@@ -386,7 +378,8 @@ def audited_history(w: Workload, schedule: Schedule) -> History:
                                          f"universe: {slot}")
     if not all(m.finished for m in machines.values()):
         raise MalformedScheduleError("schedule leaves operations incomplete")
-    return run_audit_finds(world, w, start, initial)
+    audit_finds(world, w)
+    return _concurrent_history(world, w, start, initial)
 
 
 # -- configuration keys -----------------------------------------------------------
@@ -430,7 +423,7 @@ _STATE_FIELDS = frozenset(("nodes", "root", "tail", "counter", "_canon"))
 _REC_FIELDS = frozenset(("nid", "key", "val", "edges", "alive"))
 _LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
 _VERSION_FIELDS = frozenset(("versions",))
-_OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response", "obj"))
+_OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response"))
 _OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
 _OPERATION_FIELDS = frozenset(("name", "key", "val"))
 _OPERATION_LAYOUT = itemgetter(*sorted(_OPERATION_FIELDS))
@@ -835,27 +828,17 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                                  wanted is None or any(wanted(c) for c in acc))
 
 
-def schedule_trie(w: Workload, impls: tuple[str, ...] = ()) -> Iterator[Leaf]:
-    """Every schedule of the workload, classified under each of `impls`,
-    in the DFS order of the trie of the unsynchronized machines'
-    next-step choices, in process order.  Deterministic: the walk with no
-    budget, no verdict and every leaf wanted.  An implementation that
-    rejects a slot is dropped below it, with that slot's index and reason
-    (the module docstring); each leaf carries its digest, its
-    invocation/response order and its end configuration (see ``Leaf``)."""
-    return walk(w, impls, None, None, None, Tally())
-
-
 def universe(w: Workload, budget: int = DEFAULT_BUDGET) -> tuple[list[Schedule], bool]:
-    """The first `budget` schedules of the workload in DFS order (see
-    ``schedule_trie``).
+    """The first `budget` schedules of the workload in the DFS order of
+    ``walk``.
 
     Returns (schedules, truncated?): truncated when the universe holds more
     than `budget` schedules, which the walk tells by reaching one more
     leaf.  Deterministic."""
     budget = max(budget, 0)
     out = [leaf.schedule
-           for leaf in itertools.islice(schedule_trie(w), budget + 1)]
+           for leaf in itertools.islice(walk(w, (), None, None, None, Tally()),
+                                        budget + 1)]
     return out[:budget], len(out) > budget
 
 

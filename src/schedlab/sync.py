@@ -180,7 +180,7 @@ class World:
         # object.__setattr__; filling the instance dict takes half the time
         ev = object.__new__(Event)
         ev.__dict__.update(seq=self.seq, proc=proc, op=op, kind=kind, elem=elem,
-                           value=value, nid=nid, attempt=attempt, obj=None)
+                           value=value, nid=nid, attempt=attempt)
         self.events.append(ev)
         self.seq += 1
         return ev

@@ -7,8 +7,12 @@ as a BFS cut at a depth, an operation's solo step list, the schedule walk
 that steps every prefix (not every configuration) once, the per-leaf LSL
 signature rebuilt from a replay's events, and the checkers that scan
 every event once per operation with no cache.  A few small helpers only
-tests call (`alive_keys`, `release_holder`, and a key's relevant set and
-graph) live here too.  The tests compare the library against them.
+tests call (`alive_keys`, `release_holder`, a key's relevant set and
+graph, and `schedule_trie`, the library's walk with every leaf wanted)
+live here too, and so does the locality harness: two histories over
+independent objects merged into one, whose composition must be
+linearizable when both are LSL.  The tests compare the library against
+them.
 """
 
 from __future__ import annotations
@@ -16,16 +20,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from schedlab.checkers import (STRICT_CAP, CheckResult, _default_apply,
                                _dependency_cycle, _prefix_witness, _Replay,
-                               abstract_state, op_intervals)
+                               abstract_state, check_ls_linearizable,
+                               linearize, op_intervals)
 from schedlab.model import (ABORTED, OI, OR, RI, RR, WI, WR, History,
                             InvariantError, Schedule, Slot,
                             restrict_to_operation, slot_of)
-from schedlab.scheduler import (MalformedScheduleError, Workload, _fork,
-                                _step_slot, build_world, run_audit_finds)
+from schedlab.scheduler import (MalformedScheduleError, Tally, Workload,
+                                _concurrent_history, _fork, _step_slot,
+                                audit_finds, build_world, walk)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
                               dictionary_apply, local_trace, run_operation,
@@ -36,11 +42,10 @@ from schedlab.sync import FINISHED, PROGRESSED, LockManager, World
 # -- linearizability ----------------------------------------------------------
 
 
-def naive_linearizable(h: History, apply_fn=None) -> bool:
+def naive_linearizable(h: History) -> bool:
     """Brute-force oracle: all drop-subsets of incomplete operations, all
     permutations, respecting real time.  Independent of check_linearizable's
     search order and memoization."""
-    apply_fn = apply_fn or _default_apply
     hx = h.exported()
     ops = {i: o for i, o in hx.ops.items() if o.status != ABORTED}
     iv = op_intervals(hx)
@@ -61,13 +66,71 @@ def naive_linearizable(h: History, apply_fn=None) -> bool:
                     continue
                 state = q0
                 for i in perm:
-                    state, resp = apply_fn(state, ops[i])
+                    state, resp = _default_apply(state, ops[i])
                     if ops[i].is_complete() and resp != ops[i].response:
                         ok = False
                         break
                 if ok:
                     return True
     return False
+
+
+# -- locality -----------------------------------------------------------------
+
+
+def compose_histories(h1: History, h2: History, interleave):
+    """Merge two histories over independent objects: their events, in each
+    one's order, interleaved by `interleave` (a random.Random, or a list of
+    0/1 pulls read cyclically; 1 takes the next event of `h2`), with `h2`'s
+    operation ids and processes shifted past `h1`'s.  Returns (the merged
+    history, the parts (h1, h2), the merged ids of `h2`'s operations)."""
+    off_op = max(h1.ops, default=-1) + 1
+    off_proc = max((o.proc for o in h1.ops.values()), default=0) + 1
+    parts = (h1.events, [replace(e, op=e.op + off_op, proc=e.proc + off_proc)
+                         for e in h2.events])
+    merged: list = []
+    at = [0, 0]
+    while at[0] < len(parts[0]) or at[1] < len(parts[1]):
+        if at[0] == len(parts[0]):
+            pick = 1
+        elif at[1] == len(parts[1]):
+            pick = 0
+        elif isinstance(interleave, list):
+            pick = interleave[len(merged) % len(interleave)]
+        else:
+            pick = interleave.choice((0, 1))
+        merged.append(replace(parts[pick][at[pick]], seq=len(merged)))
+        at[pick] += 1
+    ops = dict(h1.ops)
+    ops.update((i + off_op, replace(o, id=i + off_op, proc=o.proc + off_proc))
+               for i, o in h2.ops.items())
+    return History(merged, ops), (h1, h2), frozenset(i + off_op for i in h2.ops)
+
+
+VACUOUS = "vacuous: a component is not LSL"
+
+
+def check_compositionality(composed, defs, keys: tuple[int, ...]) -> CheckResult:
+    """Falsifier for locality (Herlihy & Wing): True, with witness
+    ``VACUOUS``, unless both parts of `composed` (``compose_histories``) are
+    LSL under `defs`; then the merged history's linearizability against the
+    product of the two dictionaries, each operation applied to its own
+    part's."""
+    merged, parts, second = composed
+    if not all(check_ls_linearizable(h, d, keys).verdict is True
+               for h, d in zip(parts, defs)):
+        return CheckResult(True, witness=VACUOUS)
+
+    def apply(state: tuple, op):
+        side = op.id in second
+        q, resp = _default_apply(state[side], op)
+        return (state[0], q) if side else (q, state[1]), resp
+
+    hx = merged.exported()
+    return linearize({i: o for i, o in hx.ops.items() if o.status != ABORTED},
+                     op_intervals(hx),
+                     tuple(frozenset(abstract_state(h.initial).items()) for h in parts),
+                     apply)
 
 
 # -- histories ----------------------------------------------------------------
@@ -304,10 +367,19 @@ class PrefixLeaf:
 
     def audited(self, w: Workload) -> History:
         """The legal replay plus the audit finds, run in the leaf's world."""
-        return run_audit_finds(self.world, w, self.start, self.initial)
+        audit_finds(self.world, w)
+        return _concurrent_history(self.world, w, self.start, self.initial)
 
     def signature(self) -> tuple:
         return events_signature(self.world, self.start)
+
+
+def schedule_trie(w: Workload, impls: tuple[str, ...] = ()):
+    """Every schedule of the workload, classified under each of `impls`,
+    in the DFS order of the trie of the unsynchronized machines'
+    next-step choices, in process order: the library's walk with no
+    budget, no verdict and every leaf wanted."""
+    return walk(w, impls, None, None, None, Tally())
 
 
 def prefix_walk(w: Workload, impls: tuple[str, ...] = ()):

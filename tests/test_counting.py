@@ -28,10 +28,10 @@ from schedlab.checkers import LINEARIZABLE_CAP, check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (_lsl_verdict, accepted_set, audited_history, classify,
                              lsl_set, optimality_gap, workload_keys)
-from schedlab.scheduler import Tally, Workload, schedule_trie, walk
+from schedlab.scheduler import Tally, Workload, walk
 from schedlab.seqspec import Operation, make_structure
 
-from oracles import prefix_walk
+from oracles import prefix_walk, schedule_trie
 from test_acceptance import sweep_workloads
 
 IMPLS = ("hoh", "stm")

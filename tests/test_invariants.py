@@ -17,13 +17,14 @@ from schedlab.fixtures import fig2a
 from schedlab.metric import accepted_set, audited_history, lsl_set
 from schedlab.model import ABORTED, RI, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
-                                Workload, build_world, drive, schedule_trie,
-                                universe)
+                                Workload, build_world, drive, universe)
 from schedlab.seqspec import (ROOT_ROLE, Operation, SortedList, Witness,
                               assert_legal, make_structure, run_operation,
                               sequential_run)
 from schedlab.sync import (BLOCKED, FINISHED, LockManager, StepOutcome,
                            StmMachine, UnsyncMachine)
+
+from oracles import schedule_trie
 
 
 def two_inserts(setup=()):

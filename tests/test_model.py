@@ -7,9 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
                             complete, precedes, project_process,
-                            restrict_to_object, restrict_to_operation,
-                            schedule_of)
-from schedlab.checkers import compose_histories
+                            restrict_to_operation, schedule_of)
+from schedlab.checkers import op_intervals
 from schedlab.scheduler import Workload, drive, free_run
 from schedlab.seqspec import Operation, make_structure, sequential_run
 from schedlab.sync import World
@@ -169,18 +168,21 @@ def test_exported_drops_abort_events(fig2b_case):
     assert well_formed(hx)
 
 
-def test_restrict_to_object_partitions():
-    d1, d2 = make_structure("sorted-list"), make_structure("bst")
-    w1 = Workload(d1, [Operation("insert", 1)], [(1, Operation("insert", 2))])
-    w2 = Workload(d2, [Operation("insert", 3)], [(1, Operation("find", 3))])
-    h1, h2 = free_run("hoh", w1, seed=0), free_run("hoh", w2, seed=0)
-    composed = compose_histories(h1, h2, ["O1", "O2"])
-    a, b = restrict_to_object(composed, "O1"), restrict_to_object(composed, "O2")
-    assert len(a.events) + len(b.events) == len(composed.events)
-    assert {e.seq for e in a.events} | {e.seq for e in b.events} \
-        == {e.seq for e in composed.events}
-    assert all(o.obj == "O1" for o in a.ops.values())
-    assert all(o.obj == "O2" for o in b.ops.values())
+def test_precedes_skips_abort_responses():
+    """An aborted attempt's abort response is no response of its
+    operation, as in ``op_intervals``: at seed 66 op 1's first attempt
+    aborts before op 3 is invoked, and op 1 responds only after it."""
+    w = Workload(make_structure("sorted-list"), [Operation("insert", 1)],
+                 [(1, Operation("insert", 2)), (2, Operation("delete", 1)),
+                  (3, Operation("insert", 3))])
+    h = free_run("stm", w, seed=66)
+    iv = op_intervals(h)
+    assert iv[3][0] < iv[1][1] and not precedes(h, 1, 3)
+    for seed in range(100):
+        h = free_run("stm", w, seed=seed)
+        iv = op_intervals(h)
+        assert all(precedes(h, a, b) == (iv[a][1] < iv[b][0])
+                   for a in h.ops for b in h.ops if a != b)
 
 
 def test_emitted_event_is_a_frozen_event():
@@ -193,9 +195,9 @@ def test_emitted_event_is_a_frozen_event():
     built = Event(1, 1, 2, RR, "root", {"key": "-inf"}, 0, 3)
     assert ev == built and vars(ev) == vars(built)
     assert hash(replace(ev, value=None)) == hash(replace(built, value=None))
-    moved = replace(ev, seq=7, obj="O1")
-    assert (moved.seq, moved.obj, moved.elem, ev.seq) == (7, "O1", "root", 1)
+    moved = replace(ev, seq=7, attempt=1)
+    assert (moved.seq, moved.attempt, moved.elem, ev.seq) == (7, 1, "root", 1)
     with pytest.raises(FrozenInstanceError):
         ev.seq = 5
     with pytest.raises(FrozenInstanceError):
-        ev.obj = "O2"
+        ev.attempt = 2

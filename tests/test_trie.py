@@ -1,11 +1,12 @@
 """The one-pass classification against the reference path.
 
-`schedule_trie` (through `classify`, `universe` and the metric functions)
-must give every schedule the verdicts the reference path gives it: `drive`
-per implementation, with the same rejection reason and failing slot, and
-`check_ls_linearizable(audited_history(...))` for the LSL oracle.  The
-leaves must come in the order of a plain recursive universe DFS, and carry
-the digest and the LSL signature that are rebuilt from the leaf's schedule.
+The counted walk (`scheduler.walk`, through `classify`, `universe` and
+the metric functions) must give every schedule the verdicts the reference
+path gives it: `drive` per implementation, with the same rejection reason
+and failing slot, and `check_ls_linearizable(audited_history(...))` for
+the LSL oracle.  The leaves must come in the order of a plain recursive
+universe DFS, and carry the digest and the LSL signature that are rebuilt
+from the leaf's schedule.
 The walk over the DAG of configurations must match the per-prefix walk
 (`oracles.prefix_walk`) leaf by leaf while stepping far fewer
 configurations, and its configuration key must hold every field a step
@@ -31,12 +32,11 @@ from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
 from schedlab.model import ABORTED, COMPLETE, History, schedule_of
-from schedlab.scheduler import (Workload, _fork, build_world, drive,
-                                schedule_trie, universe)
+from schedlab.scheduler import Workload, _fork, build_world, drive, universe
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
 from schedlab.sync import BLOCKED, restart
 
-from oracles import leaf_signature, prefix_walk
+from oracles import leaf_signature, prefix_walk, schedule_trie
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
 
 IMPLS = ("hoh", "stm")

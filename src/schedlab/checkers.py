@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .model import (ABORTED, OI, OR, RR, WI, Event, History,
                     OperationInstance, trim_aborted)
 from .seqspec import (BudgetExceeded, Operation, SearchStructureDef,
-                      canonical_steps, dec_key, dictionary_apply)
+                      canonical_steps, dec_key, dictionary_apply, token_node)
 
 
 @dataclass
@@ -39,16 +39,6 @@ class CheckResult:
 
     def __bool__(self) -> bool:
         return self.verdict is True
-
-    def to_json(self) -> dict:
-        out: dict = {"verdict": self.verdict}
-        if self.witness is not None:
-            out["witness"] = self.witness
-        if self.violation is not None:
-            out["violation"] = self.violation
-        if self.verdict is None:
-            out["inconclusive"] = self.reason or "bounds exceeded"
-        return out
 
 
 # -- shared event plumbing ----------------------------------------------------
@@ -88,9 +78,9 @@ def _attempt_index(h: History) -> dict[int, dict[int, list[Event]]]:
 
 
 def _op_traces(index: dict[int, dict[int, list[Event]]]) -> dict[int, list[tuple]]:
-    """op id -> the read/write trace of the whole operation, trimmed as
-    ``restrict_to_operation`` trims it.  An operation's attempts run one
-    after another, so attempt order is history order."""
+    """op id -> the read/write trace of the whole operation, trimmed by
+    ``trim_aborted``.  An operation's attempts run one after another, so
+    attempt order is history order."""
     return {i: _rw(trim_aborted([e for a in sorted(atts) for e in atts[a]]))
             for i, atts in index.items()}
 
@@ -111,7 +101,7 @@ def abstract_state(initial: dict[int, dict]) -> dict:
             out[key] = rec["val"]
         for t in rec["edges"].values():
             if t is not None:
-                stack.append(int(t[1:]))
+                stack.append(token_node(t))
     return out
 
 
@@ -139,11 +129,12 @@ def check_linearizable(h: History) -> CheckResult:
                      op_intervals(hx), frozenset(abstract_state(hx.initial).items()))
 
 
-def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple], q0,
-              apply_fn=_default_apply) -> CheckResult:
+def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple],
+              q0: frozenset) -> CheckResult:
     """Exact decision by DFS with state memoization, over the operations
     `ops` (none aborted) with their intervals `iv` (op id -> (invocation
-    position, response position or +inf)) from abstract state `q0`.
+    position, response position or +inf)) from abstract state `q0`, the
+    dictionary's (key, value) items.
 
     Incomplete operations may be completed (their response is whatever the
     specification yields) or dropped; an operation without an interval
@@ -172,7 +163,7 @@ def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple], q0,
             return False
         seen.add(key)
         for i in available(done):
-            st2, resp = apply_fn(state, ops[i])
+            st2, resp = _default_apply(state, ops[i])
             if ops[i].is_complete() and resp != ops[i].response:
                 continue
             witness.append((i, resp))
@@ -292,7 +283,7 @@ class _Replay:
                       for nid, rec in initial.items()}
         self.introduced = set(self.store)
         for rec in initial.values():
-            self.introduced.update(int(t[1:]) for t in rec["edges"].values() if t)
+            self.introduced.update(token_node(t) for t in rec["edges"].values() if t)
 
     def fork(self) -> _Replay:
         rp = _Replay.__new__(_Replay)
@@ -311,12 +302,13 @@ class _Replay:
                                        "edges": dict(payload["edges"])}
                 elif self.store[nid] != payload:
                     return False
-                self.introduced.update(int(t[1:]) for t in payload["edges"].values() if t)
+                self.introduced.update(token_node(t)
+                                       for t in payload["edges"].values() if t)
             else:
                 if nid not in self.store:
                     return False
                 self.store[nid]["edges"].update(payload)
-                self.introduced.update(int(t[1:]) for t in payload.values() if t)
+                self.introduced.update(token_node(t) for t in payload.values() if t)
         return True
 
 

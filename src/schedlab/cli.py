@@ -7,19 +7,17 @@ Commands::
     schedlab reproduce <fig2|fig3|thm2|thm3>
     schedlab explore <scenario.json>    accepted/LSL sets and ratio
 
-Exit codes: 0 accepted/completed, 1 input error, 2 schedule rejected or
-free run not completed (restart budget, deadlock or step limit), 3
-reproduction deviates from the recorded claims, 4 exploration budget
-exceeded (partial report).
+Exit codes: 0 accepted/completed, 1 input error or a report file that
+cannot be written, 2 schedule rejected or free run not completed (restart
+budget, deadlock or step limit), 3 reproduction deviates from the
+recorded claims, 4 exploration budget exceeded (partial report).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from importlib import resources
 
 from .checkers import check_ls_linearizable, check_strictly_serializable
 from .fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
@@ -120,21 +118,6 @@ def parse_scenario(doc: dict) -> dict:
             "seed": seed, "budget": budget}
 
 
-def default_budget() -> int:
-    """``SCHEDLAB_BUDGET`` when it is set, read at each use, else
-    ``DEFAULT_BUDGET``."""
-    text = os.environ.get("SCHEDLAB_BUDGET")
-    if text is None:
-        return DEFAULT_BUDGET
-    try:
-        budget = int(text)
-    except ValueError:
-        budget = None
-    _require(_is_budget(budget),
-             f"SCHEDLAB_BUDGET must be a positive integer: {text!r}")
-    return budget
-
-
 def figure_name(elem: str) -> str:
     """Figure notation: r for the root, X_k for the node holding key k."""
     if elem == "root":
@@ -193,9 +176,8 @@ def cmd_run(args) -> int:
                           if o.proc != 0},
             "events": hist.exported().events_json(),
         }
-        _emit(args, report, [f"free run completed under {sc['impl']}"]
-              + render_history(hist.exported()))
-        return 0
+        return _emit(args, report, [f"free run completed under {sc['impl']}"]
+                     + render_history(hist.exported()), 0)
     try:
         res = drive(sc["impl"], sc["workload"], sc["schedule"])
     except MalformedScheduleError as e:
@@ -204,18 +186,24 @@ def cmd_run(args) -> int:
     lines = [f"{sc['impl']}: {res.verdict.upper()}"
              + (f" ({res.reason} at slot {res.failing_slot})" if res.reason else "")]
     lines += render_history(res.history.exported())
-    _emit(args, run_report(res, sc["impl"]), lines)
-    return 0 if res.accepted else 2
+    return _emit(args, run_report(res, sc["impl"]), lines, 0 if res.accepted else 2)
 
 
-def _emit(args, report: dict, lines: list[str]) -> None:
+def _emit(args, report: dict, lines: list[str], code: int) -> int:
+    """Print the report, or write it to ``--out``; return `code`, or 1
+    when the file cannot be written."""
     text = json.dumps(report, indent=2, sort_keys=False) if args.json \
         else "\n".join(lines)
-    if args.out:
+    if not args.out:
+        print(text)
+        return code
+    try:
         with open(args.out, "w") as f:
             f.write(text + "\n")
-    else:
-        print(text)
+    except OSError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 1
+    return code
 
 
 # -- reproduce ---------------------------------------------------------------
@@ -304,8 +292,7 @@ def cmd_reproduce(args) -> int:
              "thm2": _claims_thm2, "thm3": _claims_thm3}
     lines, ok = table[args.figure]()
     report = {"figure": args.figure, "ok": ok, "lines": lines}
-    _emit(args, report, lines)
-    return 0 if ok else 3
+    return _emit(args, report, lines, 0 if ok else 3)
 
 
 # -- explore -----------------------------------------------------------------
@@ -320,7 +307,7 @@ def cmd_explore(args) -> int:
         with open(args.scenario) as f:
             doc = json.load(f)
         sc = parse_scenario(doc)
-        budget = args.budget or sc["budget"] or default_budget()
+        budget = args.budget or sc["budget"] or DEFAULT_BUDGET
     except (OSError, json.JSONDecodeError, ScenarioError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
@@ -344,13 +331,7 @@ def cmd_explore(args) -> int:
                                 + (f"({sl.elem})" if sl.elem else
                                    f"({sl.op_name} {sl.key})" if sl.op_name else "")
                                 for sl in s.slots))
-    _emit(args, report, lines)
-    return 4 if gap.partial else 0
-
-
-def scenario_path(name: str) -> str:
-    """Path of a canned scenario shipped with the package."""
-    return str(resources.files("schedlab").joinpath("scenarios", name))
+    return _emit(args, report, lines, 4 if gap.partial else 0)
 
 
 def main(argv=None) -> int:

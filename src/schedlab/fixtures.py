@@ -10,6 +10,8 @@ interleavings drawn in the figures.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .model import History, InvariantError, Schedule, schedule_of
@@ -18,11 +20,14 @@ from .seqspec import Operation, SearchStructureDef, make_structure, \
     non_triviality_witness, run_operation
 
 
-def _staged_schedule(w: Workload, bursts: list[tuple[int, int | None]]) -> Schedule:
+def _staged_schedule(w: Workload, bursts: Iterable[tuple[int, int | None]]) -> Schedule:
     """Run the unsynchronized machines in bursts of (proc, steps) - steps
-    None meaning to completion - and export the resulting schedule."""
+    None meaning to completion, a finished machine taking none - until
+    every machine has finished, and export the resulting schedule."""
     world, machines, start = build_world("unsync", w)
     for proc, steps in bursts:
+        if all(m.finished for m in machines.values()):
+            break
         m = machines[proc]
         done = 0
         while not m.finished and (steps is None or done < steps):
@@ -37,20 +42,8 @@ def _staged_schedule(w: Workload, bursts: list[tuple[int, int | None]]) -> Sched
 def _lockstep_schedule(w: Workload) -> Schedule:
     """Two processes advancing in lockstep, p1 half a step ahead - the
     shape of both figure-2 schedules."""
-    world, machines, start = build_world("unsync", w)
-    m1, m2 = machines[1], machines[2]
-    m1.step(world)  # oi
-    m1.step(world)  # first read
-    m2.step(world)
-    m2.step(world)
-    turn = 1
-    while not (m1.finished and m2.finished):
-        m = m1 if turn == 1 else m2
-        if not m.finished:
-            m.step(world)
-        turn = 3 - turn
-    hist = History(world.events[start:], dict(world.ops), {}, w.structure.name)
-    return schedule_of(hist)
+    return _staged_schedule(w, itertools.chain([(1, 2), (2, 2)],
+                                               itertools.cycle([(1, 1), (2, 1)])))
 
 
 def fig2a() -> tuple[Workload, Schedule]:

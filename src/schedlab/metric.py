@@ -28,6 +28,9 @@ from .model import OI, Schedule
 from .scheduler import (DEFAULT_BUDGET, Tally, Workload, audited_history,
                         build_world, drive, walk, workload_keys)
 
+# the witness schedules a comparison or an optimality gap names per side
+WITNESSES = 3
+
 
 @dataclass
 class ScheduleSet:
@@ -152,7 +155,7 @@ def lsl_set(w: Workload, budget: int = DEFAULT_BUDGET) -> ScheduleSet:
     return classify(w, lsl=True, budget=budget)["lsl"]
 
 
-def compare(a: ScheduleSet, b: ScheduleSet, max_witnesses: int = 3) -> ComparisonVerdict:
+def compare(a: ScheduleSet, b: ScheduleSet) -> ComparisonVerdict:
     if a.fingerprint != b.fingerprint:
         raise ValueError("schedule sets come from different workloads")
     left = sorted(a.digests - b.digests)
@@ -166,8 +169,8 @@ def compare(a: ScheduleSet, b: ScheduleSet, max_witnesses: int = 3) -> Compariso
     else:
         rel = "incomparable"
     return ComparisonVerdict(rel,
-                             [a.members[d] for d in left[:max_witnesses]],
-                             [b.members[d] for d in right[:max_witnesses]])
+                             [a.members[d] for d in left[:WITNESSES]],
+                             [b.members[d] for d in right[:WITNESSES]])
 
 
 def verify_witness(impl_in: str, impl_out: str, w: Workload,
@@ -189,18 +192,15 @@ class OptimalityGap:
     partial: bool = False  # the universe was cut at the budget
 
 
-def optimality_gap(impl: str, w: Workload, budget: int = DEFAULT_BUDGET,
-                   max_witnesses: int = 3) -> OptimalityGap:
+def optimality_gap(impl: str, w: Workload, budget: int = DEFAULT_BUDGET) -> OptimalityGap:
     """Counts from one counted walk (see ``classify``); only the LSL
     schedules the implementation misses are enumerated, and the
-    `max_witnesses` with the smallest digests are kept (inconclusive
+    ``WITNESSES`` with the smallest digests are kept (inconclusive
     schedules are excluded, so the ratio is a lower bound)."""
     tally = Tally()
     leaves = walk(w, (impl,), budget, _lsl_verdict(w),
                   lambda cat: cat[1] is True and not cat[0], tally)
-    missing = heapq.nsmallest(max_witnesses, leaves, key=attrgetter("digest"))
-    for _ in leaves:  # what nsmallest left unread (max_witnesses 0)
-        pass
+    missing = heapq.nsmallest(WITNESSES, leaves, key=attrgetter("digest"))
     accepted = tally.count(lambda cat: cat[0])
     usable = tally.count(lambda cat: cat[1] is True)
     inter = tally.count(lambda cat: cat[0] and cat[1] is True)

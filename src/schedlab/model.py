@@ -128,18 +128,8 @@ class History:
     def events_json(self) -> list[dict]:
         return [e.to_json() for e in self.events]
 
-    def render_json(self) -> str:
-        return json.dumps(self.events_json(), ensure_ascii=True, separators=(",", ":"))
-
 
 # -- projections ---------------------------------------------------------
-
-
-def project_process(h: History, proc: int) -> History:
-    """Subsequence of h restricted to one process's events."""
-    sub = [e for e in h.events if e.proc == proc]
-    ops = {i: o for i, o in h.ops.items() if o.proc == proc}
-    return History(sub, ops, h.initial, h.structure)
 
 
 def complete(h: History) -> History:
@@ -149,39 +139,16 @@ def complete(h: History) -> History:
     return History(sub, ops, h.initial, h.structure)
 
 
-def restrict_to_operation(h: History, op_id: int,
-                          attempt: int | None = None) -> list[Event]:
-    """The events of one operation (of one attempt of it, if given), minus
-    its final aborted read/write.
-
-    For an aborted operation this is the successful prefix: the trailing
-    invocation whose response carries the abort mark is dropped along with
-    that response and the abort op-response.
-    """
-    return trim_aborted([e for e in h.events if e.op == op_id
-                         and (attempt is None or e.attempt == attempt)])
-
-
 def trim_aborted(evs: list[Event]) -> list[Event]:
-    """``restrict_to_operation``'s trimming of one operation's events: if
-    any is abort-marked, drop those and the final read/write invocation."""
+    """One operation's events (or one attempt's) minus its final aborted
+    read/write: if any is abort-marked, drop those and the final read/write
+    invocation, so an aborted operation keeps its successful prefix."""
     if any(e.is_abort() for e in evs):
         evs = [e for e in evs if not e.is_abort()]
         # the invocation paired with the dropped abort response, if recorded
         if evs and evs[-1].kind in (RI, WI):
             evs = evs[:-1]
     return evs
-
-
-def precedes(h: History, op_a: int, op_b: int) -> bool:
-    """True iff op_a's response occurs before op_b's invocation in h.  An
-    aborted attempt's abort response is no response of the operation."""
-    if op_a == op_b:
-        return False
-    resp_a = next((e.seq for e in h.events
-                   if e.op == op_a and e.kind == OR and not e.is_abort()), None)
-    inv_b = next((e.seq for e in h.events if e.op == op_b and e.kind == OI), None)
-    return resp_a is not None and inv_b is not None and resp_a < inv_b
 
 
 # -- schedules -----------------------------------------------------------

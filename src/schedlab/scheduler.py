@@ -182,7 +182,7 @@ from .model import (COMPLETE, OI, OR, RI, WI, Event, History,
                     InvariantError, OperationInstance, Schedule, Slot,
                     complete, schedule_of, slot_of)
 from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
-                      UpdatePlan, canonical_steps)
+                      UpdatePlan, canonical_steps, node_token)
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
                    LockManager, StepMachine, StmCommitOnlyMachine, StmMachine,
                    UnsyncMachine, VersionStore, World, make_machine, restart)
@@ -193,6 +193,9 @@ from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
 DEFAULT_BUDGET = 20000
 # the steps a free run takes before it is taken for a livelock
 FREE_RUN_STEP_CAP = 100000
+# the restarts of aborted operations a free run allows before it is taken
+# for a livelock
+FREE_RUN_RESTART_CAP = 100
 
 
 class MalformedScheduleError(ValueError):
@@ -213,11 +216,22 @@ class Workload:
             raise ValueError("process 0 is reserved for the setup")
 
     def fingerprint(self) -> str:
+        """Hash of the structure and the operations.  An operation's value
+        enters only when it is not ``Operation``'s default (the key for an
+        insert, None otherwise), so workloads of default values keep the
+        fingerprints that tests/golden and benchmarks/reference record; a
+        value JSON cannot encode enters as its repr."""
         blob = json.dumps([list(self.structure.fingerprint()),
-                           [(o.name, o.key) for o in self.setup],
-                           [(p, o.name, o.key) for p, o in self.concurrent]],
-                          separators=(",", ":"))
+                           [_op_fields(o) for o in self.setup],
+                           [[p, *_op_fields(o)] for p, o in self.concurrent]],
+                          separators=(",", ":"), default=repr)
         return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def _op_fields(o: Operation) -> list:
+    """[name, key], plus the value when it is not the default."""
+    default = o.key if o.name == "insert" else None
+    return [o.name, o.key] if o.val == default else [o.name, o.key, o.val]
 
 
 def workload_keys(w: Workload) -> tuple[int, ...]:
@@ -643,7 +657,7 @@ def _trace(m: StepMachine) -> tuple:
     gop = m.gop
     return canonical_steps(
         [("r", n, gop.recs[n].snap()) for n in gop.order]
-        + [("w", n, {lab: None if t is None else f"n{t}" for lab, t in patch.items()})
+        + [("w", n, {lab: node_token(t) for lab, t in patch.items()})
            for n, patch in m.plan.writes[:m.write_idx]])
 
 
@@ -846,7 +860,7 @@ class LivelockError(RuntimeError):
     pass
 
 
-def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
+def free_run(impl: str, w: Workload, seed: int = 0,
              round_robin: bool = False) -> History:
     """Random (or round-robin) scheduler: blocked machines are retried
     later, aborted machines are restarted.  Returns the full history
@@ -879,8 +893,8 @@ def free_run(impl: str, w: Workload, seed: int = 0, max_restarts: int = 100,
             continue
         if out.kind == ABORT_OUT:
             restarts += 1
-            if restarts > max_restarts:
-                raise LivelockError(f"restart budget {max_restarts} exhausted")
+            if restarts > FREE_RUN_RESTART_CAP:
+                raise LivelockError(f"restart budget {FREE_RUN_RESTART_CAP} exhausted")
             machines[proc] = restart(machines[proc])
     hist = History(list(world.events), dict(world.ops), initial, w.structure.name)
     return hist

@@ -18,7 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .model import History, InvariantError
+from .model import InvariantError
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -43,6 +43,17 @@ def dec_key(enc) -> object:
     if enc == "inf":
         return POS_INF
     return enc
+
+
+def node_token(nid: int | None) -> str | None:
+    """The "n<id>" token that stands for node `nid` in a record's edges and
+    a write's patch (None stays None)."""
+    return None if nid is None else f"n{nid}"
+
+
+def token_node(token: str) -> int:
+    """The node id a ``node_token`` stands for."""
+    return int(token[1:])
 
 
 @dataclass(frozen=True)
@@ -98,8 +109,7 @@ class NodeRec:
     def snap(self) -> dict:
         """JSON-ready snapshot of the whole record (one element's value)."""
         return {"key": enc_key(self.key), "val": self.val,
-                "edges": {lab: (f"n{t}" if t is not None else None)
-                          for lab, t in self.edges.items()}}
+                "edges": {lab: node_token(t) for lab, t in self.edges.items()}}
 
 
 @dataclass
@@ -146,17 +156,6 @@ class DagState:
         if nid == self.tail:
             return TAIL_ROLE
         return f"key:{self.nodes[nid].key}"
-
-    def reachable(self) -> set[int]:
-        seen, stack = set(), [self.root]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            stack.extend(t for t in self.nodes[n].edges.values()
-                         if t is not None and t not in seen)
-        return seen
 
     def snapshot(self) -> dict[int, dict]:
         return {nid: rec.snap() for nid, rec in sorted(self.nodes.items())}
@@ -610,8 +609,8 @@ def shortest_path_len(state: DagState, target: int) -> int | None:
 # -- direct sequential interpreter -------------------------------------------
 #
 # Independent of the concurrent machinery in `sync`: this is the oracle
-# side of the dual route (sequential runs, the Sigma_IS state index, and
-# local traces are all computed here).
+# side of the dual route (the Sigma_IS state index and local traces are
+# computed here).
 
 
 def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
@@ -640,79 +639,10 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
     for nid, patch in plan.writes:
         state.write_edges(nid, patch)
         if trace is not None:
-            trace.append(("w", nid,
-                          {lab: (f"n{t}" if t is not None else None)
-                           for lab, t in patch.items()}))
+            trace.append(("w", nid, {lab: node_token(t) for lab, t in patch.items()}))
     for nid in plan.unlink:
         state.unlink(nid)
     return plan.response
-
-
-def sequential_run(def_: SearchStructureDef, ops: list[Operation],
-                   proc: int = 0) -> tuple[DagState, list[bool], History]:
-    """Run ops one at a time from the empty structure, recording a history.
-
-    The produced history is legal by construction (reads return the store's
-    current record); an explicit legality replay checks it on top."""
-    from .model import Event, OI, OR, RI, RR, WI, WR, OperationInstance, COMPLETE
-
-    state = def_.new_state()
-    events: list[Event] = []
-    registry: dict[int, OperationInstance] = {}
-    initial = state.snapshot()
-    seq = 0
-
-    def emit(**kw):
-        nonlocal seq
-        events.append(Event(seq=seq, **kw))
-        seq += 1
-
-    responses = []
-    for i, op in enumerate(ops):
-        inst = OperationInstance(id=i, proc=proc, name=op.name, key=op.key, val=op.val)
-        registry[i] = inst
-        emit(proc=proc, op=i, kind=OI, value=[op.name, op.key])
-        trace: list = []
-        resp = run_operation(def_, state, op, trace)
-        wrote = False
-        for kind, nid, payload in trace:
-            role = state.role_of(nid)
-            if kind == "r":
-                if wrote:
-                    raise InvariantError(f"{op.describe()} reads after a write")
-                emit(proc=proc, op=i, kind=RI, elem=role, nid=nid)
-                emit(proc=proc, op=i, kind=RR, elem=role, value=payload, nid=nid)
-            else:
-                wrote = True
-                emit(proc=proc, op=i, kind=WI, elem=role, value={"edges": payload},
-                     nid=nid)
-                emit(proc=proc, op=i, kind=WR, elem=role, value="ok", nid=nid)
-        emit(proc=proc, op=i, kind=OR, value=resp)
-        inst.status, inst.response = COMPLETE, resp
-        responses.append(resp)
-        def_.audit(state)
-
-    hist = History(events, registry, initial, def_.name)
-    assert_legal(hist)
-    return state, responses, hist
-
-
-def assert_legal(h: History) -> None:
-    """Every read returns the latest written record of its node; raises
-    InvariantError otherwise.
-
-    Nodes created during the history are private until linked; their first
-    read defines their record for the rest of the replay."""
-    store = {nid: dict(snap) for nid, snap in h.initial.items()}
-    from .model import RR, WI
-    for e in h.events:
-        if e.kind == RR and not e.is_abort():
-            if e.nid not in store:
-                store[e.nid] = dict(e.value)
-            elif store[e.nid] != e.value:
-                raise InvariantError(f"illegal read of n{e.nid} at seq {e.seq}")
-        elif e.kind == WI:
-            store[e.nid]["edges"] = {**store[e.nid]["edges"], **e.value["edges"]}
 
 
 # -- local traces ---------------------------------------------------------------
@@ -724,12 +654,6 @@ def canonical_steps(trace: list[tuple]) -> tuple:
     namespace: following a pointer and reading the pointed-to node must
     stay the same node after renaming."""
     names: dict[str, int] = {}
-    return tuple(canonical_step(step, names) for step in trace)
-
-
-def canonical_step(step: tuple, names: dict[str, int]) -> tuple:
-    """One step of ``canonical_steps``, renamed with and into `names`, the
-    renaming of the steps before it."""
 
     def sym(token):
         if token is None:
@@ -738,12 +662,14 @@ def canonical_step(step: tuple, names: dict[str, int]) -> tuple:
             names[token] = len(names)
         return names[token]
 
-    kind, nid, payload = step
-    if kind == "r":
-        return ("r", sym(f"n{nid}"), payload["key"], payload["val"],
-                tuple((lab, sym(t)) for lab, t in sorted(payload["edges"].items())))
-    return ("w", sym(f"n{nid}"),
-            tuple((lab, sym(t)) for lab, t in sorted(payload.items())))
+    out = []
+    for kind, nid, payload in trace:
+        node = sym(node_token(nid))  # before the edges it points along
+        edges = payload["edges"] if kind == "r" else payload
+        renamed = tuple((lab, sym(t)) for lab, t in sorted(edges.items()))
+        out.append(("r", node, payload["key"], payload["val"], renamed) if kind == "r"
+                   else ("w", node, renamed))
+    return tuple(out)
 
 
 def local_trace(def_: SearchStructureDef, state: DagState,

@@ -43,8 +43,9 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
-                    RR, WI, WR, InvariantError, OperationInstance)
-from .seqspec import DagState, Gop, Operation, SearchStructureDef, UpdatePlan
+                    RR, WI, WR, OperationInstance)
+from .seqspec import (DagState, Gop, Operation, SearchStructureDef, UpdatePlan,
+                      node_token)
 
 IMPLS = ("hoh", "stm", "stm-commit-only", "unsync")
 
@@ -129,11 +130,6 @@ class LockManager:
         if self.exclusive.get(nid) == holder:
             del self.exclusive[nid]
         self.shared.get(nid, set()).discard(holder)
-
-    def audit(self) -> None:
-        for nid, holder in self.exclusive.items():
-            if self.shared.get(nid, set()) - {holder}:
-                raise InvariantError(f"shared and exclusive coexist on n{nid}")
 
     def clone(self) -> LockManager:
         lm = LockManager()
@@ -268,8 +264,7 @@ class StepMachine:
 
     def _emit_write(self, world, nid, patch) -> tuple[Event, Event]:
         role = world.role(nid)
-        patch_json = {lab: (f"n{t}" if t is not None else None)
-                      for lab, t in patch.items()}
+        patch_json = {lab: node_token(t) for lab, t in patch.items()}
         a = world.emit(self.op.proc, self.op.id, WI, elem=role,
                        value={"edges": patch_json}, nid=nid, attempt=self.attempt)
         b = world.emit(self.op.proc, self.op.id, WR, elem=role, value="ok",
@@ -496,11 +491,12 @@ _MACHINES = {"hoh": HohMachine, "stm": StmMachine,
 
 
 def make_machine(impl: str, def_: SearchStructureDef,
-                 op: OperationInstance, attempt: int = 0) -> StepMachine:
+                 op: OperationInstance) -> StepMachine:
+    """A machine of `impl` for the first attempt of `op`."""
     cls = _MACHINES.get(impl)
     if cls is None:
         raise ValueError(f"unknown implementation {impl!r}")
-    return cls(def_, op, attempt)
+    return cls(def_, op)
 
 
 def restart(machine: StepMachine) -> StepMachine:

@@ -2,17 +2,21 @@
 
 Each is an independent, slower statement of something the library does
 fast: the brute-force linearizability search, history well-formedness,
-the dictionary fold, the sequential-history enumeration, the state space
-as a BFS cut at a depth, an operation's solo step list, the schedule walk
-that steps every prefix (not every configuration) once, the per-leaf LSL
-signature rebuilt from a replay's events, and the checkers that scan
-every event once per operation with no cache.  A few small helpers only
-tests call (`alive_keys`, `release_holder`, a key's relevant set and
-graph, and `schedule_trie`, the library's walk with every leaf wanted)
-live here too, and so does the locality harness: two histories over
-independent objects merged into one, whose composition must be
-linearizable when both are LSL.  The tests compare the library against
-them.
+the dictionary fold, the sequential interpreter's recorded runs with their
+legality replay (`sequential_run`, `assert_legal`), the
+sequential-history enumeration, the state space as a BFS cut at a depth,
+an operation's solo step list, the schedule walk that steps every prefix
+(not every configuration) once, the per-leaf LSL signature rebuilt from a
+replay's events, and the checkers that scan every event once per
+operation with no cache.  A few small helpers only tests call live here
+too: history projections and comparisons (`render_json`,
+`project_process`, `restrict_to_operation`, `precedes`), store and lock
+audits (`reachable`, `alive_keys`, `lock_audit`, `release_holder`), a
+key's relevant set and graph, `scenario_path`, and `schedule_trie`, the
+library's walk with every leaf wanted.  So does the locality harness: two
+histories over independent objects merged into one, whose composition
+must be linearizable when both are LSL.  The tests compare the library
+against them.
 """
 
 from __future__ import annotations
@@ -21,22 +25,27 @@ import hashlib
 import itertools
 import json
 from dataclasses import dataclass, replace
+from importlib import resources
 
 from schedlab.checkers import (STRICT_CAP, CheckResult, _default_apply,
                                _dependency_cycle, _prefix_witness, _Replay,
                                abstract_state, check_ls_linearizable,
                                linearize, op_intervals)
-from schedlab.model import (ABORTED, OI, OR, RI, RR, WI, WR, History,
-                            InvariantError, Schedule, Slot,
-                            restrict_to_operation, slot_of)
+from schedlab.model import (ABORTED, COMPLETE, OI, OR, RI, RR, WI, WR, Event,
+                            History, InvariantError, OperationInstance,
+                            Schedule, Slot, slot_of, trim_aborted)
 from schedlab.scheduler import (MalformedScheduleError, Tally, Workload,
                                 _concurrent_history, _fork, _step_slot,
                                 audit_finds, build_world, walk)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
-                              dictionary_apply, local_trace, run_operation,
-                              sequential_run)
+                              dictionary_apply, local_trace, run_operation)
 from schedlab.sync import FINISHED, PROGRESSED, LockManager, World
+
+
+def scenario_path(name: str) -> str:
+    """Path of a canned scenario shipped with the package."""
+    return str(resources.files("schedlab").joinpath("scenarios", name))
 
 
 # -- linearizability ----------------------------------------------------------
@@ -120,20 +129,48 @@ def check_compositionality(composed, defs, keys: tuple[int, ...]) -> CheckResult
     if not all(check_ls_linearizable(h, d, keys).verdict is True
                for h, d in zip(parts, defs)):
         return CheckResult(True, witness=VACUOUS)
-
-    def apply(state: tuple, op):
-        side = op.id in second
-        q, resp = _default_apply(state[side], op)
-        return (state[0], q) if side else (q, state[1]), resp
-
+    # the product of the two dictionaries is one dictionary over keys
+    # tagged by part: key k of part s is (s, k)
     hx = merged.exported()
-    return linearize({i: o for i, o in hx.ops.items() if o.status != ABORTED},
-                     op_intervals(hx),
-                     tuple(frozenset(abstract_state(h.initial).items()) for h in parts),
-                     apply)
+    ops = {i: replace(o, key=(int(i in second), o.key))
+           for i, o in hx.ops.items() if o.status != ABORTED}
+    q0 = frozenset(((side, k), v) for side, h in enumerate(parts)
+                   for k, v in abstract_state(h.initial).items())
+    return linearize(ops, op_intervals(hx), q0)
 
 
 # -- histories ----------------------------------------------------------------
+
+
+def render_json(h: History) -> str:
+    """The history's events as compact ASCII JSON, for byte comparisons."""
+    return json.dumps(h.events_json(), ensure_ascii=True, separators=(",", ":"))
+
+
+def project_process(h: History, proc: int) -> History:
+    """Subsequence of h restricted to one process's events."""
+    sub = [e for e in h.events if e.proc == proc]
+    ops = {i: o for i, o in h.ops.items() if o.proc == proc}
+    return History(sub, ops, h.initial, h.structure)
+
+
+def restrict_to_operation(h: History, op_id: int,
+                          attempt: int | None = None) -> list[Event]:
+    """The events of one operation (of one attempt of it, if given), minus
+    its final aborted read/write (``trim_aborted``)."""
+    return trim_aborted([e for e in h.events if e.op == op_id
+                         and (attempt is None or e.attempt == attempt)])
+
+
+def precedes(h: History, op_a: int, op_b: int) -> bool:
+    """True iff op_a's response occurs before op_b's invocation in h.  An
+    aborted attempt's abort response is no response of the operation."""
+    if op_a == op_b:
+        return False
+    resp_a = next((e.seq for e in h.events
+                   if e.op == op_a and e.kind == OR and not e.is_abort()), None)
+    inv_b = next((e.seq for e in h.events if e.op == op_b and e.kind == OI), None)
+    return resp_a is not None and inv_b is not None and resp_a < inv_b
 
 
 def well_formed(h: History) -> bool:
@@ -176,9 +213,86 @@ def fold_dictionary(ops, q0: dict | None = None) -> tuple[dict, list[bool]]:
     return q, out
 
 
+def sequential_run(def_: SearchStructureDef, ops: list[Operation],
+                   proc: int = 0) -> tuple[DagState, list[bool], History]:
+    """Run ops one at a time from the empty structure, recording a history.
+
+    The produced history is legal by construction (reads return the store's
+    current record); an explicit legality replay checks it on top."""
+    state = def_.new_state()
+    events: list[Event] = []
+    registry: dict[int, OperationInstance] = {}
+    initial = state.snapshot()
+    seq = 0
+
+    def emit(**kw):
+        nonlocal seq
+        events.append(Event(seq=seq, **kw))
+        seq += 1
+
+    responses = []
+    for i, op in enumerate(ops):
+        inst = OperationInstance(id=i, proc=proc, name=op.name, key=op.key, val=op.val)
+        registry[i] = inst
+        emit(proc=proc, op=i, kind=OI, value=[op.name, op.key])
+        trace: list = []
+        resp = run_operation(def_, state, op, trace)
+        wrote = False
+        for kind, nid, payload in trace:
+            role = state.role_of(nid)
+            if kind == "r":
+                if wrote:
+                    raise InvariantError(f"{op.describe()} reads after a write")
+                emit(proc=proc, op=i, kind=RI, elem=role, nid=nid)
+                emit(proc=proc, op=i, kind=RR, elem=role, value=payload, nid=nid)
+            else:
+                wrote = True
+                emit(proc=proc, op=i, kind=WI, elem=role, value={"edges": payload},
+                     nid=nid)
+                emit(proc=proc, op=i, kind=WR, elem=role, value="ok", nid=nid)
+        emit(proc=proc, op=i, kind=OR, value=resp)
+        inst.status, inst.response = COMPLETE, resp
+        responses.append(resp)
+        def_.audit(state)
+
+    hist = History(events, registry, initial, def_.name)
+    assert_legal(hist)
+    return state, responses, hist
+
+
+def assert_legal(h: History) -> None:
+    """Every read returns the latest written record of its node; raises
+    InvariantError otherwise.
+
+    Nodes created during the history are private until linked; their first
+    read defines their record for the rest of the replay."""
+    store = {nid: dict(snap) for nid, snap in h.initial.items()}
+    for e in h.events:
+        if e.kind == RR and not e.is_abort():
+            if e.nid not in store:
+                store[e.nid] = dict(e.value)
+            elif store[e.nid] != e.value:
+                raise InvariantError(f"illegal read of n{e.nid} at seq {e.seq}")
+        elif e.kind == WI:
+            store[e.nid]["edges"] = {**store[e.nid]["edges"], **e.value["edges"]}
+
+
+def reachable(state: DagState) -> set[int]:
+    """The nodes reachable from the root."""
+    seen, stack = set(), [state.root]
+    while stack:
+        n = stack.pop()
+        if n in seen:
+            continue
+        seen.add(n)
+        stack.extend(t for t in state.nodes[n].edges.values()
+                     if t is not None and t not in seen)
+    return seen
+
+
 def alive_keys(state: DagState) -> dict:
     """key -> value of the reachable nodes but the sentinels."""
-    reach = state.reachable()
+    reach = reachable(state)
     return {n.key: n.val for n in state.nodes.values()
             if n.nid in reach and n.nid not in (state.root, state.tail)}
 
@@ -262,6 +376,14 @@ def release_holder(lm: LockManager, holder: int) -> None:
             pass
 
 
+def lock_audit(lm: LockManager) -> None:
+    """Raise InvariantError where a node is held shared beside another
+    holder's exclusive lock."""
+    for nid, holder in lm.exclusive.items():
+        if lm.shared.get(nid, set()) - {holder}:
+            raise InvariantError(f"shared and exclusive coexist on n{nid}")
+
+
 # -- step programs ------------------------------------------------------------
 
 
@@ -308,7 +430,7 @@ def absent_anchors(def_: SearchStructureDef, state: DagState, key: int) -> set[i
             if t is None:
                 return {pos}
             pos = t
-    cands = [n for n in state.reachable() if state.nodes[n].key > key]
+    cands = [n for n in reachable(state) if state.nodes[n].key > key]
     best = min(state.nodes[n].key for n in cands)
     return {n for n in cands if state.nodes[n].key == best}
 
@@ -317,7 +439,7 @@ def relevant_set(def_: SearchStructureDef, state: DagState, key: int) -> set[int
     """V_k: the key's node plus graph neighbours, or the frontier the
     key would be inserted at plus its in-neighbours."""
     hit = state.find_alive(key)
-    reach = state.reachable()
+    reach = reachable(state)
     if hit is not None:
         out = {hit}
         out.update(t for t in state.nodes[hit].edges.values() if t is not None)

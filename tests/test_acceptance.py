@@ -12,7 +12,7 @@ import pytest
 
 from schedlab.checkers import (check_linearizable, check_ls_linearizable,
                                check_safe_strict, check_strictly_serializable)
-from schedlab.cli import main as cli_main, scenario_path
+from schedlab.cli import main as cli_main
 from schedlab.fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
 from schedlab.metric import (accepted_set, incomparability, lsl_set,
                              workload_keys)
@@ -22,7 +22,7 @@ from schedlab.scheduler import Workload, drive, free_run, universe
 from schedlab.seqspec import Operation, make_structure
 
 from oracles import (VACUOUS, check_compositionality, compose_histories,
-                     naive_linearizable)
+                     naive_linearizable, scenario_path)
 
 STRUCTURES = ("sorted-list", "bst", "skiplist")
 

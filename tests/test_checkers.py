@@ -11,12 +11,11 @@ from schedlab.model import (COMPLETE, OI, OR, RR, WI, Event, History,
                             OperationInstance)
 from schedlab.metric import workload_keys
 from schedlab.scheduler import Workload, drive, free_run
-from schedlab.seqspec import Operation, dictionary_apply, make_structure, \
-    sequential_run
+from schedlab.seqspec import Operation, dictionary_apply, make_structure
 
 import oracles
 from oracles import (VACUOUS, check_compositionality, compose_histories,
-                     naive_linearizable)
+                     naive_linearizable, sequential_run)
 from test_acceptance import STRUCTURES, random_workload
 
 
@@ -231,7 +230,7 @@ def test_raw_stm_history_with_restarts_is_lsl():
 def test_bent_read_in_aborted_attempt_is_not_locally_serializable():
     d = make_structure("sorted-list")
     w = Workload(d, [], [(1, Operation("insert", 1)), (2, Operation("insert", 1))])
-    h = free_run("stm", w, max_restarts=5, round_robin=True)
+    h = free_run("stm", w, round_robin=True)
     bent = next(e for e in h.events
                 if e.attempt == 0 and e.kind == RR and not e.is_abort()
                 and h.ops[e.op].is_complete()
@@ -320,7 +319,7 @@ def test_commit_only_mode_violates_condition_two(fig3_case):
 def test_aborted_attempt_checked_separately(structure):
     w = Workload(structure, [], [(1, Operation("insert", 1)),
                                  (2, Operation("insert", 1))])
-    h = free_run("stm", w, max_restarts=5, round_robin=True)
+    h = free_run("stm", w, round_robin=True)
     assert any(e.attempt > 0 for e in h.events)  # a restart happened
     res = check_safe_strict(h)
     assert res.verdict is True

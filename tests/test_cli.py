@@ -9,9 +9,10 @@ import sys
 import pytest
 
 from schedlab import cli
-from schedlab.cli import main, parse_scenario, scenario_path, ScenarioError
+from schedlab.cli import main, parse_scenario, ScenarioError
 from schedlab.scheduler import LivelockError
 
+from oracles import scenario_path
 from test_golden import thm2_scenario
 
 
@@ -339,24 +340,30 @@ def test_there_is_no_global_seed_flag(tmp_path, capsys):
     assert err.startswith("error: ")
 
 
-def test_budget_environment_is_read_when_used(tmp_path):
-    """A bad SCHEDLAB_BUDGET does not break `import schedlab.cli`; explore
-    reports it as an input error, and a good one sets the default budget."""
+def test_no_environment_variable_sets_the_budget(tmp_path):
+    """The budget is the flag, else the scenario's, else the default: a
+    SCHEDLAB_BUDGET in the environment is not read, bad or good."""
     p = thm2_present_scenario(tmp_path)
-    env = {**os.environ, "SCHEDLAB_BUDGET": "abc"}
-    proc = subprocess.run([sys.executable, "-c", "import schedlab.cli"], env=env,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "explore", str(p)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 1
-    assert proc.stderr == "error: SCHEDLAB_BUDGET must be a positive integer: 'abc'\n"
-    proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "--json", "explore",
-                           str(p)], env={**env, "SCHEDLAB_BUDGET": "100"},
-                          capture_output=True, text=True)
-    assert proc.returncode == 4 and json.loads(proc.stdout)["total"] == 100
-    # the flag and the scenario's budget come first
-    proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "--json",
-                           "--budget", "924", "explore", str(p)],
-                          env=env, capture_output=True, text=True)
-    assert proc.returncode == 0 and json.loads(proc.stdout)["total"] == 924
+    for value in ("abc", "100"):
+        env = {**os.environ, "SCHEDLAB_BUDGET": value}
+        proc = subprocess.run([sys.executable, "-m", "schedlab.cli", "--json",
+                               "explore", str(p)], env=env, capture_output=True,
+                              text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["total"] == 924
+
+
+@pytest.mark.parametrize("command", ["run", "free-run", "reproduce", "explore"])
+def test_an_unwritable_out_path_is_an_input_error(tmp_path, capsys, command):
+    """Every command reports a report file it cannot write as one error
+    line and exit 1, with no traceback."""
+    argv = {"run": ["run", scenario_path("fig2a_hoh.json")],
+            "free-run": ["run", str(free_run_scenario(tmp_path))],
+            "reproduce": ["reproduce", "fig2"],
+            "explore": ["explore", scenario_path("explore_fig2a_hoh.json")]}[command]
+    out = tmp_path / "missing" / "r.json"
+    assert main(["--out", str(out), *argv]) == 1
+    assert not out.exists()
+    got, err = capsys.readouterr()
+    assert got == ""
+    assert err.startswith("error: ") and str(out) in err and err.count("\n") == 1

@@ -19,12 +19,12 @@ from schedlab.model import ABORTED, RI, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
                                 Workload, build_world, drive, universe)
 from schedlab.seqspec import (ROOT_ROLE, Operation, SortedList, Witness,
-                              assert_legal, make_structure, run_operation,
-                              sequential_run)
+                              make_structure, run_operation)
 from schedlab.sync import (BLOCKED, FINISHED, LockManager, StepOutcome,
                            StmMachine, UnsyncMachine)
 
-from oracles import schedule_trie
+import oracles
+from oracles import assert_legal, lock_audit, schedule_trie, sequential_run
 
 
 def two_inserts(setup=()):
@@ -194,7 +194,7 @@ def test_sequential_run_raises_on_read_after_write(monkeypatch):
         trace.append(("r", state.root, root.snap()))
         return True
 
-    monkeypatch.setattr(seqspec, "run_operation", write_then_read)
+    monkeypatch.setattr(oracles, "run_operation", write_then_read)
     with pytest.raises(InvariantError, match="reads after a write"):
         sequential_run(make_structure("sorted-list"), [Operation("insert", 1)])
 
@@ -214,10 +214,10 @@ def test_assert_legal_raises_on_an_illegal_read():
 def test_lock_audit_raises_on_shared_beside_exclusive():
     lm = LockManager()
     assert lm.try_acquire(5, "exclusive", 1)
-    lm.audit()
+    lock_audit(lm)
     lm.shared[5] = {2}
     with pytest.raises(InvariantError, match="shared and exclusive"):
-        lm.audit()
+        lock_audit(lm)
 
 
 def test_gop_visit_raises_on_a_node_it_holds():

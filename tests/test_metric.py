@@ -70,6 +70,23 @@ def test_compare_rejects_mismatched_workloads(thm2_list, thm3_list):
         compare(a, b)
 
 
+def test_compare_rejects_workloads_that_differ_only_in_a_value():
+    """An operation's value is part of the workload: a setup insert(1) of
+    value 7 is not the default insert(1), whose value is its key."""
+    d = make_structure("sorted-list")
+    conc = [(1, Operation("find", 1))]
+    plain = Workload(d, [Operation("insert", 1)], conc)
+    valued = Workload(d, [Operation("insert", 1, 7)], conc)
+    assert valued.fingerprint() != plain.fingerprint()
+    assert Workload(d, [Operation("insert", 1, 1)], conc).fingerprint() \
+        == plain.fingerprint()
+    # a value JSON cannot encode is hashed too
+    assert Workload(d, [Operation("insert", 1, {7})], conc).fingerprint() \
+        != plain.fingerprint()
+    with pytest.raises(ValueError, match="different workloads"):
+        compare(accepted_set("hoh", plain), accepted_set("hoh", valued))
+
+
 def test_compare_thm2_stm_strictly_more(thm2_list):
     b = thm2_list
     stm = accepted_set("stm", b.w_present)

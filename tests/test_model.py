@@ -6,14 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
-                            complete, precedes, project_process,
-                            restrict_to_operation, schedule_of)
+                            complete, schedule_of)
 from schedlab.checkers import op_intervals
 from schedlab.scheduler import Workload, drive, free_run
-from schedlab.seqspec import Operation, make_structure, sequential_run
+from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import World
 
-from oracles import well_formed
+from oracles import (precedes, project_process, restrict_to_operation,
+                     sequential_run, well_formed)
 
 
 def kinds_and_elems(events):

@@ -15,12 +15,14 @@ from schedlab.scheduler import (LivelockError, MalformedScheduleError,
 from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import BLOCKED, EXCLUSIVE, HohMachine
 
+from oracles import render_json
+
 
 def test_drive_is_deterministic(fig3_case):
     w, s = fig3_case
     r1, r2 = drive("hoh", w, s), drive("hoh", w, s)
     assert r1.verdict == r2.verdict
-    assert r1.history.render_json() == r2.history.render_json()
+    assert render_json(r1.history) == render_json(r2.history)
 
 
 def test_accepted_history_exports_the_schedule(fig2a_case):
@@ -139,17 +141,19 @@ def test_free_run_deterministic_per_seed(fig3_case):
     w, _ = fig3_case
     a = free_run("stm", w, seed=42)
     b = free_run("stm", w, seed=42)
-    assert a.render_json() == b.render_json()
+    assert render_json(a) == render_json(b)
 
 
-def test_free_run_restart_budget():
+def test_free_run_restart_budget(monkeypatch):
     # round-robin forces the two identical inserts to interleave, so the
     # second commit always conflicts; with no restart budget that is fatal
     d = make_structure("sorted-list")
     w = Workload(d, [], [(1, Operation("insert", 1)), (2, Operation("insert", 1))])
-    with pytest.raises(LivelockError):
-        free_run("stm", w, max_restarts=0, round_robin=True)
-    h = free_run("stm", w, max_restarts=5, round_robin=True)
+    monkeypatch.setattr(scheduler, "FREE_RUN_RESTART_CAP", 0)
+    with pytest.raises(LivelockError, match="restart budget 0 exhausted"):
+        free_run("stm", w, round_robin=True)
+    monkeypatch.setattr(scheduler, "FREE_RUN_RESTART_CAP", 5)
+    h = free_run("stm", w, round_robin=True)
     assert sorted(o.response for o in h.ops.values()) == [False, True]
 
 
@@ -252,7 +256,7 @@ def test_would_block_matches_the_fork_peek(monkeypatch, name):
         with monkeypatch.context() as patch:
             patch.setattr(HohMachine, "would_block", fork_peek)
             reference = free_run("hoh", w, seed=seed)
-        assert fast.render_json() == reference.render_json()
+        assert render_json(fast) == render_json(reference)
     # the checks saw machines that would block and machines that would not
     assert len(checks) > 1000
     assert any(any(a) for a in checks) and any(not all(a) for a in checks)

@@ -18,11 +18,11 @@ from schedlab.scheduler import free_run, workload_keys
 from schedlab.seqspec import (BudgetExceeded, Operation, UpdatePlan,
                               dictionary_apply, make_structure,
                               non_triviality_witness, reachable_states,
-                              run_operation, sequential_run, shortest_path_len)
+                              run_operation, shortest_path_len)
 
 from oracles import (alive_keys, bounded_reachable_states, compile_program,
                      enumerate_sequential_histories, fold_dictionary,
-                     relevant_graph, relevant_set)
+                     relevant_graph, relevant_set, sequential_run)
 from test_acceptance import random_workload
 
 LIST_KEYS = (1, 2, 3, 4)

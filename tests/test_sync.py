@@ -13,7 +13,7 @@ from schedlab.sync import (ABORT_OUT, BLOCKED, EXCLUSIVE, FINISHED,
                            make_machine, restart)
 from schedlab.checkers import _Replay
 
-from oracles import release_holder, rw_trace
+from oracles import lock_audit, release_holder, rw_trace
 
 
 # -- lock manager ---------------------------------------------------------------
@@ -23,7 +23,7 @@ def test_shared_locks_coexist():
     lm = LockManager()
     assert lm.try_acquire(1, SHARED, 10)
     assert lm.try_acquire(1, SHARED, 11)
-    lm.audit()
+    lock_audit(lm)
 
 
 def test_exclusive_excludes_everyone():
@@ -99,7 +99,7 @@ def test_can_acquire_agrees_with_try_acquire():
                 predicted = lm.can_acquire(nid, mode, holder)
                 assert lock_table(lm) == before
                 assert lm.try_acquire(nid, mode, holder) == predicted
-            lm.audit()
+            lock_audit(lm)
 
 
 # -- hoh ------------------------------------------------------------------------
@@ -358,7 +358,7 @@ def test_lock_audit_after_accepted_drive(fig3_case):
     world, machines, _ = build_world("hoh", w)
     for slot in s.slots:
         machines[slot.proc].step(world)
-    world.locks.audit()
+    lock_audit(world.locks)
     assert not world.locks.exclusive
     assert all(not hs for hs in world.locks.shared.values())
 

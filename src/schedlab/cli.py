@@ -64,7 +64,10 @@ def parse_operation(d: dict) -> Operation:
              f"key must be a natural number: {d!r}")
     _require("value" not in d or _is_int(d["value"]),
              f"value must be an integer: {d!r}")
-    return Operation(d["op"], d["key"], d.get("value"))
+    try:
+        return Operation(d["op"], d["key"], d.get("value"))
+    except ValueError as e:
+        raise ScenarioError(str(e))
 
 
 def parse_scenario(doc: dict) -> dict:

@@ -35,7 +35,7 @@ def _staged_schedule(w: Workload, bursts: Iterable[tuple[int, int | None]]) -> S
             done += 1
     if not all(m.finished for m in machines.values()):
         raise InvariantError("staged run left work")
-    hist = History(world.events[start:], dict(world.ops), {}, w.structure.name)
+    hist = History(world.events[start:], dict(world.ops), {})
     return schedule_of(hist)
 
 

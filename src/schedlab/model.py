@@ -111,7 +111,6 @@ class History:
     events: list[Event] = field(default_factory=list)
     ops: dict[int, OperationInstance] = field(default_factory=dict)
     initial: dict[int, dict] = field(default_factory=dict)
-    structure: str | None = None
 
     # -- derived views ---------------------------------------------------
 
@@ -123,7 +122,7 @@ class History:
                 final[e.op] = e.attempt
         kept = [e for e in self.events
                 if e.attempt == final[e.op] and not e.is_abort()]
-        return History(kept, self.ops, self.initial, self.structure)
+        return History(kept, self.ops, self.initial)
 
     def events_json(self) -> list[dict]:
         return [e.to_json() for e in self.events]
@@ -136,7 +135,7 @@ def complete(h: History) -> History:
     """Subsequence consisting of the events of complete operations."""
     sub = [e for e in h.events if h.ops[e.op].is_complete()]
     ops = {i: o for i, o in h.ops.items() if o.is_complete()}
-    return History(sub, ops, h.initial, h.structure)
+    return History(sub, ops, h.initial)
 
 
 def trim_aborted(evs: list[Event]) -> list[Event]:

@@ -6,9 +6,16 @@ A workload is a structure plus a sequential setup (run to completion before
 anything concurrent starts; the post-setup store is the initial snapshot of
 every driven history) and the concurrent operations, one process each.
 
-``drive`` replays one schedule slot list; a slot either progresses with
-exactly the named event or the schedule is rejected at that slot index
-(blocked / aborted / order-mismatch).  It is the reference path.
+``drive`` replays one schedule slot list; the named process's step either
+takes its slot or the schedule is rejected at that slot index (blocked /
+aborted / order-mismatch).  It is the reference path.
+
+One rule decides whether a step takes a slot, in ``drive``,
+``audited_history`` and the walk alike (``_step_slot``): the step
+progresses and the slots its events occupy under ``slot_of`` are exactly
+``[slot]``.  A step whose first slot is another, or that occupies none, is
+an order mismatch; a progressing step that occupies more than one slot
+raises.
 
 ``walk`` goes over the schedule universe - all interleavings of the
 unsynchronized machines' steps - in the DFS order of its trie, in process
@@ -80,10 +87,10 @@ order.
   (``_config_key``, from the parts ``_restep`` keys), the reference the
   built keys are tested against.
 * The per-edge checks run once per DAG edge: the unsynchronized machine
-  must progress, a step an implementation accepts must export its slot,
-  and an implementation still present at a leaf must have finished every
-  operation there.  Each raises the error it did per prefix, at the first
-  prefix that reaches it.  A rejection's index is the depth of the
+  must take one slot, a step an implementation accepts must take that
+  slot (the one rule), and an implementation still present at a leaf must
+  have finished every operation there.  Each raises the error it did per
+  prefix, at the first prefix that reaches it.  A rejection's index is the depth of the
   configuration it leaves, and a configuration's depth is a function of
   its key: every slot is one step of one unsynchronized machine, and a
   machine's step count is its invocation, its reads (G_op's entries), its
@@ -101,12 +108,13 @@ order.
   Each edge holds its slot's piece, and a leaf hashes its path's pieces
   when its digest is first asked for: only the leaves a caller wants are
   hashed.
-* The export check is per step: the events of a step an implementation
-  accepts, abort-marked ones dropped, map to exactly ``[slot]`` under
-  ``slot_of``.  That is ``drive``'s whole-history check, since every event
-  of the implementation's world comes from one of its steps and at a leaf
-  every operation is complete and on attempt 0 (``complete`` and
-  ``History.exported`` drop only abort-marked events).
+* The export check is per step: it is the one rule, since a step that
+  takes its slot occupies no other.  That is ``drive``'s whole-history
+  check, which ``drive`` keeps as the reference: every event of the
+  implementation's world comes from one of its steps, no step that takes
+  a slot emits an abort-marked event, and at a leaf every operation is
+  complete and on attempt 0 (``complete`` and ``History.exported`` drop
+  only abort-marked events).
 
 The LSL oracle (``metric``) is defined on the audited replay of a leaf
 (``audited_history`` of its schedule, the reference path), and decided
@@ -178,14 +186,14 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator
 
-from .model import (COMPLETE, OI, OR, RI, WI, Event, History,
-                    InvariantError, OperationInstance, Schedule, Slot,
-                    complete, schedule_of, slot_of)
+from .model import (COMPLETE, OI, OR, History, InvariantError,
+                    OperationInstance, Schedule, Slot, complete, schedule_of,
+                    slot_of)
 from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
                       UpdatePlan, canonical_steps, node_token)
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
                    LockManager, StepMachine, StmCommitOnlyMachine, StmMachine,
-                   UnsyncMachine, VersionStore, World, make_machine, restart)
+                   UnsyncMachine, World, make_machine, restart)
 
 
 # the schedules a universe, a classification or an optimality gap takes
@@ -295,7 +303,7 @@ def _concurrent_history(world: World, w: Workload, start: int,
     events = world.events[start:]
     present = {e.op for e in events}
     ops = {i: o for i, o in world.ops.items() if i in present}
-    return History(events, ops, initial, w.structure.name)
+    return History(events, ops, initial)
 
 
 def audit_finds(world: World, w: Workload) -> list[StepMachine]:
@@ -315,33 +323,32 @@ def _fork(world: World, machines: dict[int, StepMachine]):
     return w2, m2
 
 
-def _slot_matches(slot: Slot, ev: Event) -> bool:
-    if slot.kind != ev.kind:
-        return False
-    if slot.kind == OI:
-        return slot.op_name == ev.value[0] and slot.key == ev.value[1]
-    if slot.kind in (RI, WI):
-        return slot.elem == ev.elem
-    return True  # or: bare response point
-
-
-def _step_slot(world: World, machines: dict[int, StepMachine], idx: int,
-               slot: Slot) -> str | None:
-    """Give the slot's process one step: None when it progresses with the
-    named event, else the rejection reason."""
-    m = machines[slot.proc]
+def _step_slot(world: World, m: StepMachine, idx: int,
+               slot: Slot | None) -> Slot | str:
+    """Give `m` one step, at slot index `idx` of a schedule: the one rule
+    for whether a step takes a slot.  It takes `slot` iff it progresses and
+    the slots its events occupy under ``slot_of`` are exactly ``[slot]``;
+    for `slot` None, whichever one slot they are.  Returns the slot taken,
+    else the rejection reason: blocked, aborted, or order-mismatch when the
+    first slot the step occupies is not `slot` or there is none.  A
+    progressing step that occupies more than one slot raises
+    InvariantError: a schedule gives each step one slot, so the history
+    would not export the schedule."""
     if m.finished:
         raise MalformedScheduleError(
-            f"slot {idx} addresses finished operation of process {slot.proc}")
+            f"slot {idx} addresses finished operation of process {m.op.proc}")
     out = m.step(world)
     if out.kind == BLOCKED:
         return "blocked"
     if out.kind == ABORT_OUT:
         return "aborted"
-    ev = out.invoke_event
-    if ev is None or not _slot_matches(slot, ev):
+    taken = [s for s in map(slot_of, out.events) if s is not None]
+    if not taken or slot is not None and taken[0] != slot:
         return "order-mismatch"
-    return None
+    if len(taken) > 1:
+        raise InvariantError(f"step of process {m.op.proc} does not export the "
+                             f"schedule: it occupies {len(taken)} slots at slot {idx}")
+    return taken[0]
 
 
 def _accepted_history(world: World, machines: dict[int, StepMachine],
@@ -372,10 +379,10 @@ def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
         return DriveResult(verdict, hist, reason, idx, responses)
 
     for idx, slot in enumerate(schedule.slots):
-        reason = _step_slot(world, machines, idx, slot)
-        if reason is not None:
+        taken = _step_slot(world, machines[slot.proc], idx, slot)
+        if taken != slot:
             return result("rejected", _concurrent_history(world, w, start, initial),
-                          reason, idx)
+                          taken, idx)
     return result("accepted",
                   _accepted_history(world, machines, w, start, initial, schedule))
 
@@ -387,7 +394,8 @@ def audited_history(w: Workload, schedule: Schedule) -> History:
     world, machines, start = build_world("unsync", w)
     initial = world.state.snapshot()
     for idx, slot in enumerate(schedule.slots):
-        if slot.proc not in machines or _step_slot(world, machines, idx, slot):
+        if slot.proc not in machines or \
+                _step_slot(world, machines[slot.proc], idx, slot) != slot:
             raise MalformedScheduleError(f"slot {idx} is not a step of the "
                                          f"universe: {slot}")
     if not all(m.finished for m in machines.values()):
@@ -436,7 +444,6 @@ _STATE_FIELDS = frozenset(("nodes", "root", "tail", "counter", "_canon"))
 # a record's `_key` memo cell is its class default until ``_rec_key`` sets it
 _REC_FIELDS = frozenset(("nid", "key", "val", "edges", "alive"))
 _LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
-_VERSION_FIELDS = frozenset(("versions",))
 _OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response"))
 _OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
 _OPERATION_FIELDS = frozenset(("name", "key", "val"))
@@ -490,15 +497,12 @@ def _locks_key(lm: LockManager) -> tuple:
             tuple(sorted((n, tuple(q)) for n, q in queues.items() if q)) if queues else ())
 
 
-def _versions_key(vs: VersionStore) -> tuple:
-    """The version counters sorted by node: they are read only by node."""
-    return tuple(sorted(_exact_fields(vs, _VERSION_FIELDS)["versions"].items()))
-
-
 def _world_key(world: World) -> tuple:
-    """The store, the lock tables and the versions, by position."""
+    """The store, the lock tables and the versions, by position; the
+    versions sorted by node, since they are read only by node."""
     d = _exact_fields(world, _WORLD_FIELDS)
-    return _store_key(d["state"]), _locks_key(d["locks"]), _versions_key(d["versions"])
+    return (_store_key(d["state"]), _locks_key(d["locks"]),
+            tuple(sorted(d["versions"].items())))
 
 
 def _patches(pairs) -> tuple:
@@ -702,25 +706,19 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
     last = i == len(node.live) - 1
     world, machines = (node.world, node.machines) if last else \
         _fork(node.world, node.machines)
-    out = machines[proc].step(world)
-    if out.kind not in (PROGRESSED, FINISHED):
-        raise InvariantError(f"unsync machine of process {proc} {out.kind}")
-    slot = slot_of(out.invoke_event)
     idx = node.depth
+    slot = _step_slot(world, machines[proc], idx, None)
+    if isinstance(slot, str):
+        raise InvariantError(f"unsync machine of process {proc} {slot}")
     runs, rejections = {}, {}
     for impl, (iw, im) in node.runs.items():
         if not last:
             iw, im = _fork(iw, im)
-        n = len(iw.events)
-        reason = _step_slot(iw, im, idx, slot)
-        if reason is None:
-            got = [slot_of(e) for e in iw.events[n:] if not e.is_abort()]
-            if [s for s in got if s is not None] != [slot]:
-                raise InvariantError(f"accepted history does not export the "
-                                     f"schedule: {impl} at slot {idx}")
+        taken = _step_slot(iw, im[proc], idx, slot)
+        if taken == slot:
             runs[impl] = (iw, im)
         else:
-            rejections[impl] = (reason, idx)
+            rejections[impl] = (taken, idx)
     key = _step_key(node.key, proc, world, machines, runs)
     child = memo.get(key)
     if child is None:
@@ -896,5 +894,4 @@ def free_run(impl: str, w: Workload, seed: int = 0,
             if restarts > FREE_RUN_RESTART_CAP:
                 raise LivelockError(f"restart budget {FREE_RUN_RESTART_CAP} exhausted")
             machines[proc] = restart(machines[proc])
-    hist = History(list(world.events), dict(world.ops), initial, w.structure.name)
-    return hist
+    return History(list(world.events), dict(world.ops), initial)

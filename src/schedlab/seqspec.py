@@ -63,8 +63,14 @@ class Operation:
     val: object = None
 
     def __post_init__(self):
-        if self.name == "insert" and self.val is None:
-            object.__setattr__(self, "val", self.key)
+        """An insert stores its key when given no value; no other
+        operation takes a value (ValueError)."""
+        if self.name == "insert":
+            if self.val is None:
+                object.__setattr__(self, "val", self.key)
+        elif self.val is not None:
+            raise ValueError(f"only an insert takes a value: {self.name}"
+                             f"({self.key}) with value {self.val!r}")
 
     def describe(self) -> str:
         return f"{self.name}({self.key})"
@@ -223,6 +229,12 @@ class Gop:
     def known_edges(self) -> set[tuple[int, str, int]]:
         return {(n, lab, t) for n, r in self.recs.items()
                 for lab, t in r.edges.items() if t is not None}
+
+    def write_order(self, writes) -> list[tuple[int, dict[str, int | None]]]:
+        """A plan's (node, patch) writes sorted by their node's position
+        in the visit order: root-ward first (``UpdatePlan``)."""
+        pos = {nid: i for i, nid in enumerate(self.order)}
+        return sorted(writes, key=lambda wr: pos[wr[0]])
 
     def has_key(self, key) -> int | None:
         for nid in self.order:
@@ -461,9 +473,7 @@ class Bst(SearchStructureDef):
             writes.append((s_parent, {"left": gop.edges(s).get("right")}))
             writes.append((s, {"left": left, "right": right}))
         writes.append((d, {"left": None, "right": None}))
-        order = {nid: i for i, nid in enumerate(gop.order)}
-        writes.sort(key=lambda wr: order[wr[0]])
-        return UpdatePlan(True, writes=writes, unlink=[d])
+        return UpdatePlan(True, writes=gop.write_order(writes), unlink=[d])
 
     def _audit_order(self, state):
         def check(n, lo, hi):
@@ -557,9 +567,8 @@ class SkipList(SearchStructureDef):
             patches: dict[int, dict] = {}
             for l in range(h, 0, -1):
                 patches.setdefault(preds[l], {})[self.lab(l)] = new
-            order = {nid: i for i, nid in enumerate(gop.order)}
-            writes = sorted(patches.items(), key=lambda wr: order[wr[0]])
-            return UpdatePlan(True, writes=writes, new_nodes=[new])
+            return UpdatePlan(True, writes=gop.write_order(patches.items()),
+                              new_nodes=[new])
         if hit is None:
             return UpdatePlan(False)
         preds, probe = self._search(op, gop, state.root)
@@ -567,9 +576,8 @@ class SkipList(SearchStructureDef):
         for lab, t in gop.edges(hit).items():
             l = int(lab[4:])
             patches.setdefault(preds[l], {})[lab] = t
-        order = {nid: i for i, nid in enumerate(gop.order)}
-        writes = sorted(patches.items(), key=lambda wr: order[wr[0]])
-        return UpdatePlan(True, writes=writes, unlink=[hit])
+        return UpdatePlan(True, writes=gop.write_order(patches.items()),
+                          unlink=[hit])
 
     def _audit_order(self, state):
         for lvl in range(self.max_level, 0, -1):

@@ -26,12 +26,15 @@ Two wrappers are provided plus an unsynchronized reference machine:
   record and (in the default per-read mode) revalidate the whole read set
   against current versions; writes only emit their events, since the plan
   holds them; the response step commits: validate, install the plan's
-  writes and bump each written node's version once.  The read set's
-  versions are the one state the machine adds to the sequential code's.
-  Conflicts abort the operation, which may be restarted.  The
-  ``stm-commit-only`` implementation (``StmCommitOnlyMachine``) skips
-  per-read validation; it exists to demonstrate (via the checkers) that
-  doomed reads violate safe-strictness.
+  writes and bump each written node's version once.  The versions live in
+  the world (``World.versions``); the read set's versions are the one
+  state the machine adds to the sequential code's.  A conflict aborts the
+  operation, which may be restarted: the read it is found in (at commit,
+  a read of the conflicting node) is the attempt's last and returns the
+  abort mark (``_abort``).  The ``stm-commit-only`` implementation
+  (``StmCommitOnlyMachine``) skips per-read validation; it exists to
+  demonstrate (via the checkers) that doomed reads violate
+  safe-strictness.
 
 * ``unsync`` - no synchronization at all: the raw sequential code sharing
   the store.  Its interleavings define the schedule universe.
@@ -139,34 +142,15 @@ class LockManager:
         return lm
 
 
-class VersionStore:
-    """Committed version counters per element; only ``stm`` reads or
-    bumps them."""
-
-    def __init__(self):
-        self.versions: dict[int, int] = {}
-
-    def current(self, nid: int) -> int:
-        return self.versions.get(nid, 0)
-
-    def bump(self, nids) -> None:
-        for nid in nids:
-            self.versions[nid] = self.versions.get(nid, 0) + 1
-
-    def clone(self) -> VersionStore:
-        vs = VersionStore()
-        vs.versions = dict(self.versions)
-        return vs
-
-
 @dataclass
 class World:
     """The shared substrate one driver owns: store, locks, versions, and
-    the execution record."""
+    the execution record.  `versions` counts each node's commits; only
+    ``stm`` reads or bumps it, and a node absent from it is at 0."""
 
     state: DagState
     locks: LockManager = field(default_factory=LockManager)
-    versions: VersionStore = field(default_factory=VersionStore)
+    versions: dict[int, int] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
     ops: dict[int, OperationInstance] = field(default_factory=dict)
     seq: int = 0
@@ -181,14 +165,11 @@ class World:
         self.seq += 1
         return ev
 
-    def role(self, nid: int) -> str:
-        return self.state.role_of(nid)
-
     def clone(self) -> World:
         """A fork: the store shares its records, and a complete operation
         is shared too, since nothing changes one again (``restart`` resets
         only aborted ones)."""
-        return World(self.state.clone(), self.locks.clone(), self.versions.clone(),
+        return World(self.state.clone(), self.locks.clone(), dict(self.versions),
                      list(self.events),
                      {i: (o if o.status == COMPLETE else o.copy())
                       for i, o in self.ops.items()}, self.seq)
@@ -200,13 +181,6 @@ class StepOutcome:
     events: tuple[Event, ...] = ()
     blocked_on: int | None = None
     reason: str | None = None
-
-    @property
-    def invoke_event(self) -> Event | None:
-        for e in self.events:
-            if e.kind in (OI, RI, WI, OR):
-                return e
-        return None
 
 
 PROGRESSED, BLOCKED, ABORT_OUT, FINISHED = "progressed", "blocked", "aborted", "finished"
@@ -248,22 +222,16 @@ class StepMachine:
         ops) and not the machine.  Only ``hoh`` blocks."""
         return False
 
-    # -- shared pieces -----------------------------------------------------
+    # -- the unsynchronized steps, which the wrappers extend -----------------
 
-    def _emit_oi(self, world) -> Event:
-        return world.emit(self.op.proc, self.op.id, OI,
-                          value=[self.op.name, self.op.key], attempt=self.attempt)
-
-    def _emit_read(self, world, nid, snap) -> tuple[Event, Event]:
-        role = world.role(nid)
-        a = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=nid,
-                       attempt=self.attempt)
-        b = world.emit(self.op.proc, self.op.id, RR, elem=role, value=snap,
-                       nid=nid, attempt=self.attempt)
-        return a, b
+    def _invoke(self, world) -> StepOutcome:
+        self.invoked = True
+        ev = world.emit(self.op.proc, self.op.id, OI, value=[self.op.name, self.op.key],
+                        attempt=self.attempt)
+        return StepOutcome(PROGRESSED, (ev,))
 
     def _emit_write(self, world, nid, patch) -> tuple[Event, Event]:
-        role = world.role(nid)
+        role = world.state.role_of(nid)
         patch_json = {lab: node_token(t) for lab, t in patch.items()}
         a = world.emit(self.op.proc, self.op.id, WI, elem=role,
                        value={"edges": patch_json}, nid=nid, attempt=self.attempt)
@@ -271,12 +239,14 @@ class StepMachine:
                        nid=nid, attempt=self.attempt)
         return a, b
 
-    def _finish(self, world, events) -> StepOutcome:
+    def _respond(self, world) -> StepOutcome:
+        """The response point: the operation completes with the plan's
+        response."""
         resp = self.plan.response
         ev = world.emit(self.op.proc, self.op.id, OR, value=resp, attempt=self.attempt)
         self.op.status, self.op.response = COMPLETE, resp
         self.finished = True
-        return StepOutcome(FINISHED, tuple(events) + (ev,))
+        return StepOutcome(FINISHED, (ev,))
 
     def _apply_unlink(self, world):
         for nid in self.plan.unlink:
@@ -286,7 +256,12 @@ class StepMachine:
         """The sequential code's read of the shared store, unsynchronized."""
         rec = world.state.read(nid)
         self.gop.visit(rec)
-        return StepOutcome(PROGRESSED, self._emit_read(world, nid, rec.snap()))
+        role = world.state.role_of(nid)
+        a = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=nid,
+                       attempt=self.attempt)
+        b = world.emit(self.op.proc, self.op.id, RR, elem=role, value=rec.snap(),
+                       nid=nid, attempt=self.attempt)
+        return StepOutcome(PROGRESSED, (a, b))
 
     def _write(self, world) -> StepOutcome:
         """The sequential code's next write to the shared store,
@@ -313,23 +288,12 @@ class StepMachine:
         m.op = ops[self.op.id]
         if self.plan is None:
             m.gop = self.gop.clone()
-        m._clone_extra()
         return m
-
-    def _clone_extra(self):
-        pass
 
 
 class UnsyncMachine(StepMachine):
     """The raw sequential code on the shared store: no locks, no versions,
     never blocks, never aborts.  Defines the schedule universe."""
-
-    def _invoke(self, world):
-        self.invoked = True
-        return StepOutcome(PROGRESSED, (self._emit_oi(world),))
-
-    def _respond(self, world):
-        return self._finish(world, ())
 
 
 class HohMachine(StepMachine):
@@ -338,9 +302,6 @@ class HohMachine(StepMachine):
     @property
     def is_update(self) -> bool:
         return self.operation.name in ("insert", "delete")
-
-    def _holder(self) -> int:
-        return self.op.id
 
     def _held_shared(self, world) -> int:
         """The node an invoked find holds shared: the last one G_op read,
@@ -351,14 +312,13 @@ class HohMachine(StepMachine):
     def _invoke(self, world):
         root = world.state.root
         mode = EXCLUSIVE if self.is_update else SHARED
-        if not world.locks.try_acquire(root, mode, self._holder()):
+        if not world.locks.try_acquire(root, mode, self.op.id):
             return StepOutcome(BLOCKED, blocked_on=root)
-        self.invoked = True
-        return StepOutcome(PROGRESSED, (self._emit_oi(world),))
+        return super()._invoke(world)
 
     def would_block(self, world):
         # step's control flow up to its lock decision
-        locks, holder = world.locks, self._holder()
+        locks, holder = world.locks, self.op.id
         if not self.invoked:
             mode = EXCLUSIVE if self.is_update else SHARED
             return not locks.can_acquire(world.state.root, mode, holder)
@@ -383,28 +343,28 @@ class HohMachine(StepMachine):
             if nid != held:
                 # hand-over-hand: take the next node before letting go of
                 # the last one, so the chain is never lock-free
-                if not world.locks.try_acquire(nid, SHARED, self._holder()):
+                if not world.locks.try_acquire(nid, SHARED, self.op.id):
                     return StepOutcome(BLOCKED, blocked_on=nid)
-                world.locks.release(held, self._holder())
+                world.locks.release(held, self.op.id)
         return super()._read(world, nid)
 
     def _write(self, world):
         if self.write_idx == 0:
             blocked = world.locks.acquire_all(self.write_targets(), EXCLUSIVE,
-                                              self._holder())
+                                              self.op.id)
             if blocked is not None:
                 return StepOutcome(BLOCKED, blocked_on=blocked)
         return super()._write(world)
 
     def _respond(self, world):
         # every write is done, so every write target is locked
-        holder, root = self._holder(), world.state.root
+        holder, root = self.op.id, world.state.root
         for nid in reversed(self.write_targets()):
             if nid != root:
                 world.locks.release(nid, holder)
         world.locks.release(root if self.is_update else self._held_shared(world),
                             holder)
-        return self._finish(world, ())
+        return super()._respond(world)
 
 
 class StmMachine(StepMachine):
@@ -416,44 +376,33 @@ class StmMachine(StepMachine):
         super().__init__(def_, op, attempt)
         self.read_set: dict[int, int] = {}
 
-    def _invoke(self, world):
-        self.invoked = True
-        return StepOutcome(PROGRESSED, (self._emit_oi(world),))
-
     def _conflict(self, world) -> int | None:
         for nid, ver in self.read_set.items():
-            if world.versions.current(nid) > ver:
+            if world.versions.get(nid, 0) > ver:
                 return nid
         return None
 
-    def _abort(self, world, nid, events) -> StepOutcome:
-        role = world.role(nid)
-        evs = list(events)
-        evs.append(world.emit(self.op.proc, self.op.id, RR, elem=role, value=ABORT,
-                              nid=nid, attempt=self.attempt))
-        evs.append(world.emit(self.op.proc, self.op.id, OR, value=ABORT,
-                              attempt=self.attempt))
+    def _abort(self, world, nid) -> StepOutcome:
+        """The operation aborts in a read of `nid`: its invocation, the
+        abort mark as its response, then the abort response."""
+        role = world.state.role_of(nid)
+        proc, op, attempt = self.op.proc, self.op.id, self.attempt
+        evs = (world.emit(proc, op, RI, elem=role, nid=nid, attempt=attempt),
+               world.emit(proc, op, RR, elem=role, value=ABORT, nid=nid,
+                          attempt=attempt),
+               world.emit(proc, op, OR, value=ABORT, attempt=attempt))
         self.op.status = ABORTED
         self.finished = True
         for new in (self.plan.new_nodes if self.plan else ()):
             world.state.unlink(new)
-        return StepOutcome(ABORT_OUT, tuple(evs), reason=f"conflict on {role}")
+        return StepOutcome(ABORT_OUT, evs, reason=f"conflict on {role}")
 
     def _read(self, world, nid):
         # every read comes before the plan, so none sees an own write
-        rec = world.state.read(nid)
-        self.read_set.setdefault(nid, world.versions.current(nid))
-        role = world.role(nid)
-        ri = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=nid,
-                        attempt=self.attempt)
-        if not self.commit_only:
-            conflict = self._conflict(world)
-            if conflict is not None:
-                return self._abort(world, nid, (ri,))
-        rr = world.emit(self.op.proc, self.op.id, RR, elem=role, value=rec.snap(),
-                        nid=nid, attempt=self.attempt)
-        self.gop.visit(rec)
-        return StepOutcome(PROGRESSED, (ri, rr))
+        self.read_set.setdefault(nid, world.versions.get(nid, 0))
+        if not self.commit_only and self._conflict(world) is not None:
+            return self._abort(world, nid)
+        return super()._read(world, nid)
 
     def _write(self, world):
         """Only the events: the commit installs the plan's writes."""
@@ -465,19 +414,19 @@ class StmMachine(StepMachine):
         conflict = self._conflict(world)
         if conflict is not None:
             # validation failure surfaces as one last aborted read
-            role = world.role(conflict)
-            ri = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=conflict,
-                            attempt=self.attempt)
-            return self._abort(world, conflict, (ri,))
+            return self._abort(world, conflict)
         if self.plan.writes:
             for nid, patch in self.plan.writes:
                 world.state.write_edges(nid, patch)
-            world.versions.bump(sorted(self.write_targets()))
+                world.versions[nid] = world.versions.get(nid, 0) + 1
             self._apply_unlink(world)
-        return self._finish(world, ())
+        return super()._respond(world)
 
-    def _clone_extra(self):
-        self.read_set = dict(self.read_set)
+    def clone(self, ops):
+        m = super().clone(ops)
+        if m is not self:
+            m.read_set = dict(self.read_set)
+        return m
 
 
 class StmCommitOnlyMachine(StmMachine):

@@ -151,7 +151,7 @@ def project_process(h: History, proc: int) -> History:
     """Subsequence of h restricted to one process's events."""
     sub = [e for e in h.events if e.proc == proc]
     ops = {i: o for i, o in h.ops.items() if o.proc == proc}
-    return History(sub, ops, h.initial, h.structure)
+    return History(sub, ops, h.initial)
 
 
 def restrict_to_operation(h: History, op_id: int,
@@ -255,7 +255,7 @@ def sequential_run(def_: SearchStructureDef, ops: list[Operation],
         responses.append(resp)
         def_.audit(state)
 
-    hist = History(events, registry, initial, def_.name)
+    hist = History(events, registry, initial)
     assert_legal(hist)
     return state, responses, hist
 
@@ -533,14 +533,15 @@ def prefix_walk(w: Workload, impls: tuple[str, ...] = ()):
             out = m2[proc].step(w2)
             if out.kind not in (PROGRESSED, FINISHED):
                 raise InvariantError(f"unsync machine of process {proc} {out.kind}")
-            slot = slot_of(out.invoke_event)
+            # the first slot the step's events occupy
+            slot = next(s for s in map(slot_of, out.events) if s is not None)
             idx = len(slots)
             runs2, rejected2 = {}, rejected
             for impl, (iw, im) in runs.items():
                 iw, im = _fork(iw, im)
                 n = len(iw.events)
-                reason = _step_slot(iw, im, idx, slot)
-                if reason is None:
+                reason = _step_slot(iw, im[proc], idx, slot)
+                if reason == slot:
                     got = [slot_of(e) for e in iw.events[n:] if not e.is_abort()]
                     if [s for s in got if s is not None] != [slot]:
                         raise InvariantError(

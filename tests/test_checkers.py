@@ -336,7 +336,7 @@ def bend_one_read(h, rng):
     j = rng.choice(reads)
     events = list(h.events)
     events[j] = replace(events[j], value={**events[j].value, "val": "forged"})
-    return History(events, h.ops, h.initial, h.structure)
+    return History(events, h.ops, h.initial)
 
 
 def test_indexed_checkers_match_the_per_operation_scans():

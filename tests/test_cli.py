@@ -195,14 +195,20 @@ def test_explore_rejects_a_malformed_field(tmp_path, capsys, structure, concurre
      "value must be an integer"),
     ({"setup": [{"op": "insert", "key": 2, "value": "x"}]},
      "value must be an integer"),
+    ({"concurrent": [{"proc": 1, "op": "find", "key": 1, "value": 5}]},
+     "only an insert takes a value: find(1) with value 5"),
+    ({"setup": [{"op": "delete", "key": 2, "value": 5}]},
+     "only an insert takes a value: delete(2) with value 5"),
 ], ids=["seed-list", "seed-str", "seed-bool", "setup-int", "setup-object",
-        "concurrent-str", "value-list", "value-bool", "setup-value-str"])
+        "concurrent-str", "value-list", "value-bool", "setup-value-str",
+        "find-value", "setup-delete-value"])
 @pytest.mark.parametrize("command", ["run", "explore"])
 def test_scenario_field_of_the_wrong_type_is_an_input_error(tmp_path, capsys, command,
                                                             fields, message):
     """A top-level seed that is no int, a setup or concurrent that is no
-    list, and an operation's value that is no int: an `error: ...` line
-    and exit 1 from either command, not a traceback."""
+    list, and an operation's value that is no int or is given to a find or
+    a delete: an `error: ...` line and exit 1 from either command, not a
+    traceback."""
     p, doc = skiplist_scenario(tmp_path)
     doc.update(fields)
     if command == "run":

@@ -12,6 +12,13 @@ schedules in trie order.  The full-universe reports in
 that enumerated every leaf; whatever walk the library uses must reproduce
 them byte for byte.
 
+`tests/golden/free_runs.json` pins the bytes of the other two drivers: the
+full event record (as the sha256 of the compact JSON of `events_json()`)
+and the responses of 20 seeded free runs per structure under `hoh`, `stm`
+and `stm-commit-only`, or the `LivelockError` message of a run that raises;
+and the `--json` report and exit code of `schedlab run` on every bundled
+drive scenario.
+
 Regenerate them (only when a report is meant to change) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -19,7 +26,9 @@ Regenerate them (only when a report is meant to change) with
 
 from __future__ import annotations
 
+import hashlib
 import json
+import random
 import sys
 from importlib import resources
 from pathlib import Path
@@ -28,10 +37,12 @@ import pytest
 
 from schedlab import cli
 from schedlab.fixtures import thm2_bundle
-from schedlab.seqspec import STRUCTURES, make_structure
+from schedlab.scheduler import LivelockError, Workload, free_run
+from schedlab.seqspec import STRUCTURES, Operation, make_structure
 
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "explore.json"
+FREE_RUNS = GOLDEN / "free_runs.json"
 
 
 def thm2_scenario(struct: str, instance: str, impl: str) -> dict:
@@ -43,11 +54,12 @@ def thm2_scenario(struct: str, instance: str, impl: str) -> dict:
             "schedule": "enumerate", "impl": impl}
 
 
-def bundled_scenarios() -> dict[str, Path]:
+def bundled_scenarios(explore: bool = True) -> dict[str, Path]:
+    """The bundled explore scenarios, or (`explore` False) the drive ones."""
     scenarios = resources.files("schedlab").joinpath("scenarios")
     return {p.name[:-len(".json")]: Path(str(p))
             for p in sorted(scenarios.iterdir(), key=lambda p: p.name)
-            if p.name.startswith("explore_") and p.name.endswith(".json")}
+            if p.name.startswith("explore_") == explore and p.name.endswith(".json")}
 
 
 THM2 = {f"thm2_{s}_{i}_{impl}": (s, i, impl) for s in STRUCTURES
@@ -93,9 +105,54 @@ def test_explore_report_bytes(name, tmp_path):
     assert report == (GOLDEN / "explore" / f"{name}.json").read_bytes()
 
 
+FREE_RUN_IMPLS = ("hoh", "stm", "stm-commit-only")
+FREE_RUN_SEEDS = range(20)
+
+
+def free_run_workload(struct: str, seed: int) -> Workload:
+    """A fixed random workload: 3-5 operations over keys 1..5, one process
+    each, after a setup inserting 0-3 of those keys."""
+    rng = random.Random(f"{struct}:{seed}")
+    keys = (1, 2, 3, 4, 5)
+    setup = [Operation("insert", k) for k in rng.sample(keys, rng.randint(0, 3))]
+    concurrent = [(p + 1, Operation(rng.choice(("insert", "delete", "find")),
+                                    rng.choice(keys)))
+                  for p in range(rng.randint(3, 5))]
+    return Workload(make_structure(struct), setup, concurrent)
+
+
+def free_run_record(struct: str, impl: str, seed: int) -> dict:
+    try:
+        h = free_run(impl, free_run_workload(struct, seed), seed=seed)
+    except LivelockError as e:
+        return {"livelock": str(e)}
+    blob = json.dumps(h.events_json(), separators=(",", ":"))
+    return {"events_sha256": hashlib.sha256(blob.encode()).hexdigest(),
+            "responses": {str(i): o.response for i, o in sorted(h.ops.items())}}
+
+
+def pinned_runs(tmp: Path) -> bytes:
+    """The text of `tests/golden/free_runs.json`, computed afresh."""
+    free = {f"{struct} {impl} {seed}": free_run_record(struct, impl, seed)
+            for struct in STRUCTURES for impl in FREE_RUN_IMPLS
+            for seed in FREE_RUN_SEEDS}
+    runs = {}
+    for name, path in bundled_scenarios(explore=False).items():
+        out = tmp / f"{name}.run.json"
+        rc = cli.main(["--json", "--out", str(out), "run", str(path)])
+        runs[name] = {"exit": rc, "report": out.read_text()}
+    return (json.dumps({"free_run": free, "run": runs}, indent=1) + "\n").encode()
+
+
+def test_free_run_and_run_bytes(tmp_path):
+    assert pinned_runs(tmp_path) == FREE_RUNS.read_bytes()
+
+
 if __name__ == "__main__":
     import tempfile
 
+    with tempfile.TemporaryDirectory() as tmp:
+        FREE_RUNS.write_bytes(pinned_runs(Path(tmp)))
     (GOLDEN / "explore").mkdir(parents=True, exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:

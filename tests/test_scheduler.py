@@ -175,7 +175,7 @@ def world_record(world):
             {n: r.alive for n, r in world.state.nodes.items()},
             {n: set(s) for n, s in locks.shared.items()}, dict(locks.exclusive),
             {n: list(q) for n, q in locks.queues.items()},
-            dict(world.versions.versions),
+            dict(world.versions),
             world.seq, list(world.events),
             {i: vars(o).copy() for i, o in world.ops.items()})
 

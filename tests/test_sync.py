@@ -224,7 +224,7 @@ def test_stm_commit_installs_the_plan(structure, op):
     while m.plan is None or m.write_idx < len(m.plan.writes):
         assert m.step(world).kind == PROGRESSED
         assert world.state.canonical() == canon
-        assert world.versions.versions == {}
+        assert world.versions == {}
     before = dict(world.state.nodes)
     assert m.step(world).kind == FINISHED
     patches = dict(m.plan.writes)
@@ -236,7 +236,7 @@ def test_stm_commit_installs_the_plan(structure, op):
         assert new.edges == {**old.edges, **patches.get(n, {})}
         assert new.alive == (n not in m.plan.unlink)
         assert (new.key, new.val) == (old.key, old.val)
-    assert world.versions.versions == dict.fromkeys(patches, 1)
+    assert world.versions == dict.fromkeys(patches, 1)
 
 
 def test_stm_two_writers_buffer_then_second_commit_aborts():
@@ -266,7 +266,7 @@ def test_stm_write_only_commit_is_unconditional():
     world, m = make_solo("stm", d, Operation("insert", 1))
     m.invoked = True
     m.plan = UpdatePlan(True, writes=[(world.state.root, {"next": None})])
-    world.versions.bump([world.state.root])  # concurrent commit elsewhere
+    world.versions[world.state.root] = 1  # concurrent commit elsewhere
     assert m.step(world).kind == PROGRESSED  # buffer
     assert m.step(world).kind == FINISHED    # commit despite the bump
 
@@ -284,7 +284,7 @@ def test_only_stm_keeps_versions(structure, impl):
             if not m.finished:
                 m.step(world)
     # the first stm commit validates against no other commit and bumps
-    assert (world.versions.versions != {}) == (impl == "stm")
+    assert (world.versions != {}) == (impl == "stm")
 
 
 def test_restart_preserves_identity():

@@ -440,7 +440,7 @@ def other_record(state):
 WORLD_CHANGES = {
     "state": lambda x: x.state.write_edges(x.state.root, {"next": None}),
     "locks": lambda x: x.locks.try_acquire(99, "shared", 1),
-    "versions": lambda x: x.versions.bump([99]),
+    "versions": lambda x: x.versions.__setitem__(99, 1),
     "ops": None,  # its machine's `op`, or a setup operation
     "events": None,
     "seq": None,
@@ -456,9 +456,6 @@ LOCK_CHANGES = {
     "shared": lambda x: x.shared.__setitem__(99, {1}),
     "exclusive": lambda x: x.exclusive.__setitem__(99, 1),
     "queues": lambda x: x.queues.__setitem__(99, deque([1])),
-}
-VERSION_CHANGES = {
-    "versions": lambda x: x.versions.__setitem__(99, 1),
 }
 MACHINE_CHANGES = {
     "def_": None,  # the walk's one structure
@@ -480,8 +477,6 @@ KEYED_PARTS = (
     ("state", lambda world, machines: world.state, scheduler._store_layout,
      STATE_CHANGES),
     ("locks", lambda world, machines: world.locks, scheduler._locks_key, LOCK_CHANGES),
-    ("versions", lambda world, machines: world.versions, scheduler._versions_key,
-     VERSION_CHANGES),
     ("find", lambda world, machines: machines[1], scheduler._machine_key,
      MACHINE_CHANGES),
     ("insert", lambda world, machines: machines[2], scheduler._machine_key,
@@ -493,8 +488,8 @@ KEYED_PARTS = (
 @pytest.mark.parametrize("impl", ("unsync", "hoh", "stm", "stm-commit-only"))
 @pytest.mark.parametrize("part", [p[0] for p in KEYED_PARTS])
 def test_configuration_key_holds_every_field(part, impl, steps):
-    """Changing any one attribute of a world, its store, lock tables,
-    version store or a machine changes its key, except the execution
+    """Changing any one attribute of a world (its versions among them), its
+    store, lock tables or a machine changes its key, except the execution
     record (`events`, `seq`), the structure definition (`def_`) and memo
     cells, which no step reads, and the world's operations (`ops`), which
     the machines key.  The store is keyed by its unmemoized layout."""
@@ -615,7 +610,7 @@ def test_configuration_key_ignores_what_no_read_sees():
     world.locks.shared[98] = set()
     world.locks.queues[98] = deque()
     world.locks.exclusive = dict(reversed(world.locks.exclusive.items()))
-    world.versions.versions = dict(reversed(world.versions.versions.items()))
+    world.versions = dict(reversed(world.versions.items()))
     assert scheduler._world_key(world) == before
     assert scheduler._world_key(world.clone()) == before
 
@@ -629,7 +624,7 @@ def test_configuration_key_holds_every_part():
     key = scheduler._config_key(*base)
     assert scheduler._config_key(*base) == key
     bumped = world.clone()
-    bumped.versions.bump([0])
+    bumped.versions[0] = 1
     variants = [
         (bumped, machines, {"hoh": hoh}),
         (world, stepped("unsync", 7)[1], {"hoh": hoh}),

@@ -471,15 +471,32 @@ MACHINE_CHANGES = {
     "read_set": lambda m: m.read_set.__setitem__(99, 0),
 }
 
-# (part, its object in a stepped world, the function that keys it, changes)
+# node -> a bump of its version in the world; node 99 has none yet
+VERSION_CHANGES = {
+    n: (lambda n: lambda x: x.versions.__setitem__(n, x.versions.get(n, 0) + 1))(n)
+    for n in range(100)
+}
+
+
+def version_nodes(world):
+    """Every node with a version, and one (99) without."""
+    return [*world.versions, 99]
+
+
+# (part, its object in a stepped world, the function that keys it, the
+# names of its fields, changes)
 KEYED_PARTS = (
-    ("world", lambda world, machines: world, scheduler._world_key, WORLD_CHANGES),
-    ("state", lambda world, machines: world.state, scheduler._store_layout,
+    ("world", lambda world, machines: world, scheduler._world_key, vars,
+     WORLD_CHANGES),
+    ("state", lambda world, machines: world.state, scheduler._store_layout, vars,
      STATE_CHANGES),
-    ("locks", lambda world, machines: world.locks, scheduler._locks_key, LOCK_CHANGES),
-    ("find", lambda world, machines: machines[1], scheduler._machine_key,
+    ("locks", lambda world, machines: world.locks, scheduler._locks_key, vars,
+     LOCK_CHANGES),
+    ("versions", lambda world, machines: world, scheduler._world_key, version_nodes,
+     VERSION_CHANGES),
+    ("find", lambda world, machines: machines[1], scheduler._machine_key, vars,
      MACHINE_CHANGES),
-    ("insert", lambda world, machines: machines[2], scheduler._machine_key,
+    ("insert", lambda world, machines: machines[2], scheduler._machine_key, vars,
      MACHINE_CHANGES),
 )
 
@@ -488,13 +505,13 @@ KEYED_PARTS = (
 @pytest.mark.parametrize("impl", ("unsync", "hoh", "stm", "stm-commit-only"))
 @pytest.mark.parametrize("part", [p[0] for p in KEYED_PARTS])
 def test_configuration_key_holds_every_field(part, impl, steps):
-    """Changing any one attribute of a world (its versions among them), its
-    store, lock tables or a machine changes its key, except the execution
-    record (`events`, `seq`), the structure definition (`def_`) and memo
-    cells, which no step reads, and the world's operations (`ops`), which
-    the machines key.  The store is keyed by its unmemoized layout."""
-    _, get, key, changes = next(p for p in KEYED_PARTS if p[0] == part)
-    names = list(vars(get(*stepped(impl, steps))))
+    """Changing any one attribute of a world, its store, lock tables or a
+    machine, or any one node's version, changes its key, except the
+    execution record (`events`, `seq`), the structure definition (`def_`)
+    and memo cells, which no step reads, and the world's operations (`ops`),
+    which the machines key.  The store is keyed by its unmemoized layout."""
+    _, get, key, fields, changes = next(p for p in KEYED_PARTS if p[0] == part)
+    names = list(fields(get(*stepped(impl, steps))))
     assert set(names) <= set(changes), "an attribute the test does not know"
     for name in names:
         x = get(*stepped(impl, steps))

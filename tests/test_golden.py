@@ -17,7 +17,8 @@ full event record (as the sha256 of the compact JSON of `events_json()`)
 and the responses of 20 seeded free runs per structure under `hoh`, `stm`
 and `stm-commit-only`, or the `LivelockError` message of a run that raises;
 and the `--json` report and exit code of `schedlab run` on every bundled
-drive scenario.
+drive scenario.  `tests/golden/reproduce.json` pins the text and the
+`--json` report and the exit code of `schedlab reproduce` on every figure.
 
 Regenerate them (only when a report is meant to change) with
 
@@ -43,6 +44,8 @@ from schedlab.seqspec import STRUCTURES, Operation, make_structure
 GOLDEN = Path(__file__).parent / "golden"
 EXIT_CODES = GOLDEN / "explore.json"
 FREE_RUNS = GOLDEN / "free_runs.json"
+REPRODUCE = GOLDEN / "reproduce.json"
+FIGURES = ("fig2", "fig3", "thm2", "thm3")
 
 
 def thm2_scenario(struct: str, instance: str, impl: str) -> dict:
@@ -148,11 +151,29 @@ def test_free_run_and_run_bytes(tmp_path):
     assert pinned_runs(tmp_path) == FREE_RUNS.read_bytes()
 
 
+def reproduce_record(figure: str, tmp: Path) -> dict:
+    """The exit code and report bytes of `schedlab reproduce <figure>`, as
+    text and with `--json`."""
+    record = {}
+    for fmt, flags in (("text", []), ("json", ["--json"])):
+        out = tmp / f"{figure}.{fmt}"
+        rc = cli.main([*flags, "--out", str(out), "reproduce", figure])
+        record[fmt] = {"exit": rc, "report": out.read_bytes().decode()}
+    return record
+
+
+@pytest.mark.parametrize("figure", FIGURES)
+def test_reproduce_report_bytes(figure, tmp_path):
+    assert reproduce_record(figure, tmp_path) == json.loads(REPRODUCE.read_text())[figure]
+
+
 if __name__ == "__main__":
     import tempfile
 
     with tempfile.TemporaryDirectory() as tmp:
         FREE_RUNS.write_bytes(pinned_runs(Path(tmp)))
+        REPRODUCE.write_text(json.dumps(
+            {fig: reproduce_record(fig, Path(tmp)) for fig in FIGURES}, indent=1) + "\n")
     (GOLDEN / "explore").mkdir(parents=True, exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as tmp:

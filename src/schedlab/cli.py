@@ -81,6 +81,8 @@ def parse_scenario(doc: dict) -> dict:
     else:
         _require(isinstance(struct, dict) and struct.get("name") in STRUCTURES,
                  "structure must name one of %s" % (STRUCTURES,))
+        _require(struct["name"] == "skiplist" or not {"max_level", "seed"} & set(struct),
+                 f"only the skiplist takes max_level and seed: {struct!r}")
         max_level, seed = struct.get("max_level", 3), struct.get("seed", 0)
         _require(_is_int(max_level) and max_level > 0,
                  f"structure max_level must be a positive integer: {max_level!r}")

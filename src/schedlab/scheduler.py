@@ -858,9 +858,8 @@ class LivelockError(RuntimeError):
     pass
 
 
-def free_run(impl: str, w: Workload, seed: int = 0,
-             round_robin: bool = False) -> History:
-    """Random (or round-robin) scheduler: blocked machines are retried
+def free_run(impl: str, w: Workload, seed: int = 0) -> History:
+    """Seeded random scheduler: blocked machines are retried
     later, aborted machines are restarted.  Returns the full history
     (setup included); aborted attempts' events are excluded from the
     exported view per the history model."""
@@ -869,16 +868,11 @@ def free_run(impl: str, w: Workload, seed: int = 0,
     rng = random.Random(seed)
     restarts = 0
     steps = 0
-    rr_next = 0
     while True:
         live = sorted(p for p, m in machines.items() if not m.finished)
         if not live:
             break
-        if round_robin:
-            proc = live[rr_next % len(live)]
-            rr_next += 1
-        else:
-            proc = rng.choice(live)
+        proc = rng.choice(live)
         out = machines[proc].step(world)
         steps += 1
         if steps > FREE_RUN_STEP_CAP:

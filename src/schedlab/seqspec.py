@@ -9,6 +9,10 @@ visited nodes.  The traverse function works off G_op, the sub-DAG of nodes
 visited so far, never off the live graph, so a suspended operation resumes
 against whatever the graph has become.
 
+The three structures are the skiplist, the BST and the sorted list, which
+is the one-level skiplist whose one edge is labelled ``next``: it shares
+the skiplist's descent, update plan and order audit.
+
 Keys are natural numbers; root/tail sentinels use -inf/+inf.  Values
 default to the key itself.
 """
@@ -233,14 +237,10 @@ class Gop:
     def write_order(self, writes) -> list[tuple[int, dict[str, int | None]]]:
         """A plan's (node, patch) writes sorted by their node's position
         in the visit order: root-ward first (``UpdatePlan``)."""
+        if len(writes) < 2:
+            return list(writes)
         pos = {nid: i for i, nid in enumerate(self.order)}
         return sorted(writes, key=lambda wr: pos[wr[0]])
-
-    def has_key(self, key) -> int | None:
-        for nid in self.order:
-            if self.recs[nid].key == key:
-                return nid
-        return None
 
     def clone(self) -> Gop:
         return Gop(dict(self.recs), list(self.order))
@@ -324,66 +324,6 @@ class SearchStructureDef:
         if sp is None:
             sp = self._space = SequentialSpace(self)
         return sp
-
-
-class SortedList(SearchStructureDef):
-    """Single path of strictly increasing keys between two sentinels."""
-
-    name = "sorted-list"
-
-    def new_state(self) -> DagState:
-        st = DagState()
-        root = st.alloc(NEG_INF, None, {"next": None})
-        tail = st.alloc(POS_INF, None, {})
-        st.write_edges(root, {"next": tail})
-        st.root, st.tail = root, tail
-        return st
-
-    def tau(self, op, gop, state_root):
-        if state_root not in gop:
-            return state_root
-        pos = state_root
-        while True:
-            nxt = gop.edges(pos).get("next")
-            if nxt is None:
-                return None
-            if nxt not in gop:
-                return nxt
-            if gop.key(nxt) >= op.key:
-                return None
-            pos = nxt
-
-    def _chain(self, gop, state_root, key):
-        """(pred, succ) along the visited chain for `key`."""
-        pos = state_root
-        while True:
-            nxt = gop.edges(pos).get("next")
-            if nxt is None or nxt not in gop or gop.key(nxt) >= key:
-                return pos, nxt
-            pos = nxt
-
-    def plan_update(self, op, gop, state):
-        pred, succ = self._chain(gop, state.root, op.key)
-        found = succ is not None and succ in gop and gop.key(succ) == op.key
-        if op.name == "find":
-            return UpdatePlan(found)
-        if op.name == "insert":
-            if found:
-                return UpdatePlan(False)
-            new = state.alloc(op.key, op.val, {"next": succ})
-            return UpdatePlan(True, writes=[(pred, {"next": new})], new_nodes=[new])
-        if found:
-            after = gop.edges(succ).get("next")
-            return UpdatePlan(True, writes=[(pred, {"next": after})], unlink=[succ])
-        return UpdatePlan(False)
-
-    def _audit_order(self, state):
-        n = state.root
-        while n is not None:
-            nxt = state.nodes[n].edges.get("next")
-            if nxt is not None and state.nodes[n].key >= state.nodes[nxt].key:
-                raise InvariantError(f"list unsorted at n{n} -> n{nxt}")
-            n = nxt
 
 
 class Bst(SearchStructureDef):
@@ -489,9 +429,9 @@ class Bst(SearchStructureDef):
 
 
 class SkipList(SearchStructureDef):
-    """Towers with per-level next pointers; heights drawn from a seeded
-    generator keyed by (seed, key) so identical keys always toss the same
-    coins."""
+    """Towers with one next pointer per level (edge ``next<level>``);
+    heights drawn from a seeded generator keyed by (seed, key) so identical
+    keys always toss the same coins."""
 
     name = "skiplist"
 
@@ -503,14 +443,14 @@ class SkipList(SearchStructureDef):
         return (self.name, self.max_level, self.seed)
 
     def height(self, key: int) -> int:
-        rng = random.Random(f"{self.seed}:{key}")
         h = 1
-        while h < self.max_level and rng.random() < 0.5:
-            h += 1
+        if h < self.max_level:  # a one-level list tosses no coins
+            rng = random.Random(f"{self.seed}:{key}")
+            while h < self.max_level and rng.random() < 0.5:
+                h += 1
         return h
 
-    @staticmethod
-    def lab(level: int) -> str:
+    def lab(self, level: int) -> str:
         return f"next{level}"
 
     def new_state(self) -> DagState:
@@ -525,41 +465,47 @@ class SkipList(SearchStructureDef):
     def _search(self, op, gop, state_root):
         """Replan the canonical descent over visited nodes.
 
-        Returns (preds, probe) where preds maps level -> last node with
-        key < op.key whose level-edge was resolved, and probe is the first
-        unvisited node the search must read next (None when resolved)."""
+        Returns (preds, probe, hit): preds maps level -> last node with
+        key < op.key whose level-edge was resolved, probe is the first
+        unvisited node the search must read next (None when resolved), and
+        hit is the first visited node on the way that holds op.key.  A find
+        or an insert stops at the hit; a delete descends on to level 1 for
+        its predecessors."""
+        recs, key = gop.recs, op.key
         preds: dict[int, int] = {}
-        pos = state_root
+        pos, hit = state_root, None
         for lvl in range(self.max_level, 0, -1):
+            lab = self.lab(lvl)
             while True:
-                t = gop.edges(pos).get(self.lab(lvl))
+                t = recs[pos].edges.get(lab)
                 if t is None:
                     break
-                if t not in gop:
-                    return preds, t
-                if gop.key(t) < op.key:
+                rec = recs.get(t)
+                if rec is None:
+                    return preds, t, hit
+                if rec.key < key:
                     pos = t
                     continue
+                if rec.key == key and hit is None:
+                    hit = t
+                    if op.name != "delete":
+                        return preds, None, hit
                 break
             preds[lvl] = pos
-        return preds, None
+        return preds, None, hit
 
     def tau(self, op, gop, state_root):
         if state_root not in gop:
             return state_root
-        if op.name != "delete" and gop.has_key(op.key) is not None:
-            return None  # found; inserts/finds need nothing further
-        preds, probe = self._search(op, gop, state_root)
-        return probe
+        return self._search(op, gop, state_root)[1]
 
     def plan_update(self, op, gop, state):
-        hit = gop.has_key(op.key)
+        preds, _, hit = self._search(op, gop, state.root)
         if op.name == "find":
             return UpdatePlan(hit is not None)
         if op.name == "insert":
             if hit is not None:
                 return UpdatePlan(False)
-            preds, probe = self._search(op, gop, state.root)
             h = self.height(op.key)
             edges = {self.lab(l): gop.edges(preds[l]).get(self.lab(l))
                      for l in range(h, 0, -1)}
@@ -571,23 +517,41 @@ class SkipList(SearchStructureDef):
                               new_nodes=[new])
         if hit is None:
             return UpdatePlan(False)
-        preds, probe = self._search(op, gop, state.root)
         patches = {}
-        for lab, t in gop.edges(hit).items():
-            l = int(lab[4:])
-            patches.setdefault(preds[l], {})[lab] = t
+        hit_edges = gop.edges(hit)
+        for l in range(self.max_level, 0, -1):
+            lab = self.lab(l)
+            if lab in hit_edges:
+                patches.setdefault(preds[l], {})[lab] = hit_edges[lab]
         return UpdatePlan(True, writes=gop.write_order(patches.items()),
                           unlink=[hit])
 
     def _audit_order(self, state):
         for lvl in range(self.max_level, 0, -1):
+            lab = self.lab(lvl)
             n = state.root
             while n is not None:
-                nxt = state.nodes[n].edges.get(self.lab(lvl))
+                nxt = state.nodes[n].edges.get(lab)
                 if nxt is not None and state.nodes[n].key >= state.nodes[nxt].key:
-                    raise InvariantError(f"skiplist unsorted at level {lvl}, "
+                    raise InvariantError(f"{self.name} unsorted at level {lvl}, "
                                          f"n{n} -> n{nxt}")
                 n = nxt
+
+
+class SortedList(SkipList):
+    """The one-level skiplist: a single path of strictly increasing keys
+    between two sentinels, along edges labelled ``next``."""
+
+    name = "sorted-list"
+
+    def __init__(self):
+        super().__init__(max_level=1)
+
+    def fingerprint(self):
+        return (self.name,)
+
+    def lab(self, level: int) -> str:
+        return "next"
 
 
 def make_structure(name: str, max_level: int = 3, seed: int = 0) -> SearchStructureDef:

@@ -50,8 +50,6 @@ from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
 from .seqspec import (DagState, Gop, Operation, SearchStructureDef, UpdatePlan,
                       node_token)
 
-IMPLS = ("hoh", "stm", "stm-commit-only", "unsync")
-
 FREE, SHARED, EXCLUSIVE = "free", "shared", "exclusive"
 
 

@@ -12,11 +12,12 @@ operation with no cache.  A few small helpers only tests call live here
 too: history projections and comparisons (`render_json`,
 `project_process`, `restrict_to_operation`, `precedes`), store and lock
 audits (`reachable`, `alive_keys`, `lock_audit`, `release_holder`), a
-key's relevant set and graph, `scenario_path`, and `schedule_trie`, the
-library's walk with every leaf wanted.  So does the locality harness: two
-histories over independent objects merged into one, whose composition
-must be linearizable when both are LSL.  The tests compare the library
-against them.
+key's relevant set and graph, `scenario_path`, `ALL_IMPLS` (every
+implementation name) and `schedule_trie`, the library's walk with every
+leaf wanted.  So does the locality harness: two histories over
+independent objects merged into one, whose composition must be
+linearizable when both are LSL.  The tests compare the library against
+them.
 """
 
 from __future__ import annotations
@@ -41,6 +42,9 @@ from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
                               dictionary_apply, local_trace, run_operation)
 from schedlab.sync import FINISHED, PROGRESSED, LockManager, World
+
+# every implementation ``make_machine`` builds, the unsynchronized one too
+ALL_IMPLS = ("hoh", "stm", "stm-commit-only", "unsync")
 
 
 def scenario_path(name: str) -> str:

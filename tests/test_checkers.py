@@ -230,7 +230,8 @@ def test_raw_stm_history_with_restarts_is_lsl():
 def test_bent_read_in_aborted_attempt_is_not_locally_serializable():
     d = make_structure("sorted-list")
     w = Workload(d, [], [(1, Operation("insert", 1)), (2, Operation("insert", 1))])
-    h = free_run("stm", w, round_robin=True)
+    h = free_run("stm", w, seed=1)
+    assert any(e.attempt > 0 for e in h.events)  # a restart happened
     bent = next(e for e in h.events
                 if e.attempt == 0 and e.kind == RR and not e.is_abort()
                 and h.ops[e.op].is_complete()
@@ -319,7 +320,7 @@ def test_commit_only_mode_violates_condition_two(fig3_case):
 def test_aborted_attempt_checked_separately(structure):
     w = Workload(structure, [], [(1, Operation("insert", 1)),
                                  (2, Operation("insert", 1))])
-    h = free_run("stm", w, round_robin=True)
+    h = free_run("stm", w, seed=1)
     assert any(e.attempt > 0 for e in h.events)  # a restart happened
     res = check_safe_strict(h)
     assert res.verdict is True

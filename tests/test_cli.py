@@ -166,13 +166,21 @@ def skiplist_scenario(tmp_path, structure=None, **concurrent):
     ({"max_level": True}, {}, "structure max_level must be a positive integer"),
     ({"seed": "x"}, {}, "structure seed must be an integer: 'x'"),
     ({"seed": 1.5}, {}, "structure seed must be an integer: 1.5"),
+    ({"name": "bst", "max_level": 2}, {}, "only the skiplist takes max_level and seed"),
+    ({"name": "sorted-list", "seed": 5}, {},
+     "only the skiplist takes max_level and seed"),
+    ({"name": "bst", "max_level": 2, "seed": 5}, {},
+     "only the skiplist takes max_level and seed"),
 ], ids=["proc-str", "proc-bool", "key-bool", "max_level-str", "max_level-0",
-        "max_level-bool", "seed-str", "seed-float"])
+        "max_level-bool", "seed-str", "seed-float", "bst-max_level",
+        "sorted-list-seed", "bst-max_level-seed"])
 def test_explore_rejects_a_malformed_field(tmp_path, capsys, structure, concurrent,
                                            message):
-    """A process or key that is no int, or a bool, and a structure object's
-    max_level that is no positive int or seed that is no int: an input
-    error, not a traceback or a report about process or key True."""
+    """A process or key that is no int, or a bool, a structure object's
+    max_level that is no positive int or seed that is no int, and a
+    max_level or seed on a structure other than the skiplist, which would
+    be dropped: an input error, not a traceback or a report about process
+    or key True or about a structure that ignored a field."""
     p, doc = skiplist_scenario(tmp_path, structure, **concurrent)
     with pytest.raises(ScenarioError, match=message):
         parse_scenario(doc)

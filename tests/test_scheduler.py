@@ -145,15 +145,16 @@ def test_free_run_deterministic_per_seed(fig3_case):
 
 
 def test_free_run_restart_budget(monkeypatch):
-    # round-robin forces the two identical inserts to interleave, so the
-    # second commit always conflicts; with no restart budget that is fatal
+    # seed 1 interleaves the two identical inserts, so the second commit
+    # conflicts and restarts; with no restart budget that is fatal
     d = make_structure("sorted-list")
     w = Workload(d, [], [(1, Operation("insert", 1)), (2, Operation("insert", 1))])
     monkeypatch.setattr(scheduler, "FREE_RUN_RESTART_CAP", 0)
     with pytest.raises(LivelockError, match="restart budget 0 exhausted"):
-        free_run("stm", w, round_robin=True)
+        free_run("stm", w, seed=1)
     monkeypatch.setattr(scheduler, "FREE_RUN_RESTART_CAP", 5)
-    h = free_run("stm", w, round_robin=True)
+    h = free_run("stm", w, seed=1)
+    assert any(e.attempt > 0 for e in h.events)  # a restart happened
     assert sorted(o.response for o in h.ops.values()) == [False, True]
 
 

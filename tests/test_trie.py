@@ -26,7 +26,7 @@ from collections import deque
 
 import pytest
 
-from schedlab import metric, scheduler, sync
+from schedlab import metric, scheduler
 from schedlab.checkers import check_ls_linearizable, ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
@@ -36,7 +36,7 @@ from schedlab.scheduler import Workload, _fork, build_world, drive, universe
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
 from schedlab.sync import BLOCKED, restart
 
-from oracles import leaf_signature, prefix_walk, render_json, schedule_trie
+from oracles import ALL_IMPLS, leaf_signature, prefix_walk, render_json, schedule_trie
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
 
 IMPLS = ("hoh", "stm")
@@ -688,9 +688,9 @@ def test_incremental_key_equals_key_from_scratch(monkeypatch):
 
     monkeypatch.setattr(scheduler, "_step_key", checked)
     for w, budget in key_check_walks():
-        assert sum(1 for _ in itertools.islice(schedule_trie(w, sync.IMPLS),
+        assert sum(1 for _ in itertools.islice(schedule_trie(w, ALL_IMPLS),
                                                budget)) > 0
-    assert len(edges) > 5000 and max(edges) == len(sync.IMPLS)
+    assert len(edges) > 5000 and max(edges) == len(ALL_IMPLS)
 
 
 def test_a_step_keys_one_machine_per_world(monkeypatch):
@@ -715,7 +715,7 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
 
     monkeypatch.setattr(scheduler, "_expand", expanding)
     for w, budget in key_check_walks():
-        for _ in itertools.islice(schedule_trie(w, sync.IMPLS), budget):
+        for _ in itertools.islice(schedule_trie(w, ALL_IMPLS), budget):
             pass
     assert len(per_edge) > 1000
     assert all(n <= worlds for n, worlds in per_edge)

@@ -3,8 +3,15 @@
 All checkers are pure functions over histories.  The LS-linearizability
 checkers are adapters over cores that take no history: ``unit_checker``
 over per-attempt units, ``linearize`` over operations and their
-intervals, and ``ls_linearizable``, which joins the two.  The walk's LSL
-verdicts (``metric``) use the same cores.  Positive verdicts carry a
+precedence relation, and ``ls_linearizable``, which joins the two.  The
+walk's LSL verdicts (``metric``) use the same cores.  Real time enters
+linearizability and strict serializability only as the precedence
+relation (Herlihy & Wing): the pairs (a, b) where operation a responds
+before b is invoked, which ``precedence`` reads off an exported history
+in one scan.  They order only what it orders, and the dependency cycles'
+real-time edges are its pairs.  (Safe-strictness's condition (2) reads
+the raw history: which operations completed before an attempt's last
+event.)  Positive verdicts carry a
 replayable witness (a linearization order, per-operation sequential runs,
 or nothing to prove); negative strict-serializability verdicts carry a
 dependency cycle whose edges are re-derivable from the history.  Bounded
@@ -44,16 +51,16 @@ class CheckResult:
 # -- shared event plumbing ----------------------------------------------------
 
 
-def op_intervals(h: History) -> dict[int, tuple[int, float]]:
-    """op id -> (invocation seq, response seq or +inf)."""
-    inv: dict[int, int] = {}
-    resp: dict[int, int] = {}
-    for e in h.events:
+def precedence(hx: History) -> frozenset[tuple[int, int]]:
+    """The real-time order of an exported history, from one scan: (a, b)
+    for each operation a that responds before operation b is invoked."""
+    done, prec = [], set()
+    for e in hx.events:
         if e.kind == OI:
-            inv.setdefault(e.op, e.seq)
-        elif e.kind == OR and not e.is_abort():
-            resp.setdefault(e.op, e.seq)
-    return {i: (inv[i], resp.get(i, float("inf"))) for i in h.ops if i in inv}
+            prec.update((a, e.op) for a in done)
+        elif e.kind == OR:
+            done.append(e.op)
+    return frozenset(prec)
 
 
 def _rw(events: list[Event]) -> list[tuple]:
@@ -77,12 +84,11 @@ def _attempt_index(h: History) -> dict[int, dict[int, list[Event]]]:
     return out
 
 
-def _op_traces(index: dict[int, dict[int, list[Event]]]) -> dict[int, list[tuple]]:
-    """op id -> the read/write trace of the whole operation, trimmed by
-    ``trim_aborted``.  An operation's attempts run one after another, so
-    attempt order is history order."""
-    return {i: _rw(trim_aborted([e for a in sorted(atts) for e in atts[a]]))
-            for i, atts in index.items()}
+def _op_traces(hx: History) -> dict[int, list[tuple]]:
+    """op id -> the read/write trace of an operation of an exported
+    history, which holds one attempt per operation and no abort-marked
+    event: its one attempt's events, read by ``_rw``."""
+    return {i: _rw(evs) for i, atts in _attempt_index(hx).items() for evs in atts.values()}
 
 
 def abstract_state(initial: dict[int, dict]) -> dict:
@@ -121,38 +127,39 @@ STRICT_CAP = 8
 
 
 def check_linearizable(h: History) -> CheckResult:
-    """``linearize`` over a history: the operations of its exported view
-    but the aborted ones, their intervals, and the abstract state of its
-    initial store."""
+    """``linearize`` over a history: the operations its exported view
+    invokes but the aborted ones, its precedence relation, and the
+    abstract state of its initial store."""
     hx = h.exported()
-    return linearize({i: o for i, o in hx.ops.items() if o.status != ABORTED},
-                     op_intervals(hx), frozenset(abstract_state(hx.initial).items()))
+    invoked = {e.op for e in hx.events if e.kind == OI}
+    return linearize({i: o for i, o in hx.ops.items()
+                      if i in invoked and o.status != ABORTED},
+                     precedence(hx), frozenset(abstract_state(hx.initial).items()))
 
 
-def linearize(ops: dict[int, OperationInstance], iv: dict[int, tuple],
+def linearize(ops: dict[int, OperationInstance], prec: frozenset[tuple[int, int]],
               q0: frozenset) -> CheckResult:
     """Exact decision by DFS with state memoization, over the operations
-    `ops` (none aborted) with their intervals `iv` (op id -> (invocation
-    position, response position or +inf)) from abstract state `q0`, the
-    dictionary's (key, value) items.
+    `ops` (none aborted) under the precedence relation `prec` ((a, b): a
+    responds before b is invoked; a pair naming an operation outside `ops`
+    constrains nothing) from abstract state `q0`, the dictionary's (key,
+    value) items.
 
-    Incomplete operations may be completed (their response is whatever the
-    specification yields) or dropped; an operation without an interval
-    takes no part.  More than ``LINEARIZABLE_CAP`` operations are
-    inconclusive.
+    Every operation in `ops` takes part.  Incomplete ones may be completed
+    (their response is whatever the specification yields) or dropped.
+    More than ``LINEARIZABLE_CAP`` operations are inconclusive.
     """
     if len(ops) > LINEARIZABLE_CAP:
         return CheckResult(None, reason=f"more than {LINEARIZABLE_CAP} operations")
-    ops = {i: o for i, o in ops.items() if i in iv}
     order = sorted(ops)
     complete_ids = [i for i in order if ops[i].is_complete()]
+    after = {i: {a for a, b in prec if b == i and a in ops} for i in order}
     seen: set[tuple] = set()
     witness: list[tuple[int, object]] = []
 
     def available(done: frozenset):
-        rest = [i for i in order if i not in done]
-        for i in rest:
-            if all(iv[j][1] >= iv[i][0] for j in rest if j != i):
+        for i in order:
+            if i not in done and after[i] <= done:
                 yield i
 
     def dfs(state, done: frozenset) -> bool:
@@ -322,8 +329,8 @@ def check_strictly_serializable(h: History) -> CheckResult:
     comp = sorted(i for i, o in hx.ops.items() if o.is_complete())
     if len(comp) > STRICT_CAP:
         return CheckResult(None, reason=f"more than {STRICT_CAP} complete operations")
-    iv = op_intervals(hx)
-    op_traces = _op_traces(_attempt_index(hx))
+    prec = precedence(hx)
+    op_traces = _op_traces(hx)
     traces = {i: op_traces.get(i, []) for i in comp}
 
     found: list[int] = []
@@ -334,7 +341,7 @@ def check_strictly_serializable(h: History) -> CheckResult:
             return True
         rest = [i for i in comp if i not in order]
         for i in rest:
-            if any(iv[j][1] < iv[i][0] for j in rest if j != i):
+            if any((j, i) in prec for j in rest):
                 continue
             rp2 = rp.fork()
             if not rp2.apply(traces[i]):
@@ -345,12 +352,12 @@ def check_strictly_serializable(h: History) -> CheckResult:
 
     if dfs([], _Replay(hx.initial)):
         return CheckResult(True, witness=[(i, hx.ops[i].describe()) for i in found])
-    cycle = _dependency_cycle(hx, comp, traces, iv)
+    cycle = _dependency_cycle(hx, comp, traces, prec)
     return CheckResult(False, violation=cycle,
                        reason="no real-time-respecting legal permutation")
 
 
-def _dependency_edges(hx: History, comp: list[int], traces, iv):
+def _dependency_edges(hx: History, comp: list[int], traces, prec):
     """Edges a -> b with reasons, derived from the recorded values.
 
     read-from: b read an edge value that a wrote (matched by value, ties
@@ -392,14 +399,14 @@ def _dependency_edges(hx: History, comp: list[int], traces, iv):
                             f"{hx.ops[b].describe()} read n{nid}.{lab}={val} "
                             f"that {hx.ops[a].describe()} overwrites")
     for a, b in itertools.permutations(comp, 2):
-        if iv[a][1] < iv[b][0]:
+        if (a, b) in prec:
             add(a, b, "real-time", f"{hx.ops[a].describe()} returns before "
                                    f"{hx.ops[b].describe()} starts")
     return edges
 
 
-def _dependency_cycle(hx, comp, traces, iv):
-    edges = _dependency_edges(hx, comp, traces, iv)
+def _dependency_cycle(hx, comp, traces, prec):
+    edges = _dependency_edges(hx, comp, traces, prec)
     adj: dict[int, list[int]] = {i: [] for i in comp}
     for (a, b) in sorted(edges):
         adj[a].append(b)
@@ -453,7 +460,7 @@ def check_safe_strict(h: History) -> CheckResult:
     if strict.verdict is not True:
         return CheckResult(strict.verdict, violation=strict.violation,
                            reason=strict.reason or "condition (1) fails")
-    hx_traces = _op_traces(_attempt_index(h.exported()))
+    hx_traces = _op_traces(h.exported())
     or_seq = {e.op: e.seq for e in h.events
               if e.kind == OR and not e.is_abort()}
     index = _attempt_index(h)

@@ -56,6 +56,22 @@ def _is_budget(x) -> bool:
     return _is_int(x) and x > 0
 
 
+# the fields a scenario, its structure object and its operations take
+_SCENARIO_FIELDS = frozenset(("structure", "setup", "concurrent", "impl", "schedule",
+                              "seed", "budget", "notes", "layout"))
+_STRUCTURE_FIELDS = frozenset(("name", "max_level", "seed"))
+_OP_FIELDS = frozenset(("op", "key", "value"))
+
+
+def _known(d, fields: frozenset, what: str):
+    """`d`; an input error naming each of its fields outside `fields`
+    when it is an object."""
+    if isinstance(d, dict):
+        other = sorted(set(d) - fields)
+        _require(not other, f"unknown {what} field {', '.join(map(repr, other))}")
+    return d
+
+
 def parse_operation(d: dict) -> Operation:
     _require(isinstance(d, dict) and "op" in d and "key" in d,
              f"operation needs 'op' and 'key': {d!r}")
@@ -72,6 +88,9 @@ def parse_operation(d: dict) -> Operation:
 
 def parse_scenario(doc: dict) -> dict:
     _require(isinstance(doc, dict), "scenario must be a JSON object")
+    _require("validation" not in doc, "scenario field 'validation' is not supported: "
+             "select commit-only validation with \"impl\": \"stm-commit-only\"")
+    _known(doc, _SCENARIO_FIELDS, "scenario")
     for field in ("structure", "setup", "concurrent", "impl"):
         _require(field in doc, f"scenario missing {field!r}")
     struct = doc["structure"]
@@ -81,6 +100,7 @@ def parse_scenario(doc: dict) -> dict:
     else:
         _require(isinstance(struct, dict) and struct.get("name") in STRUCTURES,
                  "structure must name one of %s" % (STRUCTURES,))
+        _known(struct, _STRUCTURE_FIELDS, "structure")
         _require(struct["name"] == "skiplist" or not {"max_level", "seed"} & set(struct),
                  f"only the skiplist takes max_level and seed: {struct!r}")
         max_level, seed = struct.get("max_level", 3), struct.get("seed", 0)
@@ -91,16 +111,15 @@ def parse_scenario(doc: dict) -> dict:
     for field in ("setup", "concurrent"):
         _require(isinstance(doc[field], list),
                  f"{field} must be a list: {doc[field]!r}")
-    setup = [parse_operation(d) for d in doc["setup"]]
+    setup = [parse_operation(_known(d, _OP_FIELDS, "operation")) for d in doc["setup"]]
     concurrent = []
     for d in doc["concurrent"]:
         _require(isinstance(d, dict) and "proc" in d, f"concurrent op needs proc: {d!r}")
         _require(_is_int(d["proc"]), f"proc must be an integer: {d!r}")
+        _known(d, _OP_FIELDS | {"proc"}, "operation")
         concurrent.append((d["proc"], parse_operation(d)))
     impl = doc["impl"]
     _require(impl in ("hoh", "stm", "stm-commit-only"), f"unknown impl {impl!r}")
-    _require("validation" not in doc, "scenario field 'validation' is not supported: "
-             "select commit-only validation with \"impl\": \"stm-commit-only\"")
     try:
         w = Workload(def_, setup, concurrent)
     except ValueError as e:

@@ -8,7 +8,9 @@ workload key, is LS-linearizable.  That audited history
 (``audited_history``, re-exported here as the reference path) defines the
 oracle; the walk decides it from the leaf's signature and end
 configuration, with the checkers' cores that ``check_ls_linearizable``
-runs on the history (``_lsl_verdict``).  The audit extension
+runs on the history (``_lsl_verdict``).  Real time reaches the verdict
+only as the precedence relation: the leaf's, with the audit finds after
+it.  The audit extension
 operationalizes the observation that a lost update is only visible to
 later operations: without it, a schedule that silently drops a key would
 still have a locally consistent exporting history.
@@ -23,7 +25,7 @@ from operator import attrgetter
 
 from .checkers import (CheckResult, abstract_state, linearize, ls_linearizable,
                        unit_checker)
-from .model import OI, Schedule
+from .model import Schedule
 # audited_history is re-exported: the oracle's reference path
 from .scheduler import (DEFAULT_BUDGET, Tally, Workload, audited_history,
                         build_world, drive, walk, workload_keys)
@@ -61,8 +63,8 @@ def _lsl_verdict(w: Workload):
     """The LSL verdict of a walk's leaf, from the leaf's end configuration,
     by the checkers that decide an audited history: its units are each
     concurrent operation's trace (the signature's) and response, then each
-    audit find's (``Leaf.audits``); its intervals are the leaf's
-    invocation/response order, with the finds after it one by one.
+    audit find's (``Leaf.audits``); its precedence relation is the leaf's,
+    with each find after every concurrent operation and every earlier find.
 
     Each part is decided once per value of what it reads (the parts of
     ``Leaf.signature``):
@@ -71,7 +73,7 @@ def _lsl_verdict(w: Workload):
     - local serializability, once per (concurrent operations' id, status,
       response and trace by id, end store); it reads no order;
     - linearizability, and so the verdict, once per signature, since it
-      reads the order.
+      reads the precedence.
     The memos and the initial abstract state live for one call, within
     which the workload and keys are fixed."""
     check_units = unit_checker(w.structure, workload_keys(w))
@@ -83,29 +85,21 @@ def _lsl_verdict(w: Workload):
     def verdict(leaf) -> bool | None:
         sig = leaf.signature()
         if sig not in verdicts:
-            store = sig[2]
+            units, prec, store = sig
             if store not in finds:
                 finds[store] = leaf.audits(w)
             audits = finds[store]
             ops = {m.op.id: m.op for m in leaf.machines.values()}
-            ops.update((op.id, op) for op, _ in audits)
-            lkey = (tuple(sorted(sig[0])), store)
+            lkey = (units, store)
             if lkey not in local:
                 local[lkey] = check_units(
-                    [(ops[i], 0, trace, True) for i, _, _, trace in lkey[0]]
+                    [(ops[i], 0, trace, True) for i, _, _, trace in units]
                     + [(op, 0, trace, True) for op, trace in audits])
-            iv, inv = {}, {}
-            for t, (i, kind) in enumerate(leaf.order):
-                if kind == OI:
-                    inv[i] = t
-                else:
-                    iv[i] = (inv[i], t)
-            t = len(leaf.order)
             for op, _ in audits:
-                iv[op.id] = (t, t + 1)
-                t += 2
+                prec = prec | {(i, op.id) for i in ops}
+                ops[op.id] = op
             verdicts[sig] = ls_linearizable(local[lkey],
-                                            lambda: linearize(ops, iv, q0)).verdict
+                                            lambda: linearize(ops, prec, q0)).verdict
         return verdicts[sig]
     return verdict
 

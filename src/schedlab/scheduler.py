@@ -33,8 +33,7 @@ configurations with ``hoh`` and ``stm``.  A memo, which lives for one
 walk, maps each configuration's key to a node whose out-edges (the fork,
 the step, each implementation's verdict on it) are computed the first
 time the walk takes them.  An explicit stack DFS over that DAG carries
-each prefix's slots, digest pieces, rejections and invocation/response
-order.
+each prefix's slots, digest pieces, rejections and precedence relation.
 
 * The key is exact by construction.  It holds every field a step reads: the
   store (records by value, ``root``, ``tail``, ``counter``), the lock
@@ -121,43 +120,51 @@ The LSL oracle (``metric``) is defined on the audited replay of a leaf
 from the leaf's end configuration when the leaf's signature
 (``Leaf.signature``) is new within the pass.  The signature is each
 concurrent operation's id, status, response and canonical read/write
-trace, the order of the invocations and responses, and the final store's
+trace, in id order, the precedence relation of the concurrent operations
+((a, b) when a responds before b is invoked), and the final store's
 ``canonical()``.  It is exact: an operation's trace and response decide
-its local serializability; with the order they are all that the
-linearizability check sees; the store decides the audit finds, which run
-alone afterwards; the workload fixes the rest.  So the verdict needs no
-replay: the audit finds run on a fork of the end store (``Leaf.audits``,
-through ``audit_finds`` as in ``audited_history``), and the order gives
-the intervals.  Each part is decided once per value of the signature's parts
-it reads: the audit finds once per end store, local serializability once
-per (operations with their traces and responses, end store), and
-linearizability once per signature, since only it reads the order.
-Unsynchronized leaves never abort or restart, which it does not cover; it
-raises if one does.
+its local serializability; the store decides the audit finds, which run
+alone afterwards; the workload fixes the rest.  Real time enters only
+linearizability, and only as the precedence relation (Herlihy & Wing):
+``checkers.linearize`` places an operation once every operation that
+precedes it is placed.  Local serializability and the audit finds read no
+order.  So the verdict needs no replay: the audit finds run on a fork of
+the end store (``Leaf.audits``, through ``audit_finds`` as in
+``audited_history``), each after every concurrent operation and every
+earlier find.  Each part is decided once per value of the signature's
+parts it reads: the audit finds once per end store, local
+serializability once per (operations with their traces and responses,
+end store), and linearizability once per signature, since only it reads
+the precedence.  Unsynchronized leaves never abort or restart, which it
+does not cover; it raises if one does.
 Each operation's trace is read off its unsynchronized machine: the reads
 are the records G_op holds, in visit order, and the writes are the plan's
 first ``write_idx`` patches (an unsynchronized machine reads, then plans,
 then writes, and every read is of a node not read before).  The store's
 ``canonical()`` is memoized in a cell a fork shares until either side
 changes the store.  The walk asks for a leaf's verdict once per (leaf
-configuration, invocation/response order) node (the counts below), so a
-signature is built once per node and needs no memo of its own: 6-18 times
-in an ``lsl_set`` pass over a Thm. 2 workload.
+configuration, precedence) node (the counts below), so a signature is
+built once per node and needs no memo of its own: 3-6 times in an
+``lsl_set`` pass over a Thm. 2 workload.
 
 Count, don't enumerate.  Every number a report gives is a count, so the
 walk counts leaves by category and enumerates only those its caller
 wants (``walk``):
 
-* Counts per (configuration, order) node are exact.  A leaf's category is
-  (the implementations accepting it, its LSL verdict or None).  An
-  implementation accepts a leaf iff it is still in the leaf
+* Counts per (configuration, precedence) node are exact.  A leaf's
+  category is (the implementations accepting it, its LSL verdict or
+  None).  An implementation accepts a leaf iff it is still in the leaf
   configuration's key, and the verdict is a function of the signature,
-  which is a function of the end configuration and the order.  The order
-  of a leaf below a node is the node's order followed by the pieces of
-  the edges taken, so the counts below (configuration, order) are the sum
-  over its out-edges of the counts below (child, order + piece).  Each
-  node is summed once, when its last edge is done; a leaf node asks for
-  its verdict once.  Without a verdict the order is left out of the node.
+  which is a function of the end configuration and the precedence.  Only
+  an invocation edge adds to the precedence: invoking operation b adds
+  (a, b) for each operation a whose unsynchronized machine has finished
+  in the parent configuration, a function of that configuration.  So the
+  precedence of a leaf below a node is the node's relation joined with
+  the pairs of the edges taken, and the counts below (configuration,
+  relation) are the sum over its out-edges of the counts below (child,
+  relation | pairs).  Each node is summed once, when its last edge is
+  done; a leaf node asks for its verdict once.  Without a verdict the
+  relation is left out of the node.
 * The counted descent.  The first B leaves in trie order are counted by a
   descent that takes a node whole when its counts are known and fit in
   what is left of B, and descends edge by edge into any other node.  It
@@ -186,7 +193,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Iterator
 
-from .model import (COMPLETE, OI, OR, History, InvariantError,
+from .model import (COMPLETE, OI, History, InvariantError,
                     OperationInstance, Schedule, Slot, complete, schedule_of,
                     slot_of)
 from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
@@ -446,12 +453,10 @@ _REC_FIELDS = frozenset(("nid", "key", "val", "edges", "alive"))
 _LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
 _OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response"))
 _OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
-_OPERATION_FIELDS = frozenset(("name", "key", "val"))
-_OPERATION_LAYOUT = itemgetter(*sorted(_OPERATION_FIELDS))
 _GOP_FIELDS = frozenset(("recs", "order"))
 _PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
-_MACHINE_FIELDS = frozenset(("def_", "op", "operation", "attempt", "invoked",
-                             "finished", "gop", "plan", "write_idx"))
+_MACHINE_FIELDS = frozenset(("def_", "op", "attempt", "invoked", "finished",
+                             "gop", "plan", "write_idx"))
 _MACHINE_LAYOUT = itemgetter("attempt", "invoked", "finished", "write_idx")
 _STM_FIELDS = _MACHINE_FIELDS | {"read_set"}
 
@@ -521,7 +526,7 @@ def _plan_key(plan: UpdatePlan) -> tuple:
 
 def _step_machine_key(d: dict) -> tuple:
     """The fields every machine has but ``def_``, by position: its
-    operation (``op``), ``operation`` and the scalar fields in one tuple;
+    operation (``op``) and the scalar fields in one tuple;
     G_op's records in visit order; the plan.  ``Gop.visit`` keeps G_op's
     order and records in step (it raises on a node G_op holds), and a
     record's key holds its node, so the records in order are the whole of
@@ -530,7 +535,6 @@ def _step_machine_key(d: dict) -> tuple:
     recs = gop["recs"]
     plan = d["plan"]
     return (_scalars(_OP_LAYOUT(_exact_fields(d["op"], _OP_FIELDS))
-                     + _OPERATION_LAYOUT(_exact_fields(d["operation"], _OPERATION_FIELDS))
                      + _MACHINE_LAYOUT(d)),
             tuple([_rec_key(recs[n]) for n in gop["order"]]),
             None if plan is None else _plan_key(plan))
@@ -597,7 +601,7 @@ class Leaf:
     schedule, which every schedule that ends in it shares: read them,
     change nothing.  The schedule and its digest are built on first use;
     the signature is built at each call, which the walk makes once per
-    (end configuration, order) node."""
+    (end configuration, precedence) node."""
 
     slots: tuple[Slot, ...]
     pieces: tuple[bytes, ...]  # the slots' digest JSON, comma-led but the first
@@ -605,7 +609,8 @@ class Leaf:
     rejected: dict[str, tuple[str, int]]
     machines: dict[int, StepMachine]  # the unsynchronized ones, by process
     state: DagState  # the store at the end of the schedule
-    order: tuple  # (operation id, OI or OR) per invocation and response
+    # (a, b): operation a responded before operation b was invoked
+    precedence: frozenset[tuple[int, int]]
     # (the implementations accepting, the LSL verdict or None), set by the walk
     category: tuple | None = None
     _schedule: Schedule | None = field(default=None, init=False, repr=False)
@@ -629,23 +634,20 @@ class Leaf:
     def signature(self) -> tuple:
         """All that the LSL verdict of the leaf's audited history depends
         on, for one workload: (operation id, status, response, canonical
-        trace) per operation in invocation order, the invocation/response
-        order, and the store's ``canonical()`` (why it is exact, and how
-        the traces are read off the machines: the module docstring).  The
-        verdict is decided from it, the order and ``audits`` (``metric``).
-        Raises InvariantError on an aborted operation or a restarted
-        attempt, which it does not cover."""
-        by_op = {}
-        for m in self.machines.values():
+        trace) per operation in id order, the precedence relation, and the
+        store's ``canonical()`` (why it is exact, and how the traces are
+        read off the machines: the module docstring).  The verdict is
+        decided from it and ``audits`` (``metric``).  Raises InvariantError
+        on an aborted operation or a restarted attempt, which it does not
+        cover."""
+        ms = sorted(self.machines.values(), key=lambda m: m.op.id)
+        for m in ms:
             if m.attempt != 0 or m.op.status != COMPLETE:
                 raise InvariantError(f"leaf has an abort or a restart: "
                                      f"{m.op.describe()} attempt {m.attempt} "
                                      f"{m.op.status}")
-            by_op[m.op.id] = m
-        return (tuple([(i, by_op[i].op.status, by_op[i].op.response,
-                        _trace(by_op[i]))
-                       for i, kind in self.order if kind == OI]),
-                self.order, self.state.canonical())
+        return (tuple([(m.op.id, m.op.status, m.op.response, _trace(m)) for m in ms]),
+                self.precedence, self.state.canonical())
 
     def audits(self, w: Workload) -> list[tuple[OperationInstance, tuple]]:
         """(operation, canonical trace) of each audit find of the leaf's
@@ -668,13 +670,14 @@ def _trace(m: StepMachine) -> tuple:
 class _Config:
     """A node of the walk: one configuration, reached by one or more
     schedule prefixes of length `depth`, with its key.  Its out-edges, one
-    per live process in process order, are (slot, digest piece, order
-    piece, child, rejections) and are stepped the first time the walk takes
-    them; after the last one the configuration's worlds belong to its
-    children, except at a leaf, which keeps them and the implementations
-    still accepting there.  `counts` maps an invocation/response order to
-    the category counts below (``walk``); a leaf's verdict is asked for
-    when its order's counts are first made, so no signature memo is kept."""
+    per live process in process order, are (slot, digest piece, the
+    precedence pairs the step adds, child, rejections) and are stepped the
+    first time the walk takes them; after the last one the configuration's
+    worlds belong to its children, except at a leaf, which keeps them and
+    the implementations still accepting there.  `counts` maps a precedence
+    relation to the category counts below (``walk``); a leaf's verdict is
+    asked for when its relation's counts are first made, so no signature
+    memo is kept."""
 
     __slots__ = ("depth", "key", "live", "world", "machines", "runs", "edges",
                  "accepting", "counts")
@@ -730,9 +733,12 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
     if piece is None:
         piece = pieces[slot] = b"," + json.dumps(
             slot.canon(), separators=(",", ":")).encode()
-    io = ((machines[proc].op.id, slot.kind),) if slot.kind == OI or slot.kind == OR \
-        else ()
-    node.edges.append((slot, piece if idx else piece[1:], io, child, rejections))
+    # an invocation follows every operation finished before it; no other
+    # step adds to the precedence
+    b = machines[proc].op.id
+    pairs = frozenset([(m.op.id, b) for p, m in machines.items()
+                       if slot.kind == OI and p not in node.live])
+    node.edges.append((slot, piece if idx else piece[1:], pairs, child, rejections))
     if last:
         node.world = node.machines = node.runs = None
 
@@ -761,47 +767,47 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     yields, in that order, each of them whose category satisfies `wanted`
     (every one for None).  A category is (the implementations of `impls`
     still accepting, ``verdict(leaf)`` or None without `verdict`); it is a
-    function of the (configuration, invocation/response order) node the
-    leaf ends in, and so are the counts below any node.  The order is left
-    out of a node when there is no verdict.  The counted descent: the
-    module docstring."""
+    function of the (configuration, precedence relation) node the leaf ends
+    in, and so are the counts below any node.  The relation is left out of
+    a node when there is no verdict.  The counted descent: the module
+    docstring."""
     world, machines, _ = build_world("unsync", w)
     runs = {impl: build_world(impl, w)[:2] for impl in impls}
     key = _config_key(world, machines, runs)
     root = _Config(0, key, world, machines, runs)
     memo = {key: root}
-    by_order = verdict is not None
+    by_prec = verdict is not None
     counts = tally.counts
     pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
     slots: list[Slot] = []  # the path's slots and digest pieces
     texts: list[bytes] = []
     # leaves the budget still takes; None: no budget
     left = None if budget is None else max(budget, 0)
-    stack = []  # [configuration, order, rejections, counts key, next edge]
-    entering = (root, (), {})
+    stack = []  # [configuration, precedence, rejections, counts key, next edge]
+    entering = (root, frozenset(), {})
     if left == 0:  # every universe holds a schedule
         tally.partial = True
         entering = None
     while True:
         if entering is not None:
-            node, order, rejected = entering
+            node, prec, rejected = entering
             entering = None
-            okey = order if by_order else ()
-            known = node.counts.get(okey)
+            pkey = prec if by_prec else frozenset()
+            known = node.counts.get(pkey)
             if known is not None and not known[2] and (left is None or known[1] <= left):
                 for cat, n in known[0].items():
                     counts[cat] = counts.get(cat, 0) + n
                 if left is not None:
                     left -= known[1]
             elif not node.live:
-                # a leaf: the first visit of (node, order) classifies it
+                # a leaf: the first visit of (node, precedence) classifies it
                 leaf = None
                 if known is None or known[2]:
                     leaf = Leaf(tuple(slots), tuple(texts), rejected,
-                                node.machines, node.world.state, order)
+                                node.machines, node.world.state, prec)
                 if known is None:
                     cat = (node.accepting, None if verdict is None else verdict(leaf))
-                    known = node.counts[okey] = ({cat: 1}, 1,
+                    known = node.counts[pkey] = ({cat: 1}, 1,
                                                  wanted is None or wanted(cat))
                 cat, = known[0]
                 counts[cat] = counts.get(cat, 0) + 1
@@ -811,11 +817,11 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                     leaf.category = cat
                     yield leaf
             else:
-                stack.append([node, order, rejected, okey, 0])
+                stack.append([node, prec, rejected, pkey, 0])
         if not stack:
             break
         frame = stack[-1]
-        node, order, rejected, okey, i = frame
+        node, prec, rejected, pkey, i = frame
         if i < len(node.live):
             if left == 0:  # a leaf beyond the budget lies below this edge
                 tally.partial = True
@@ -823,20 +829,21 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
             frame[4] = i + 1
             if i == len(node.edges):
                 _expand(node, memo, pieces)
-            slot, piece, io, child, rejections = node.edges[i]
+            slot, piece, pairs, child, rejections = node.edges[i]
             del slots[node.depth:], texts[node.depth:]
             slots.append(slot)
             texts.append(piece)
-            entering = (child, order + io,
+            entering = (child, prec | pairs if pairs else prec,
                         {**rejected, **rejections} if rejections else rejected)
             continue
         stack.pop()
-        if okey not in node.counts:
+        if pkey not in node.counts:
             acc: dict[tuple, int] = {}
-            for _, _, io, child, _ in node.edges:
-                for cat, n in child.counts[order + io if by_order else ()][0].items():
+            for _, _, pairs, child, _ in node.edges:
+                below = child.counts[pkey | pairs if pairs and by_prec else pkey]
+                for cat, n in below[0].items():
                     acc[cat] = acc.get(cat, 0) + n
-            node.counts[okey] = (acc, sum(acc.values()),
+            node.counts[pkey] = (acc, sum(acc.values()),
                                  wanted is None or any(wanted(c) for c in acc))
 
 

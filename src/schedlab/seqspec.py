@@ -274,7 +274,9 @@ class UpdatePlan:
 class SearchStructureDef:
     """One concrete search structure: layout, traverse, insert and delete
     functions.  Subclasses provide the structure-specific pieces; the
-    traverse protocol (visit nodes until the op can decide) is shared."""
+    traverse protocol (visit nodes until the op can decide) is shared.
+    ``tau`` and ``plan_update`` read only an operation's name, key and
+    val, so a machine passes its ``OperationInstance``."""
 
     name: str
 

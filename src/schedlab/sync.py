@@ -47,8 +47,7 @@ from dataclasses import dataclass, field
 
 from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
                     RR, WI, WR, OperationInstance)
-from .seqspec import (DagState, Gop, Operation, SearchStructureDef, UpdatePlan,
-                      node_token)
+from .seqspec import DagState, Gop, SearchStructureDef, UpdatePlan, node_token
 
 FREE, SHARED, EXCLUSIVE = "free", "shared", "exclusive"
 
@@ -190,7 +189,6 @@ class StepMachine:
     def __init__(self, def_: SearchStructureDef, op: OperationInstance, attempt: int = 0):
         self.def_ = def_
         self.op = op
-        self.operation = Operation(op.name, op.key, op.val)
         self.attempt = attempt
         self.invoked = False
         self.finished = False
@@ -206,10 +204,10 @@ class StepMachine:
         if not self.invoked:
             return self._invoke(world)
         if self.plan is None:
-            nxt = self.def_.tau(self.operation, self.gop, world.state.root)
+            nxt = self.def_.tau(self.op, self.gop, world.state.root)
             if nxt is not None:
                 return self._read(world, nxt)
-            self.plan = self.def_.plan_update(self.operation, self.gop, world.state)
+            self.plan = self.def_.plan_update(self.op, self.gop, world.state)
         if self.write_idx < len(self.plan.writes):
             return self._write(world)
         return self._respond(world)
@@ -299,7 +297,7 @@ class HohMachine(StepMachine):
 
     @property
     def is_update(self) -> bool:
-        return self.operation.name in ("insert", "delete")
+        return self.op.name in ("insert", "delete")
 
     def _held_shared(self, world) -> int:
         """The node an invoked find holds shared: the last one G_op read,
@@ -322,12 +320,12 @@ class HohMachine(StepMachine):
             return not locks.can_acquire(world.state.root, mode, holder)
         plan = self.plan
         if plan is None:
-            nxt = self.def_.tau(self.operation, self.gop, world.state.root)
+            nxt = self.def_.tau(self.op, self.gop, world.state.root)
             if nxt is not None:
                 return (not self.is_update and nxt != self._held_shared(world)
                         and not locks.can_acquire(nxt, SHARED, holder))
             # plan_update allocates the nodes an insert adds
-            plan = self.def_.plan_update(self.operation, self.gop,
+            plan = self.def_.plan_update(self.op, self.gop,
                                          world.state.clone())
         if self.write_idx == 0 and plan.writes:
             # acquire_all succeeds iff every target is available now

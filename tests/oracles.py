@@ -10,7 +10,9 @@ an operation's solo step list, the schedule walk that steps every prefix
 replay's events, and the checkers that scan every event once per
 operation with no cache.  A few small helpers only tests call live here
 too: history projections and comparisons (`render_json`,
-`project_process`, `restrict_to_operation`, `precedes`), store and lock
+`project_process`, `restrict_to_operation`, `precedes`), real time as
+intervals (`op_intervals`, and `interval_precedence`, the pairs they
+order), store and lock
 audits (`reachable`, `alive_keys`, `lock_audit`, `release_holder`), a
 key's relevant set and graph, `scenario_path`, `ALL_IMPLS` (every
 implementation name) and `schedule_trie`, the library's walk with every
@@ -31,7 +33,7 @@ from importlib import resources
 from schedlab.checkers import (STRICT_CAP, CheckResult, _default_apply,
                                _dependency_cycle, _prefix_witness, _Replay,
                                abstract_state, check_ls_linearizable,
-                               linearize, op_intervals)
+                               linearize, precedence)
 from schedlab.model import (ABORTED, COMPLETE, OI, OR, RI, RR, WI, WR, Event,
                             History, InvariantError, OperationInstance,
                             Schedule, Slot, slot_of, trim_aborted)
@@ -53,6 +55,26 @@ def scenario_path(name: str) -> str:
 
 
 # -- linearizability ----------------------------------------------------------
+
+
+def op_intervals(h: History) -> dict[int, tuple[int, float]]:
+    """op id -> (invocation seq, response seq or +inf): the real-time order
+    as intervals, where the library keeps it as pairs
+    (``checkers.precedence``)."""
+    inv: dict[int, int] = {}
+    resp: dict[int, int] = {}
+    for e in h.events:
+        if e.kind == OI:
+            inv.setdefault(e.op, e.seq)
+        elif e.kind == OR and not e.is_abort():
+            resp.setdefault(e.op, e.seq)
+    return {i: (inv[i], resp.get(i, float("inf"))) for i in h.ops if i in inv}
+
+
+def interval_precedence(iv: dict[int, tuple]) -> frozenset[tuple[int, int]]:
+    """The pairs (a, b) whose intervals put a's response before b's
+    invocation."""
+    return frozenset((a, b) for a in iv for b in iv if iv[a][1] < iv[b][0])
 
 
 def naive_linearizable(h: History) -> bool:
@@ -136,11 +158,12 @@ def check_compositionality(composed, defs, keys: tuple[int, ...]) -> CheckResult
     # the product of the two dictionaries is one dictionary over keys
     # tagged by part: key k of part s is (s, k)
     hx = merged.exported()
+    iv = op_intervals(hx)
     ops = {i: replace(o, key=(int(i in second), o.key))
-           for i, o in hx.ops.items() if o.status != ABORTED}
+           for i, o in hx.ops.items() if i in iv and o.status != ABORTED}
     q0 = frozenset(((side, k), v) for side, h in enumerate(parts)
                    for k, v in abstract_state(h.initial).items())
-    return linearize(ops, op_intervals(hx), q0)
+    return linearize(ops, precedence(hx), q0)
 
 
 # -- histories ----------------------------------------------------------------
@@ -567,25 +590,24 @@ def prefix_walk(w: Workload, impls: tuple[str, ...] = ()):
 def events_signature(world: World, start: int) -> tuple:
     """``Leaf.signature`` rebuilt from the events of a world that ran a
     schedule: each concurrent operation's id, status, response and
-    canonical read/write trace; the order of the invocations and
-    responses; the final store's reachable part.  Raises InvariantError on
-    an abort event or a restarted attempt."""
+    canonical read/write trace, in id order; the precedence relation of
+    the operations' intervals; the final store's reachable part.  Raises
+    InvariantError on an abort event or a restarted attempt."""
     traces: dict[int, list[tuple]] = {}
-    order = []
     for e in world.events[start:]:
         if e.attempt != 0 or e.is_abort():
             raise InvariantError(f"leaf history has an abort or a restart: {e}")
-        if e.kind in (OI, OR):
-            order.append((e.op, e.kind))
-            traces.setdefault(e.op, [])
+        if e.kind == OI:
+            traces[e.op] = []
         elif e.kind == RR:
             traces[e.op].append(("r", e.nid, e.value))
         elif e.kind == WI:
             traces[e.op].append(("w", e.nid, e.value["edges"]))
     ops = world.ops
-    return (tuple((i, ops[i].status, ops[i].response, canonical_steps(t))
-                  for i, t in traces.items()),
-            tuple(order), world.state._canonical_bfs())
+    iv = op_intervals(History(world.events[start:], ops))
+    return (tuple((i, ops[i].status, ops[i].response, canonical_steps(traces[i]))
+                  for i in sorted(traces)),
+            interval_precedence(iv), world.state._canonical_bfs())
 
 
 def leaf_signature(w: Workload, leaf) -> tuple:
@@ -684,7 +706,7 @@ def check_strictly_serializable(h: History) -> CheckResult:
 
     if dfs([], _Replay(hx.initial)):
         return CheckResult(True, witness=[(i, hx.ops[i].describe()) for i in found])
-    cycle = _dependency_cycle(hx, comp, traces, iv)
+    cycle = _dependency_cycle(hx, comp, traces, interval_precedence(iv))
     return CheckResult(False, violation=cycle,
                        reason="no real-time-respecting legal permutation")
 

@@ -157,37 +157,50 @@ def skiplist_scenario(tmp_path, structure=None, **concurrent):
     return p, doc
 
 
-@pytest.mark.parametrize("structure, concurrent, message", [
-    ({}, {"proc": "a"}, "proc must be an integer"),
-    ({}, {"proc": True}, "proc must be an integer"),
-    ({}, {"key": True}, "key must be a natural number"),
-    ({"max_level": "3"}, {}, "structure max_level must be a positive integer: '3'"),
-    ({"max_level": 0}, {}, "structure max_level must be a positive integer: 0"),
-    ({"max_level": True}, {}, "structure max_level must be a positive integer"),
-    ({"seed": "x"}, {}, "structure seed must be an integer: 'x'"),
-    ({"seed": 1.5}, {}, "structure seed must be an integer: 1.5"),
-    ({"name": "bst", "max_level": 2}, {}, "only the skiplist takes max_level and seed"),
-    ({"name": "sorted-list", "seed": 5}, {},
+@pytest.mark.parametrize("structure, concurrent, top, message", [
+    ({}, {"proc": "a"}, {}, "proc must be an integer"),
+    ({}, {"proc": True}, {}, "proc must be an integer"),
+    ({}, {"key": True}, {}, "key must be a natural number"),
+    ({"max_level": "3"}, {}, {}, "structure max_level must be a positive integer: '3'"),
+    ({"max_level": 0}, {}, {}, "structure max_level must be a positive integer: 0"),
+    ({"max_level": True}, {}, {}, "structure max_level must be a positive integer"),
+    ({"seed": "x"}, {}, {}, "structure seed must be an integer: 'x'"),
+    ({"seed": 1.5}, {}, {}, "structure seed must be an integer: 1.5"),
+    ({"name": "bst", "max_level": 2}, {}, {},
      "only the skiplist takes max_level and seed"),
-    ({"name": "bst", "max_level": 2, "seed": 5}, {},
+    ({"name": "sorted-list", "seed": 5}, {}, {},
      "only the skiplist takes max_level and seed"),
+    ({"name": "bst", "max_level": 2, "seed": 5}, {}, {},
+     "only the skiplist takes max_level and seed"),
+    ({}, {}, {"bugdet": 5}, "unknown scenario field 'bugdet'"),
+    ({"max_levels": 2}, {}, {}, "unknown structure field 'max_levels'"),
+    ({}, {"vaule": 7}, {}, "unknown operation field 'vaule'"),
+    ({}, {}, {"setup": [{"op": "insert", "key": 2, "proc": 3}]},
+     "unknown operation field 'proc'"),
 ], ids=["proc-str", "proc-bool", "key-bool", "max_level-str", "max_level-0",
         "max_level-bool", "seed-str", "seed-float", "bst-max_level",
-        "sorted-list-seed", "bst-max_level-seed"])
+        "sorted-list-seed", "bst-max_level-seed", "bugdet", "max_levels", "vaule",
+        "setup-proc"])
 def test_explore_rejects_a_malformed_field(tmp_path, capsys, structure, concurrent,
-                                           message):
+                                           top, message):
     """A process or key that is no int, or a bool, a structure object's
-    max_level that is no positive int or seed that is no int, and a
-    max_level or seed on a structure other than the skiplist, which would
-    be dropped: an input error, not a traceback or a report about process
-    or key True or about a structure that ignored a field."""
+    max_level that is no positive int or seed that is no int, a max_level
+    or seed on a structure other than the skiplist, which would be dropped,
+    and a field the scenario, its structure object or an operation does not
+    take (only a concurrent one names its process), which would run with
+    its default: an input error from either
+    command, not a traceback or a report about process or key True or
+    about a structure that ignored a field."""
     p, doc = skiplist_scenario(tmp_path, structure, **concurrent)
+    doc.update(top)
+    p.write_text(json.dumps(doc))
     with pytest.raises(ScenarioError, match=message):
         parse_scenario(doc)
-    assert main(["explore", str(p)]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+    for command in ("run", "explore"):
+        assert main([command, str(p)]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fields, message", [

@@ -1,7 +1,7 @@
 """The counted walk against a leaf-by-leaf enumeration.
 
 `scheduler.walk` counts leaves per category over (configuration,
-invocation/response order) nodes and enumerates only the leaves a report
+precedence relation) nodes and enumerates only the leaves a report
 names.  Every count it gives, every `ScheduleSet` that `classify`,
 `accepted_set` and `lsl_set` build from it, and every `optimality_gap`
 (witnesses included) must equal what a leaf-by-leaf enumeration of the
@@ -14,8 +14,9 @@ tested against unmemoized checks in `test_trie.py`.
 The workloads: criterion 4's sweep, the six Thm. 2 instances, Thm. 3 cut
 at 2000 schedules, and the BST witness setup {1, 2, 5}, `delete(1)` ∥
 `find(5)` ∥ `insert(1)` cut at 3000 (`hoh` accepts 552 of its schedules).
-The three soundness witnesses' whole universes are counted against pinned
-figures, the largest universes the suite walks.
+The three soundness witnesses' whole universes and two 4-op universes
+(up to 403,865,862,526 schedules) are counted against pinned figures, the
+largest universes the suite walks.
 """
 
 import itertools
@@ -159,25 +160,30 @@ def test_counted_walk_on_the_bst_witness():
     assert assert_counted_walk_equals_enumeration(w, limit=3000) == 3001
 
 
-# the soundness witnesses, whole: (structure, setup, concurrent operations)
-# -> total and, per implementation, (accepted, accepted but not LSL)
-SOUNDNESS_WITNESSES = {
+# universes counted whole: (structure, setup, concurrent operations) ->
+# total and, per implementation, (accepted, accepted but not LSL)
+WHOLE_UNIVERSES = {
     ("skiplist", (3, 4), (("find", 4), ("insert", 5))): (3003, (63, 6), (1613, 238)),
     ("bst", (3, 4, 5), (("delete", 3), ("find", 4), ("insert", 2))):
         (1410159, (101, 1), (65228, 4200)),
     ("bst", (1, 2, 5), (("delete", 1), ("find", 5), ("insert", 1))):
         (701218, (552, 1), (197552, 0)),
+    ("sorted-list", (1,), (("insert", 4), ("delete", 1), ("insert", 1), ("find", 4))):
+        (10664898618, (1013, 0), (90876446, 0)),
+    ("bst", (2, 4), (("insert", 3), ("delete", 2), ("find", 3), ("insert", 1))):
+        (403865862526, (1416, 73), (1118610501, 69012405)),
 }
 
 
-@pytest.mark.parametrize("witness", SOUNDNESS_WITNESSES,
-                         ids=["skiplist", "bst-345", "bst-125"])
+@pytest.mark.parametrize("witness", WHOLE_UNIVERSES,
+                         ids=["skiplist", "bst-345", "bst-125", "sorted-list-1",
+                              "bst-24"])
 def test_soundness_witness_universes_counted_whole(witness):
-    """Each soundness witness's whole universe, counted under `hoh` and
-    `stm` with LSL verdicts (skiplist heights 3, 1, 3 for keys 3, 4, 5).
-    The counts pin the largest universes the suite keys and the open
-    soundness holes: an accepted schedule that is not LSL.  No verdict is
-    inconclusive."""
+    """Whole universes, counted under `hoh` and `stm` with LSL verdicts
+    (skiplist heights 3, 1, 3 for keys 3, 4, 5): the soundness witnesses,
+    whose counts pin the open soundness holes (an accepted schedule that
+    is not LSL), and two 4-op universes, the largest the suite counts, of
+    which the BST's is a witness too.  No verdict is inconclusive."""
     structure, setup, ops = witness
     w = Workload(make_structure(structure), [Operation("insert", k) for k in setup],
                  [(p, Operation(name, key)) for p, (name, key) in enumerate(ops, 1)])
@@ -187,7 +193,7 @@ def test_soundness_witness_universes_counted_whole(witness):
     assert (tally.total,
             *((tally.count(lambda cat: impl in cat[0]),
                tally.count(lambda cat: impl in cat[0] and cat[1] is not True))
-              for impl in IMPLS)) == SOUNDNESS_WITNESSES[witness]
+              for impl in IMPLS)) == WHOLE_UNIVERSES[witness]
 
 
 def test_an_inconclusive_verdict_is_counted_as_the_reference():

@@ -7,13 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
                             complete, schedule_of)
-from schedlab.checkers import op_intervals
+from schedlab.checkers import precedence
 from schedlab.scheduler import Workload, drive, free_run
 from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import World
 
-from oracles import (precedes, project_process, restrict_to_operation,
-                     sequential_run, well_formed)
+from oracles import (op_intervals, precedes, project_process,
+                     restrict_to_operation, sequential_run, well_formed)
 
 
 def kinds_and_elems(events):
@@ -171,7 +171,9 @@ def test_exported_drops_abort_events(fig2b_case):
 def test_precedes_skips_abort_responses():
     """An aborted attempt's abort response is no response of its
     operation, as in ``op_intervals``: at seed 66 op 1's first attempt
-    aborts before op 3 is invoked, and op 1 responds only after it."""
+    aborts before op 3 is invoked, and op 1 responds only after it.  On
+    each run's exported history, ``checkers.precedence`` orders exactly
+    the pairs whose intervals are ordered."""
     w = Workload(make_structure("sorted-list"), [Operation("insert", 1)],
                  [(1, Operation("insert", 2)), (2, Operation("delete", 1)),
                   (3, Operation("insert", 3))])
@@ -183,6 +185,10 @@ def test_precedes_skips_abort_responses():
         iv = op_intervals(h)
         assert all(precedes(h, a, b) == (iv[a][1] < iv[b][0])
                    for a in h.ops for b in h.ops if a != b)
+        hx = h.exported()
+        iv = op_intervals(hx)
+        assert precedence(hx) == {(a, b) for a in iv for b in iv
+                                  if iv[a][1] < iv[b][0]}
 
 
 def test_emitted_event_is_a_frozen_event():

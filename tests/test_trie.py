@@ -12,7 +12,7 @@ The walk over the DAG of configurations must match the per-prefix walk
 configurations, and its configuration key must hold every field a step
 reads.  The key each edge builds from its parent's must equal the key
 computed from scratch, and a leaf signature is built once per end
-configuration and invocation/response order.  An LSL pass runs the audit
+configuration and precedence relation.  An LSL pass runs the audit
 finds once per end store and checks local serializability once per
 (concurrent units, end store), and matches the reference on soundness
 witnesses where local serializability fails.  Forks share records and
@@ -180,7 +180,7 @@ def test_lsl_set_decides_each_part_once_per_what_it_reads(monkeypatch, structure
                                                           instance):
     """An ``lsl_set`` pass runs the audit finds once per end store and
     checks local serializability once per (concurrent units, end store):
-    on a Thm. 2 workload, whose 6 or 14 signatures share one end store and
+    on a Thm. 2 workload, whose 3 or 5 signatures share one end store and
     1 or 3 unit sets, that is one audit and 1 or 3 unit checks."""
     w = getattr(thm2_bundle(make_structure(structure)), instance)
     sigs = {leaf.signature() for leaf in schedule_trie(w)}
@@ -203,7 +203,7 @@ def test_lsl_set_decides_each_part_once_per_what_it_reads(monkeypatch, structure
     monkeypatch.setattr(scheduler, "audit_finds", counting_audit)
     monkeypatch.setattr(metric, "unit_checker", counting_checker)
     metric.lsl_set(w)
-    assert len(sigs) in (6, 14)
+    assert len(sigs) in (3, 5)
     assert len({store for _, _, store in sigs}) == len(audits) == 1
     assert len(set(checked)) == len(checked) == len(local_keys) in (1, 3)
 
@@ -460,7 +460,6 @@ LOCK_CHANGES = {
 MACHINE_CHANGES = {
     "def_": None,  # the walk's one structure
     "op": lambda m: setattr(m, "op", dataclasses.replace(m.op, response="x")),
-    "operation": lambda m: setattr(m, "operation", Operation("delete", 9)),
     "attempt": lambda m: setattr(m, "attempt", changed(m.attempt)),
     "invoked": lambda m: setattr(m, "invoked", changed(m.invoked)),
     "finished": lambda m: setattr(m, "finished", changed(m.finished)),
@@ -726,20 +725,20 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
 def test_signature_built_once_per_configuration_and_order(monkeypatch, structure,
                                                           instance):
     """``lsl_set`` builds a leaf signature once per end configuration and
-    invocation/response order, not once per leaf: 6 or 18 of them for the
+    precedence relation, not once per leaf: 3 or 6 of them for the
     924-3432 leaves of a Thm. 2 workload."""
     w = getattr(thm2_bundle(make_structure(structure)), instance)
     signature = scheduler.Leaf.signature
     built = []
 
     def counting(leaf):
-        built.append((id(leaf.machines), leaf.order))
+        built.append((id(leaf.machines), leaf.precedence))
         return signature(leaf)
 
     monkeypatch.setattr(scheduler.Leaf, "signature", counting)
     ss = metric.lsl_set(w)
     assert ss.total in (924, 3264, 3432)
-    assert len(built) == {"w_present": 6, "w_absent": 18}[instance]
+    assert len(built) == {"w_present": 3, "w_absent": 6}[instance]
     assert len(set(built)) == len(built)
 
 

@@ -326,11 +326,15 @@ def check_strictly_serializable(h: History) -> CheckResult:
     history with more than ``STRICT_CAP`` complete operations is
     inconclusive."""
     hx = h.exported()
+    return _strictly_serializable(hx, _op_traces(hx))
+
+
+def _strictly_serializable(hx: History, op_traces: dict[int, list[tuple]]) -> CheckResult:
+    """``check_strictly_serializable`` of an exported history and its traces."""
     comp = sorted(i for i, o in hx.ops.items() if o.is_complete())
     if len(comp) > STRICT_CAP:
         return CheckResult(None, reason=f"more than {STRICT_CAP} complete operations")
     prec = precedence(hx)
-    op_traces = _op_traces(hx)
     traces = {i: op_traces.get(i, []) for i in comp}
 
     found: list[int] = []
@@ -456,11 +460,12 @@ def check_safe_strict(h: History) -> CheckResult:
     attempt completed the operation.  Condition (2) searches subsets of
     the complete operations, which condition (1) has already capped at
     ``STRICT_CAP``."""
-    strict = check_strictly_serializable(h)
+    hx = h.exported()
+    hx_traces = _op_traces(hx)
+    strict = _strictly_serializable(hx, hx_traces)
     if strict.verdict is not True:
         return CheckResult(strict.verdict, violation=strict.violation,
                            reason=strict.reason or "condition (1) fails")
-    hx_traces = _op_traces(h.exported())
     or_seq = {e.op: e.seq for e in h.events
               if e.kind == OR and not e.is_abort()}
     index = _attempt_index(h)

@@ -35,52 +35,60 @@ the step, each implementation's verdict on it) are computed the first
 time the walk takes them.  An explicit stack DFS over that DAG carries
 each prefix's slots, digest pieces, rejections and precedence relation.
 
-* The key is exact by construction.  It holds every field a step reads: the
-  store (records by value, ``root``, ``tail``, ``counter``), the lock
-  tables with their queues, the versions, and every machine field but the
-  structure definition ``def_``, which the whole walk shares: the operation
-  (status and response included), G_op, the plan, ``write_idx``,
-  ``attempt`` and ``stm``'s read set.  A machine keeps no field that is a
-  function of the others: ``hoh``'s held locks follow from its operation,
-  G_op, plan and ``write_idx`` and the store's root, and ``stm`` commits
-  its plan's writes.  It holds the same for each implementation still
-  accepting.  It leaves out the execution record, the events and ``seq``:
-  no step reads it, and the walk reads only the events of the step it just
-  took.  It leaves out the world's ``ops`` too: each concurrent operation
-  is the same object as its machine's ``op`` (``_spawn`` puts it in both,
-  and a fork gives the machine the fork's copy), which is keyed with the
-  machine, and the setup's operations are complete and the same for the
-  whole walk.  It holds no traces: an operation's raw read/write trace is a
-  function of its unsynchronized machine's G_op records, plan and
-  ``write_idx``.  Memo cells (``DagState``'s cell of ``canonical()`` and of
-  its own key, the key cached on each record, which never changes) are left
-  out as well.  One rule keys every part: a declared field set, laid out
-  by position.  A world is its store, lock tables and versions
-  (``_world_key``); the store is its root, tail and counter, then each
-  record (``_store_layout``); a record is its node, key, value and
-  liveness, then its edges flat (``_rec_key``); a machine is its class and
-  the fields of its class, with its operation, G_op (its records in visit
-  order) and plan inline (``_machine_key``).  An attribute outside a
-  declared set raises, and so does a laid-out value that is not a scalar
-  or None.  The lock tables and version counters are keyed sorted by
-  node, empty holder sets and queues dropped, since they are only read by
-  node with an empty default.
+* The key holds every field a step reads that the machines and the store
+  do not determine, in the unsynchronized world and in each
+  implementation still accepting: the store (records by value, ``root``,
+  ``tail``, ``counter``) and each machine's ``invoked``, ``finished``,
+  ``write_idx``, G_op, plan and ``stm``'s read set.  The rest follows
+  from these on every configuration the walk keeps, since an
+  implementation that rejects a step is dropped before keying:
+
+  - ``hoh``'s lock tables; the machine keeps no field of its own.  An
+    update holds the root from its invocation to its response, plus its
+    plan's write targets from its first write; a find holds the last node
+    G_op read, or the root before its first read (``sync``).  Only a
+    blocked step joins a queue, and it rejects.  The others take no lock.
+  - ``stm``'s version of node n: the times n appears in the ``plan.writes``
+    of the finished ``stm`` machines.  Only a commit bumps one, once per
+    write; the setup runs unsynchronized and bumps none.
+  - The operation: its id, process, name, key and value are fixed per
+    process for the whole walk (``_spawn``), and its status and response
+    follow from ``finished`` and ``plan.response``.  ``attempt`` is 0:
+    an abort rejects.
+  - The world's ``ops``: each concurrent operation is its machine's
+    ``op`` (``_spawn`` puts it in both, and a fork gives the machine the
+    fork's copy), and the setup's are complete and the same for the walk.
+  - Traces: an operation's raw read/write trace is a function of its
+    unsynchronized machine's G_op records, plan and ``write_idx``.
+  - ``def_``, the execution record (the events, ``seq``) and memo cells
+    (``DagState``'s cell of ``canonical()`` and of its own key, the key
+    cached on each record, which never changes): no step reads them, and
+    the walk reads only the events of the step it just took.
+
+  One rule keys every part: a declared field set, laid out by position.
+  A world is its store (``_world_key``); the store is its root, tail and
+  counter, then each record (``_store_layout``); a record is its node,
+  key, value and liveness, then its edges flat (``_rec_key``); a machine
+  is its class and its keyed fields, with G_op (its records in visit
+  order) and plan inline (``_machine_key``).  The fields left out are
+  declared too: an attribute outside a declared set raises, and so does
+  a laid-out value that is not a scalar or None.
 * Equal keys have equal futures.  A step's outcome, its events (but their
   sequence numbers) and the configuration after it are functions of the
-  fields above, so from two configurations with equal keys the same slots
-  lead to configurations with equal keys, with the same verdicts and
-  checks on the way.  A leaf's outputs are its path's (the schedule, its
-  digest, the rejections collected on it) plus functions of its key: the
-  unsynchronized machines and the store that ``Leaf.signature`` reads.
+  fields above and of those they determine, so from two configurations
+  with equal keys the same slots lead to configurations with equal keys,
+  with the same verdicts and checks on the way.  A leaf's outputs are its
+  path's (the schedule, its digest, the rejections collected on it) plus
+  functions of its key: the unsynchronized machines and the store that
+  ``Leaf.signature`` reads.
 * Each configuration carries its key, and an edge builds its child's key
   from it (``_step_key``), keying again only what a progressing step can
   change: in the unsynchronized world and in each implementation that
-  accepted the step, the store, the lock tables, the versions, the stepped
-  process's operation and its machine.  A step changes nothing else: a
-  machine writes its own fields, its operation and the shared world only.
-  An implementation that rejects the step is dropped before keying, so a
-  queue it joined or a node its abort unlinked never reaches a key; a
-  fork copies values, so its parent's key is its own.  The store's key is
+  accepted the step, the store and the stepped process's machine.  A step
+  changes nothing else that is keyed: a machine writes its own fields,
+  its operation and the shared world only.  A node an abort unlinked
+  never reaches a key; a fork copies values, so its parent's key is its
+  own.  The store's key is
   memoized in the cell ``canonical()`` uses, which a fork shares until
   either side changes the store.  The root is keyed from scratch
   (``_config_key``, from the parts ``_restep`` keys), the reference the
@@ -199,8 +207,8 @@ from .model import (COMPLETE, OI, History, InvariantError,
 from .seqspec import (DagState, NodeRec, Operation, SearchStructureDef,
                       UpdatePlan, canonical_steps, node_token)
 from .sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED, HohMachine,
-                   LockManager, StepMachine, StmCommitOnlyMachine, StmMachine,
-                   UnsyncMachine, World, make_machine, restart)
+                   StepMachine, StmCommitOnlyMachine, StmMachine, UnsyncMachine,
+                   World, make_machine, restart)
 
 
 # the schedules a universe, a classification or an optimality gap takes
@@ -444,20 +452,18 @@ def _flat(d: dict) -> tuple:
 
 # The key's declared fields, each laid out by position below; a field
 # outside them raises (``_exact_fields``).  Memo cells are declared and not
-# keyed, and so are the world's execution record (``events``, ``seq``) and
-# its operations (``ops``: the module docstring).
+# keyed, and so are the world's execution record (``events``, ``seq``), its
+# operations (``ops``) and what the machines and the store determine.
 _WORLD_FIELDS = frozenset(("state", "locks", "versions", "events", "ops", "seq"))
 _STATE_FIELDS = frozenset(("nodes", "root", "tail", "counter", "_canon"))
 # a record's `_key` memo cell is its class default until ``_rec_key`` sets it
 _REC_FIELDS = frozenset(("nid", "key", "val", "edges", "alive"))
-_LOCK_FIELDS = frozenset(("shared", "exclusive", "queues"))
 _OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response"))
-_OP_LAYOUT = itemgetter(*sorted(_OP_FIELDS))
 _GOP_FIELDS = frozenset(("recs", "order"))
 _PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
 _MACHINE_FIELDS = frozenset(("def_", "op", "attempt", "invoked", "finished",
                              "gop", "plan", "write_idx"))
-_MACHINE_LAYOUT = itemgetter("attempt", "invoked", "finished", "write_idx")
+_MACHINE_LAYOUT = itemgetter("invoked", "finished", "write_idx")
 _STM_FIELDS = _MACHINE_FIELDS | {"read_set"}
 
 
@@ -490,24 +496,10 @@ def _store_key(state: DagState) -> tuple:
     return cell[1]
 
 
-def _locks_key(lm: LockManager) -> tuple:
-    """The lock tables, sorted by node, empty holder sets and queues
-    dropped: ``LockManager`` reads them only by node, with an empty default
-    (``clone`` drops empty ones too)."""
-    d = _exact_fields(lm, _LOCK_FIELDS)
-    shared, queues = d["shared"], d["queues"]
-    return (tuple(sorted((n, tuple(sorted(s))) for n, s in shared.items() if s))
-            if shared else (),
-            tuple(sorted(d["exclusive"].items())),
-            tuple(sorted((n, tuple(q)) for n, q in queues.items() if q)) if queues else ())
-
-
 def _world_key(world: World) -> tuple:
-    """The store, the lock tables and the versions, by position; the
-    versions sorted by node, since they are read only by node."""
-    d = _exact_fields(world, _WORLD_FIELDS)
-    return (_store_key(d["state"]), _locks_key(d["locks"]),
-            tuple(sorted(d["versions"].items())))
+    """The store's key: the lock tables and the versions are functions of
+    the machines and the store (the module docstring)."""
+    return _store_key(_exact_fields(world, _WORLD_FIELDS)["state"])
 
 
 def _patches(pairs) -> tuple:
@@ -525,27 +517,27 @@ def _plan_key(plan: UpdatePlan) -> tuple:
 
 
 def _step_machine_key(d: dict) -> tuple:
-    """The fields every machine has but ``def_``, by position: its
-    operation (``op``) and the scalar fields in one tuple;
-    G_op's records in visit order; the plan.  ``Gop.visit`` keeps G_op's
-    order and records in step (it raises on a node G_op holds), and a
-    record's key holds its node, so the records in order are the whole of
-    G_op."""
+    """The fields every machine has but ``def_``, ``op`` and ``attempt``,
+    by position: the scalar fields; G_op's records in visit order; the
+    plan.  The operation's fields are checked, not keyed.  ``Gop.visit``
+    keeps G_op's order and records in step (it raises on a node G_op
+    holds), and a record's key holds its node, so the records in order are
+    the whole of G_op."""
+    _exact_fields(d["op"], _OP_FIELDS)
     gop = _exact_fields(d["gop"], _GOP_FIELDS)
     recs = gop["recs"]
     plan = d["plan"]
-    return (_scalars(_OP_LAYOUT(_exact_fields(d["op"], _OP_FIELDS))
-                     + _MACHINE_LAYOUT(d)),
+    return (_scalars(_MACHINE_LAYOUT(d)),
             tuple([_rec_key(recs[n]) for n in gop["order"]]),
             None if plan is None else _plan_key(plan))
 
 
 def _machine_key(m: StepMachine) -> tuple:
-    """Every field but the structure definition, which the whole walk
-    shares, laid out by position for the machine's class; a field the
-    layout does not declare, on the machine, its operation, its G_op or its
-    plan, raises.  ``hoh`` holds no field of its own: its held locks are
-    functions of the fields every machine has and of the store's root."""
+    """The keyed fields (``_step_machine_key``), by position for the
+    machine's class; a field the layout does not declare, on the machine,
+    its operation, its G_op or its plan, raises.  ``hoh`` holds no field of
+    its own: its held locks are functions of the fields every machine has
+    and of the store's root."""
     t = type(m)
     if t is UnsyncMachine or t is HohMachine:
         return t, _step_machine_key(_exact_fields(m, _MACHINE_FIELDS))
@@ -571,10 +563,9 @@ def _config_key(world: World, machines: dict[int, StepMachine],
 def _restep(machines_key: tuple, world: World, machines: dict[int, StepMachine],
             proc: int) -> tuple[tuple, tuple]:
     """The keys of `world` and of its machines after a progressing step of
-    process `proc`, from the machines' keys before it.  The store, the
-    locks, the versions and the process's machine (its operation with it)
-    are keyed again; the other machines keep their keys (the module
-    docstring)."""
+    process `proc`, from the machines' keys before it.  The store and the
+    process's machine are keyed again; the other machines keep their keys
+    (the module docstring)."""
     return (_world_key(world),
             tuple([(p, _machine_key(machines[p]) if p == proc else k)
                    for p, k in machines_key]))

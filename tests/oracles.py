@@ -6,9 +6,10 @@ the dictionary fold, the sequential interpreter's recorded runs with their
 legality replay (`sequential_run`, `assert_legal`), the
 sequential-history enumeration, the state space as a BFS cut at a depth,
 an operation's solo step list, the schedule walk that steps every prefix
-(not every configuration) once, the per-leaf LSL signature rebuilt from a
-replay's events, and the checkers that scan every event once per
-operation with no cache.  A few small helpers only tests call live here
+(not every configuration) once, the walk's configuration key with every
+field a step reads (`full_config_key`), the per-leaf LSL signature
+rebuilt from a replay's events, and the checkers that scan every event
+once per operation with no cache.  A few small helpers only tests call live here
 too: history projections and comparisons (`render_json`,
 `project_process`, `restrict_to_operation`, `precedes`), real time as
 intervals (`op_intervals`, and `interval_precedence`, the pairs they
@@ -38,8 +39,9 @@ from schedlab.model import (ABORTED, COMPLETE, OI, OR, RI, RR, WI, WR, Event,
                             History, InvariantError, OperationInstance,
                             Schedule, Slot, slot_of, trim_aborted)
 from schedlab.scheduler import (MalformedScheduleError, Tally, Workload,
-                                _concurrent_history, _fork, _step_slot,
-                                audit_finds, build_world, walk)
+                                _concurrent_history, _fork, _rec_key,
+                                _step_slot, _store_layout, audit_finds,
+                                build_world, walk)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
                               dictionary_apply, local_trace, run_operation)
@@ -585,6 +587,41 @@ def prefix_walk(w: Workload, impls: tuple[str, ...] = ()):
             slots.pop()
 
     yield from rec(world, machines, runs, {}, hashlib.sha256(b"["))
+
+
+def full_config_key(world: World, machines: dict, runs: dict) -> tuple:
+    """``scheduler._config_key`` with every field a step reads, those the
+    machines and the store determine included: each world's store, its
+    lock tables (sorted by node, empty holder sets and queues dropped, as
+    ``LockManager`` reads them only by node with an empty default) and its
+    versions (sorted by node), and every machine field but ``def_``, its
+    operation's status and response and its attempt among them.  The walk
+    keys the same configurations apart when its key is exact and holds
+    nothing redundant."""
+    def world_key(x: World) -> tuple:
+        lm = x.locks
+        return (_store_layout(x.state),
+                tuple(sorted((n, tuple(sorted(s))) for n, s in lm.shared.items() if s)),
+                tuple(sorted(lm.exclusive.items())),
+                tuple(sorted((n, tuple(q)) for n, q in lm.queues.items() if q)),
+                tuple(sorted(x.versions.items())))
+
+    def machine_key(m) -> tuple:
+        o, plan = m.op, m.plan
+        return (type(m), o.id, o.proc, o.name, o.key, o.val, o.status, o.response,
+                m.attempt, m.invoked, m.finished, m.write_idx,
+                tuple(_rec_key(m.gop.recs[n]) for n in m.gop.order),
+                None if plan is None else
+                (plan.response, tuple(plan.new_nodes), tuple(plan.unlink),
+                 tuple((n, tuple(patch.items())) for n, patch in plan.writes)),
+                tuple(getattr(m, "read_set", {}).items()))
+
+    def machines_key(ms: dict) -> tuple:
+        return tuple((p, machine_key(m)) for p, m in ms.items())
+
+    return (world_key(world), machines_key(machines),
+            tuple((impl, world_key(iw), machines_key(im))
+                  for impl, (iw, im) in runs.items()))
 
 
 def events_signature(world: World, start: int) -> tuple:

@@ -317,6 +317,24 @@ def test_commit_only_mode_violates_condition_two(fig3_case):
     assert check_safe_strict(res2.history).verdict is True
 
 
+def test_safe_strict_exports_the_history_once(fig3_case, monkeypatch):
+    """Condition (1) and condition (2) read one exported view of the
+    history and its traces: one ``History.exported`` call per
+    ``check_safe_strict``, on the Fig. 3 ``stm`` history."""
+    w, s = fig3_case
+    h = drive("stm", w, s).history
+    exported = History.exported
+    calls = []
+
+    def counting(self):
+        calls.append(self)
+        return exported(self)
+
+    monkeypatch.setattr(History, "exported", counting)
+    assert check_safe_strict(h).verdict is True
+    assert calls == [h]
+
+
 def test_aborted_attempt_checked_separately(structure):
     w = Workload(structure, [], [(1, Operation("insert", 1)),
                                  (2, Operation("insert", 1))])

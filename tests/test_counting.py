@@ -14,13 +14,18 @@ tested against unmemoized checks in `test_trie.py`.
 The workloads: criterion 4's sweep, the six Thm. 2 instances, Thm. 3 cut
 at 2000 schedules, and the BST witness setup {1, 2, 5}, `delete(1)` ∥
 `find(5)` ∥ `insert(1)` cut at 3000 (`hoh` accepts 552 of its schedules).
-The three soundness witnesses' whole universes and two 4-op universes
+The three soundness witnesses' whole universes and three 4-op universes
 (up to 403,865,862,526 schedules) are counted against pinned figures, the
-largest universes the suite walks.
+largest universes the suite walks.  On every universe here the walk's key
+tells configurations apart as the full key does.  Dropping a part it
+still keys (`invoked`, `stm`'s read set, the precedence in the node key)
+moves a pinned count or a configuration count, or fails the walk's
+depth check.
 """
 
 import itertools
 from collections import Counter
+from operator import itemgetter
 
 import pytest
 
@@ -29,10 +34,13 @@ from schedlab.checkers import LINEARIZABLE_CAP, check_ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (_lsl_verdict, accepted_set, audited_history, classify,
                              lsl_set, optimality_gap, workload_keys)
+from schedlab.model import InvariantError
 from schedlab.scheduler import Tally, Workload, walk
 from schedlab.seqspec import Operation, make_structure
+from schedlab.sync import StmMachine
 
 from oracles import prefix_walk, schedule_trie
+from test_trie import assert_keys_partition_alike, full_keys_by_key
 from test_acceptance import sweep_workloads
 
 IMPLS = ("hoh", "stm")
@@ -161,39 +169,150 @@ def test_counted_walk_on_the_bst_witness():
 
 
 # universes counted whole: (structure, setup, concurrent operations) ->
-# total and, per implementation, (accepted, accepted but not LSL)
+# total, LSL and, per implementation, (accepted, accepted but not LSL)
 WHOLE_UNIVERSES = {
-    ("skiplist", (3, 4), (("find", 4), ("insert", 5))): (3003, (63, 6), (1613, 238)),
+    ("skiplist", (3, 4), (("find", 4), ("insert", 5))):
+        (3003, 2149, (63, 6), (1613, 238)),
     ("bst", (3, 4, 5), (("delete", 3), ("find", 4), ("insert", 2))):
-        (1410159, (101, 1), (65228, 4200)),
+        (1410159, 796889, (101, 1), (65228, 4200)),
     ("bst", (1, 2, 5), (("delete", 1), ("find", 5), ("insert", 1))):
-        (701218, (552, 1), (197552, 0)),
+        (701218, 684738, (552, 1), (197552, 0)),
     ("sorted-list", (1,), (("insert", 4), ("delete", 1), ("insert", 1), ("find", 4))):
-        (10664898618, (1013, 0), (90876446, 0)),
+        (10664898618, 2197589998, (1013, 0), (90876446, 0)),
     ("bst", (2, 4), (("insert", 3), ("delete", 2), ("find", 3), ("insert", 1))):
-        (403865862526, (1416, 73), (1118610501, 69012405)),
+        (403865862526, 214264847168, (1416, 73), (1118610501, 69012405)),
+    ("bst", (), (("delete", 2), ("delete", 2), ("insert", 2), ("insert", 2))):
+        (95613728, 33499040, (24, 0), (188032, 0)),
 }
+WHOLE_IDS = ["skiplist", "bst-345", "bst-125", "sorted-list-1", "bst-24", "bst-aba"]
 
 
-@pytest.mark.parametrize("witness", WHOLE_UNIVERSES,
-                         ids=["skiplist", "bst-345", "bst-125", "sorted-list-1",
-                              "bst-24"])
+def whole_workload(structure, setup, ops):
+    return Workload(make_structure(structure), [Operation("insert", k) for k in setup],
+                    [(p, Operation(name, key)) for p, (name, key) in enumerate(ops, 1)])
+
+
+def whole_tally(w):
+    """The walk's tally of the whole universe under `hoh` and `stm`, with
+    LSL verdicts; no leaf is wanted."""
+    tally = Tally()
+    assert list(walk(w, IMPLS, None, _lsl_verdict(w), lambda cat: False, tally)) == []
+    return tally
+
+
+@pytest.mark.parametrize("witness", WHOLE_UNIVERSES, ids=WHOLE_IDS)
 def test_soundness_witness_universes_counted_whole(witness):
     """Whole universes, counted under `hoh` and `stm` with LSL verdicts
     (skiplist heights 3, 1, 3 for keys 3, 4, 5): the soundness witnesses,
     whose counts pin the open soundness holes (an accepted schedule that
-    is not LSL), and two 4-op universes, the largest the suite counts, of
-    which the BST's is a witness too.  No verdict is inconclusive."""
-    structure, setup, ops = witness
-    w = Workload(make_structure(structure), [Operation("insert", k) for k in setup],
-                 [(p, Operation(name, key)) for p, (name, key) in enumerate(ops, 1)])
-    tally = Tally()
-    assert list(walk(w, IMPLS, None, _lsl_verdict(w), lambda cat: False, tally)) == []
+    is not LSL), two 4-op universes, the largest the suite counts, of
+    which the BST's is a witness too, and a 4-op universe whose LSL count
+    needs the precedence in the walk's node key: two deletes and two
+    inserts of one key, where schedules that read the same values order
+    their operations differently (an ABA case).  No verdict is
+    inconclusive."""
+    tally = whole_tally(whole_workload(*witness))
     assert not tally.partial and tally.count(lambda cat: cat[1] is None) == 0
-    assert (tally.total,
+    assert (tally.total, tally.count(lambda cat: cat[1] is True),
             *((tally.count(lambda cat: impl in cat[0]),
                tally.count(lambda cat: impl in cat[0] and cat[1] is not True))
               for impl in IMPLS)) == WHOLE_UNIVERSES[witness]
+
+
+def test_key_partitions_as_the_full_key_on_counted_universes(monkeypatch):
+    """On every universe counted here, the walk's key and the full key
+    (``oracles.full_config_key``), which also holds what the machines and
+    the store determine, give the same configurations: every memo hit of
+    the walk's key is one of the full key, and they are as many."""
+    walks = full_keys_by_key(monkeypatch)
+
+    def count(w, budget):
+        tally = Tally()
+        assert list(walk(w, IMPLS, budget, None, lambda cat: False, tally)) == []
+        return tally.total
+
+    processed = 0
+    for w in sweep_workloads():  # as criterion 4's test takes them
+        processed += count(w, 400)
+        if processed >= 6000:
+            break
+    for structure, instance in sorted(THM2_SIZES):
+        count(getattr(thm2_bundle(make_structure(structure)), instance), None)
+    count(thm3_bundle(make_structure("sorted-list")).workload, 2000)
+    count(whole_workload("bst", (1, 2, 5), (("delete", 1), ("find", 5), ("insert", 1))),
+          3000)
+    for witness in WHOLE_UNIVERSES:
+        count(whole_workload(*witness), None)
+    assert_keys_partition_alike(walks)
+
+
+# -- every part the walk keys is needed -----------------------------------------
+# Each test drops one part from the key inside the test, and a pinned count,
+# a configuration count or the depth check moves.
+
+
+def test_the_key_needs_invoked(monkeypatch):
+    """Without ``invoked``, an invocation leaves the key as it was, so the
+    Thm. 2 sorted-list `w_present` walk meets its root again one step
+    below it."""
+    w = thm2_bundle(make_structure("sorted-list")).w_present
+    assert whole_tally(w).total == 924
+    monkeypatch.setattr(scheduler, "_MACHINE_LAYOUT", itemgetter("finished", "write_idx"))
+    with pytest.raises(InvariantError, match="configuration reached at depths 0 and 1"):
+        whole_tally(w)
+
+
+def test_the_key_needs_the_read_set(monkeypatch):
+    """Without ``stm``'s read set, the BST universe with setup {} and
+    `delete(3)` ∥ `insert(1)` ∥ `insert(3)` (41531 schedules) has 585
+    configurations, not 588, and `stm` accepts other schedules: machines
+    whose read sets differ, and so whose version checks differ, meet."""
+    w = whole_workload("bst", (), (("delete", 3), ("insert", 1), ("insert", 3)))
+    tallies = []
+    keys = expanded_keys(monkeypatch, lambda: tallies.append(whole_tally(w)))
+    machine_key = scheduler._machine_key
+    monkeypatch.setattr(scheduler, "_machine_key", lambda m: machine_key(m)[:2]
+                        if isinstance(m, StmMachine) else machine_key(m))
+    dropped = expanded_keys(monkeypatch, lambda: tallies.append(whole_tally(w)))
+    assert (len(keys), len(dropped)) == (588, 585)
+    assert tallies[0].total == tallies[1].total == 41531
+    assert tallies[0].counts != tallies[1].counts
+
+
+class OneRelation(dict):
+    """A node's counts under one relation, whichever relation asks: the
+    precedence left out of the walk's node key, which then asks a leaf
+    configuration's verdict once, with the relation it first meets."""
+
+    def get(self, _, default=None):
+        return super().get(None, default)
+
+    def __getitem__(self, _):
+        return super().__getitem__(None)
+
+    def __setitem__(self, _, value):
+        super().__setitem__(None, value)
+
+    def __contains__(self, _):
+        return super().__contains__(None)
+
+
+def test_the_node_key_needs_the_precedence(monkeypatch):
+    """Without the precedence in the node key, the LSL count of the BST
+    universe of two deletes and two inserts of one key moves from its
+    pinned 33,499,040 (to 33,506,240)."""
+    witness = ("bst", (), (("delete", 2), ("delete", 2), ("insert", 2), ("insert", 2)))
+    lsl = WHOLE_UNIVERSES[witness][1]
+    init = scheduler._Config.__init__
+
+    def one_relation(self, *args):
+        init(self, *args)
+        self.counts = OneRelation()
+
+    monkeypatch.setattr(scheduler._Config, "__init__", one_relation)
+    tally = whole_tally(whole_workload(*witness))
+    assert tally.total == WHOLE_UNIVERSES[witness][0]
+    assert tally.count(lambda cat: cat[1] is True) != lsl
 
 
 def test_an_inconclusive_verdict_is_counted_as_the_reference():

@@ -10,19 +10,22 @@ from the leaf's schedule.
 The walk over the DAG of configurations must match the per-prefix walk
 (`oracles.prefix_walk`) leaf by leaf while stepping far fewer
 configurations, and its configuration key must hold every field a step
-reads.  The key each edge builds from its parent's must equal the key
-computed from scratch, and a leaf signature is built once per end
-configuration and precedence relation.  An LSL pass runs the audit
-finds once per end store and checks local serializability once per
-(concurrent units, end store), and matches the reference on soundness
-witnesses where local serializability fails.  Forks share records and
-operations copy-on-write.
+reads that the machines and the store do not determine.  What it leaves
+out must follow from what it holds at every configuration a walk keys,
+and it must tell configurations apart as the full key
+(`oracles.full_config_key`) does.  The key each edge builds from its
+parent's must equal the key computed from scratch, and a leaf signature
+is built once per end configuration and precedence relation.  An LSL
+pass runs the audit finds once per end store and checks local
+serializability once per (concurrent units, end store), and matches the
+reference on soundness witnesses where local serializability fails.
+Forks share records and operations copy-on-write.
 """
 
 import dataclasses
 import itertools
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -31,12 +34,13 @@ from schedlab.checkers import check_ls_linearizable, ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
-from schedlab.model import ABORTED, COMPLETE, History, schedule_of
+from schedlab.model import ABORTED, COMPLETE, INCOMPLETE, History, schedule_of
 from schedlab.scheduler import Workload, _fork, build_world, drive, universe
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
 from schedlab.sync import BLOCKED, restart
 
-from oracles import ALL_IMPLS, leaf_signature, prefix_walk, render_json, schedule_trie
+from oracles import (ALL_IMPLS, full_config_key, leaf_signature, prefix_walk,
+                     render_json, schedule_trie)
 from test_acceptance import STRUCTURES, random_workload, sweep_workloads
 
 IMPLS = ("hoh", "stm")
@@ -436,11 +440,21 @@ def other_record(state):
     return {**state.nodes, nid: NodeRec(nid, 99, 99, {"next": None})}
 
 
-# attribute -> a change of it, per class; None: the key leaves it out
+class Derived:
+    """A change of a field that the machines and the store determine (the
+    `scheduler` docstring), which the key leaves out:
+    `test_derived_fields_follow_from_the_key` checks that they do."""
+
+    def __init__(self, change):
+        self.change = change
+
+
+# attribute -> a change of it, per class; None: no step reads it, and the
+# key leaves it out
 WORLD_CHANGES = {
     "state": lambda x: x.state.write_edges(x.state.root, {"next": None}),
-    "locks": lambda x: x.locks.try_acquire(99, "shared", 1),
-    "versions": lambda x: x.versions.__setitem__(99, 1),
+    "locks": Derived(lambda x: x.locks.try_acquire(99, "shared", 1)),
+    "versions": Derived(lambda x: x.versions.__setitem__(99, 1)),
     "ops": None,  # its machine's `op`, or a setup operation
     "events": None,
     "seq": None,
@@ -453,14 +467,14 @@ STATE_CHANGES = {
     "_canon": None,  # memo of canonical()
 }
 LOCK_CHANGES = {
-    "shared": lambda x: x.shared.__setitem__(99, {1}),
-    "exclusive": lambda x: x.exclusive.__setitem__(99, 1),
-    "queues": lambda x: x.queues.__setitem__(99, deque([1])),
+    "shared": Derived(lambda x: x.shared.__setitem__(99, {1})),
+    "exclusive": Derived(lambda x: x.exclusive.__setitem__(99, 1)),
+    "queues": Derived(lambda x: x.queues.__setitem__(99, deque([1]))),
 }
 MACHINE_CHANGES = {
     "def_": None,  # the walk's one structure
-    "op": lambda m: setattr(m, "op", dataclasses.replace(m.op, response="x")),
-    "attempt": lambda m: setattr(m, "attempt", changed(m.attempt)),
+    "op": Derived(lambda m: setattr(m, "op", dataclasses.replace(m.op, response="x"))),
+    "attempt": Derived(lambda m: setattr(m, "attempt", changed(m.attempt))),
     "invoked": lambda m: setattr(m, "invoked", changed(m.invoked)),
     "finished": lambda m: setattr(m, "finished", changed(m.finished)),
     "gop": lambda m: m.gop.visit(NodeRec(99, 99, 99, {})),
@@ -472,7 +486,7 @@ MACHINE_CHANGES = {
 
 # node -> a bump of its version in the world; node 99 has none yet
 VERSION_CHANGES = {
-    n: (lambda n: lambda x: x.versions.__setitem__(n, x.versions.get(n, 0) + 1))(n)
+    n: Derived((lambda n: lambda x: x.versions.__setitem__(n, x.versions.get(n, 0) + 1))(n))
     for n in range(100)
 }
 
@@ -482,21 +496,23 @@ def version_nodes(world):
     return [*world.versions, 99]
 
 
-# (part, its object in a stepped world, the function that keys it, the
-# names of its fields, changes)
+def world_key(world, machines):
+    return scheduler._world_key(world)
+
+
+# (part, its object in a stepped world, the key that holds it, the names
+# of its fields, changes)
 KEYED_PARTS = (
-    ("world", lambda world, machines: world, scheduler._world_key, vars,
-     WORLD_CHANGES),
-    ("state", lambda world, machines: world.state, scheduler._store_layout, vars,
-     STATE_CHANGES),
-    ("locks", lambda world, machines: world.locks, scheduler._locks_key, vars,
-     LOCK_CHANGES),
-    ("versions", lambda world, machines: world, scheduler._world_key, version_nodes,
+    ("world", lambda world, machines: world, world_key, vars, WORLD_CHANGES),
+    ("state", lambda world, machines: world.state,
+     lambda world, machines: scheduler._store_layout(world.state), vars, STATE_CHANGES),
+    ("locks", lambda world, machines: world.locks, world_key, vars, LOCK_CHANGES),
+    ("versions", lambda world, machines: world, world_key, version_nodes,
      VERSION_CHANGES),
-    ("find", lambda world, machines: machines[1], scheduler._machine_key, vars,
-     MACHINE_CHANGES),
-    ("insert", lambda world, machines: machines[2], scheduler._machine_key, vars,
-     MACHINE_CHANGES),
+    ("find", lambda world, machines: machines[1],
+     lambda world, machines: scheduler._machine_key(machines[1]), vars, MACHINE_CHANGES),
+    ("insert", lambda world, machines: machines[2],
+     lambda world, machines: scheduler._machine_key(machines[2]), vars, MACHINE_CHANGES),
 )
 
 
@@ -504,25 +520,31 @@ KEYED_PARTS = (
 @pytest.mark.parametrize("impl", ("unsync", "hoh", "stm", "stm-commit-only"))
 @pytest.mark.parametrize("part", [p[0] for p in KEYED_PARTS])
 def test_configuration_key_holds_every_field(part, impl, steps):
-    """Changing any one attribute of a world, its store, lock tables or a
-    machine, or any one node's version, changes its key, except the
-    execution record (`events`, `seq`), the structure definition (`def_`)
-    and memo cells, which no step reads, and the world's operations (`ops`),
-    which the machines key.  The store is keyed by its unmemoized layout."""
+    """Changing any one attribute of a world, its store or a machine
+    changes the key that holds it, except the execution record (`events`,
+    `seq`), the structure definition (`def_`) and memo cells, which no
+    step reads, the world's operations (`ops`), and what the machines and
+    the store determine: the lock tables, each node's version, a machine's
+    operation and its attempt.  The store is keyed by its unmemoized
+    layout."""
     _, get, key, fields, changes = next(p for p in KEYED_PARTS if p[0] == part)
     names = list(fields(get(*stepped(impl, steps))))
     assert set(names) <= set(changes), "an attribute the test does not know"
     for name in names:
-        x = get(*stepped(impl, steps))
-        before = key(x)
-        assert key(x) == before
+        world, machines = stepped(impl, steps)
+        x = get(world, machines)
+        before = key(world, machines)
+        assert key(world, machines) == before
         change = changes[name]
         if change is None:
             setattr(x, name, object())  # not even read
-            assert key(x) == before, name
+            assert key(world, machines) == before, name
+        elif isinstance(change, Derived):
+            change.change(x)
+            assert key(world, machines) == before, name
         else:
             change(x)
-            assert key(x) != before, name
+            assert key(world, machines) != before, name
 
 
 # (implementation, steps) after which process 2's machine, an insert, has
@@ -533,14 +555,17 @@ PLANNED = (("unsync", 14), ("hoh", 20), ("stm", 14), ("stm-commit-only", 14))
 def test_configuration_key_rejects_what_it_does_not_know():
     """A value of a type the key does not know raises; so does an attribute
     the key was not written for on a machine, its operation, its G_op, its
-    plan, the world, its store, a record or the lock tables."""
+    plan, the world, its store or a record.  The operation's value and the
+    lock tables are not keyed, since the machines and the store determine
+    them, so neither an unkeyable value nor an unknown attribute there
+    reaches the key."""
     with pytest.raises(TypeError, match="no configuration key for object"):
         scheduler._machine_key(object())
     for impl, steps in PLANNED:
         world, machines = stepped(impl, steps)
+        before = scheduler._config_key(world, machines, {})
         machines[2].op.val = object()
-        with pytest.raises(TypeError, match="no configuration key"):
-            scheduler._config_key(world, machines, {})
+        assert scheduler._config_key(world, machines, {}) == before
         for holder in (lambda m: m, lambda m: m.op, lambda m: m.gop, lambda m: m.plan):
             world, machines = stepped(impl, steps)
             holder(machines[2]).extra = 0
@@ -549,9 +574,9 @@ def test_configuration_key_rejects_what_it_does_not_know():
             with pytest.raises(TypeError, match="does not cover"):
                 scheduler._machine_key(machines[2])
     world, _ = stepped("hoh", 5)
-    world.locks.owner = 1  # a field the lock tables' key does not cover
-    with pytest.raises(TypeError, match="does not cover"):
-        scheduler._world_key(world)
+    before = scheduler._world_key(world)
+    world.locks.owner = 1  # the lock tables are not keyed
+    assert scheduler._world_key(world) == before
     world, _ = stepped("hoh", 5)
     world.tick = 0  # nor does the world's
     with pytest.raises(TypeError, match="does not cover"):
@@ -584,8 +609,8 @@ def repatch_first_write(m):
 
 # a change inside a field of a machine that has read, planned and written
 NESTED_CHANGES = {
-    "op.status": lambda m: setattr(m.op, "status", "aborted"),
-    "op.response": lambda m: setattr(m.op, "response", changed(m.op.response)),
+    "op.status": Derived(lambda m: setattr(m.op, "status", "aborted")),
+    "op.response": Derived(lambda m: setattr(m.op, "response", changed(m.op.response))),
     "gop record": replace_record,
     "plan.writes": repatch_first_write,
     "plan.new_nodes": lambda m: m.plan.new_nodes.append(99),
@@ -606,21 +631,27 @@ IMPL_NESTED_CHANGES = {
 
 @pytest.mark.parametrize("impl, steps", PLANNED)
 def test_configuration_key_holds_every_nested_field(impl, steps):
-    """A change inside a machine's operation, G_op, plan or read set
-    changes its key."""
+    """A change inside a machine's G_op, plan or read set changes its key;
+    one of its operation's status or response does not, since they follow
+    from ``finished`` and the plan."""
     for name, change in {**NESTED_CHANGES, **IMPL_NESTED_CHANGES[impl]}.items():
         _, machines = stepped(impl, steps)
         m = machines[2]
         before = scheduler._machine_key(m)
         assert scheduler._machine_key(m) == before
-        change(m)
-        assert scheduler._machine_key(m) != before, name
+        if isinstance(change, Derived):
+            change.change(m)
+            assert scheduler._machine_key(m) == before, name
+        else:
+            change(m)
+            assert scheduler._machine_key(m) != before, name
 
 
 def test_configuration_key_ignores_what_no_read_sees():
-    """Lock tables and version counters are read only by node, with an
-    empty default, so insertion order and empty holder sets or queues do
-    not change their keys."""
+    """The lock tables and the version counters follow from the machines
+    and the store, so the world's key does not hold them: neither their
+    order, nor empty holder sets or queues, nor a holder, a waiter or a
+    version changes it."""
     world, _ = stepped("hoh", 7)
     before = scheduler._world_key(world)
     world.locks.shared[98] = set()
@@ -629,11 +660,17 @@ def test_configuration_key_ignores_what_no_read_sees():
     world.versions = dict(reversed(world.versions.items()))
     assert scheduler._world_key(world) == before
     assert scheduler._world_key(world.clone()) == before
+    world.locks.shared[97] = {5}
+    world.locks.queues[97] = deque([6])
+    world.locks.exclusive[96] = 5
+    world.versions[96] = 3
+    assert scheduler._world_key(world) == before
 
 
 def test_configuration_key_holds_every_part():
     """The walk's key: the unsynchronized world and machines, each
-    implementation still accepting with its world and machines."""
+    implementation still accepting with its world and machines.  A version
+    is not keyed: the finished ``stm`` machines' plans determine it."""
     world, machines = stepped("unsync", 6)
     hoh = stepped("hoh", 6)
     base = (world, machines, {"hoh": hoh})
@@ -641,8 +678,11 @@ def test_configuration_key_holds_every_part():
     assert scheduler._config_key(*base) == key
     bumped = world.clone()
     bumped.versions[0] = 1
+    assert scheduler._config_key(bumped, machines, {"hoh": hoh}) == key
+    written = world.clone()
+    written.state.write_edges(written.state.root, {"next": None})
     variants = [
-        (bumped, machines, {"hoh": hoh}),
+        (written, machines, {"hoh": hoh}),
         (world, stepped("unsync", 7)[1], {"hoh": hoh}),
         (world, machines, {}),
         (world, machines, {"stm": hoh}),
@@ -690,6 +730,113 @@ def test_incremental_key_equals_key_from_scratch(monkeypatch):
         assert sum(1 for _ in itertools.islice(schedule_trie(w, ALL_IMPLS),
                                                budget)) > 0
     assert len(edges) > 5000 and max(edges) == len(ALL_IMPLS)
+
+
+def full_keys_by_key(monkeypatch, check=lambda world, machines, runs: None):
+    """Patch the walk so that each walk started maps each key it builds to
+    the full key (``oracles.full_config_key``) of the configuration it
+    keys, its root's and each DAG edge's child's, and calls `check` on
+    that configuration.  A key that meets a second full key fails: every
+    memo hit of the walk's key must be one of the full key.  Returns the
+    maps, one per walk started."""
+    walks = []
+    step_key, config_key = scheduler._step_key, scheduler._config_key
+
+    def seen(key, world, machines, runs):
+        check(world, machines, runs)
+        full = full_config_key(world, machines, runs)
+        assert walks[-1].setdefault(key, full) == full
+        return key
+
+    def root(world, machines, runs):
+        walks.append({})
+        return seen(config_key(world, machines, runs), world, machines, runs)
+
+    def child(parent, proc, world, machines, runs):
+        return seen(step_key(parent, proc, world, machines, runs), world, machines, runs)
+
+    monkeypatch.setattr(scheduler, "_config_key", root)
+    monkeypatch.setattr(scheduler, "_step_key", child)
+    return walks
+
+
+def assert_keys_partition_alike(walks):
+    """Each walk's key and the full key tell apart the same configurations:
+    the full keys are as many as the keys."""
+    assert walks
+    for keys in walks:
+        assert len(set(keys.values())) == len(keys)
+
+
+def held_locks(world, machines):
+    """(shared, exclusive) of a kept ``hoh`` world by the `scheduler`
+    docstring: an update holds the root from its invocation to its
+    response, plus its write targets from its first write; a find holds
+    the last node G_op read, or the root before its first read."""
+    root = world.state.root
+    shared, exclusive = {}, {}
+    for m in machines.values():
+        if not m.invoked or m.finished:
+            continue
+        if m.op.name == "find":
+            node = m.gop.order[-1] if m.gop.order else root
+            shared.setdefault(node, set()).add(m.op.id)
+        else:
+            exclusive[root] = m.op.id
+            if m.write_idx:
+                exclusive.update((n, m.op.id) for n, _ in m.plan.writes)
+    return shared, exclusive
+
+
+def committed_versions(machines):
+    """Each node's version in a kept ``stm`` world by the `scheduler`
+    docstring: the times it appears in the plans' writes of the finished
+    machines."""
+    return dict(Counter(n for m in machines.values() if m.finished
+                        for n, _ in m.plan.writes))
+
+
+def assert_derived(impl, world, machines, fixed):
+    """Every field the key leaves out, as the `scheduler` docstring derives
+    it from the machines and the store; `fixed` holds each process's
+    operation id, process, name, key and value at the walk's root."""
+    locks = world.locks
+    shared = {n: s for n, s in locks.shared.items() if s}
+    assert (shared, locks.exclusive) == (held_locks(world, machines) if impl == "hoh"
+                                         else ({}, {}))
+    assert not any(locks.queues.values())
+    assert world.versions == (committed_versions(machines) if impl.startswith("stm")
+                              else {})
+    for p, m in machines.items():
+        o = m.op
+        assert (o.id, o.proc, o.name, o.key, o.val) == fixed[p]
+        assert (o.status, o.response) == ((COMPLETE, m.plan.response) if m.finished
+                                          else (INCOMPLETE, None))
+        assert m.attempt == 0
+
+
+def test_derived_fields_follow_from_the_key(monkeypatch):
+    """At every configuration the walks of the incremental-key test key,
+    under every implementation, the lock tables, the versions, each
+    operation and each attempt are what the `scheduler` docstring derives
+    from the keyed fields: so the key may leave them out, and it tells
+    apart the same configurations as the full key, which holds them."""
+    fixed = {}
+
+    def check(world, machines, runs):
+        assert_derived("unsync", world, machines, fixed)
+        for impl, (iw, im) in runs.items():
+            assert_derived(impl, iw, im, fixed)
+
+    walks = full_keys_by_key(monkeypatch, check)
+    for w, budget in key_check_walks():
+        fixed.clear()
+        fixed.update((p, (m.op.id, m.op.proc, m.op.name, m.op.key, m.op.val))
+                     for p, m in build_world("unsync", w)[1].items())
+        for _ in itertools.islice(schedule_trie(w, ALL_IMPLS), budget):
+            pass
+    assert sum(map(len, walks)) > 5000
+    assert_keys_partition_alike(walks)
 
 
 def test_a_step_keys_one_machine_per_world(monkeypatch):

@@ -27,8 +27,8 @@ from .checkers import (CheckResult, abstract_state, linearize, ls_linearizable,
                        unit_checker)
 from .model import Schedule
 # audited_history is re-exported: the oracle's reference path
-from .scheduler import (DEFAULT_BUDGET, Tally, Workload, audited_history,
-                        build_world, drive, walk, workload_keys)
+from .scheduler import (DEFAULT_BUDGET, Tally, Workload, audited_history, drive,
+                        walk, workload_keys)
 
 # the witness schedules a comparison or an optimality gap names per side
 WITNESSES = 3
@@ -74,17 +74,21 @@ def _lsl_verdict(w: Workload):
       response and trace by id, end store); it reads no order;
     - linearizability, and so the verdict, once per signature, since it
       reads the precedence.
-    The memos and the initial abstract state live for one call, within
-    which the workload and keys are fixed."""
+    The memos and the initial abstract state (of the first leaf's
+    ``initial`` store) live for one call, within which the workload and
+    keys are fixed."""
     check_units = unit_checker(w.structure, workload_keys(w))
-    q0 = frozenset(abstract_state(build_world("unsync", w)[0].state.snapshot()).items())
+    q0 = None  # the initial abstract state, of the leaves' store after the setup
     finds: dict[tuple, list] = {}  # end store -> audit (operation, trace)s
     local: dict[tuple, CheckResult] = {}  # (units by id, end store) -> result
     verdicts: dict[tuple, bool | None] = {}  # signature -> verdict
 
     def verdict(leaf) -> bool | None:
+        nonlocal q0
         sig = leaf.signature()
         if sig not in verdicts:
+            if q0 is None:
+                q0 = frozenset(abstract_state(leaf.initial.snapshot()).items())
             units, prec, store = sig
             if store not in finds:
                 finds[store] = leaf.audits(w)

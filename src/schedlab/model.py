@@ -228,13 +228,21 @@ class Schedule:
 
 def slot_of(e: Event) -> Slot | None:
     """The slot an event occupies, or None for a read/write response."""
-    if e.kind == OI:
-        return Slot(e.proc, OI, op_name=e.value[0], key=e.value[1])
-    if e.kind in (RI, WI):
-        return Slot(e.proc, e.kind, elem=e.elem)
-    if e.kind == OR:
-        return Slot(e.proc, OR)
-    return None
+    kind = e.kind
+    if kind == OI:
+        elem, name, key = None, e.value[0], e.value[1]
+    elif kind == RI or kind == WI:
+        elem, name, key = e.elem, None, None
+    elif kind == OR:
+        elem = name = key = None
+    else:
+        return None
+    # Slot(...) sets each field of the frozen dataclass through
+    # object.__setattr__; filling the instance dict takes under half the time
+    s = object.__new__(Slot)
+    d = s.__dict__
+    d["proc"], d["kind"], d["elem"], d["op_name"], d["key"] = e.proc, kind, elem, name, key
+    return s
 
 
 def schedule_of(h: History) -> Schedule:

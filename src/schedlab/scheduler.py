@@ -104,13 +104,18 @@ each prefix's slots, digest pieces, rejections and precedence relation.
   writes (``write_idx``) and its response.  So the index is the path
   length on every path; the walk checks that each configuration is reached
   at one depth.
-* An expanded configuration gives its worlds to its last child; the
-  others get forks.  Forks are copy-on-write: a ``NodeRec`` in a store is
-  never changed (a write or an unlink installs a new one), so a fork copies
-  dicts of references and G_op holds the records read.  Complete
-  operations, and their finished machines, are shared: only aborted ones
-  are ever reset.  A leaf configuration keeps its store and machines for
-  the leaves that end in it; the leaves hold no world.
+* The setup runs once per walk.  Each implementation's run forks the
+  post-setup unsynchronized world and spawns its machines on the fork's
+  operations; the leaves keep that world's store as their initial one.
+  An expanded configuration gives its worlds to its last child; the
+  others get forks.  A walk world keeps no execution record: the walk
+  clears its events once ``_step_slot`` has read the step's, so a fork
+  copies only live state.  Forks are copy-on-write: a ``NodeRec`` in a
+  store is never changed (a write or an unlink installs a new one), so a
+  fork copies dicts of references and G_op holds the records read.
+  Complete operations, and their finished machines, are shared: only
+  aborted ones are ever reset.  A leaf configuration keeps its store and
+  machines for the leaves that end in it; the leaves hold no world.
 * ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets.
   Each edge holds its slot's piece, and a leaf hashes its path's pieces
   when its digest is first asked for: only the leaves a caller wants are
@@ -300,16 +305,23 @@ def _run_sequential(world: World, w: Workload, inst: OperationInstance) -> StepM
     return m
 
 
-def build_world(impl: str, w: Workload) -> tuple[World, dict[int, StepMachine], int]:
-    """Run the setup sequentially, snapshot the store, spawn the machines.
-
-    Returns (world, machines by process, index of the first concurrent
-    event)."""
+def _setup_world(w: Workload) -> World:
+    """A new world after the setup, run sequentially and audited: its store
+    is the initial store of every schedule of the workload."""
     world = World(w.structure.new_state())
     for i, op in enumerate(w.setup):
         _run_sequential(world, w, OperationInstance(id=i, proc=0, name=op.name,
                                                     key=op.key, val=op.val))
     w.structure.audit(world.state)
+    return world
+
+
+def build_world(impl: str, w: Workload) -> tuple[World, dict[int, StepMachine], int]:
+    """Run the setup sequentially, snapshot the store, spawn the machines.
+
+    Returns (world, machines by process, index of the first concurrent
+    event)."""
+    world = _setup_world(w)
     return world, _spawn(impl, w, world), len(world.events)
 
 
@@ -357,13 +369,21 @@ def _step_slot(world: World, m: StepMachine, idx: int,
         return "blocked"
     if out.kind == ABORT_OUT:
         return "aborted"
-    taken = [s for s in map(slot_of, out.events) if s is not None]
-    if not taken or slot is not None and taken[0] != slot:
+    taken, n = None, 0
+    for e in out.events:
+        s = slot_of(e)
+        if s is not None:
+            if taken is None:
+                if slot is not None and s != slot:
+                    return "order-mismatch"
+                taken = s
+            n += 1
+    if taken is None:
         return "order-mismatch"
-    if len(taken) > 1:
+    if n > 1:
         raise InvariantError(f"step of process {m.op.proc} does not export the "
-                             f"schedule: it occupies {len(taken)} slots at slot {idx}")
-    return taken[0]
+                             f"schedule: it occupies {n} slots at slot {idx}")
+    return taken
 
 
 def _accepted_history(world: World, machines: dict[int, StepMachine],
@@ -602,6 +622,7 @@ class Leaf:
     state: DagState  # the store at the end of the schedule
     # (a, b): operation a responded before operation b was invoked
     precedence: frozenset[tuple[int, int]]
+    initial: DagState  # the store after the setup, which every leaf shares
     # (the implementations accepting, the LSL verdict or None), set by the walk
     category: tuple | None = None
     _schedule: Schedule | None = field(default=None, init=False, repr=False)
@@ -610,7 +631,9 @@ class Leaf:
     @property
     def schedule(self) -> Schedule:
         if self._schedule is None:
-            self._schedule = Schedule(self.slots)
+            # as ``World.emit`` builds an event: no frozen dataclass __init__
+            s = self._schedule = object.__new__(Schedule)
+            s.__dict__["slots"] = self.slots
         return self._schedule
 
     @property
@@ -690,6 +713,9 @@ class _Config:
             self.runs = None
 
 
+_NO_PAIRS: frozenset[tuple[int, int]] = frozenset()
+
+
 def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
     """Step the node's next out-edge: the unsynchronized machine of its
     process, then each implementation still accepting; the child is the
@@ -702,6 +728,8 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
         _fork(node.world, node.machines)
     idx = node.depth
     slot = _step_slot(world, machines[proc], idx, None)
+    # the step's events are read: a walk world keeps no execution record
+    world.events.clear()
     if isinstance(slot, str):
         raise InvariantError(f"unsync machine of process {proc} {slot}")
     runs, rejections = {}, {}
@@ -709,6 +737,7 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
         if not last:
             iw, im = _fork(iw, im)
         taken = _step_slot(iw, im[proc], idx, slot)
+        iw.events.clear()
         if taken == slot:
             runs[impl] = (iw, im)
         else:
@@ -726,9 +755,11 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
             slot.canon(), separators=(",", ":")).encode()
     # an invocation follows every operation finished before it; no other
     # step adds to the precedence
-    b = machines[proc].op.id
-    pairs = frozenset([(m.op.id, b) for p, m in machines.items()
-                       if slot.kind == OI and p not in node.live])
+    pairs = _NO_PAIRS
+    if slot.kind == OI:
+        b = machines[proc].op.id
+        pairs = frozenset([(m.op.id, b) for p, m in machines.items()
+                           if p not in node.live])
     node.edges.append((slot, piece if idx else piece[1:], pairs, child, rejections))
     if last:
         node.world = node.machines = node.runs = None
@@ -762,8 +793,14 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     in, and so are the counts below any node.  The relation is left out of
     a node when there is no verdict.  The counted descent: the module
     docstring."""
-    world, machines, _ = build_world("unsync", w)
-    runs = {impl: build_world(impl, w)[:2] for impl in impls}
+    world = _setup_world(w)
+    world.events.clear()
+    initial = world.state.clone()
+    runs = {}
+    for impl in impls:
+        iw = world.clone()
+        runs[impl] = iw, _spawn(impl, w, iw)
+    machines = _spawn("unsync", w, world)
     key = _config_key(world, machines, runs)
     root = _Config(0, key, world, machines, runs)
     memo = {key: root}
@@ -795,7 +832,7 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                 leaf = None
                 if known is None or known[2]:
                     leaf = Leaf(tuple(slots), tuple(texts), rejected,
-                                node.machines, node.world.state, prec)
+                                node.machines, node.world.state, prec, initial)
                 if known is None:
                     cat = (node.accepting, None if verdict is None else verdict(leaf))
                     known = node.counts[pkey] = ({cat: 1}, 1,

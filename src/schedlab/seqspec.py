@@ -171,9 +171,12 @@ class DagState:
         return {nid: rec.snap() for nid, rec in sorted(self.nodes.items())}
 
     def clone(self) -> DagState:
-        """A store of its own over the same (immutable) records."""
-        st = DagState(dict(self.nodes), self.root, self.tail, self.counter)
-        st._canon = self._canon
+        """A store of its own over the same (immutable) records, sharing
+        the memo cell; built without the dataclass ``__init__``, whose
+        default factory would make a cell only to drop it."""
+        st = object.__new__(DagState)
+        st.nodes, st.root, st.tail = dict(self.nodes), self.root, self.tail
+        st.counter, st._canon = self.counter, self._canon
         return st
 
     def canonical(self) -> tuple:
@@ -243,7 +246,9 @@ class Gop:
         return sorted(writes, key=lambda wr: pos[wr[0]])
 
     def clone(self) -> Gop:
-        return Gop(dict(self.recs), list(self.order))
+        g = object.__new__(Gop)
+        g.recs, g.order = dict(self.recs), list(self.order)
+        return g
 
 
 @dataclass

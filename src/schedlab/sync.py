@@ -133,9 +133,10 @@ class LockManager:
 
     def clone(self) -> LockManager:
         lm = LockManager()
-        lm.shared = {n: set(s) for n, s in self.shared.items() if s}
-        lm.exclusive = dict(self.exclusive)
-        lm.queues = {n: deque(q) for n, q in self.queues.items() if q}
+        if self.shared or self.exclusive or self.queues:
+            lm.shared = {n: set(s) for n, s in self.shared.items() if s}
+            lm.exclusive = dict(self.exclusive)
+            lm.queues = {n: deque(q) for n, q in self.queues.items() if q}
         return lm
 
 
@@ -165,11 +166,13 @@ class World:
     def clone(self) -> World:
         """A fork: the store shares its records, and a complete operation
         is shared too, since nothing changes one again (``restart`` resets
-        only aborted ones)."""
-        return World(self.state.clone(), self.locks.clone(), dict(self.versions),
-                     list(self.events),
-                     {i: (o if o.status == COMPLETE else o.copy())
-                      for i, o in self.ops.items()}, self.seq)
+        only aborted ones).  Built without the dataclass ``__init__``."""
+        w = object.__new__(World)
+        w.state, w.locks = self.state.clone(), self.locks.clone()
+        w.versions, w.events = dict(self.versions), list(self.events)
+        w.ops = {i: (o if o.status == COMPLETE else o.copy()) for i, o in self.ops.items()}
+        w.seq = self.seq
+        return w
 
 
 @dataclass(frozen=True)
@@ -181,6 +184,16 @@ class StepOutcome:
 
 
 PROGRESSED, BLOCKED, ABORT_OUT, FINISHED = "progressed", "blocked", "aborted", "finished"
+
+
+def _outcome(kind: str, events: tuple[Event, ...] = (), blocked_on: int | None = None,
+             reason: str | None = None) -> StepOutcome:
+    """``StepOutcome(kind, events, blocked_on, reason)``, its instance dict
+    filled directly, as ``slot_of`` fills a slot's: every step returns one."""
+    out = object.__new__(StepOutcome)
+    d = out.__dict__
+    d["kind"], d["events"], d["blocked_on"], d["reason"] = kind, events, blocked_on, reason
+    return out
 
 
 class StepMachine:
@@ -224,7 +237,7 @@ class StepMachine:
         self.invoked = True
         ev = world.emit(self.op.proc, self.op.id, OI, value=[self.op.name, self.op.key],
                         attempt=self.attempt)
-        return StepOutcome(PROGRESSED, (ev,))
+        return _outcome(PROGRESSED, (ev,))
 
     def _emit_write(self, world, nid, patch) -> tuple[Event, Event]:
         role = world.state.role_of(nid)
@@ -242,7 +255,7 @@ class StepMachine:
         ev = world.emit(self.op.proc, self.op.id, OR, value=resp, attempt=self.attempt)
         self.op.status, self.op.response = COMPLETE, resp
         self.finished = True
-        return StepOutcome(FINISHED, (ev,))
+        return _outcome(FINISHED, (ev,))
 
     def _apply_unlink(self, world):
         for nid in self.plan.unlink:
@@ -257,7 +270,7 @@ class StepMachine:
                        attempt=self.attempt)
         b = world.emit(self.op.proc, self.op.id, RR, elem=role, value=rec.snap(),
                        nid=nid, attempt=self.attempt)
-        return StepOutcome(PROGRESSED, (a, b))
+        return _outcome(PROGRESSED, (a, b))
 
     def _write(self, world) -> StepOutcome:
         """The sequential code's next write to the shared store,
@@ -268,7 +281,7 @@ class StepMachine:
         evs = self._emit_write(world, nid, patch)
         if self.write_idx == len(self.plan.writes):
             self._apply_unlink(world)
-        return StepOutcome(PROGRESSED, evs)
+        return _outcome(PROGRESSED, evs)
 
     def write_targets(self) -> list[int]:
         return [nid for nid, _ in self.plan.writes]
@@ -309,7 +322,7 @@ class HohMachine(StepMachine):
         root = world.state.root
         mode = EXCLUSIVE if self.is_update else SHARED
         if not world.locks.try_acquire(root, mode, self.op.id):
-            return StepOutcome(BLOCKED, blocked_on=root)
+            return _outcome(BLOCKED, blocked_on=root)
         return super()._invoke(world)
 
     def would_block(self, world):
@@ -340,7 +353,7 @@ class HohMachine(StepMachine):
                 # hand-over-hand: take the next node before letting go of
                 # the last one, so the chain is never lock-free
                 if not world.locks.try_acquire(nid, SHARED, self.op.id):
-                    return StepOutcome(BLOCKED, blocked_on=nid)
+                    return _outcome(BLOCKED, blocked_on=nid)
                 world.locks.release(held, self.op.id)
         return super()._read(world, nid)
 
@@ -349,7 +362,7 @@ class HohMachine(StepMachine):
             blocked = world.locks.acquire_all(self.write_targets(), EXCLUSIVE,
                                               self.op.id)
             if blocked is not None:
-                return StepOutcome(BLOCKED, blocked_on=blocked)
+                return _outcome(BLOCKED, blocked_on=blocked)
         return super()._write(world)
 
     def _respond(self, world):
@@ -391,7 +404,7 @@ class StmMachine(StepMachine):
         self.finished = True
         for new in (self.plan.new_nodes if self.plan else ()):
             world.state.unlink(new)
-        return StepOutcome(ABORT_OUT, evs, reason=f"conflict on {role}")
+        return _outcome(ABORT_OUT, evs, reason=f"conflict on {role}")
 
     def _read(self, world, nid):
         # every read comes before the plan, so none sees an own write
@@ -404,7 +417,7 @@ class StmMachine(StepMachine):
         """Only the events: the commit installs the plan's writes."""
         nid, patch = self.plan.writes[self.write_idx]
         self.write_idx += 1
-        return StepOutcome(PROGRESSED, self._emit_write(world, nid, patch))
+        return _outcome(PROGRESSED, self._emit_write(world, nid, patch))
 
     def _respond(self, world):
         conflict = self._conflict(world)

@@ -18,9 +18,9 @@ The three soundness witnesses' whole universes and three 4-op universes
 (up to 403,865,862,526 schedules) are counted against pinned figures, the
 largest universes the suite walks.  On every universe here the walk's key
 tells configurations apart as the full key does.  Dropping a part it
-still keys (`invoked`, `stm`'s read set, the precedence in the node key)
-moves a pinned count or a configuration count, or fails the walk's
-depth check.
+still keys (`invoked`, `write_idx`, `stm`'s read set, the precedence in
+the node key) moves a pinned count or a configuration count, or fails the
+walk's depth check.
 """
 
 import itertools
@@ -259,6 +259,22 @@ def test_the_key_needs_invoked(monkeypatch):
     assert whole_tally(w).total == 924
     monkeypatch.setattr(scheduler, "_MACHINE_LAYOUT", itemgetter("finished", "write_idx"))
     with pytest.raises(InvariantError, match="configuration reached at depths 0 and 1"):
+        whole_tally(w)
+
+
+def test_the_key_needs_write_idx(monkeypatch):
+    """Without ``write_idx``, the store alone must tell how far each plan
+    has gone, and it cannot once a write overwrites another's edge: on the
+    skiplist (heights 3, 3, 3, 1, 3 for keys 1-5) with setup {2, 4},
+    `insert(5)` ∥ `insert(5)` (11,338 schedules), each insert links its own
+    node after key 4, so one's write followed by the other's leaves the
+    store as the other's alone, and the walk meets one configuration at
+    depths 14 and 13."""
+    w = whole_workload("skiplist", (2, 4), (("insert", 5), ("insert", 5)))
+    assert [w.structure.height(k) for k in range(1, 6)] == [3, 3, 3, 1, 3]
+    assert whole_tally(w).total == 11338
+    monkeypatch.setattr(scheduler, "_MACHINE_LAYOUT", itemgetter("invoked", "finished"))
+    with pytest.raises(InvariantError, match="configuration reached at depths 14 and 13"):
         whole_tally(w)
 
 

@@ -5,8 +5,8 @@ from dataclasses import FrozenInstanceError, replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedlab.model import (OI, OR, RI, RR, WI, Event, History,
-                            complete, schedule_of)
+from schedlab.model import (OI, OR, RI, RR, WI, WR, Event, History, Slot,
+                            complete, schedule_of, slot_of)
 from schedlab.checkers import precedence
 from schedlab.scheduler import Workload, drive, free_run
 from schedlab.seqspec import Operation, make_structure
@@ -207,3 +207,25 @@ def test_emitted_event_is_a_frozen_event():
         ev.seq = 5
     with pytest.raises(FrozenInstanceError):
         ev.attempt = 2
+
+
+def test_slot_of_builds_a_frozen_slot():
+    """``slot_of`` fills the instance dict directly; each slot it gives, for
+    an oi, ri, wi or or event, equals and hashes like the one built by
+    ``Slot(...)`` and cannot be assigned to.  A read or write response
+    occupies no slot."""
+    world = World(make_structure("sorted-list").new_state())
+    built = {OI: Slot(2, OI, op_name="insert", key=3), RI: Slot(2, RI, elem="root"),
+             WI: Slot(2, WI, elem="key:3"), OR: Slot(2, OR)}
+    events = {OI: world.emit(2, 1, OI, value=["insert", 3]),
+              RI: world.emit(2, 1, RI, elem="root", nid=0),
+              WI: world.emit(2, 1, WI, elem="key:3", value={"edges": {}}, nid=1),
+              OR: world.emit(2, 1, OR, value=True)}
+    for kind, ev in events.items():
+        got = slot_of(ev)
+        assert type(got) is Slot and got == built[kind] and vars(got) == vars(built[kind])
+        assert hash(got) == hash(built[kind])
+        with pytest.raises(FrozenInstanceError):
+            got.elem = "tail"
+    for kind in (RR, WR):
+        assert slot_of(world.emit(2, 1, kind, elem="root", nid=0)) is None

@@ -1,6 +1,7 @@
 """Lock manager, version store, and the step machines' protocols."""
 
 import random
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -9,8 +10,8 @@ from schedlab.scheduler import (Workload, build_world, drive, free_run,
                                 universe)
 from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import (ABORT_OUT, BLOCKED, EXCLUSIVE, FINISHED,
-                           PROGRESSED, SHARED, LockManager, World,
-                           make_machine, restart)
+                           PROGRESSED, SHARED, LockManager, StepMachine,
+                           StepOutcome, World, make_machine, restart)
 from schedlab.checkers import _Replay
 
 from oracles import lock_audit, release_holder, rw_trace
@@ -375,3 +376,35 @@ def test_hoh_updates_serialize_in_root_lock_order(fig3_history):
     rp = _Replay(h.initial)
     for i in order:
         assert rp.apply(rw_trace(h, i))
+
+
+def test_every_step_outcome_is_a_frozen_step_outcome(monkeypatch):
+    """The machines build each ``StepOutcome`` without the dataclass
+    ``__init__``; an outcome of every kind, from free runs under contention,
+    equals the one ``StepOutcome(...)`` builds from its fields and cannot
+    be assigned to."""
+    outcomes = {}
+    step = StepMachine.step
+
+    def recording(self, world):
+        out = step(self, world)
+        outcomes.setdefault(out.kind, []).append(out)
+        return out
+
+    monkeypatch.setattr(StepMachine, "step", recording)
+    d = make_structure("sorted-list")
+    w = Workload(d, [Operation("insert", 2)],
+                 [(p, Operation(name, 2)) for p, name in
+                  enumerate(("insert", "delete", "find", "delete"), 1)])
+    for seed in range(20):
+        for impl in ("hoh", "stm"):
+            free_run(impl, w, seed=seed)
+    assert set(outcomes) == {PROGRESSED, BLOCKED, ABORT_OUT, FINISHED}
+    for kind, outs in outcomes.items():
+        for out in outs:
+            built = StepOutcome(**vars(out))
+            assert type(out) is StepOutcome and out == built and vars(out) == vars(built)
+        with pytest.raises(FrozenInstanceError):
+            outs[0].kind = PROGRESSED
+    assert all(out.blocked_on is not None for out in outcomes[BLOCKED])
+    assert all(out.reason.startswith("conflict on ") for out in outcomes[ABORT_OUT])

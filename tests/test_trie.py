@@ -19,7 +19,8 @@ is built once per end configuration and precedence relation.  An LSL
 pass runs the audit finds once per end store and checks local
 serializability once per (concurrent units, end store), and matches the
 reference on soundness witnesses where local serializability fails.
-Forks share records and operations copy-on-write.
+Forks share records and operations copy-on-write, walk worlds keep no
+execution record, and a classification runs the workload's setup once.
 """
 
 import dataclasses
@@ -34,7 +35,8 @@ from schedlab.checkers import check_ls_linearizable, ls_linearizable
 from schedlab.fixtures import thm2_bundle, thm3_bundle
 from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
-from schedlab.model import ABORTED, COMPLETE, INCOMPLETE, History, schedule_of
+from schedlab.model import (ABORTED, COMPLETE, INCOMPLETE, History, Schedule,
+                            schedule_of)
 from schedlab.scheduler import Workload, _fork, build_world, drive, universe
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
 from schedlab.sync import BLOCKED, restart
@@ -89,7 +91,11 @@ def assert_pass_matches_reference(w, budget):
     leaves = list(itertools.islice(schedule_trie(w, IMPLS), budget))
     assert [leaf.schedule for leaf in leaves] == schedules
     for leaf in leaves:
-        assert leaf.digest == leaf.schedule.digest()
+        # built without the dataclass __init__, and a Schedule all the same
+        built = Schedule(leaf.slots)
+        assert type(leaf.schedule) is Schedule and vars(leaf.schedule) == vars(built)
+        assert hash(leaf.schedule) == hash(built)
+        assert leaf.digest == leaf.schedule.digest() == built.digest()
         assert leaf.signature() == leaf_signature(w, leaf)
     sets = classify(w, IMPLS, lsl=True, budget=budget)
     for s, leaf in zip(schedules, leaves):
@@ -865,6 +871,57 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
             pass
     assert len(per_edge) > 1000
     assert all(n <= worlds for n, worlds in per_edge)
+
+
+def test_walk_worlds_keep_no_execution_record(monkeypatch):
+    """The walk reads only the events of the step it just took: its root's
+    worlds and the worlds each DAG edge stepped hold no event when they
+    are keyed, so a fork copies none."""
+    config_key, step_key = scheduler._config_key, scheduler._step_key
+    keyed = []
+
+    def no_events(world, runs):
+        keyed.append(len(runs))
+        assert world.events == [] and all(iw.events == [] for iw, _ in runs.values())
+
+    def root(world, machines, runs):
+        no_events(world, runs)
+        return config_key(world, machines, runs)
+
+    def child(parent, proc, world, machines, runs):
+        no_events(world, runs)
+        return step_key(parent, proc, world, machines, runs)
+
+    monkeypatch.setattr(scheduler, "_config_key", root)
+    monkeypatch.setattr(scheduler, "_step_key", child)
+    for w, budget in itertools.islice(key_check_walks(), 0, None, 4):
+        for _ in itertools.islice(schedule_trie(w, ALL_IMPLS), budget):
+            pass
+    assert len(keyed) > 1000 and max(keyed) == len(ALL_IMPLS)
+
+
+def test_a_classification_runs_the_setup_once(monkeypatch):
+    """A ``classify`` pass under `hoh` and `stm` with LSL verdicts runs the
+    workload's setup once: each implementation's run forks the post-setup
+    world, the LSL verdict reads its initial state off the leaves, and no
+    ``build_world`` is made."""
+    setups, builds = [], []
+    setup_world, build = scheduler._setup_world, scheduler.build_world
+
+    def counting_setup(w):
+        setups.append(w)
+        return setup_world(w)
+
+    def counting_build(impl, w):
+        builds.append(impl)
+        return build(impl, w)
+
+    w = thm2_bundle(make_structure("sorted-list")).w_absent
+    monkeypatch.setattr(scheduler, "_setup_world", counting_setup)
+    monkeypatch.setattr(scheduler, "build_world", counting_build)
+    sets = classify(w, IMPLS, lsl=True)
+    assert (len(setups), builds) == (1, [])
+    assert sets["lsl"].total == 3264 and all(ss.members for ss in sets.values())
 
 
 @pytest.mark.parametrize("instance", ("w_present", "w_absent"))

@@ -17,7 +17,9 @@ or nothing to prove); negative strict-serializability verdicts carry a
 dependency cycle whose edges are re-derivable from the history.  Bounded
 searches that hit their caps report `inconclusive` (verdict None), never a
 false negative; local serializability's optional `max_ops` is such a
-checked bound, never a cut of the sequential state space.
+checked bound, never a cut of the sequential state space.  A search holds
+its state in arguments, not in a closure that refers to itself, so a check
+leaves no reference cycle behind.
 
 Read/write payloads are the JSON event values: a read returns the node's
 full record {"key", "val", "edges"}, a write carries an outgoing-edge
@@ -154,37 +156,39 @@ def linearize(ops: dict[int, OperationInstance], prec: frozenset[tuple[int, int]
     order = sorted(ops)
     complete_ids = [i for i in order if ops[i].is_complete()]
     after = {i: {a for a, b in prec if b == i and a in ops} for i in order}
-    seen: set[tuple] = set()
     witness: list[tuple[int, object]] = []
-
-    def available(done: frozenset):
-        for i in order:
-            if i not in done and after[i] <= done:
-                yield i
-
-    def dfs(state, done: frozenset) -> bool:
-        if all(i in done for i in complete_ids):
-            return True
-        key = (state, done)
-        if key in seen:
-            return False
-        seen.add(key)
-        for i in available(done):
-            st2, resp = _default_apply(state, ops[i])
-            if ops[i].is_complete() and resp != ops[i].response:
-                continue
-            witness.append((i, resp))
-            if dfs(st2, done | {i}):
-                return True
-            witness.pop()
-        # incomplete ops may also be dropped: allowed implicitly because the
-        # success condition only requires the complete ones to be placed
-        return False
-
-    if dfs(q0, frozenset()):
+    if _linearize_from(q0, frozenset(), ops, order, complete_ids, after, set(), witness):
         lin = [(i, ops[i].describe(), resp) for i, resp in witness]
         return CheckResult(True, witness=lin)
     return CheckResult(False, reason="no legal linearization")
+
+
+def _linearize_from(state, done: frozenset, ops, order, complete_ids, after,
+                    seen: set, witness: list) -> bool:
+    """``linearize``'s DFS from abstract `state` with the operations `done`
+    placed: whether the complete ones can all be placed, appending the
+    placements to `witness`; (state, done) pairs that failed go in
+    `seen`."""
+    if all(i in done for i in complete_ids):
+        return True
+    key = (state, done)
+    if key in seen:
+        return False
+    seen.add(key)
+    for i in order:
+        if i in done or not after[i] <= done:
+            continue
+        st2, resp = _default_apply(state, ops[i])
+        if ops[i].is_complete() and resp != ops[i].response:
+            continue
+        witness.append((i, resp))
+        if _linearize_from(st2, done | {i}, ops, order, complete_ids, after,
+                           seen, witness):
+            return True
+        witness.pop()
+    # incomplete ops may also be dropped: allowed implicitly because the
+    # success condition only requires the complete ones to be placed
+    return False
 
 
 # -- local serializability ----------------------------------------------------
@@ -204,7 +208,7 @@ def unit_checker(def_: SearchStructureDef, keys: tuple[int, ...],
     makes every verdict inconclusive."""
     space = def_.space()
     try:
-        states = space.states(keys)
+        states = space.states(def_, keys)
         need = len(states[-1][2])
         if max_ops is not None and need > max_ops:
             raise BudgetExceeded(f"the sequential state space needs {need} "
@@ -219,7 +223,7 @@ def unit_checker(def_: SearchStructureDef, keys: tuple[int, ...],
             if not steps and not complete:
                 witnesses[op_inst.id] = "no events"
                 continue
-            found = space.witness(states,
+            found = space.witness(def_, states,
                                   Operation(op_inst.name, op_inst.key, op_inst.val),
                                   steps, op_inst.response if complete else None)
             if found is None:
@@ -337,28 +341,32 @@ def _strictly_serializable(hx: History, op_traces: dict[int, list[tuple]]) -> Ch
     prec = precedence(hx)
     traces = {i: op_traces.get(i, []) for i in comp}
 
-    found: list[int] = []
-
-    def dfs(order: list[int], rp: _Replay) -> bool:
-        if len(order) == len(comp):
-            found.extend(order)
-            return True
-        rest = [i for i in comp if i not in order]
-        for i in rest:
-            if any((j, i) in prec for j in rest):
-                continue
-            rp2 = rp.fork()
-            if not rp2.apply(traces[i]):
-                continue
-            if dfs(order + [i], rp2):
-                return True
-        return False
-
-    if dfs([], _Replay(hx.initial)):
+    found = _serial_order([], _Replay(hx.initial), comp, prec, traces)
+    if found is not None:
         return CheckResult(True, witness=[(i, hx.ops[i].describe()) for i in found])
     cycle = _dependency_cycle(hx, comp, traces, prec)
     return CheckResult(False, violation=cycle,
                        reason="no real-time-respecting legal permutation")
+
+
+def _serial_order(order: list[int], rp: _Replay, comp: list[int], prec,
+                  traces) -> list[int] | None:
+    """``_strictly_serializable``'s DFS: the first order of all of `comp`
+    that extends `order`, respects `prec` and replays legally from `rp`, or
+    None."""
+    if len(order) == len(comp):
+        return order
+    rest = [i for i in comp if i not in order]
+    for i in rest:
+        if any((j, i) in prec for j in rest):
+            continue
+        rp2 = rp.fork()
+        if not rp2.apply(traces[i]):
+            continue
+        found = _serial_order(order + [i], rp2, comp, prec, traces)
+        if found is not None:
+            return found
+    return None
 
 
 def _dependency_edges(hx: History, comp: list[int], traces, prec):
@@ -493,18 +501,20 @@ def check_safe_strict(h: History) -> CheckResult:
 def _prefix_witness(initial, k_trace, completed, traces) -> bool:
     """DFS over sequences of distinct completed ops with replay pruning,
     terminating with the checked operation's trace."""
+    return _prefix_from(frozenset(), _Replay(initial), k_trace, completed, traces)
 
-    def dfs(used: frozenset, rp: _Replay) -> bool:
-        tail = rp.fork()
-        if tail.apply(k_trace):
+
+def _prefix_from(used: frozenset, rp: _Replay, k_trace, completed, traces) -> bool:
+    """``_prefix_witness``'s DFS from replay `rp`, after the operations
+    `used`."""
+    tail = rp.fork()
+    if tail.apply(k_trace):
+        return True
+    for i in completed:
+        if i in used:
+            continue
+        rp2 = rp.fork()
+        if rp2.apply(traces[i]) and _prefix_from(used | {i}, rp2, k_trace,
+                                                 completed, traces):
             return True
-        for i in completed:
-            if i in used:
-                continue
-            rp2 = rp.fork()
-            if rp2.apply(traces[i]) and dfs(used | {i}, rp2):
-                return True
-        return False
-
-    return dfs(frozenset(), _Replay(initial))
-
+    return False

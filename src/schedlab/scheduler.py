@@ -191,9 +191,15 @@ wants (``walk``):
   smallest digests within the first B leaves, as an enumeration would.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
-retried, aborted machines restarted.  After a blocked step it asks every
-unfinished machine whether its next step would block (``would_block``,
-which changes nothing) and reports a deadlock when all would.
+retried, aborted machines restarted.  It keeps its sorted list of live
+processes from step to step, dropping a process only when its operation
+finishes; an aborted process stays live, since ``restart`` gives it a new
+machine.  After a blocked step it asks every unfinished machine whether
+its next step would block (``would_block``, which changes nothing) and
+reports a deadlock when all would.  It asks the process that last
+progressed first, as the likeliest to progress again, then the others in
+turn.  The order is exact: each probe is free of side effects, so their
+conjunction has the same value in any order.
 """
 
 from __future__ import annotations
@@ -897,30 +903,42 @@ def free_run(impl: str, w: Workload, seed: int = 0) -> History:
     """Seeded random scheduler: blocked machines are retried
     later, aborted machines are restarted.  Returns the full history
     (setup included); aborted attempts' events are excluded from the
-    exported view per the history model."""
+    exported view per the history model.  The live list and the deadlock
+    probe's order are as the module docstring says."""
     world, machines, _ = build_world(impl, w)
     initial = w.structure.new_state().snapshot()
     rng = random.Random(seed)
     restarts = 0
     steps = 0
-    while True:
-        live = sorted(p for p, m in machines.items() if not m.finished)
-        if not live:
-            break
+    live = sorted(machines)
+    last = None  # the process whose step last did not block
+    while live:
         proc = rng.choice(live)
         out = machines[proc].step(world)
         steps += 1
         if steps > FREE_RUN_STEP_CAP:
             raise LivelockError(f"no progress after {FREE_RUN_STEP_CAP} steps")
         if out.kind == BLOCKED:
-            blocked_everywhere = all(m.finished or m.would_block(world)
-                                     for m in machines.values())
-            if blocked_everywhere:
+            if _deadlocked(world, machines, last):
                 raise LivelockError("all machines blocked: deadlock")
             continue
-        if out.kind == ABORT_OUT:
+        last = proc
+        if out.kind == FINISHED:
+            live.remove(proc)
+        elif out.kind == ABORT_OUT:
             restarts += 1
             if restarts > FREE_RUN_RESTART_CAP:
                 raise LivelockError(f"restart budget {FREE_RUN_RESTART_CAP} exhausted")
             machines[proc] = restart(machines[proc])
     return History(list(world.events), dict(world.ops), initial)
+
+
+def _deadlocked(world: World, machines: dict[int, StepMachine],
+                first: int | None) -> bool:
+    """Whether every unfinished machine's next step would block, asking
+    process `first` first, then the others in turn."""
+    m = machines.get(first)
+    if m is not None and not m.finished and not m.would_block(world):
+        return False
+    return all(m.finished or m.would_block(world)
+               for p, m in machines.items() if p != first)

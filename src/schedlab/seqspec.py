@@ -276,6 +276,20 @@ class UpdatePlan:
 # -- structure definitions ---------------------------------------------------
 
 
+def _acyclic_from(state: DagState, n: int, seen: dict[int, int]) -> None:
+    """``SearchStructureDef.audit``'s DFS from node `n`: raises on an edge
+    back into the path; `seen` marks a node 1 while on the path, 2 after."""
+    seen[n] = 1
+    for t in state.nodes[n].edges.values():
+        if t is None:
+            continue
+        if seen.get(t) == 1:
+            raise InvariantError("cycle through node %d" % t)
+        if t not in seen:
+            _acyclic_from(state, t, seen)
+    seen[n] = 2
+
+
 class SearchStructureDef:
     """One concrete search structure: layout, traverse, insert and delete
     functions.  Subclasses provide the structure-specific pieces; the
@@ -302,20 +316,7 @@ class SearchStructureDef:
 
     def audit(self, state: DagState) -> None:
         """Structure invariant: acyclic and order-respecting."""
-        seen: dict[int, int] = {}
-
-        def dfs(n: int) -> None:
-            seen[n] = 1
-            for t in state.nodes[n].edges.values():
-                if t is None:
-                    continue
-                if seen.get(t) == 1:
-                    raise InvariantError("cycle through node %d" % t)
-                if t not in seen:
-                    dfs(t)
-            seen[n] = 2
-
-        dfs(state.root)
+        _acyclic_from(state, state.root, {})
         self._audit_order(state)
 
     def _audit_order(self, state: DagState) -> None:
@@ -326,10 +327,11 @@ class SearchStructureDef:
 
     def space(self) -> SequentialSpace:
         """This structure's sequential state space and local traces, made
-        on first use and kept as long as the structure."""
+        on first use and kept as long as the structure.  The space does not
+        refer back to the structure, so the two are freed together."""
         sp = self.__dict__.get("_space")
         if sp is None:
-            sp = self._space = SequentialSpace(self)
+            sp = self._space = SequentialSpace()
         return sp
 
 
@@ -423,16 +425,17 @@ class Bst(SearchStructureDef):
         return UpdatePlan(True, writes=gop.write_order(writes), unlink=[d])
 
     def _audit_order(self, state):
-        def check(n, lo, hi):
+        # preorder, as a stack of (node, open key interval)
+        stack = [(state.nodes[state.root].edges.get("right"), NEG_INF, POS_INF)]
+        while stack:
+            n, lo, hi = stack.pop()
             if n is None:
-                return
-            k = state.nodes[n].key
-            if not lo < k < hi:
+                continue
+            rec = state.nodes[n]
+            if not lo < rec.key < hi:
                 raise InvariantError(f"bst order violated at n{n}")
-            check(state.nodes[n].edges.get("left"), lo, k)
-            check(state.nodes[n].edges.get("right"), k, hi)
-
-        check(state.nodes[state.root].edges.get("right"), NEG_INF, POS_INF)
+            stack.append((rec.edges.get("right"), rec.key, hi))
+            stack.append((rec.edges.get("left"), lo, rec.key))
 
 
 class SkipList(SearchStructureDef):
@@ -710,36 +713,37 @@ class SequentialSpace:
     ``reachable_states`` per key set and each operation's
     ``local_trace`` per state shape, cached as long as the structure lives.
     A local trace depends only on the shape and the operation, so all key
-    sets share the traces, keyed by (shape number, operation)."""
+    sets share the traces, keyed by (shape number, operation).  Its owner,
+    the structure, is passed to each call: a reference back to it would
+    make a cycle that only the cyclic collector frees."""
 
-    def __init__(self, def_: SearchStructureDef):
-        self.def_ = def_
+    def __init__(self):
         self._states: dict[tuple, list] = {}  # -> [(shape, state, path)]
         self._shapes: dict[tuple, int] = {}   # canonical shape -> its number
         self._traces: dict[tuple, tuple] = {}  # (shape, op) -> local trace
 
-    def states(self, keys: tuple[int, ...]) -> list:
-        """[(shape number, state, ops_path)] of ``reachable_states``,
-        computed on the first call for these keys."""
+    def states(self, def_: SearchStructureDef, keys: tuple[int, ...]) -> list:
+        """[(shape number, state, ops_path)] of ``reachable_states`` of
+        `def_`, the owner, computed on the first call for these keys."""
         keys = tuple(keys)
         out = self._states.get(keys)
         if out is None:
             shapes = self._shapes
             out = self._states[keys] = [
                 (shapes.setdefault(st.canonical(), len(shapes)), st, path)
-                for st, path in reachable_states(self.def_, keys)]
+                for st, path in reachable_states(def_, keys)]
         return out
 
-    def witness(self, states: list, op: Operation, steps: tuple,
-                resp) -> list[str] | None:
+    def witness(self, def_: SearchStructureDef, states: list, op: Operation,
+                steps: tuple, resp) -> list[str] | None:
         """The path to the first of `states` from which the sequential code
-        of `op` takes exactly `steps` and returns `resp`, or, with `resp`
-        None, takes `steps` as a prefix."""
+        of `op` on `def_`, the owner, takes exactly `steps` and returns
+        `resp`, or, with `resp` None, takes `steps` as a prefix."""
         traces = self._traces
         for shape, state, path in states:
             cand = traces.get((shape, op))
             if cand is None:
-                cand = traces[(shape, op)] = local_trace(self.def_, state, op)
+                cand = traces[(shape, op)] = local_trace(def_, state, op)
             c_steps, c_resp = cand
             if resp is None:
                 match = steps == c_steps[:len(steps)]

@@ -155,10 +155,13 @@ class World:
 
     def emit(self, proc, op, kind, elem=None, value=None, nid=None, attempt=0):
         # Event(...) sets each field of the frozen dataclass through
-        # object.__setattr__; filling the instance dict takes half the time
+        # object.__setattr__; filling the instance dict takes half the time.
+        # Field by field, in declaration order, the dict keeps sharing the
+        # class's keys; ``update`` would give each event its own key table.
         ev = object.__new__(Event)
-        ev.__dict__.update(seq=self.seq, proc=proc, op=op, kind=kind, elem=elem,
-                           value=value, nid=nid, attempt=attempt)
+        d = ev.__dict__
+        d["seq"], d["proc"], d["op"], d["kind"] = self.seq, proc, op, kind
+        d["elem"], d["value"], d["nid"], d["attempt"] = elem, value, nid, attempt
         self.events.append(ev)
         self.seq += 1
         return ev

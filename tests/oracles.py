@@ -8,8 +8,10 @@ sequential-history enumeration, the state space as a BFS cut at a depth,
 an operation's solo step list, the schedule walk that steps every prefix
 (not every configuration) once, the walk's configuration key with every
 field a step reads (`full_config_key`), the per-leaf LSL signature
-rebuilt from a replay's events, and the checkers that scan every event
-once per operation with no cache.  A few small helpers only tests call live here
+rebuilt from a replay's events, the checkers that scan every event
+once per operation with no cache, and the free-run loop that re-sorts its
+live processes at every step and probes for deadlock in process order
+(`reference_free_run`).  A few small helpers only tests call live here
 too: history projections and comparisons (`render_json`,
 `project_process`, `restrict_to_operation`, `precedes`), real time as
 intervals (`op_intervals`, and `interval_precedence`, the pairs they
@@ -28,8 +30,11 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import random
 from dataclasses import dataclass, replace
 from importlib import resources
+
+from schedlab import scheduler
 
 from schedlab.checkers import (STRICT_CAP, CheckResult, _default_apply,
                                _dependency_cycle, _prefix_witness, _Replay,
@@ -38,14 +43,15 @@ from schedlab.checkers import (STRICT_CAP, CheckResult, _default_apply,
 from schedlab.model import (ABORTED, COMPLETE, OI, OR, RI, RR, WI, WR, Event,
                             History, InvariantError, OperationInstance,
                             Schedule, Slot, slot_of, trim_aborted)
-from schedlab.scheduler import (MalformedScheduleError, Tally, Workload,
-                                _concurrent_history, _fork, _rec_key,
-                                _step_slot, _store_layout, audit_finds,
-                                build_world, walk)
+from schedlab.scheduler import (LivelockError, MalformedScheduleError, Tally,
+                                Workload, _concurrent_history, _fork,
+                                _rec_key, _step_slot, _store_layout,
+                                audit_finds, build_world, walk)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
                               dictionary_apply, local_trace, run_operation)
-from schedlab.sync import FINISHED, PROGRESSED, LockManager, World
+from schedlab.sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED,
+                           LockManager, World, restart)
 
 # every implementation ``make_machine`` builds, the unsynchronized one too
 ALL_IMPLS = ("hoh", "stm", "stm-commit-only", "unsync")
@@ -784,3 +790,40 @@ def check_safe_strict(h: History) -> CheckResult:
                            f"no committed-prefix state (condition 2)")
             checked.append((k, attempt))
     return CheckResult(True, witness=checked)
+
+
+# -- the free-run loop that recomputes its live list ----------------------------
+
+
+def reference_free_run(impl: str, w: Workload, seed: int = 0) -> History:
+    """``scheduler.free_run`` as a loop that re-sorts the live processes at
+    every step and, after a blocked step, asks every machine in process
+    order whether its next step would block.  The caps are read from
+    ``scheduler`` at each call, so a test may lower them for both loops."""
+    world, machines, _ = build_world(impl, w)
+    initial = w.structure.new_state().snapshot()
+    rng = random.Random(seed)
+    restarts = 0
+    steps = 0
+    while True:
+        live = sorted(p for p, m in machines.items() if not m.finished)
+        if not live:
+            break
+        proc = rng.choice(live)
+        out = machines[proc].step(world)
+        steps += 1
+        if steps > scheduler.FREE_RUN_STEP_CAP:
+            raise LivelockError(f"no progress after {scheduler.FREE_RUN_STEP_CAP} steps")
+        if out.kind == BLOCKED:
+            blocked_everywhere = all(m.finished or m.would_block(world)
+                                     for m in machines.values())
+            if blocked_everywhere:
+                raise LivelockError("all machines blocked: deadlock")
+            continue
+        if out.kind == ABORT_OUT:
+            restarts += 1
+            if restarts > scheduler.FREE_RUN_RESTART_CAP:
+                raise LivelockError(
+                    f"restart budget {scheduler.FREE_RUN_RESTART_CAP} exhausted")
+            machines[proc] = restart(machines[proc])
+    return History(list(world.events), dict(world.ops), initial)

@@ -1,21 +1,26 @@
 """Drive/enumerate/free-run behavior: determinism, acceptance soundness,
 rejection reasons, and enumeration counts."""
 
+import gc
 import math
 import pickle
 import random
+import weakref
 
 import pytest
 
 from schedlab import scheduler
-from schedlab.metric import accepted_set
+from schedlab.checkers import (check_ls_linearizable, check_safe_strict,
+                               check_strictly_serializable)
+from schedlab.metric import accepted_set, optimality_gap
 from schedlab.model import OI, RI, Schedule, Slot, complete, schedule_of
 from schedlab.scheduler import (LivelockError, MalformedScheduleError,
-                                Workload, drive, free_run, universe)
+                                Workload, drive, free_run, universe,
+                                workload_keys)
 from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import BLOCKED, EXCLUSIVE, HohMachine
 
-from oracles import render_json
+from oracles import reference_free_run, render_json
 
 
 def test_drive_is_deterministic(fig3_case):
@@ -221,21 +226,37 @@ def random_free_workload(rng, structure):
 def test_would_block_matches_the_fork_peek(monkeypatch, name):
     """Seeded hoh free runs: at every blocked-everywhere check, each
     machine's ``would_block`` equals the fork-peek and leaves the world and
-    the machine as they were; every history equals the one a free run
-    asking the fork-peek produces."""
-    would_block, spawn_machines = HohMachine.would_block, scheduler._spawn
+    the machine as they were; the check asks the process that last
+    progressed first, then the other unfinished ones in process order,
+    each once; every history equals the one a free run asking the
+    fork-peek produces."""
+    would_block, step = HohMachine.would_block, HohMachine.step
+    spawn_machines = scheduler._spawn
     spawned = []
     checks = []
+    probes = []  # per check: the probe order it must follow, the probes made
+    last = [None]  # the process whose step last did not block, in this run
+    opens = [False]  # whether the next probe opens a check
 
     def spawn(impl, w, world):
         spawned.append(spawn_machines(impl, w, world))
+        last[0] = None
         return spawned[-1]
+
+    def stepped(self, world):
+        out = step(self, world)
+        if spawned and spawned[-1].get(self.op.proc) is self:  # not a fork-peek's clone
+            if out.kind == BLOCKED:
+                opens[0] = True
+            else:
+                last[0] = self.op.proc
+        return out
 
     def checked(self, world):
         machines = spawned[-1]
-        # free_run asks the machines in order: the first unfinished one
-        # opens a blocked-everywhere check
-        if self is next(m for m in machines.values() if not m.finished):
+        # each blocked step of the run opens one blocked-everywhere check
+        if opens[0]:
+            opens[0] = False
             answers, world_before = [], world_record(world)
             for m in machines.values():
                 machine_before = machine_record(m)
@@ -244,6 +265,11 @@ def test_would_block_matches_the_fork_peek(monkeypatch, name):
                 assert world_record(world) == world_before
                 assert answers[-1] == fork_peek(m, world)
             checks.append(answers)
+            lead = last[0] if last[0] is not None and not machines[last[0]].finished else None
+            order = [lead] * (lead is not None) + [p for p, m in machines.items()
+                                                    if p != last[0] and not m.finished]
+            probes.append((order, []))
+        probes[-1][1].append(self.op.proc)
         return would_block(self, world)
 
     structure = make_structure(name)
@@ -252,6 +278,7 @@ def test_would_block_matches_the_fork_peek(monkeypatch, name):
         w, seed = random_free_workload(rng, structure), rng.randrange(1 << 31)
         with monkeypatch.context() as patch:
             patch.setattr(scheduler, "_spawn", spawn)
+            patch.setattr(HohMachine, "step", stepped)
             patch.setattr(HohMachine, "would_block", checked)
             fast = free_run("hoh", w, seed=seed)
         with monkeypatch.context() as patch:
@@ -261,3 +288,83 @@ def test_would_block_matches_the_fork_peek(monkeypatch, name):
     # the checks saw machines that would block and machines that would not
     assert len(checks) > 1000
     assert any(any(a) for a in checks) and any(not all(a) for a in checks)
+    # each check probed a prefix of its order, and some led with the last runner
+    assert len(probes) == len(checks)
+    assert all(asked == order[:len(asked)] and asked for order, asked in probes)
+    assert any(order[0] != min(order) for order, _ in probes)
+
+
+@pytest.mark.parametrize("name", ["sorted-list", "bst", "skiplist"])
+def test_free_run_matches_the_reference_loop(monkeypatch, name):
+    """The kept live list and the probe order change no draw and no verdict:
+    over seeded hoh and stm runs, some with lowered caps, each free run's
+    events, or its LivelockError's message and the events up to it, equal
+    those of the loop that re-sorts the live processes at every step and
+    probes in process order."""
+    spawn_machines = scheduler._spawn
+    worlds = []
+
+    def spawn(impl, w, world):
+        worlds.append(world)
+        return spawn_machines(impl, w, world)
+
+    def outcome(run, impl, w, seed):
+        try:
+            return run(impl, w, seed=seed).events_json(), None
+        except LivelockError as err:
+            return [e.to_json() for e in worlds[-1].events], str(err)
+
+    monkeypatch.setattr(scheduler, "_spawn", spawn)
+    structure = make_structure(name)
+    rng = random.Random(f"reference loop {name}")
+    errors = set()
+    for i in range(600):
+        impl = ("hoh", "stm")[i % 2]
+        w, seed = random_free_workload(rng, structure), rng.randrange(1 << 31)
+        monkeypatch.setattr(scheduler, "FREE_RUN_STEP_CAP", 30 if i % 7 == 0 else 100000)
+        monkeypatch.setattr(scheduler, "FREE_RUN_RESTART_CAP", 0 if i % 5 == 1 else 100)
+        kept = outcome(free_run, impl, w, seed)
+        assert kept == outcome(reference_free_run, impl, w, seed)
+        errors.add(kept[1])
+    assert errors == {None, "no progress after 30 steps", "restart budget 0 exhausted"}
+
+
+def gap_on_a_new_structure() -> weakref.ref:
+    """Run an optimality gap on a structure made for it; return a weak
+    reference to the structure."""
+    d = make_structure("bst")
+    w = Workload(d, [Operation("insert", 2)],
+                 [(1, Operation("insert", 1)), (2, Operation("find", 1))])
+    assert optimality_gap("hoh", w, budget=500).lsl > 0
+    return weakref.ref(d)
+
+
+def test_free_runs_and_their_checks_leave_no_cycles():
+    """Seeded free runs of every structure under hoh and stm, restarts
+    included, each checked for LSL, safe-strict and strict serializability,
+    then an optimality gap on a new structure, all with the cyclic collector
+    off: reference counting frees the structure, and the collector then
+    finds nothing to free."""
+    structures = [make_structure(n) for n in ("sorted-list", "bst", "skiplist")]
+    rng = random.Random("no cycles")
+    restarted = 0
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for i in range(200):
+            d = structures[i % 3]
+            w = random_free_workload(rng, d)
+            h = free_run(("hoh", "stm")[i // 3 % 2], w, seed=rng.randrange(1 << 31))
+            restarted += any(e.attempt > 0 for e in h.events)
+            keys = workload_keys(w)
+            check_ls_linearizable(h, d, keys, len(keys) + 1)
+            check_safe_strict(h)
+            check_strictly_serializable(h)
+        structure = gap_on_a_new_structure()
+        assert structure() is None
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+    assert restarted > 0

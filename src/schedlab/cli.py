@@ -11,6 +11,9 @@ Exit codes: 0 accepted/completed, 1 input error or a report file that
 cannot be written, 2 schedule rejected or free run not completed (restart
 budget, deadlock or step limit), 3 reproduction deviates from the
 recorded claims, 4 exploration budget exceeded (partial report).
+
+The argument parser is built once per process, at import: ``main`` parses
+each command line with it, and it keeps nothing from one call to the next.
 """
 
 from __future__ import annotations
@@ -358,8 +361,10 @@ def cmd_explore(args) -> int:
     return _emit(args, report, lines, 4 if gap.partial else 0)
 
 
-def main(argv=None) -> int:
-    p = _Parser(prog="schedlab", description=__doc__,
+def _parser() -> _Parser:
+    # --help shows the docstring but for its last paragraph, the note above
+    usage = (__doc__ or "").partition("\nThe argument parser")[0]
+    p = _Parser(prog="schedlab", description=usage,
                 formatter_class=argparse.RawDescriptionHelpFormatter)
     p.add_argument("--json", action="store_true", help="emit a JSON report")
     p.add_argument("--out", metavar="PATH", help="write the report to a file")
@@ -372,8 +377,16 @@ def main(argv=None) -> int:
     rep.add_argument("figure", choices=("fig2", "fig3", "thm2", "thm3"))
     exp = sub.add_parser("explore", help="enumerate and classify schedules")
     exp.add_argument("scenario")
+    return p
+
+
+# read-only after import: each parse builds a new namespace
+_PARSER = _parser()
+
+
+def main(argv=None) -> int:
     try:
-        args = p.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

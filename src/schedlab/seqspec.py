@@ -189,20 +189,24 @@ class DagState:
         return cell[0]
 
     def _canonical_bfs(self) -> tuple:
-        order, seen, queue = [], set(), [self.root]
-        while queue:
-            n = queue.pop(0)
-            if n in seen or n is None:
-                continue
-            seen.add(n)
-            order.append(n)
-            rec = self.nodes[n]
-            queue.extend(rec.edges[lab] for lab in sorted(rec.edges))
-        remap = {n: i for i, n in enumerate(order)}
-        return tuple(
-            (remap[n], enc_key(self.nodes[n].key), self.nodes[n].val,
-             tuple((lab, remap.get(t)) for lab, t in sorted(self.nodes[n].edges.items())))
-            for n in order)
+        """One pass over the reachable part: a node is numbered when it is
+        first pushed and each node's edges are sorted once.  The queue is
+        FIFO, so a node's first push comes before any later one's, and the
+        push order is the order in which a queue holding duplicates would
+        first pop each node; every edge of a popped node points at a
+        numbered node or at None."""
+        nodes, root = self.nodes, self.root
+        order, remap, out = [root], {root: 0}, []
+        for i, n in enumerate(order):  # `order` grows as nodes are pushed
+            rec = nodes[n]
+            edges = sorted(rec.edges.items())
+            for _, t in edges:
+                if t is not None and t not in remap:
+                    remap[t] = len(order)
+                    order.append(t)
+            out.append((i, enc_key(rec.key), rec.val,
+                        tuple([(lab, remap.get(t)) for lab, t in edges])))
+        return tuple(out)
 
 
 # -- the explored sub-DAG of one operation ----------------------------------
@@ -232,10 +236,6 @@ class Gop:
 
     def edges(self, nid: int) -> dict[str, int | None]:
         return self.recs[nid].edges
-
-    def known_edges(self) -> set[tuple[int, str, int]]:
-        return {(n, lab, t) for n, r in self.recs.items()
-                for lab, t in r.edges.items() if t is not None}
 
     def write_order(self, writes) -> list[tuple[int, dict[str, int | None]]]:
         """A plan's (node, patch) writes sorted by their node's position
@@ -602,17 +602,19 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
     Appends ("r", nid, record) / ("w", nid, edge_patch) steps to `trace`
     when given: the steps ``checkers`` derives from a history's read
     responses and write invocations.  Checks the proper-traversal
-    discipline as it goes and raises InvariantError when a step breaks it."""
+    discipline as it goes and raises InvariantError when a step breaks it:
+    after the root, each node read is the target of an edge of some record
+    read before.  The check looks at the latest record first, whose edges
+    the next read usually follows."""
     gop = Gop()
     while True:
         nxt = def_.tau(op, gop, state.root)
         if nxt is None:
             break
-        if gop.order:
-            known = {t for _, _, t in gop.known_edges()}
-            if nxt not in known:
-                raise InvariantError(f"{op.describe()} traversal left the "
-                                     f"explored frontier at n{nxt}")
+        if gop.order and not any(nxt in r.edges.values()
+                                 for r in reversed(gop.recs.values())):
+            raise InvariantError(f"{op.describe()} traversal left the "
+                                 f"explored frontier at n{nxt}")
         rec = state.read(nxt)
         gop.visit(rec)
         if trace is not None:
@@ -683,27 +685,46 @@ def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...]):
     The BFS runs to its fixpoint, the first level that adds no new shape.
     The shapes are finite (a set of keys with a fixed layout, or a BST
     over them, which its preorder inserts build), so within |keys| levels.
-    Raises BudgetExceeded past ``STATE_CAP`` states."""
+    Raises BudgetExceeded past ``STATE_CAP`` states.
+
+    From each state it runs, per key k, only the operation that can change
+    the shape: delete(k) when k is present, insert(k) when it is absent.
+    Presence is read off the state's ``canonical()`` tuple, which holds
+    the key of every reachable record.  Every state here was built by
+    sequential runs, which keep the structure's order invariant
+    (``audit``): the reachable non-sentinel records hold exactly the
+    dictionary's keys, and the search for k reaches k's record when it is
+    reachable.  So an insert of a present key, or a delete of an absent
+    one, finds what the canonical tuple says; its ``plan_update`` then
+    allocates nothing and plans no write or unlink, and the run ends in
+    the state it started from, whose shape is already seen.  Skipping it
+    adds or drops no shape: the order, the paths and where the cap raises
+    are those of the BFS that runs both operations (``tests/oracles.py``
+    ``bounded_reachable_states``, which also runs the skipped traversals
+    through ``run_operation``'s checks)."""
     base = def_.new_state()
     out = [(base, [])]
     seen = {base.canonical()}
     frontier = [(base, [])]
+    ops = [(key, Operation("insert", key), Operation("delete", key))
+           for key in keys]
     while frontier:
         nxt = []
         for state, path in frontier:
-            for key in keys:
-                for op in (Operation("insert", key), Operation("delete", key)):
-                    st = state.clone()
-                    run_operation(def_, st, op)
-                    canon = st.canonical()
-                    if canon in seen:
-                        continue
-                    if len(out) >= STATE_CAP:
-                        raise BudgetExceeded(f"state cap {STATE_CAP} hit")
-                    seen.add(canon)
-                    entry = (st, path + [op])
-                    out.append(entry)
-                    nxt.append(entry)
+            present = {key for _, key, _, _ in state.canonical()}
+            for key, insert, delete in ops:
+                op = delete if key in present else insert
+                st = state.clone()
+                run_operation(def_, st, op)
+                canon = st.canonical()
+                if canon in seen:
+                    continue
+                if len(out) >= STATE_CAP:
+                    raise BudgetExceeded(f"state cap {STATE_CAP} hit")
+                seen.add(canon)
+                entry = (st, path + [op])
+                out.append(entry)
+                nxt.append(entry)
         frontier = nxt
     return out
 

@@ -2,17 +2,19 @@
 
 Each is an independent, slower statement of something the library does
 fast: the brute-force linearizability search, history well-formedness,
-the dictionary fold, the sequential interpreter's recorded runs with their
-legality replay (`sequential_run`, `assert_legal`), the
-sequential-history enumeration, the state space as a BFS cut at a depth,
-an operation's solo step list, the schedule walk that steps every prefix
-(not every configuration) once, the walk's configuration key with every
-field a step reads (`full_config_key`), the per-leaf LSL signature
-rebuilt from a replay's events, the checkers that scan every event
-once per operation with no cache, and the free-run loop that re-sorts its
-live processes at every step and probes for deadlock in process order
-(`reference_free_run`).  A few small helpers only tests call live here
-too: history projections and comparisons (`render_json`,
+the dictionary fold, the sequential interpreter's recorded runs with
+their legality replay (`sequential_run`, `assert_legal`), the
+sequential-history enumeration, the state space as a BFS cut at a depth
+that runs insert and delete of every key from every state, a store's
+canonical tuple from a BFS whose queue holds duplicates
+(`reference_canonical_bfs`), an operation's solo step list, the schedule
+walk that steps every prefix (not every configuration) once, the walk's
+configuration key with every field a step reads (`full_config_key`), the
+per-leaf LSL signature rebuilt from a replay's events, the checkers that
+scan every event once per operation with no cache, and the free-run loop
+that re-sorts its live processes at every step and probes for deadlock
+in process order (`reference_free_run`).  A few small helpers only tests
+call live here too: history projections and comparisons (`render_json`,
 `project_process`, `restrict_to_operation`, `precedes`), real time as
 intervals (`op_intervals`, and `interval_precedence`, the pairs they
 order), store and lock
@@ -49,7 +51,8 @@ from schedlab.scheduler import (LivelockError, MalformedScheduleError, Tally,
                                 audit_finds, build_world, walk)
 from schedlab.seqspec import (BudgetExceeded, DagState, Operation,
                               SearchStructureDef, canonical_steps,
-                              dictionary_apply, local_trace, run_operation)
+                              dictionary_apply, enc_key, local_trace,
+                              run_operation)
 from schedlab.sync import (ABORT_OUT, BLOCKED, FINISHED, PROGRESSED,
                            LockManager, World, restart)
 
@@ -325,6 +328,26 @@ def reachable(state: DagState) -> set[int]:
     return seen
 
 
+def reference_canonical_bfs(state: DagState) -> tuple:
+    """``DagState._canonical_bfs`` as it was before its one-pass form: a
+    queue that may hold a node more than once, a node numbered when first
+    popped, each node's edges sorted twice."""
+    order, seen, queue = [], set(), [state.root]
+    while queue:
+        n = queue.pop(0)
+        if n in seen or n is None:
+            continue
+        seen.add(n)
+        order.append(n)
+        rec = state.nodes[n]
+        queue.extend(rec.edges[lab] for lab in sorted(rec.edges))
+    remap = {n: i for i, n in enumerate(order)}
+    return tuple(
+        (remap[n], enc_key(state.nodes[n].key), state.nodes[n].val,
+         tuple((lab, remap.get(t)) for lab, t in sorted(state.nodes[n].edges.items())))
+        for n in order)
+
+
 def alive_keys(state: DagState) -> dict:
     """key -> value of the reachable nodes but the sentinels."""
     reach = reachable(state)
@@ -336,7 +359,8 @@ def bounded_reachable_states(def_: SearchStructureDef, keys: tuple[int, ...],
                              max_ops: int, state_cap: int = 4000):
     """The states reachable by <= max_ops inserts and deletes of `keys`,
     one per canonical shape, as [(state, ops_path)] in BFS order: the BFS
-    ``seqspec.reachable_states`` runs, cut after `max_ops` levels."""
+    ``seqspec.reachable_states`` runs, cut after `max_ops` levels, that
+    runs both operations of every key from every state."""
     base = def_.new_state()
     out = [(base, [])]
     seen = {base.canonical()}
@@ -650,7 +674,7 @@ def events_signature(world: World, start: int) -> tuple:
     iv = op_intervals(History(world.events[start:], ops))
     return (tuple((i, ops[i].status, ops[i].response, canonical_steps(traces[i]))
                   for i in sorted(traces)),
-            interval_precedence(iv), world.state._canonical_bfs())
+            interval_precedence(iv), reference_canonical_bfs(world.state))
 
 
 def leaf_signature(w: Workload, leaf) -> tuple:

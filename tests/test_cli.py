@@ -358,6 +358,26 @@ def test_usage_errors_exit_1(capsys, argv):
     assert err.startswith("error: ")
 
 
+def test_one_parser_serves_every_call_in_a_process(tmp_path, capsys):
+    """``main`` parses every call with the parser built at import: after a
+    budget cut, a JSON report, a usage error or another command, each call
+    prints and returns what it does alone in a fresh process."""
+    thm2 = str(thm2_present_scenario(tmp_path))
+    calls = [["--budget", "1", "explore", thm2], ["explore", thm2],
+             ["--json", "explore", thm2], ["explore", thm2],
+             ["--budget", "abc", "explore", thm2], ["explore", thm2],
+             ["run", scenario_path("fig2a_stm.json")],
+             ["explore", scenario_path("explore_fig2a_hoh.json")]]
+    alone = {}
+    for argv in calls:
+        code = main(argv)
+        out, err = capsys.readouterr()
+        if tuple(argv) not in alone:
+            alone[tuple(argv)] = run_cli(*argv)
+        assert (code, out, err) == alone[tuple(argv)], argv
+    assert [alone[tuple(argv)][0] for argv in calls] == [4, 0, 0, 0, 1, 0, 0, 0]
+
+
 def test_there_is_no_global_seed_flag(tmp_path, capsys):
     """A free run takes its seed from the scenario's own "seed"; a global
     --seed is a usage error."""

@@ -18,7 +18,7 @@ from schedlab.metric import accepted_set, audited_history, lsl_set
 from schedlab.model import ABORTED, RI, RR, Schedule
 from schedlab.scheduler import (InvariantError, MalformedScheduleError,
                                 Workload, build_world, drive, universe)
-from schedlab.seqspec import (ROOT_ROLE, Operation, SortedList, Witness,
+from schedlab.seqspec import (ROOT_ROLE, Bst, Operation, SortedList, Witness,
                               make_structure, run_operation)
 from schedlab.sync import (BLOCKED, FINISHED, LockManager, StepOutcome,
                            StmMachine, UnsyncMachine)
@@ -185,6 +185,26 @@ def test_run_operation_raises_when_traversal_leaves_the_frontier(monkeypatch):
     monkeypatch.setattr(SortedList, "tau", jumping)
     with pytest.raises(InvariantError, match="explored frontier"):
         run_operation(d, st, Operation("find", 2))
+
+
+def test_run_operation_accepts_an_edge_of_an_earlier_record(monkeypatch):
+    """The frontier is every visited record's edges, not the last one's: a
+    read of the BST root's right child's right child after its left child
+    (whose edges are None) is accepted."""
+    d = make_structure("bst")
+    st = d.new_state()
+    for k in (2, 1, 3):
+        run_operation(d, st, Operation("insert", k))
+    two, one, three = (st.find_alive(k) for k in (2, 1, 3))
+    script = [st.root, two, one, three]
+
+    def scripted(self, op, gop, root):
+        return next((n for n in script if n not in gop), None)
+
+    monkeypatch.setattr(Bst, "tau", scripted)
+    trace = []
+    assert run_operation(d, st, Operation("find", 3), trace) is True
+    assert [nid for _, nid, _ in trace] == script
 
 
 def test_sequential_run_raises_on_read_after_write(monkeypatch):

@@ -2,6 +2,7 @@
 rejection reasons, and enumeration counts."""
 
 import gc
+import json
 import math
 import pickle
 import random
@@ -9,7 +10,7 @@ import weakref
 
 import pytest
 
-from schedlab import scheduler
+from schedlab import cli, scheduler
 from schedlab.checkers import (check_ls_linearizable, check_safe_strict,
                                check_strictly_serializable)
 from schedlab.metric import accepted_set, optimality_gap
@@ -21,6 +22,7 @@ from schedlab.seqspec import Operation, make_structure
 from schedlab.sync import BLOCKED, EXCLUSIVE, HohMachine
 
 from oracles import reference_free_run, render_json
+from test_golden import thm2_scenario
 
 
 def test_drive_is_deterministic(fig3_case):
@@ -339,12 +341,19 @@ def gap_on_a_new_structure() -> weakref.ref:
     return weakref.ref(d)
 
 
-def test_free_runs_and_their_checks_leave_no_cycles():
+def test_free_runs_and_their_checks_leave_no_cycles(tmp_path, capsys):
     """Seeded free runs of every structure under hoh and stm, restarts
     included, each checked for LSL, safe-strict and strict serializability,
     then an optimality gap on a new structure, all with the cyclic collector
     off: reference counting frees the structure, and the collector then
-    finds nothing to free."""
+    finds nothing to free.  Nor does it after 20 text-mode ``schedlab
+    explore`` calls in the same process, on the Thm. 2 scenarios."""
+    scenarios = []
+    for name in ("sorted-list", "bst"):
+        for instance in ("w_present", "w_absent"):
+            path = tmp_path / f"{name}_{instance}.json"
+            path.write_text(json.dumps(thm2_scenario(name, instance, "hoh")))
+            scenarios.append(str(path))
     structures = [make_structure(n) for n in ("sorted-list", "bst", "skiplist")]
     rng = random.Random("no cycles")
     restarted = 0
@@ -363,6 +372,11 @@ def test_free_runs_and_their_checks_leave_no_cycles():
             check_strictly_serializable(h)
         structure = gap_on_a_new_structure()
         assert structure() is None
+        assert gc.collect() == 0
+        for i in range(20):
+            assert cli.main(["explore", scenarios[i % 4]]) == 0
+        reports = capsys.readouterr().out.splitlines()
+        assert sum(line.startswith("workload ") for line in reports) == 20
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -11,19 +11,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from schedlab import seqspec
+from schedlab import scheduler, seqspec
 from schedlab.checkers import check_ls_linearizable
 from schedlab.model import InvariantError
 from schedlab.scheduler import free_run, workload_keys
-from schedlab.seqspec import (BudgetExceeded, Operation, UpdatePlan,
+from schedlab.seqspec import (STRUCTURES, BudgetExceeded, DagState, Operation,
+                              UpdatePlan,
                               dictionary_apply, make_structure,
                               non_triviality_witness, reachable_states,
                               run_operation, shortest_path_len)
 
-from oracles import (alive_keys, bounded_reachable_states, compile_program,
-                     enumerate_sequential_histories, fold_dictionary,
-                     relevant_graph, relevant_set, sequential_run)
+from oracles import (ALL_IMPLS, alive_keys, bounded_reachable_states,
+                     compile_program, enumerate_sequential_histories,
+                     fold_dictionary, reference_canonical_bfs, relevant_graph,
+                     relevant_set, schedule_trie, sequential_run)
 from test_acceptance import random_workload
+from test_trie import key_check_walks
 
 LIST_KEYS = (1, 2, 3, 4)
 
@@ -338,6 +341,60 @@ def test_traverse_never_reads_after_write(structure):
         if "w" in kinds:
             first_w = kinds.index("w")
             assert all(k == "w" for k in kinds[first_w:])
+
+
+def test_canonical_bfs_matches_the_reference(monkeypatch):
+    """The one-pass ``_canonical_bfs`` gives the tuple of the BFS whose
+    queue holds duplicates (``oracles.reference_canonical_bfs``) on every
+    state of seeded sequential runs of the three structures, on every
+    world of the key-check walks (mid-schedule stores, with unlinked
+    records and None edges) and on every store a seeded free run writes."""
+    seen = {"unlinked": 0, "none edge": 0}
+
+    def same(state):
+        assert state._canonical_bfs() == reference_canonical_bfs(state)
+        seen["unlinked"] += any(not r.alive for r in state.nodes.values())
+        seen["none edge"] += any(t is None for r in state.nodes.values()
+                                 for t in r.edges.values())
+
+    rng = random.Random("canonical bfs")
+    for name in STRUCTURES:
+        d = make_structure(name)
+        for _ in range(30):
+            state = d.new_state()
+            same(state)
+            for _ in range(rng.randint(1, 8)):
+                op = Operation(rng.choice(("insert", "delete", "find")),
+                               rng.randint(1, 6))
+                run_operation(d, state, op)
+                same(state)
+    sequential = dict(seen)
+
+    step_key = scheduler._step_key
+
+    def checked(parent, proc, world, machines, runs):
+        for w in (world, *(iw for iw, _ in runs.values())):
+            same(w.state)
+        return step_key(parent, proc, world, machines, runs)
+
+    with monkeypatch.context() as m:
+        m.setattr(scheduler, "_step_key", checked)
+        for w, budget in key_check_walks():
+            assert sum(1 for _ in itertools.islice(schedule_trie(w, ALL_IMPLS),
+                                                   budget)) > 0
+    walks = dict(seen)
+
+    for meth in ("write_edges", "unlink"):
+        def checked_mutation(self, *args, _mutate=getattr(DagState, meth)):
+            _mutate(self, *args)
+            same(self)
+        monkeypatch.setattr(DagState, meth, checked_mutation)
+    for i in range(150):
+        d = make_structure(STRUCTURES[i % 3])
+        free_run(("hoh", "stm")[i // 3 % 2], random_workload(d, rng), seed=i)
+    for before, after in ((dict.fromkeys(seen, 0), sequential),
+                          (sequential, walks), (walks, seen)):
+        assert all(after[k] > before[k] for k in seen), (before, after)
 
 
 # -- the sequential state space ----------------------------------------------------

@@ -37,9 +37,9 @@ each prefix's slots, digest pieces, rejections and precedence relation.
 
 * The key holds every field a step reads that the machines and the store
   do not determine, in the unsynchronized world and in each
-  implementation still accepting: the store (records by value, ``root``,
-  ``tail``, ``counter``) and each machine's ``invoked``, ``finished``,
-  ``write_idx``, G_op, plan and ``stm``'s read set.  The rest follows
+  implementation still accepting: the store (``root``, ``tail`` and the
+  records by value) and each machine's ``invoked``, ``write_idx``,
+  operation status, G_op, plan and ``stm``'s read set.  The rest follows
   from these on every configuration the walk keeps, since an
   implementation that rejects a step is dropped before keying:
 
@@ -52,27 +52,27 @@ each prefix's slots, digest pieces, rejections and precedence relation.
     of the finished ``stm`` machines.  Only a commit bumps one, once per
     write; the setup runs unsynchronized and bumps none.
   - The operation: its id, process, name, key and value are fixed per
-    process for the whole walk (``_spawn``), and its status and response
-    follow from ``finished`` and ``plan.response``.  ``attempt`` is 0:
-    an abort rejects.
+    process for the whole walk (``_spawn``), and its response follows
+    from its status and ``plan.response``.  Its status is incomplete or
+    complete, and ``attempt`` is 0: an abort rejects.
   - The world's ``ops``: each concurrent operation is its machine's
     ``op`` (``_spawn`` puts it in both, and a fork gives the machine the
     fork's copy), and the setup's are complete and the same for the walk.
   - Traces: an operation's raw read/write trace is a function of its
     unsynchronized machine's G_op records, plan and ``write_idx``.
-  - ``def_``, the execution record (the events, ``seq``) and memo cells
+  - ``def_``, the execution record (the events) and memo cells
     (``DagState``'s cell of ``canonical()`` and of its own key, the key
     cached on each record, which never changes): no step reads them, and
     the walk reads only the events of the step it just took.
 
   One rule keys every part: a declared field set, laid out by position.
-  A world is its store (``_world_key``); the store is its root, tail and
-  counter, then each record (``_store_layout``); a record is its node,
-  key, value and liveness, then its edges flat (``_rec_key``); a machine
-  is its class and its keyed fields, with G_op (its records in visit
-  order) and plan inline (``_machine_key``).  The fields left out are
-  declared too: an attribute outside a declared set raises, and so does
-  a laid-out value that is not a scalar or None.
+  A world is its store (``_world_key``); the store is its root and tail,
+  then each record (``_store_layout``); a record is its node, key, value
+  and liveness, then its edges flat (``_rec_key``); a machine is its
+  class and its keyed fields, with G_op (its records in visit order) and
+  plan inline (``_machine_key``).  The fields left out are declared too:
+  an attribute outside a declared set raises, and so does a laid-out
+  value that is not a scalar or None.
 * Equal keys have equal futures.  A step's outcome, its events (but their
   sequence numbers) and the configuration after it are functions of the
   fields above and of those they determine, so from two configurations
@@ -279,11 +279,15 @@ class DriveResult:
     history: History
     reason: str | None = None  # blocked | aborted | order-mismatch
     failing_slot: int | None = None
-    responses: dict[int, object] = field(default_factory=dict)
 
     @property
     def accepted(self) -> bool:
         return self.verdict == "accepted"
+
+    @property
+    def responses(self) -> dict[int, object]:
+        """Each complete operation's response, by id."""
+        return {i: o.response for i, o in self.history.ops.items() if o.is_complete()}
 
 
 def _spawn(impl: str, w: Workload, world: World) -> dict[int, StepMachine]:
@@ -392,55 +396,52 @@ def _step_slot(world: World, m: StepMachine, idx: int,
     return taken
 
 
-def _accepted_history(world: World, machines: dict[int, StepMachine],
-                      w: Workload, start: int, initial: dict,
-                      schedule: Schedule) -> History:
-    """The end-of-schedule checks of an implementation that took every
-    slot: all operations finished, and the history exports the schedule."""
+def _replay(impl: str, w: Workload,
+            schedule: Schedule) -> tuple[World, int, dict, tuple[str, int] | None]:
+    """The replay ``drive`` and ``audited_history`` share: `impl`'s world
+    after the setup, then one step of the named process per slot
+    (``_step_slot``) up to the first slot the step does not take.  A slot
+    for a process the workload does not have raises before any step, and
+    so does a schedule whose every slot is taken but that leaves an
+    operation incomplete.  Returns (world, index of the first concurrent
+    event, initial snapshot, (reason, slot index) of the rejection or
+    None)."""
+    world, machines, start = build_world(impl, w)
+    for idx, slot in enumerate(schedule.slots):
+        if slot.proc not in machines:
+            raise MalformedScheduleError(f"slot {idx} for unknown process {slot.proc}")
+    initial = world.state.snapshot()
+    for idx, slot in enumerate(schedule.slots):
+        taken = _step_slot(world, machines[slot.proc], idx, slot)
+        if taken != slot:
+            return world, start, initial, (taken, idx)
     if not all(m.finished for m in machines.values()):
         raise MalformedScheduleError("schedule leaves operations incomplete")
-    hist = _concurrent_history(world, w, start, initial)
-    if schedule_of(complete(hist).exported()) != schedule:
-        raise InvariantError("accepted history does not export the schedule")
-    return hist
+    return world, start, initial, None
 
 
 def drive(impl: str, w: Workload, schedule: Schedule) -> DriveResult:
     """Give the named process's machine one step per slot; accept iff every
-    slot progresses with the named event and all operations complete."""
-    world, machines, start = build_world(impl, w)
-    initial = world.state.snapshot()
-    known = {p for p, _ in w.concurrent}
-    for slot in schedule.slots:
-        if slot.proc not in known:
-            raise MalformedScheduleError(f"slot for unknown process {slot.proc}")
-
-    def result(verdict, hist, reason=None, idx=None):
-        responses = {i: o.response for i, o in hist.ops.items() if o.is_complete()}
-        return DriveResult(verdict, hist, reason, idx, responses)
-
-    for idx, slot in enumerate(schedule.slots):
-        taken = _step_slot(world, machines[slot.proc], idx, slot)
-        if taken != slot:
-            return result("rejected", _concurrent_history(world, w, start, initial),
-                          taken, idx)
-    return result("accepted",
-                  _accepted_history(world, machines, w, start, initial, schedule))
+    slot progresses with the named event and all operations complete, and
+    then check that the history exports the schedule."""
+    world, start, initial, rejected = _replay(impl, w, schedule)
+    hist = _concurrent_history(world, w, start, initial)
+    if rejected is not None:
+        return DriveResult("rejected", hist, *rejected)
+    if schedule_of(complete(hist).exported()) != schedule:
+        raise InvariantError("accepted history does not export the schedule")
+    return DriveResult("accepted", hist)
 
 
 def audited_history(w: Workload, schedule: Schedule) -> History:
     """Legal replay of the schedule plus the sequential audit finds: the
     history the LSL oracle checks for it (see ``metric``).  Raises
     MalformedScheduleError for a schedule that is not in the universe."""
-    world, machines, start = build_world("unsync", w)
-    initial = world.state.snapshot()
-    for idx, slot in enumerate(schedule.slots):
-        if slot.proc not in machines or \
-                _step_slot(world, machines[slot.proc], idx, slot) != slot:
-            raise MalformedScheduleError(f"slot {idx} is not a step of the "
-                                         f"universe: {slot}")
-    if not all(m.finished for m in machines.values()):
-        raise MalformedScheduleError("schedule leaves operations incomplete")
+    world, start, initial, rejected = _replay("unsync", w, schedule)
+    if rejected is not None:
+        _, idx = rejected
+        raise MalformedScheduleError(f"slot {idx} is not a step of the "
+                                     f"universe: {schedule.slots[idx]}")
     audit_finds(world, w)
     return _concurrent_history(world, w, start, initial)
 
@@ -478,18 +479,17 @@ def _flat(d: dict) -> tuple:
 
 # The key's declared fields, each laid out by position below; a field
 # outside them raises (``_exact_fields``).  Memo cells are declared and not
-# keyed, and so are the world's execution record (``events``, ``seq``), its
+# keyed, and so are the world's execution record (``events``), its
 # operations (``ops``) and what the machines and the store determine.
-_WORLD_FIELDS = frozenset(("state", "locks", "versions", "events", "ops", "seq"))
-_STATE_FIELDS = frozenset(("nodes", "root", "tail", "counter", "_canon"))
+_WORLD_FIELDS = frozenset(("state", "locks", "versions", "events", "ops"))
+_STATE_FIELDS = frozenset(("nodes", "root", "tail", "_canon"))
 # a record's `_key` memo cell is its class default until ``_rec_key`` sets it
 _REC_FIELDS = frozenset(("nid", "key", "val", "edges", "alive"))
 _OP_FIELDS = frozenset(("id", "proc", "name", "key", "val", "status", "response"))
-_GOP_FIELDS = frozenset(("recs", "order"))
 _PLAN_FIELDS = frozenset(("response", "writes", "new_nodes", "unlink"))
-_MACHINE_FIELDS = frozenset(("def_", "op", "attempt", "invoked", "finished",
-                             "gop", "plan", "write_idx"))
-_MACHINE_LAYOUT = itemgetter("invoked", "finished", "write_idx")
+_MACHINE_FIELDS = frozenset(("def_", "op", "attempt", "invoked", "gop", "plan",
+                             "write_idx"))
+_MACHINE_LAYOUT = itemgetter("invoked", "write_idx")
 _STM_FIELDS = _MACHINE_FIELDS | {"read_set"}
 
 
@@ -506,11 +506,10 @@ def _rec_key(rec: NodeRec) -> tuple:
 
 
 def _store_layout(state: DagState) -> tuple:
-    """The root, the tail and the counter, then each record's key in the
-    store's order (``alloc`` adds nodes in id order); a record's key holds
-    its node."""
+    """The root and the tail, then each record's key in the store's order
+    (``alloc`` adds nodes in id order); a record's key holds its node."""
     d = _exact_fields(state, _STATE_FIELDS)
-    return (d["root"], d["tail"], d["counter"], *map(_rec_key, d["nodes"].values()))
+    return (d["root"], d["tail"], *map(_rec_key, d["nodes"].values()))
 
 
 def _store_key(state: DagState) -> tuple:
@@ -544,26 +543,23 @@ def _plan_key(plan: UpdatePlan) -> tuple:
 
 def _step_machine_key(d: dict) -> tuple:
     """The fields every machine has but ``def_``, ``op`` and ``attempt``,
-    by position: the scalar fields; G_op's records in visit order; the
-    plan.  The operation's fields are checked, not keyed.  ``Gop.visit``
-    keeps G_op's order and records in step (it raises on a node G_op
-    holds), and a record's key holds its node, so the records in order are
-    the whole of G_op."""
-    _exact_fields(d["op"], _OP_FIELDS)
-    gop = _exact_fields(d["gop"], _GOP_FIELDS)
-    recs = gop["recs"]
+    by position: the scalar fields and the operation's status; G_op's
+    records in visit order; the plan.  The operation's other fields are
+    checked, not keyed.  A record's key holds its node, so the records in
+    order are the whole of G_op."""
+    status = _exact_fields(d["op"], _OP_FIELDS)["status"]
     plan = d["plan"]
-    return (_scalars(_MACHINE_LAYOUT(d)),
-            tuple([_rec_key(recs[n]) for n in gop["order"]]),
+    return (_scalars((*_MACHINE_LAYOUT(d), status)),
+            tuple([_rec_key(r) for r in d["gop"].values()]),
             None if plan is None else _plan_key(plan))
 
 
 def _machine_key(m: StepMachine) -> tuple:
     """The keyed fields (``_step_machine_key``), by position for the
     machine's class; a field the layout does not declare, on the machine,
-    its operation, its G_op or its plan, raises.  ``hoh`` holds no field of
-    its own: its held locks are functions of the fields every machine has
-    and of the store's root."""
+    its operation, a record of its G_op or its plan, raises.  ``hoh``
+    holds no field of its own: its held locks are functions of the fields
+    every machine has and of the store's root."""
     t = type(m)
     if t is UnsyncMachine or t is HohMachine:
         return t, _step_machine_key(_exact_fields(m, _MACHINE_FIELDS))
@@ -680,9 +676,8 @@ def _trace(m: StepMachine) -> tuple:
     """``canonical_steps`` of an unsynchronized machine's raw read/write
     trace, as its events carry it: each read's record, in G_op order,
     then each write's patch of ``n<id>`` tokens."""
-    gop = m.gop
     return canonical_steps(
-        [("r", n, gop.recs[n].snap()) for n in gop.order]
+        [("r", n, r.snap()) for n, r in m.gop.items()]
         + [("w", n, {lab: node_token(t) for lab, t in patch.items()})
            for n, patch in m.plan.writes[:m.write_idx]])
 

@@ -7,7 +7,9 @@ nodes: one visit reads a node's key, value and outgoing edges) followed by
 a write-only update phase that patches the outgoing-edge slots of already
 visited nodes.  The traverse function works off G_op, the sub-DAG of nodes
 visited so far, never off the live graph, so a suspended operation resumes
-against whatever the graph has become.
+against whatever the graph has become.  G_op is a plain dict from each
+visited node to the record its visit read; its insertion order is the
+visit order.
 
 The three structures are the skiplist, the BST and the sorted list, which
 is the one-level skiplist whose one edge is labelled ``next``: it shares
@@ -127,7 +129,6 @@ class DagState:
     nodes: dict[int, NodeRec] = field(default_factory=dict)
     root: int = 0
     tail: int | None = None
-    counter: int = 0
     # memo cell of [canonical(), the store's configuration key
     # (``scheduler``)], shared with the clones taken since the last
     # mutation; a mutation gives the mutating side a fresh cell
@@ -135,8 +136,9 @@ class DagState:
                          repr=False, compare=False)
 
     def alloc(self, key, val, edges: dict[str, int | None]) -> int:
-        nid = self.counter
-        self.counter += 1
+        """A new node numbered ``len(nodes)``: no node ever leaves
+        ``nodes`` (an unlink installs a record that is not alive)."""
+        nid = len(self.nodes)
         self.nodes[nid] = NodeRec(nid, key, val, dict(edges))
         self._canon = [None, None]
         return nid
@@ -176,7 +178,7 @@ class DagState:
         default factory would make a cell only to drop it."""
         st = object.__new__(DagState)
         st.nodes, st.root, st.tail = dict(self.nodes), self.root, self.tail
-        st.counter, st._canon = self.counter, self._canon
+        st._canon = self._canon
         return st
 
     def canonical(self) -> tuple:
@@ -210,45 +212,27 @@ class DagState:
 
 
 # -- the explored sub-DAG of one operation ----------------------------------
+#
+# Records are immutable, so G_op holding the record itself freezes what
+# was read.
 
 
-@dataclass
-class Gop:
-    """Nodes visited so far: the record each visit read.  Records are
-    immutable, so holding the record itself freezes what was read."""
+def visit(gop: dict[int, NodeRec], rec: NodeRec) -> None:
+    """Add the record of a node not visited before: G_op only grows
+    (``tau`` names unvisited nodes)."""
+    if rec.nid in gop:
+        raise InvariantError(f"G_op already holds n{rec.nid}")
+    gop[rec.nid] = rec
 
-    recs: dict[int, NodeRec] = field(default_factory=dict)
-    order: list[int] = field(default_factory=list)
 
-    def visit(self, rec: NodeRec) -> None:
-        """Add the record of a node not visited before: G_op only grows
-        (``tau`` names unvisited nodes)."""
-        if rec.nid in self.recs:
-            raise InvariantError(f"G_op already holds n{rec.nid}")
-        self.order.append(rec.nid)
-        self.recs[rec.nid] = rec
-
-    def __contains__(self, nid: int) -> bool:
-        return nid in self.recs
-
-    def key(self, nid: int) -> float:
-        return self.recs[nid].key
-
-    def edges(self, nid: int) -> dict[str, int | None]:
-        return self.recs[nid].edges
-
-    def write_order(self, writes) -> list[tuple[int, dict[str, int | None]]]:
-        """A plan's (node, patch) writes sorted by their node's position
-        in the visit order: root-ward first (``UpdatePlan``)."""
-        if len(writes) < 2:
-            return list(writes)
-        pos = {nid: i for i, nid in enumerate(self.order)}
-        return sorted(writes, key=lambda wr: pos[wr[0]])
-
-    def clone(self) -> Gop:
-        g = object.__new__(Gop)
-        g.recs, g.order = dict(self.recs), list(self.order)
-        return g
+def write_order(gop: dict[int, NodeRec],
+                writes) -> list[tuple[int, dict[str, int | None]]]:
+    """A plan's (node, patch) writes sorted by their node's position in
+    G_op's visit order: root-ward first (``UpdatePlan``)."""
+    if len(writes) < 2:
+        return list(writes)
+    pos = {nid: i for i, nid in enumerate(gop)}
+    return sorted(writes, key=lambda wr: pos[wr[0]])
 
 
 @dataclass
@@ -302,7 +286,8 @@ class SearchStructureDef:
     def new_state(self) -> DagState:
         raise NotImplementedError
 
-    def tau(self, op: Operation, gop: Gop, state_root: int) -> int | None:
+    def tau(self, op: Operation, gop: dict[int, NodeRec],
+            state_root: int) -> int | None:
         """Next node to visit, or None when G_op contains enough to decide.
 
         Pure in G_op: replans the canonical search from the root using only
@@ -310,7 +295,8 @@ class SearchStructureDef:
         needs.  The returned node is always the target of a known edge."""
         raise NotImplementedError
 
-    def plan_update(self, op: Operation, gop: Gop, state: DagState) -> UpdatePlan:
+    def plan_update(self, op: Operation, gop: dict[int, NodeRec],
+                    state: DagState) -> UpdatePlan:
         """The insert/delete function applied to G_op; find plans no writes."""
         raise NotImplementedError
 
@@ -358,10 +344,10 @@ class Bst(SearchStructureDef):
         """Deepest visited node on the search path plus its next target."""
         pos = state_root
         while True:
-            if gop.key(pos) == key:
+            if gop[pos].key == key:
                 return pos, None
-            d = self._dir(gop.key(pos), key)
-            t = gop.edges(pos).get(d)
+            d = self._dir(gop[pos].key, key)
+            t = gop[pos].edges.get(d)
             if t is None or t not in gop:
                 return pos, t
             pos = t
@@ -370,7 +356,7 @@ class Bst(SearchStructureDef):
         if state_root not in gop:
             return state_root
         pos, t = self._descend(gop, state_root, op.key)
-        if gop.key(pos) == op.key:
+        if gop[pos].key == op.key:
             if op.name != "delete":
                 return None
             return self._successor_probe(gop, pos)
@@ -378,11 +364,11 @@ class Bst(SearchStructureDef):
 
     def _successor_probe(self, gop, d):
         """Explore the in-order successor chain needed by a 2-child splice."""
-        if gop.edges(d).get("left") is None or gop.edges(d).get("right") is None:
+        if gop[d].edges.get("left") is None or gop[d].edges.get("right") is None:
             return None
-        pos = gop.edges(d)["right"]
+        pos = gop[d].edges["right"]
         while pos in gop:
-            nxt = gop.edges(pos).get("left")
+            nxt = gop[pos].edges.get("left")
             if nxt is None:
                 return None  # successor located
             pos = nxt
@@ -390,39 +376,38 @@ class Bst(SearchStructureDef):
 
     def plan_update(self, op, gop, state):
         pos, t = self._descend(gop, state.root, op.key)
-        found = gop.key(pos) == op.key
+        found = gop[pos].key == op.key
         if op.name == "find":
             return UpdatePlan(found)
         if op.name == "insert":
             if found:
                 return UpdatePlan(False)
             new = state.alloc(op.key, op.val, {"left": None, "right": None})
-            d = self._dir(gop.key(pos), op.key)
+            d = self._dir(gop[pos].key, op.key)
             return UpdatePlan(True, writes=[(pos, {d: new})], new_nodes=[new])
         if not found:
             return UpdatePlan(False)
         return self._plan_delete(gop, pos)
 
     def _plan_delete(self, gop, d):
-        parent = next(n for n in gop.order
-                      if d in gop.edges(n).values())
-        pdir = next(lab for lab, t in gop.edges(parent).items() if t == d)
-        left, right = gop.edges(d).get("left"), gop.edges(d).get("right")
+        parent = next(n for n, r in gop.items() if d in r.edges.values())
+        pdir = next(lab for lab, t in gop[parent].edges.items() if t == d)
+        left, right = gop[d].edges.get("left"), gop[d].edges.get("right")
         if left is None or right is None:
             child = left if left is not None else right
             return UpdatePlan(True, writes=[(parent, {pdir: child})], unlink=[d])
         # two children: splice the in-order successor into d's position
         s, s_parent = right, d
-        while gop.edges(s).get("left") is not None:
-            s_parent, s = s, gop.edges(s)["left"]
+        while gop[s].edges.get("left") is not None:
+            s_parent, s = s, gop[s].edges["left"]
         writes = [(parent, {pdir: s})]
         if s_parent is d:
             writes.append((s, {"left": left}))
         else:
-            writes.append((s_parent, {"left": gop.edges(s).get("right")}))
+            writes.append((s_parent, {"left": gop[s].edges.get("right")}))
             writes.append((s, {"left": left, "right": right}))
         writes.append((d, {"left": None, "right": None}))
-        return UpdatePlan(True, writes=gop.write_order(writes), unlink=[d])
+        return UpdatePlan(True, writes=write_order(gop, writes), unlink=[d])
 
     def _audit_order(self, state):
         # preorder, as a stack of (node, open key interval)
@@ -481,16 +466,16 @@ class SkipList(SearchStructureDef):
         hit is the first visited node on the way that holds op.key.  A find
         or an insert stops at the hit; a delete descends on to level 1 for
         its predecessors."""
-        recs, key = gop.recs, op.key
+        key = op.key
         preds: dict[int, int] = {}
         pos, hit = state_root, None
         for lvl in range(self.max_level, 0, -1):
             lab = self.lab(lvl)
             while True:
-                t = recs[pos].edges.get(lab)
+                t = gop[pos].edges.get(lab)
                 if t is None:
                     break
-                rec = recs.get(t)
+                rec = gop.get(t)
                 if rec is None:
                     return preds, t, hit
                 if rec.key < key:
@@ -517,23 +502,23 @@ class SkipList(SearchStructureDef):
             if hit is not None:
                 return UpdatePlan(False)
             h = self.height(op.key)
-            edges = {self.lab(l): gop.edges(preds[l]).get(self.lab(l))
+            edges = {self.lab(l): gop[preds[l]].edges.get(self.lab(l))
                      for l in range(h, 0, -1)}
             new = state.alloc(op.key, op.val, edges)
             patches: dict[int, dict] = {}
             for l in range(h, 0, -1):
                 patches.setdefault(preds[l], {})[self.lab(l)] = new
-            return UpdatePlan(True, writes=gop.write_order(patches.items()),
+            return UpdatePlan(True, writes=write_order(gop, patches.items()),
                               new_nodes=[new])
         if hit is None:
             return UpdatePlan(False)
         patches = {}
-        hit_edges = gop.edges(hit)
+        hit_edges = gop[hit].edges
         for l in range(self.max_level, 0, -1):
             lab = self.lab(l)
             if lab in hit_edges:
                 patches.setdefault(preds[l], {})[lab] = hit_edges[lab]
-        return UpdatePlan(True, writes=gop.write_order(patches.items()),
+        return UpdatePlan(True, writes=write_order(gop, patches.items()),
                           unlink=[hit])
 
     def _audit_order(self, state):
@@ -606,17 +591,16 @@ def run_operation(def_: SearchStructureDef, state: DagState, op: Operation,
     after the root, each node read is the target of an edge of some record
     read before.  The check looks at the latest record first, whose edges
     the next read usually follows."""
-    gop = Gop()
+    gop: dict[int, NodeRec] = {}
     while True:
         nxt = def_.tau(op, gop, state.root)
         if nxt is None:
             break
-        if gop.order and not any(nxt in r.edges.values()
-                                 for r in reversed(gop.recs.values())):
+        if gop and not any(nxt in r.edges.values() for r in reversed(gop.values())):
             raise InvariantError(f"{op.describe()} traversal left the "
                                  f"explored frontier at n{nxt}")
         rec = state.read(nxt)
-        gop.visit(rec)
+        visit(gop, rec)
         if trace is not None:
             trace.append(("r", nxt, rec.snap()))
     plan = def_.plan_update(op, gop, state)
@@ -684,36 +668,44 @@ def reachable_states(def_: SearchStructureDef, keys: tuple[int, ...]):
 
     The BFS runs to its fixpoint, the first level that adds no new shape.
     The shapes are finite (a set of keys with a fixed layout, or a BST
-    over them, which its preorder inserts build), so within |keys| levels.
-    Raises BudgetExceeded past ``STATE_CAP`` states.
+    over them), so within |keys| levels.  Raises BudgetExceeded past
+    ``STATE_CAP`` states.
 
-    From each state it runs, per key k, only the operation that can change
-    the shape: delete(k) when k is present, insert(k) when it is absent.
+    From each state it runs only insert(k), per key k absent from it.
     Presence is read off the state's ``canonical()`` tuple, which holds
     the key of every reachable record.  Every state here was built by
     sequential runs, which keep the structure's order invariant
     (``audit``): the reachable non-sentinel records hold exactly the
     dictionary's keys, and the search for k reaches k's record when it is
     reachable.  So an insert of a present key, or a delete of an absent
-    one, finds what the canonical tuple says; its ``plan_update`` then
-    allocates nothing and plans no write or unlink, and the run ends in
-    the state it started from, whose shape is already seen.  Skipping it
-    adds or drops no shape: the order, the paths and where the cap raises
-    are those of the BFS that runs both operations (``tests/oracles.py``
+    one, ends in the state it started from.  A delete of a present key
+    ends in a shape the BFS saw at an earlier level.  A state at level L
+    holds at most L keys, since each operation adds at most one, and the
+    shape after the delete holds one key fewer.  It is built by as many
+    inserts as it has keys, at most L - 1:
+
+    - on the skiplist and the sorted list a shape is a function of its
+      key set (a key's tower height is fixed by the key), so inserting
+      its keys in any order builds it;
+    - on the BST any tree is built by inserting its keys in preorder.
+
+    So skipping the deletes adds or drops no shape: the order, the paths
+    and where ``STATE_CAP`` raises are those of the BFS that runs both
+    operations of every key (``tests/oracles.py``
     ``bounded_reachable_states``, which also runs the skipped traversals
     through ``run_operation``'s checks)."""
     base = def_.new_state()
     out = [(base, [])]
     seen = {base.canonical()}
     frontier = [(base, [])]
-    ops = [(key, Operation("insert", key), Operation("delete", key))
-           for key in keys]
+    inserts = [(key, Operation("insert", key)) for key in keys]
     while frontier:
         nxt = []
         for state, path in frontier:
             present = {key for _, key, _, _ in state.canonical()}
-            for key, insert, delete in ops:
-                op = delete if key in present else insert
+            for key, op in inserts:
+                if key in present:
+                    continue
                 st = state.clone()
                 run_operation(def_, st, op)
                 canon = st.canonical()

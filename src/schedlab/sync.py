@@ -47,7 +47,7 @@ from dataclasses import dataclass, field
 
 from .model import (ABORT, ABORTED, COMPLETE, Event, INCOMPLETE, OI, OR, RI,
                     RR, WI, WR, OperationInstance)
-from .seqspec import DagState, Gop, SearchStructureDef, UpdatePlan, node_token
+from .seqspec import DagState, NodeRec, SearchStructureDef, UpdatePlan, node_token, visit
 
 FREE, SHARED, EXCLUSIVE = "free", "shared", "exclusive"
 
@@ -151,19 +151,21 @@ class World:
     versions: dict[int, int] = field(default_factory=dict)
     events: list[Event] = field(default_factory=list)
     ops: dict[int, OperationInstance] = field(default_factory=dict)
-    seq: int = 0
 
     def emit(self, proc, op, kind, elem=None, value=None, nid=None, attempt=0):
+        """Record an event numbered ``len(events)``: a recording driver
+        keeps every event, and the walk, which clears them after each step,
+        never reads a number."""
         # Event(...) sets each field of the frozen dataclass through
         # object.__setattr__; filling the instance dict takes half the time.
         # Field by field, in declaration order, the dict keeps sharing the
         # class's keys; ``update`` would give each event its own key table.
         ev = object.__new__(Event)
         d = ev.__dict__
-        d["seq"], d["proc"], d["op"], d["kind"] = self.seq, proc, op, kind
+        events = self.events
+        d["seq"], d["proc"], d["op"], d["kind"] = len(events), proc, op, kind
         d["elem"], d["value"], d["nid"], d["attempt"] = elem, value, nid, attempt
-        self.events.append(ev)
-        self.seq += 1
+        events.append(ev)
         return ev
 
     def clone(self) -> World:
@@ -174,7 +176,6 @@ class World:
         w.state, w.locks = self.state.clone(), self.locks.clone()
         w.versions, w.events = dict(self.versions), list(self.events)
         w.ops = {i: (o if o.status == COMPLETE else o.copy()) for i, o in self.ops.items()}
-        w.seq = self.seq
         return w
 
 
@@ -200,17 +201,24 @@ def _outcome(kind: str, events: tuple[Event, ...] = (), blocked_on: int | None =
 
 
 class StepMachine:
-    """A suspended operation: one visible event per step() call."""
+    """A suspended operation: one visible event per step() call.  It
+    keeps only what it cannot recompute: whether it has invoked, G_op, the
+    plan and how many of its writes are done.  It is finished once its
+    operation's status is no longer incomplete."""
 
     def __init__(self, def_: SearchStructureDef, op: OperationInstance, attempt: int = 0):
         self.def_ = def_
         self.op = op
         self.attempt = attempt
         self.invoked = False
-        self.finished = False
-        self.gop = Gop()
+        self.gop: dict[int, NodeRec] = {}  # G_op, in visit order
         self.plan: UpdatePlan | None = None
         self.write_idx = 0
+
+    @property
+    def finished(self) -> bool:
+        """Whether the operation has responded or aborted."""
+        return self.op.status != INCOMPLETE
 
     # -- drive interface ---------------------------------------------------
 
@@ -257,7 +265,6 @@ class StepMachine:
         resp = self.plan.response
         ev = world.emit(self.op.proc, self.op.id, OR, value=resp, attempt=self.attempt)
         self.op.status, self.op.response = COMPLETE, resp
-        self.finished = True
         return _outcome(FINISHED, (ev,))
 
     def _apply_unlink(self, world):
@@ -267,7 +274,7 @@ class StepMachine:
     def _read(self, world, nid) -> StepOutcome:
         """The sequential code's read of the shared store, unsynchronized."""
         rec = world.state.read(nid)
-        self.gop.visit(rec)
+        visit(self.gop, rec)
         role = world.state.role_of(nid)
         a = world.emit(self.op.proc, self.op.id, RI, elem=role, nid=nid,
                        attempt=self.attempt)
@@ -290,16 +297,16 @@ class StepMachine:
         return [nid for nid, _ in self.plan.writes]
 
     def clone(self, ops: dict[int, OperationInstance]) -> StepMachine:
-        """A fork over `ops`.  Nothing changes a finished machine of a
-        complete operation again, so that one is shared; the plan is never
-        changed once made, and G_op only grows before the plan exists."""
-        if self.finished and self.op.status == COMPLETE:
+        """A fork over `ops`.  Nothing changes the machine of a complete
+        operation again, so that one is shared; the plan is never changed
+        once made, and G_op only grows before the plan exists."""
+        if self.op.status == COMPLETE:
             return self
         m = type(self).__new__(type(self))
         m.__dict__.update(self.__dict__)
         m.op = ops[self.op.id]
         if self.plan is None:
-            m.gop = self.gop.clone()
+            m.gop = dict(self.gop)
         return m
 
 
@@ -318,8 +325,7 @@ class HohMachine(StepMachine):
     def _held_shared(self, world) -> int:
         """The node an invoked find holds shared: the last one G_op read,
         or the root before the first read."""
-        order = self.gop.order
-        return order[-1] if order else world.state.root
+        return next(reversed(self.gop), world.state.root)
 
     def _invoke(self, world):
         root = world.state.root
@@ -404,7 +410,6 @@ class StmMachine(StepMachine):
                           attempt=attempt),
                world.emit(proc, op, OR, value=ABORT, attempt=attempt))
         self.op.status = ABORTED
-        self.finished = True
         for new in (self.plan.new_nodes if self.plan else ()):
             world.state.unlink(new)
         return _outcome(ABORT_OUT, evs, reason=f"conflict on {role}")

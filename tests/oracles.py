@@ -639,8 +639,8 @@ def full_config_key(world: World, machines: dict, runs: dict) -> tuple:
     def machine_key(m) -> tuple:
         o, plan = m.op, m.plan
         return (type(m), o.id, o.proc, o.name, o.key, o.val, o.status, o.response,
-                m.attempt, m.invoked, m.finished, m.write_idx,
-                tuple(_rec_key(m.gop.recs[n]) for n in m.gop.order),
+                m.attempt, m.invoked, m.write_idx,
+                tuple(_rec_key(r) for r in m.gop.values()),
                 None if plan is None else
                 (plan.response, tuple(plan.new_nodes), tuple(plan.unlink),
                  tuple((n, tuple(patch.items())) for n, patch in plan.writes)),

@@ -180,7 +180,7 @@ def test_run_operation_raises_when_traversal_leaves_the_frontier(monkeypatch):
     far = st.find_alive(2)  # not a successor of the root
 
     def jumping(self, op, gop, root):
-        return root if not gop.order else far
+        return root if not gop else far
 
     monkeypatch.setattr(SortedList, "tau", jumping)
     with pytest.raises(InvariantError, match="explored frontier"):
@@ -241,17 +241,18 @@ def test_lock_audit_raises_on_shared_beside_exclusive():
 
 
 def test_gop_visit_raises_on_a_node_it_holds():
-    """G_op only grows by nodes it does not hold: the walk's machine key
-    lays G_op out as its records in visit order, which is the whole of it
-    only while its order and records stay in step."""
+    """G_op only grows by nodes it does not hold: a second visit of a
+    node raises and leaves in place the record the first one read, and
+    its position in the visit order."""
     state = make_structure("sorted-list").new_state()
-    root = state.read(state.root)
-    gop = seqspec.Gop()
-    gop.visit(root)
+    root, tail = state.read(state.root), state.read(state.tail)
+    gop = {}
+    seqspec.visit(gop, root)
+    seqspec.visit(gop, tail)
     for rec in (root, dataclasses.replace(root, alive=False)):
         with pytest.raises(InvariantError, match="G_op already holds"):
-            gop.visit(rec)
-    assert gop.order == [root.nid] and gop.recs == {root.nid: root}
+            seqspec.visit(gop, rec)
+    assert list(gop.items()) == [(root.nid, root), (tail.nid, tail)]
 
 
 def test_staged_schedule_raises_when_a_burst_plan_leaves_work():

@@ -179,12 +179,12 @@ def fork_peek(machine, world):
 
 def world_record(world):
     locks = world.locks
-    return (world.state.snapshot(), world.state.counter,
+    return (world.state.snapshot(),
             {n: r.alive for n, r in world.state.nodes.items()},
             {n: set(s) for n, s in locks.shared.items()}, dict(locks.exclusive),
             {n: list(q) for n, q in locks.queues.items()},
             dict(world.versions),
-            world.seq, list(world.events),
+            list(world.events),
             {i: vars(o).copy() for i, o in world.ops.items()})
 
 

@@ -415,6 +415,26 @@ def test_state_space_fixpoint_equals_the_bounded_bfs(name):
             assert max(len(path) for _, path in got) <= len(keys)
 
 
+@pytest.mark.parametrize("name", ("sorted-list", "bst", "skiplist"))
+def test_state_space_runs_one_insert_per_absent_key(name, monkeypatch):
+    """A cold ``reachable_states`` runs the sequential code once per
+    (state, key absent from it): no delete and no insert of a present key,
+    which end in a shape already seen or in the state itself."""
+    calls = []
+    run = seqspec.run_operation
+
+    def counting(def_, state, op, trace=None):
+        calls.append(op)
+        return run(def_, state, op, trace)
+
+    monkeypatch.setattr(seqspec, "run_operation", counting)
+    keys = (1, 2, 3, 4)
+    states = reachable_states(make_structure(name), keys)
+    absent = sum(len(set(keys) - set(alive_keys(st))) for st, _ in states)
+    assert len(calls) == absent
+    assert {op.name for op in calls} == {"insert"}
+
+
 def test_each_structure_owns_its_space(monkeypatch):
     """Two structure objects never share a space; over a free-run loop
     each computes the state space once per distinct key set."""

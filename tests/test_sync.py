@@ -1,11 +1,15 @@
 """Lock manager, version store, and the step machines' protocols."""
 
+import json
 import random
 from dataclasses import FrozenInstanceError
+from importlib import resources
 
 import pytest
 
-from schedlab.model import ABORTED, OI, RR, WR, OperationInstance
+from schedlab import scheduler
+from schedlab.cli import parse_scenario
+from schedlab.model import ABORTED, INCOMPLETE, OI, RR, WR, OperationInstance
 from schedlab.scheduler import (Workload, build_world, drive, free_run,
                                 universe)
 from schedlab.seqspec import Operation, make_structure
@@ -15,6 +19,7 @@ from schedlab.sync import (ABORT_OUT, BLOCKED, EXCLUSIVE, FINISHED,
 from schedlab.checkers import _Replay
 
 from oracles import lock_audit, release_holder, rw_trace
+from test_acceptance import random_workload
 
 
 # -- lock manager ---------------------------------------------------------------
@@ -408,3 +413,55 @@ def test_every_step_outcome_is_a_frozen_step_outcome(monkeypatch):
             outs[0].kind = PROGRESSED
     assert all(out.blocked_on is not None for out in outcomes[BLOCKED])
     assert all(out.reason.startswith("conflict on ") for out in outcomes[ABORT_OUT])
+
+
+# -- facts read off the record that holds them ------------------------------------
+
+
+def test_numbers_and_finished_follow_from_the_records(monkeypatch):
+    """An event's ``seq``, a node's id and whether a machine is finished are
+    not stored beside what determines them.  Over seeded free runs of
+    ``hoh``, ``stm`` and ``stm-commit-only`` (aborts and restarts
+    included) and drives of every bundled scenario under each of them (a
+    run scenario's schedule, the first schedules of an explore scenario's
+    universe): each event's ``seq`` is its index in its world's events,
+    the store's node ids are 0..n-1 in allocation order, and a restarted
+    machine is unfinished, its operation incomplete with no response."""
+    worlds, restarted, runs = [], [], 0
+    build, fresh = scheduler.build_world, scheduler.restart
+
+    def recording_build(impl, w):
+        built = build(impl, w)
+        worlds.append(built[0])
+        return built
+
+    def recording_restart(machine):
+        m = fresh(machine)
+        restarted.append((m.finished, m.op.status, m.op.response))
+        return m
+
+    monkeypatch.setattr(scheduler, "build_world", recording_build)
+    monkeypatch.setattr(scheduler, "restart", recording_restart)
+    impls = ("hoh", "stm", "stm-commit-only")
+    rng = random.Random(31)
+    for name in ("sorted-list", "bst", "skiplist"):
+        d = make_structure(name)
+        for seed in range(30):
+            w = random_workload(d, rng)
+            for impl in impls:
+                free_run(impl, w, seed=seed)
+                runs += 1
+    scenarios = resources.files("schedlab").joinpath("scenarios")
+    for path in sorted(scenarios.iterdir(), key=lambda p: p.name):
+        sc = parse_scenario(json.loads(path.read_text()))
+        schedules = ([sc["schedule"]] if sc["mode"] == "drive"
+                     else universe(sc["workload"], budget=20)[0])
+        for s in schedules:
+            for impl in impls:
+                drive(impl, sc["workload"], s)
+                runs += 1
+    assert restarted and set(restarted) == {(False, INCOMPLETE, None)}
+    assert len(worlds) == runs
+    for world in worlds:
+        assert [e.seq for e in world.events] == list(range(len(world.events)))
+        assert list(world.state.nodes) == list(range(len(world.state.nodes)))

@@ -38,7 +38,7 @@ from schedlab.metric import (audited_history, classify, optimality_gap,
 from schedlab.model import (ABORTED, COMPLETE, INCOMPLETE, History, Schedule,
                             schedule_of)
 from schedlab.scheduler import Workload, _fork, build_world, drive, universe
-from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure
+from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure, visit
 from schedlab.sync import BLOCKED, restart
 
 from oracles import (ALL_IMPLS, full_config_key, leaf_signature, prefix_walk,
@@ -256,11 +256,11 @@ def test_pass_matches_reference_where_local_serializability_fails(make, budget, 
 
 def store_record(state):
     return (state.snapshot(), state.canonical(), state._canonical_bfs(),
-            {n: r.alive for n, r in state.nodes.items()}, state.counter)
+            {n: r.alive for n, r in state.nodes.items()})
 
 
 def gop_records(machines):
-    return {p: {n: (r.snap(), r.alive) for n, r in m.gop.recs.items()}
+    return {p: {n: (r.snap(), r.alive) for n, r in m.gop.items()}
             for p, m in machines.items()}
 
 
@@ -463,13 +463,11 @@ WORLD_CHANGES = {
     "versions": Derived(lambda x: x.versions.__setitem__(99, 1)),
     "ops": None,  # its machine's `op`, or a setup operation
     "events": None,
-    "seq": None,
 }
 STATE_CHANGES = {
     "nodes": lambda x: setattr(x, "nodes", other_record(x)),
     "root": lambda x: setattr(x, "root", changed(x.root)),
     "tail": lambda x: setattr(x, "tail", changed(x.tail)),
-    "counter": lambda x: setattr(x, "counter", changed(x.counter)),
     "_canon": None,  # memo of canonical()
 }
 LOCK_CHANGES = {
@@ -482,8 +480,7 @@ MACHINE_CHANGES = {
     "op": Derived(lambda m: setattr(m, "op", dataclasses.replace(m.op, response="x"))),
     "attempt": Derived(lambda m: setattr(m, "attempt", changed(m.attempt))),
     "invoked": lambda m: setattr(m, "invoked", changed(m.invoked)),
-    "finished": lambda m: setattr(m, "finished", changed(m.finished)),
-    "gop": lambda m: m.gop.visit(NodeRec(99, 99, 99, {})),
+    "gop": lambda m: visit(m.gop, NodeRec(99, 99, 99, {})),
     "plan": lambda m: setattr(m, "plan", None if m.plan else UpdatePlan(True)),
     "write_idx": lambda m: setattr(m, "write_idx", changed(m.write_idx)),
     # stm
@@ -527,8 +524,8 @@ KEYED_PARTS = (
 @pytest.mark.parametrize("part", [p[0] for p in KEYED_PARTS])
 def test_configuration_key_holds_every_field(part, impl, steps):
     """Changing any one attribute of a world, its store or a machine
-    changes the key that holds it, except the execution record (`events`,
-    `seq`), the structure definition (`def_`) and memo cells, which no
+    changes the key that holds it, except the execution record
+    (`events`), the structure definition (`def_`) and memo cells, which no
     step reads, the world's operations (`ops`), and what the machines and
     the store determine: the lock tables, each node's version, a machine's
     operation and its attempt.  The store is keyed by its unmemoized
@@ -560,11 +557,11 @@ PLANNED = (("unsync", 14), ("hoh", 20), ("stm", 14), ("stm-commit-only", 14))
 
 def test_configuration_key_rejects_what_it_does_not_know():
     """A value of a type the key does not know raises; so does an attribute
-    the key was not written for on a machine, its operation, its G_op, its
-    plan, the world, its store or a record.  The operation's value and the
-    lock tables are not keyed, since the machines and the store determine
-    them, so neither an unkeyable value nor an unknown attribute there
-    reaches the key."""
+    the key was not written for on a machine, its operation, a record of
+    its G_op, its plan, the world, its store or a record.  The operation's
+    value and the lock tables are not keyed, since the machines and the
+    store determine them, so neither an unkeyable value nor an unknown
+    attribute there reaches the key."""
     with pytest.raises(TypeError, match="no configuration key for object"):
         scheduler._machine_key(object())
     for impl, steps in PLANNED:
@@ -572,7 +569,8 @@ def test_configuration_key_rejects_what_it_does_not_know():
         before = scheduler._config_key(world, machines, {})
         machines[2].op.val = object()
         assert scheduler._config_key(world, machines, {}) == before
-        for holder in (lambda m: m, lambda m: m.op, lambda m: m.gop, lambda m: m.plan):
+        for holder in (lambda m: m, lambda m: m.op,
+                       lambda m: next(iter(m.gop.values())), lambda m: m.plan):
             world, machines = stepped(impl, steps)
             holder(machines[2]).extra = 0
             with pytest.raises(TypeError, match="does not cover"):
@@ -603,9 +601,9 @@ def test_configuration_key_rejects_what_it_does_not_know():
 
 def replace_record(m):
     """G_op's first record swapped for one of the same node, unlinked."""
-    n = m.gop.order[0]
-    r = m.gop.recs[n]
-    m.gop.recs[n] = NodeRec(n, r.key, r.val, dict(r.edges), not r.alive)
+    n = next(iter(m.gop))
+    r = m.gop[n]
+    m.gop[n] = NodeRec(n, r.key, r.val, dict(r.edges), not r.alive)
 
 
 def repatch_first_write(m):
@@ -615,7 +613,7 @@ def repatch_first_write(m):
 
 # a change inside a field of a machine that has read, planned and written
 NESTED_CHANGES = {
-    "op.status": Derived(lambda m: setattr(m.op, "status", "aborted")),
+    "op.status": lambda m: setattr(m.op, "status", "aborted"),
     "op.response": Derived(lambda m: setattr(m.op, "response", changed(m.op.response))),
     "gop record": replace_record,
     "plan.writes": repatch_first_write,
@@ -637,9 +635,9 @@ IMPL_NESTED_CHANGES = {
 
 @pytest.mark.parametrize("impl, steps", PLANNED)
 def test_configuration_key_holds_every_nested_field(impl, steps):
-    """A change inside a machine's G_op, plan or read set changes its key;
-    one of its operation's status or response does not, since they follow
-    from ``finished`` and the plan."""
+    """A change inside a machine's G_op, plan or read set, or of its
+    operation's status, changes its key; one of the operation's response
+    does not, since it follows from the status and the plan."""
     for name, change in {**NESTED_CHANGES, **IMPL_NESTED_CHANGES[impl]}.items():
         _, machines = stepped(impl, steps)
         m = machines[2]
@@ -785,7 +783,7 @@ def held_locks(world, machines):
         if not m.invoked or m.finished:
             continue
         if m.op.name == "find":
-            node = m.gop.order[-1] if m.gop.order else root
+            node = next(reversed(m.gop), root)
             shared.setdefault(node, set()).add(m.op.id)
         else:
             exclusive[root] = m.op.id
@@ -816,8 +814,8 @@ def assert_derived(impl, world, machines, fixed):
     for p, m in machines.items():
         o = m.op
         assert (o.id, o.proc, o.name, o.key, o.val) == fixed[p]
-        assert (o.status, o.response) == ((COMPLETE, m.plan.response) if m.finished
-                                          else (INCOMPLETE, None))
+        assert o.status in (INCOMPLETE, COMPLETE)
+        assert o.response == (m.plan.response if o.status == COMPLETE else None)
         assert m.attempt == 0
 
 

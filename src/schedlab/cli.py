@@ -216,11 +216,31 @@ def cmd_run(args) -> int:
     return _emit(args, run_report(res, sc["impl"]), lines, 0 if res.accepted else 2)
 
 
+def _json_text(x, indent: str = "") -> str:
+    """``json.dumps(x, indent=2)``, the same bytes.  That encoder is the
+    pure-Python one, whose nested closures refer to each other and so leave
+    a reference cycle per call; this one leaves none.  Scalars and keys go
+    through ``json.dumps``, which takes the C encoder for them."""
+    inner = indent + "  "
+    if isinstance(x, dict):
+        if not x:
+            return "{}"
+        items = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
+                 f"{_json_text(v, inner)}" for k, v in x.items()]
+    elif isinstance(x, (list, tuple)):
+        if not x:
+            return "[]"
+        items = [inner + _json_text(v, inner) for v in x]
+    else:
+        return json.dumps(x)
+    opening, closing = ("{", "}") if isinstance(x, dict) else ("[", "]")
+    return f"{opening}\n" + ",\n".join(items) + f"\n{indent}{closing}"
+
+
 def _emit(args, report: dict, lines: list[str], code: int) -> int:
     """Print the report, or write it to ``--out``; return `code`, or 1
     when the file cannot be written."""
-    text = json.dumps(report, indent=2, sort_keys=False) if args.json \
-        else "\n".join(lines)
+    text = _json_text(report) if args.json else "\n".join(lines)
     if not args.out:
         print(text)
         return code

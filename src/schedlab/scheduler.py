@@ -32,8 +32,10 @@ universe of 924-3432 schedules has 3431-12869 prefixes but only 60-102
 configurations with ``hoh`` and ``stm``.  A memo, which lives for one
 walk, maps each configuration's key to a node whose out-edges (the fork,
 the step, each implementation's verdict on it) are computed the first
-time the walk takes them.  An explicit stack DFS over that DAG carries
-each prefix's slots, digest pieces, rejections and precedence relation.
+time the walk takes them, by stepping or, for the image of a
+configuration under a renaming of interchangeable processes, by renaming
+(below).  An explicit stack DFS over that DAG carries each prefix's
+slots, digest pieces, rejections and precedence relation.
 
 * The key holds every field a step reads that the machines and the store
   do not determine, in the unsynchronized world and in each
@@ -81,6 +83,41 @@ each prefix's slots, digest pieces, rejections and precedence relation.
   path's (the schedule, its digest, the rejections collected on it) plus
   functions of its key: the unsynchronized machines and the store that
   ``Leaf.signature`` reads.
+* Interchangeable processes.  Processes whose concurrent operations are
+  equal (name, key and value) are interchangeable.  A renaming permutes
+  such processes, and with them their operations' ids: ``_spawn`` gives
+  each process one id, the same in every world (``_renamings``, which
+  takes every permutation within each class, a group).  The step is
+  equivariant: no step reads a process id or an operation id except as
+  an identity - the holder of a lock (compared for equality only; a
+  queue holds only a blocked holder, which rejects), the index of
+  ``world.ops``, the label of an event - and node ids come from the
+  store (``alloc`` numbers a node ``len(nodes)``), not from a process.
+  What a step reads of an operation is its name, key and value, which a
+  renaming keeps.  So stepping the image of process p in the image of a
+  configuration gives the image of stepping p: the same store, the slot
+  with its process renamed, the precedence pairs with their ids renamed,
+  the same rejections, and the child's image.  The image's key is the key
+  with each machine key moved to its process's image, in the
+  unsynchronized world and in each implementation's (``_Renaming.key``).
+  When a configuration is first made by stepping, the keys of its images
+  go into a table the walk owns (``_Images``).  One first reached with
+  such a key is made as an image of that first member: its out-edges are
+  the first member's renamed, each child the memo's node of the renamed
+  child key (made the same way when new), and at a leaf it shares the
+  first member's store and holds renamed clones of its finished machines,
+  so ``Leaf.signature`` and the verdict run on it as on any leaf.  The
+  memo, the counts per (configuration, precedence), the DFS order, the
+  counted descent and every leaf are as without renaming; only the fork,
+  step and key work of images is left out (a Thm. 2 walk steps 34-54 of
+  its 60-102 configurations).  It is exact because the first member's
+  edges are complete when an image needs them.  The walk enters every
+  configuration it makes at once and leaves it only when every edge below
+  it is made (a budget stops the whole walk).  An image is made after its
+  first member and at the same depth, so never below it: its first member
+  was left before it was made.  A stepped configuration registers its
+  whole orbit, so a key new to the memo is in the table iff some
+  configuration of its orbit was made.
 * Each configuration carries its key, and an edge builds its child's key
   from it (``_step_key``), keying again only what a progressing step can
   change: in the unsynchronized world and in each implementation that
@@ -107,7 +144,7 @@ each prefix's slots, digest pieces, rejections and precedence relation.
 * The setup runs once per walk.  Each implementation's run forks the
   post-setup unsynchronized world and spawns its machines on the fork's
   operations; the leaves keep that world's store as their initial one.
-  An expanded configuration gives its worlds to its last child; the
+  A stepped configuration gives its worlds to its last child; the
   others get forks.  A walk world keeps no execution record: the walk
   clears its events once ``_step_slot`` has read the step's, so a fork
   copies only live state.  Forks are copy-on-write: a ``NodeRec`` in a
@@ -181,9 +218,11 @@ wants (``walk``):
 * The counted descent.  The first B leaves in trie order are counted by a
   descent that takes a node whole when its counts are known and fit in
   what is left of B, and descends edge by edge into any other node.  It
-  stops at the first edge past the B-th leaf, so it expands no
-  configuration that the leaf-by-leaf walk to the (B+1)-th leaf would not
-  expand, and ``total`` and ``partial`` are that walk's.
+  stops at the first edge past the B-th leaf, so it makes no
+  configuration, and steps no orbit, that the leaf-by-leaf walk to the
+  (B+1)-th leaf would not: the two make their configurations in the same
+  order, so the same ones are images.  ``total`` and ``partial`` are that
+  walk's.
 * The witness rule.  A node taken whole has no wanted leaf below it;
   leaves are hashed and turned into schedules only inside subtrees whose
   count for the wanted category is above 0, within the budget.  A caller
@@ -682,30 +721,105 @@ def _trace(m: StepMachine) -> tuple:
            for n, patch in m.plan.writes[:m.write_idx]])
 
 
+class _Renaming:
+    """A permutation of interchangeable processes (``_renamings``): `proc`
+    maps a process to its image and `back` an image to its process, `op`
+    maps each operation id to its image's, and a machines key's position i
+    takes the entry at position ``positions[i]``."""
+
+    __slots__ = ("proc", "back", "op", "positions")
+
+    def __init__(self, ids: dict[int, int], image: dict[int, int]):
+        order = list(ids)
+        self.proc, self.back = image, {q: p for p, q in image.items()}
+        self.op = {ids[p]: ids[q] for p, q in image.items()}
+        self.positions = tuple([order.index(self.back[q]) for q in order])
+
+    def key(self, key: tuple) -> tuple:
+        """The key of the configuration's image: the same stores, each
+        machine key at its process's image, in the unsynchronized world and
+        in every implementation's."""
+        store, machines, runs = key
+        return (store, self._machines(machines),
+                tuple([(impl, s, self._machines(mk)) for impl, s, mk in runs]))
+
+    def _machines(self, mk: tuple) -> tuple:
+        return tuple([(p, mk[j][1]) for (p, _), j in zip(mk, self.positions)])
+
+    def machines(self, machines: dict[int, StepMachine]) -> dict[int, StepMachine]:
+        """Clones of finished machines, each at its process's image with its
+        operation renamed; the originals are left as they are."""
+        out = {}
+        for q in machines:
+            m = machines[self.back[q]]
+            c = type(m).__new__(type(m))
+            c.__dict__.update(m.__dict__)
+            c.op = m.op.copy()
+            c.op.id, c.op.proc = self.op[m.op.id], q
+            out[q] = c
+        return out
+
+
+def _renamings(machines: dict[int, StepMachine]) -> list[_Renaming]:
+    """Every permutation but the identity of the processes whose
+    operations are equal (name, key and value), each class among itself,
+    in a fixed order; `machines` are the walk's root machines by process,
+    in spawn order."""
+    classes: list[list[int]] = []
+    for p, m in machines.items():
+        o = m.op
+        for c in classes:
+            r = machines[c[0]].op
+            if (r.name, r.key, r.val) == (o.name, o.key, o.val):
+                c.append(p)
+                break
+        else:
+            classes.append([p])
+    ids = {p: m.op.id for p, m in machines.items()}
+    out = []
+    for perms in itertools.product(*map(itertools.permutations, classes)):
+        image = {p: q for c, perm in zip(classes, perms) for p, q in zip(c, perm)}
+        if any(p != q for p, q in image.items()):
+            out.append(_Renaming(ids, image))
+    return out
+
+
 class _Config:
     """A node of the walk: one configuration, reached by one or more
     schedule prefixes of length `depth`, with its key.  Its out-edges, one
     per live process in process order, are (slot, digest piece, the
-    precedence pairs the step adds, child, rejections) and are stepped the
-    first time the walk takes them; after the last one the configuration's
-    worlds belong to its children, except at a leaf, which keeps them and
-    the implementations still accepting there.  `counts` maps a precedence
+    precedence pairs the step adds, child, rejections) and are made the
+    first time the walk takes them.  A configuration made by stepping owns
+    its worlds until its last edge, which hands them to its children; at a
+    leaf it keeps them and the implementations still accepting there.  An
+    `image` (first member, renaming) owns no world: its edges are the first
+    member's renamed, and at a leaf it shares the first member's store and
+    holds renamed clones of its machines.  `counts` maps a precedence
     relation to the category counts below (``walk``); a leaf's verdict is
     asked for when its relation's counts are first made, so no signature
     memo is kept."""
 
     __slots__ = ("depth", "key", "live", "world", "machines", "runs", "edges",
-                 "accepting", "counts")
+                 "accepting", "counts", "image")
 
-    def __init__(self, depth: int, key: tuple, world: World,
-                 machines: dict[int, StepMachine], runs: dict):
-        self.depth, self.key = depth, key
-        self.live = tuple(sorted(p for p, m in machines.items() if not m.finished))
-        self.world, self.machines = world, machines
-        self.runs = runs
+    def __init__(self, depth: int, key: tuple, world: World | None,
+                 machines: dict[int, StepMachine] | None, runs: dict | None,
+                 image: tuple[_Config, _Renaming] | None = None):
+        self.depth, self.key, self.image = depth, key, image
         self.edges: list[tuple] = []
         self.counts: dict[tuple, tuple] = {}
         self.accepting = None
+        if image is not None:
+            first, r = image
+            self.live = tuple(sorted([r.proc[p] for p in first.live]))
+            self.world = self.machines = self.runs = None
+            if not self.live:
+                self.world, self.machines = first.world, r.machines(first.machines)
+                self.accepting = first.accepting
+            return
+        self.live = tuple(sorted(p for p, m in machines.items() if not m.finished))
+        self.world, self.machines = world, machines
+        self.runs = runs
         if not self.live:
             for _, im in runs.values():
                 if not all(m.finished for m in im.values()):
@@ -714,39 +828,83 @@ class _Config:
             self.runs = None
 
 
+class _Images:
+    """The walk's table of images: for each configuration made by stepping,
+    the key of each of its images under the walk's renamings (not already
+    made) maps to (that configuration, the renaming)."""
+
+    def __init__(self, renamings: list[_Renaming]):
+        self.renamings = renamings
+        self.table: dict[tuple, tuple[_Config, _Renaming]] = {}
+
+    def add(self, node: _Config) -> None:
+        for r in self.renamings:
+            k = r.key(node.key)
+            if k != node.key:
+                self.table.setdefault(k, (node, r))
+
+
 _NO_PAIRS: frozenset[tuple[int, int]] = frozenset()
 
 
-def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
-    """Step the node's next out-edge: the unsynchronized machine of its
-    process, then each implementation still accepting; the child is the
-    configuration that results, found in `memo` or added to it."""
+def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes],
+            images: _Images) -> None:
+    """Make the node's next out-edge.  A configuration made by stepping
+    steps it: the unsynchronized machine of its process, then each
+    implementation still accepting.  An image renames its first member's
+    edge from the process's preimage.  The child is the configuration that
+    results, found in `memo` or added to it: as an image when `images`
+    holds its key, else made by stepping, its images then registered."""
     i = len(node.edges)
     proc = node.live[i]
-    # the last edge takes over the node's worlds: nothing reads them after
-    last = i == len(node.live) - 1
-    world, machines = (node.world, node.machines) if last else \
-        _fork(node.world, node.machines)
     idx = node.depth
-    slot = _step_slot(world, machines[proc], idx, None)
-    # the step's events are read: a walk world keeps no execution record
-    world.events.clear()
-    if isinstance(slot, str):
-        raise InvariantError(f"unsync machine of process {proc} {slot}")
-    runs, rejections = {}, {}
-    for impl, (iw, im) in node.runs.items():
-        if not last:
-            iw, im = _fork(iw, im)
-        taken = _step_slot(iw, im[proc], idx, slot)
-        iw.events.clear()
-        if taken == slot:
-            runs[impl] = (iw, im)
-        else:
-            rejections[impl] = (taken, idx)
-    key = _step_key(node.key, proc, world, machines, runs)
+    if node.image is not None:
+        first, r = node.image
+        slot, _, pairs, child, rejections = first.edges[first.live.index(r.back[proc])]
+        slot = Slot(proc, slot.kind, slot.elem, slot.op_name, slot.key)
+        if pairs:
+            pairs = frozenset([(r.op[a], r.op[b]) for a, b in pairs])
+        key = r.key(child.key)
+        world = machines = runs = None
+    else:
+        # the last edge takes over the node's worlds: nothing reads them after
+        last = i == len(node.live) - 1
+        world, machines = (node.world, node.machines) if last else \
+            _fork(node.world, node.machines)
+        slot = _step_slot(world, machines[proc], idx, None)
+        # the step's events are read: a walk world keeps no execution record
+        world.events.clear()
+        if isinstance(slot, str):
+            raise InvariantError(f"unsync machine of process {proc} {slot}")
+        runs, rejections = {}, {}
+        for impl, (iw, im) in node.runs.items():
+            if not last:
+                iw, im = _fork(iw, im)
+            taken = _step_slot(iw, im[proc], idx, slot)
+            iw.events.clear()
+            if taken == slot:
+                runs[impl] = (iw, im)
+            else:
+                rejections[impl] = (taken, idx)
+        key = _step_key(node.key, proc, world, machines, runs)
+        # an invocation follows every operation finished before it; no
+        # other step adds to the precedence
+        pairs = _NO_PAIRS
+        if slot.kind == OI:
+            b = machines[proc].op.id
+            pairs = frozenset([(m.op.id, b) for p, m in machines.items()
+                               if p not in node.live])
+        if last:
+            node.world = node.machines = node.runs = None
     child = memo.get(key)
     if child is None:
-        child = memo[key] = _Config(idx + 1, key, world, machines, runs)
+        image = images.table.pop(key, None)
+        if image is None and world is None:
+            raise InvariantError(f"image configuration at depth {idx + 1} "
+                                 f"has no first member")
+        child = memo[key] = _Config(idx + 1, key, world, machines, runs, image)
+        if image is None:
+            images.add(child)
     elif child.depth != idx + 1:
         raise InvariantError(f"configuration reached at depths {child.depth} "
                              f"and {idx + 1}")
@@ -754,16 +912,7 @@ def _expand(node: _Config, memo: dict, pieces: dict[Slot, bytes]) -> None:
     if piece is None:
         piece = pieces[slot] = b"," + json.dumps(
             slot.canon(), separators=(",", ":")).encode()
-    # an invocation follows every operation finished before it; no other
-    # step adds to the precedence
-    pairs = _NO_PAIRS
-    if slot.kind == OI:
-        b = machines[proc].op.id
-        pairs = frozenset([(m.op.id, b) for p, m in machines.items()
-                           if p not in node.live])
     node.edges.append((slot, piece if idx else piece[1:], pairs, child, rejections))
-    if last:
-        node.world = node.machines = node.runs = None
 
 
 class Tally:
@@ -805,6 +954,8 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     key = _config_key(world, machines, runs)
     root = _Config(0, key, world, machines, runs)
     memo = {key: root}
+    images = _Images(_renamings(machines))
+    images.add(root)
     by_prec = verdict is not None
     counts = tally.counts
     pieces: dict[Slot, bytes] = {}  # "," + the slot's digest JSON
@@ -857,7 +1008,7 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                 break
             frame[4] = i + 1
             if i == len(node.edges):
-                _expand(node, memo, pieces)
+                _expand(node, memo, pieces, images)
             slot, piece, pairs, child, rejections = node.edges[i]
             del slots[node.depth:], texts[node.depth:]
             slots.append(slot)

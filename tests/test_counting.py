@@ -14,8 +14,8 @@ tested against unmemoized checks in `test_trie.py`.
 The workloads: criterion 4's sweep, the six Thm. 2 instances, Thm. 3 cut
 at 2000 schedules, and the BST witness setup {1, 2, 5}, `delete(1)` ∥
 `find(5)` ∥ `insert(1)` cut at 3000 (`hoh` accepts 552 of its schedules).
-The three soundness witnesses' whole universes and three 4-op universes
-(up to 403,865,862,526 schedules) are counted against pinned figures, the
+The three soundness witnesses' whole universes and four 4-op universes
+(up to 1,219,601,757,024 schedules) are counted against pinned figures, the
 largest universes the suite walks.  On every universe here the walk's key
 tells configurations apart as the full key does.  Dropping a part it
 still keys (`invoked`, `write_idx`, `stm`'s read set, the precedence in
@@ -182,8 +182,11 @@ WHOLE_UNIVERSES = {
         (403865862526, 214264847168, (1416, 73), (1118610501, 69012405)),
     ("bst", (), (("delete", 2), ("delete", 2), ("insert", 2), ("insert", 2))):
         (95613728, 33499040, (24, 0), (188032, 0)),
+    ("sorted-list", (1,), (("insert", 2),) * 4):
+        (1219601757024, 7519254624, (24, 0), (1196923392, 0)),
 }
-WHOLE_IDS = ["skiplist", "bst-345", "bst-125", "sorted-list-1", "bst-24", "bst-aba"]
+WHOLE_IDS = ["skiplist", "bst-345", "bst-125", "sorted-list-1", "bst-24", "bst-aba",
+             "sorted-list-2222"]
 
 
 def whole_workload(structure, setup, ops):
@@ -208,8 +211,9 @@ def test_soundness_witness_universes_counted_whole(witness):
     which the BST's is a witness too, and a 4-op universe whose LSL count
     needs the precedence in the walk's node key: two deletes and two
     inserts of one key, where schedules that read the same values order
-    their operations differently (an ABA case).  No verdict is
-    inconclusive."""
+    their operations differently (an ABA case), and four inserts of one
+    key, whose four interchangeable processes give the walk 23 renamings
+    per configuration.  No verdict is inconclusive."""
     tally = whole_tally(whole_workload(*witness))
     assert not tally.partial and tally.count(lambda cat: cat[1] is None) == 0
     assert (tally.total, tally.count(lambda cat: cat[1] is True),

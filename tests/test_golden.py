@@ -167,6 +167,22 @@ def test_reproduce_report_bytes(figure, tmp_path):
     assert reproduce_record(figure, tmp_path) == json.loads(REPRODUCE.read_text())[figure]
 
 
+def test_json_reports_are_written_as_json_dumps_writes_them():
+    """``--json`` reports are written by ``cli._json_text``, which leaves no
+    reference cycle: its bytes must be ``json.dumps(doc, indent=2)``'s on
+    every document under tests/golden and benchmarks/reference, on the
+    `--json` reports `reproduce.json` holds, and on keys and scalars that
+    are not strings."""
+    roots = (GOLDEN, Path(__file__).parent.parent / "benchmarks" / "reference")
+    docs = [json.loads(p.read_text()) for root in roots for p in sorted(root.rglob("*.json"))]
+    docs += [json.loads(r["json"]["report"]) for r in json.loads(REPRODUCE.read_text()).values()]
+    docs.append({1: [1.5, None, True, {}], None: [], "é\n": {"a": [[]]}, 2.5: float("nan"),
+                 False: (1, -2e-300), "": "\u2028"})
+    assert len(docs) > 30
+    for doc in docs:
+        assert cli._json_text(doc) == json.dumps(doc, indent=2)
+
+
 if __name__ == "__main__":
     import tempfile
 

@@ -346,8 +346,9 @@ def test_free_runs_and_their_checks_leave_no_cycles(tmp_path, capsys):
     included, each checked for LSL, safe-strict and strict serializability,
     then an optimality gap on a new structure, all with the cyclic collector
     off: reference counting frees the structure, and the collector then
-    finds nothing to free.  Nor does it after 20 text-mode ``schedlab
-    explore`` calls in the same process, on the Thm. 2 scenarios."""
+    finds nothing to free.  Nor does it after 20 ``schedlab explore``
+    calls in the same process on the Thm. 2 scenarios, text and ``--json``
+    reports in turn."""
     scenarios = []
     for name in ("sorted-list", "bst"):
         for instance in ("w_present", "w_absent"):
@@ -374,9 +375,11 @@ def test_free_runs_and_their_checks_leave_no_cycles(tmp_path, capsys):
         assert structure() is None
         assert gc.collect() == 0
         for i in range(20):
-            assert cli.main(["explore", scenarios[i % 4]]) == 0
+            json_flag = ["--json"] if i % 2 else []
+            assert cli.main([*json_flag, "explore", scenarios[i % 4]]) == 0
         reports = capsys.readouterr().out.splitlines()
-        assert sum(line.startswith("workload ") for line in reports) == 20
+        assert sum(line.startswith("workload ") for line in reports) == 10
+        assert sum(line == "{" for line in reports) == 10
         assert gc.collect() == 0
     finally:
         if enabled:

@@ -382,11 +382,18 @@ def test_dag_walk_matches_prefix_walk_on_thm3():
     assert assert_walks_agree(w, budget=2000) == 2000
 
 
-# configurations of a Thm. 2 walk under `hoh` and `stm`
+# configurations of a Thm. 2 walk under `hoh` and `stm`, images included
 CONFIGURATIONS = {
     ("sorted-list", "w_present"): 60, ("sorted-list", "w_absent"): 102,
     ("bst", "w_present"): 60, ("bst", "w_absent"): 83,
     ("skiplist", "w_present"): 77, ("skiplist", "w_absent"): 100,
+}
+# of them, those made by stepping: the others are images of one made
+# earlier, with the two inserts' processes swapped
+STEPPED = {
+    ("sorted-list", "w_present"): 34, ("sorted-list", "w_absent"): 54,
+    ("bst", "w_present"): 34, ("bst", "w_absent"): 44,
+    ("skiplist", "w_present"): 43, ("skiplist", "w_absent"): 53,
 }
 
 
@@ -395,7 +402,8 @@ CONFIGURATIONS = {
 def test_walk_steps_each_configuration_once(monkeypatch, structure, instance):
     """Independent steps commute, so a Thm. 2 universe of 924-3432
     schedules (3431-12869 prefixes) reaches 60-102 configurations under
-    `hoh` and `stm`, and each is expanded once."""
+    `hoh` and `stm`, and each is made once.  Only 34-54 of them are
+    stepped: the rest take their edges by renaming."""
     w = getattr(thm2_bundle(make_structure(structure)), instance)
     configs = []
     init = scheduler._Config.__init__
@@ -409,6 +417,7 @@ def test_walk_steps_each_configuration_once(monkeypatch, structure, instance):
     assert leaves in (924, 3264, 3432)
     assert len(configs) == CONFIGURATIONS[structure, instance]
     assert len(set(map(id, configs))) == len(configs)
+    assert sum(c.image is None for c in configs) == STEPPED[structure, instance]
 
 
 # -- configuration keys -------------------------------------------------------
@@ -844,8 +853,9 @@ def test_derived_fields_follow_from_the_key(monkeypatch):
 
 
 def test_a_step_keys_one_machine_per_world(monkeypatch):
-    """Per expanded edge, at most one machine key is built for the
-    unsynchronized world and one for each implementation's."""
+    """Per stepped edge, at most one machine key is built for the
+    unsynchronized world and one for each implementation's; an image's
+    edge, renamed from its first member's, builds none."""
     built = []
     machine_key = scheduler._machine_key
 
@@ -857,18 +867,25 @@ def test_a_step_keys_one_machine_per_world(monkeypatch):
     expand = scheduler._expand
     per_edge = []
 
-    def expanding(node, memo, pieces):
-        worlds = 1 + len(node.runs)
+    renamed = []
+
+    def expanding(node, *args):
         del built[:]
-        expand(node, memo, pieces)
+        if node.image is not None:
+            expand(node, *args)
+            renamed.append(len(built))
+            return
+        worlds = 1 + len(node.runs)
+        expand(node, *args)
         per_edge.append((len(built), worlds))
 
     monkeypatch.setattr(scheduler, "_expand", expanding)
     for w, budget in key_check_walks():
         for _ in itertools.islice(schedule_trie(w, ALL_IMPLS), budget):
             pass
-    assert len(per_edge) > 1000
+    assert len(per_edge) > 1000 and len(renamed) > 100
     assert all(n <= worlds for n, worlds in per_edge)
+    assert not any(renamed)
 
 
 def test_walk_worlds_keep_no_execution_record(monkeypatch):

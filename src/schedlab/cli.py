@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .checkers import check_ls_linearizable, check_strictly_serializable
 from .fixtures import fig2a, fig2b, fig3, thm2_bundle, thm3_bundle
@@ -219,14 +220,28 @@ def cmd_run(args) -> int:
 def _json_text(x, indent: str = "") -> str:
     """``json.dumps(x, indent=2)``, the same bytes.  That encoder is the
     pure-Python one, whose nested closures refer to each other and so leave
-    a reference cycle per call; this one leaves none.  Scalars and keys go
-    through ``json.dumps``, which takes the C encoder for them."""
+    a reference cycle per call; this one leaves none.  Strings and string
+    keys are escaped as it escapes them (``encode_basestring_ascii``), and
+    ints, bools and None are written as it writes them; floats, other
+    values and other keys go through ``json.dumps``."""
+    if isinstance(x, str):
+        return encode_basestring_ascii(x)
+    if x is None:
+        return "null"
+    if x is True:
+        return "true"
+    if x is False:
+        return "false"
+    if type(x) is int:
+        return int.__repr__(x)
     inner = indent + "  "
     if isinstance(x, dict):
         if not x:
             return "{}"
-        items = [f"{inner}{json.dumps(k if isinstance(k, str) else json.dumps(k))}: "
-                 f"{_json_text(v, inner)}" for k, v in x.items()]
+        items = []
+        for k, v in x.items():
+            key = encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k))
+            items.append(f"{inner}{key}: {_json_text(v, inner)}")
     elif isinstance(x, (list, tuple)):
         if not x:
             return "[]"

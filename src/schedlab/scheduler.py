@@ -214,7 +214,11 @@ wants (``walk``):
   relation) are the sum over its out-edges of the counts below (child,
   relation | pairs).  Each node is summed once, when its last edge is
   done; a leaf node asks for its verdict once.  Without a verdict the
-  relation is left out of the node.
+  relation is left out of the node.  The node's counts entry also
+  records, in trie order, the out-edges whose child's entry holds a
+  wanted leaf, each with its slot, digest piece, pairs, child, the
+  child's entry and rejections.  An entry refers to its children only,
+  never to its own node, so the entries form no reference cycle.
 * The counted descent.  The first B leaves in trie order are counted by a
   descent that takes a node whole when its counts are known and fit in
   what is left of B, and descends edge by edge into any other node.  It
@@ -222,11 +226,20 @@ wants (``walk``):
   configuration, and steps no orbit, that the leaf-by-leaf walk to the
   (B+1)-th leaf would not: the two make their configurations in the same
   order, so the same ones are images.  ``total`` and ``partial`` are that
-  walk's.
-* The witness rule.  A node taken whole has no wanted leaf below it;
-  leaves are hashed and turned into schedules only inside subtrees whose
-  count for the wanted category is above 0, within the budget.  A caller
-  that keeps the smallest digests (``metric.optimality_gap``) gets the
+  walk's.  A node taken whole adds its counts at once, and hands over
+  its wanted leaves from the edges its entry records (``_wanted_leaves``):
+  every node below it has its entry, since an entry is made only once
+  every edge below it is done, and the whole subtree lies within B.  So
+  taking a node whole makes no configuration, edge or verdict call, and
+  the walk makes the same ones whichever leaves it wants.
+* The witness rule.  Leaves are hashed and turned into schedules only
+  along recorded edges, or inside subtrees the descent enters, whose
+  count for the wanted category is above 0, within the budget.  The
+  leaves a node taken whole hands over are the ones the descent would
+  yield below it, in its order, with the same slots, digest pieces,
+  merged rejections, precedence (the node's relation joined with the
+  pairs along the path), machines, store and category.  A caller that
+  keeps the smallest digests (``metric.optimality_gap``) gets the
   smallest digests within the first B leaves, as an enumeration would.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
@@ -795,8 +808,8 @@ class _Config:
     `image` (first member, renaming) owns no world: its edges are the first
     member's renamed, and at a leaf it shares the first member's store and
     holds renamed clones of its machines.  `counts` maps a precedence
-    relation to the category counts below (``walk``); a leaf's verdict is
-    asked for when its relation's counts are first made, so no signature
+    relation to the counts entry below (``walk``); a leaf's verdict is
+    asked for when its relation's entry is first made, so no signature
     memo is kept."""
 
     __slots__ = ("depth", "key", "live", "world", "machines", "runs", "edges",
@@ -941,8 +954,12 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
     still accepting, ``verdict(leaf)`` or None without `verdict`); it is a
     function of the (configuration, precedence relation) node the leaf ends
     in, and so are the counts below any node.  The relation is left out of
-    a node when there is no verdict.  The counted descent: the module
-    docstring."""
+    a node when there is no verdict.  A node's counts entry is (counts by
+    category, their total, whether a wanted leaf lies below, the out-edges
+    whose child's entry holds one); a node whose entry is known and fits
+    in what is left of the budget is taken whole, and its wanted leaves
+    come from those edges (``_wanted_leaves``).  The counted descent: the
+    module docstring."""
     world = _setup_world(w)
     world.events.clear()
     initial = world.state.clone()
@@ -974,28 +991,27 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
             entering = None
             pkey = prec if by_prec else frozenset()
             known = node.counts.get(pkey)
-            if known is not None and not known[2] and (left is None or known[1] <= left):
+            if known is None and not node.live:
+                # a leaf: the first visit of (node, precedence) classifies it
+                leaf = Leaf(tuple(slots), tuple(texts), rejected,
+                            node.machines, node.world.state, prec, initial)
+                cat = (node.accepting, None if verdict is None else verdict(leaf))
+                want = wanted is None or wanted(cat)
+                node.counts[pkey] = ({cat: 1}, 1, want, ())
+                counts[cat] = counts.get(cat, 0) + 1
+                if left is not None:
+                    left -= 1
+                if want:
+                    leaf.category = cat
+                    yield leaf
+            elif known is not None and (left is None or known[1] <= left):
                 for cat, n in known[0].items():
                     counts[cat] = counts.get(cat, 0) + n
                 if left is not None:
                     left -= known[1]
-            elif not node.live:
-                # a leaf: the first visit of (node, precedence) classifies it
-                leaf = None
-                if known is None or known[2]:
-                    leaf = Leaf(tuple(slots), tuple(texts), rejected,
-                                node.machines, node.world.state, prec, initial)
-                if known is None:
-                    cat = (node.accepting, None if verdict is None else verdict(leaf))
-                    known = node.counts[pkey] = ({cat: 1}, 1,
-                                                 wanted is None or wanted(cat))
-                cat, = known[0]
-                counts[cat] = counts.get(cat, 0) + 1
-                if left is not None:
-                    left -= 1
                 if known[2]:
-                    leaf.category = cat
-                    yield leaf
+                    yield from _wanted_leaves(node, known, prec, rejected,
+                                              slots, texts, initial)
             else:
                 stack.append([node, prec, rejected, pkey, 0])
         if not stack:
@@ -1019,12 +1035,47 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
         stack.pop()
         if pkey not in node.counts:
             acc: dict[tuple, int] = {}
-            for _, _, pairs, child, _ in node.edges:
+            kept = []  # the out-edges with a wanted leaf below, in trie order
+            for slot, piece, pairs, child, rejections in node.edges:
                 below = child.counts[pkey | pairs if pairs and by_prec else pkey]
                 for cat, n in below[0].items():
                     acc[cat] = acc.get(cat, 0) + n
-            node.counts[pkey] = (acc, sum(acc.values()),
-                                 wanted is None or any(wanted(c) for c in acc))
+                if below[2]:
+                    kept.append((slot, piece, pairs, child, below, rejections))
+            node.counts[pkey] = (acc, sum(acc.values()), bool(kept), tuple(kept))
+
+
+def _wanted_leaves(node: _Config, entry: tuple, prec: frozenset, rejected: dict,
+                   slots: list[Slot], texts: list[bytes],
+                   initial: DagState) -> Iterator[Leaf]:
+    """The wanted leaves below `node`, reached with `prec`, `rejected` and
+    the path `slots` and `texts`, in trie order, as the descent would yield
+    them: from its counts `entry` down the out-edges each entry records.
+    Makes no configuration, edge or verdict call, and leaves the path
+    lists as they were."""
+    if not node.live:
+        yield Leaf(tuple(slots), tuple(texts), rejected, node.machines,
+                   node.world.state, prec, initial, *entry[0])
+        return
+    path, text = slots[:node.depth], texts[:node.depth]
+    # a recorded edge iterator each, with the relation and rejections above it
+    stack = [(iter(entry[3]), prec, rejected)]
+    while stack:
+        edges, prec, rejected = stack[-1]
+        for slot, piece, pairs, child, below, rejections in edges:
+            del path[child.depth - 1:], text[child.depth - 1:]
+            path.append(slot)
+            text.append(piece)
+            p = prec | pairs if pairs else prec
+            r = {**rejected, **rejections} if rejections else rejected
+            if child.live:
+                # the loop resumes `edges` once this child's leaves are out
+                stack.append((iter(below[3]), p, r))
+                break
+            yield Leaf(tuple(path), tuple(text), r, child.machines,
+                       child.world.state, p, initial, *below[0])
+        else:
+            stack.pop()
 
 
 def universe(w: Workload, budget: int = DEFAULT_BUDGET) -> tuple[list[Schedule], bool]:

@@ -13,7 +13,7 @@ import pytest
 from schedlab import cli, scheduler
 from schedlab.checkers import (check_ls_linearizable, check_safe_strict,
                                check_strictly_serializable)
-from schedlab.metric import accepted_set, optimality_gap
+from schedlab.metric import accepted_set, classify, optimality_gap
 from schedlab.model import OI, RI, Schedule, Slot, complete, schedule_of
 from schedlab.scheduler import (LivelockError, MalformedScheduleError,
                                 Workload, drive, free_run, universe,
@@ -331,24 +331,29 @@ def test_free_run_matches_the_reference_loop(monkeypatch, name):
     assert errors == {None, "no progress after 30 steps", "restart budget 0 exhausted"}
 
 
-def gap_on_a_new_structure() -> weakref.ref:
-    """Run an optimality gap on a structure made for it; return a weak
-    reference to the structure."""
+def walks_on_a_new_structure() -> weakref.ref:
+    """Run an optimality gap, a classification under `hoh` and `stm` with
+    LSL verdicts and a universe on a structure made for them, each a walk
+    that wants other leaves; return a weak reference to the structure."""
     d = make_structure("bst")
     w = Workload(d, [Operation("insert", 2)],
                  [(1, Operation("insert", 1)), (2, Operation("find", 1))])
     assert optimality_gap("hoh", w, budget=500).lsl > 0
+    sets = classify(w, ("hoh", "stm"), lsl=True)
+    assert all(ss.members for ss in sets.values())
+    schedules, truncated = universe(w)
+    assert len(schedules) == sets["lsl"].total and not truncated
     return weakref.ref(d)
 
 
 def test_free_runs_and_their_checks_leave_no_cycles(tmp_path, capsys):
     """Seeded free runs of every structure under hoh and stm, restarts
     included, each checked for LSL, safe-strict and strict serializability,
-    then an optimality gap on a new structure, all with the cyclic collector
-    off: reference counting frees the structure, and the collector then
-    finds nothing to free.  Nor does it after 20 ``schedlab explore``
-    calls in the same process on the Thm. 2 scenarios, text and ``--json``
-    reports in turn."""
+    then an optimality gap, a classification and a universe on a new
+    structure, all with the cyclic collector off: reference counting frees
+    the structure, and the collector then finds nothing to free.  Nor does
+    it after 20 ``schedlab explore`` calls in the same process on the Thm.
+    2 scenarios, text and ``--json`` reports in turn."""
     scenarios = []
     for name in ("sorted-list", "bst"):
         for instance in ("w_present", "w_absent"):
@@ -371,7 +376,7 @@ def test_free_runs_and_their_checks_leave_no_cycles(tmp_path, capsys):
             check_ls_linearizable(h, d, keys, len(keys) + 1)
             check_safe_strict(h)
             check_strictly_serializable(h)
-        structure = gap_on_a_new_structure()
+        structure = walks_on_a_new_structure()
         assert structure() is None
         assert gc.collect() == 0
         for i in range(20):

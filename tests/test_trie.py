@@ -21,6 +21,11 @@ serializability once per (concurrent units, end store), and matches the
 reference on soundness witnesses where local serializability fails.
 Forks share records and operations copy-on-write, walk worlds keep no
 execution record, and a classification runs the workload's setup once.
+A node the counted descent takes whole hands over the wanted leaves the
+per-prefix walk gives, at budgets just below, at and above the count where
+it is first taken, and a walk makes the same configurations, edges and
+verdict calls whichever leaves it wants.  These two tests also run under
+two string-hash seeds.
 """
 
 import dataclasses
@@ -37,7 +42,7 @@ from schedlab.metric import (audited_history, classify, optimality_gap,
                              workload_keys)
 from schedlab.model import (ABORTED, COMPLETE, INCOMPLETE, History, Schedule,
                             schedule_of)
-from schedlab.scheduler import Workload, _fork, build_world, drive, universe
+from schedlab.scheduler import Tally, Workload, _fork, build_world, drive, universe, walk
 from schedlab.seqspec import NodeRec, Operation, UpdatePlan, make_structure, visit
 from schedlab.sync import BLOCKED, restart
 
@@ -970,3 +975,172 @@ def test_budget_equal_to_the_universe_is_not_partial(budget):
     assert len(scheds) == budget and truncated == (budget < 924)
     for ss in classify(w, IMPLS, lsl=True, budget=budget).values():
         assert ss.total == budget and ss.partial == (budget < 924)
+
+
+# -- nodes taken whole with their wanted leaves -----------------------------------
+
+
+def bst_aba():
+    """Two deletes and two inserts of key 2 on the empty BST: two pairs of
+    interchangeable processes, 95,613,728 schedules."""
+    return Workload(make_structure("bst"), [],
+                    [(p, Operation(name, 2)) for p, name in
+                     enumerate(("delete", "delete", "insert", "insert"), 1)])
+
+
+def taken_whole_walks():
+    """(id, workload): the six Thm. 2 instances and BST ABA."""
+    walks = [(f"{structure}-{instance}",
+              getattr(thm2_bundle(make_structure(structure)), instance))
+             for structure in ("sorted-list", "bst", "skiplist")
+             for instance in ("w_present", "w_absent")]
+    return walks + [("bst-aba", bst_aba())]
+
+
+TAKEN_WHOLE_IDS = [name for name, _ in taken_whole_walks()]
+# the leaves a walk wants: every one, the LSL ones `hoh` misses, the ones
+# `stm` accepts
+WANTED = (None, lambda cat: cat[1] is True and "hoh" not in cat[0],
+          lambda cat: "stm" in cat[0])
+
+
+def walk_taking_whole(monkeypatch, w, budget, wanted):
+    """A walk of `w` under `hoh` and `stm` with LSL verdicts: its leaves as
+    (slots, digest, category, rejections, precedence), its tally, and each
+    node with a wanted leaf below that it takes whole, as (leaves counted
+    once it is taken, configuration key, relation, out-edges recorded,
+    whether an edge recorded below it adds to the relation)."""
+    tally, taken = Tally(), []
+    wanted_leaves = scheduler._wanted_leaves
+
+    def recording(node, entry, prec, *args):
+        if node.live:
+            taken.append((tally.total, node.key, prec, len(entry[3]), invokes(entry)))
+        return wanted_leaves(node, entry, prec, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(scheduler, "_wanted_leaves", recording)
+        leaves = [(leaf.slots, leaf.digest, leaf.category, leaf.rejected,
+                   leaf.precedence)
+                  for leaf in walk(w, IMPLS, budget, metric._lsl_verdict(w), wanted,
+                                   tally)]
+    return leaves, tally, taken
+
+
+def invokes(entry) -> bool:
+    """Whether an out-edge recorded below a counts entry adds to the
+    precedence relation."""
+    return any(pairs or invokes(below) for _, _, pairs, _, below, _ in entry[3])
+
+
+def reference_leaves(w, n):
+    """The first `n` leaves of the per-prefix walk, as
+    ``walk_taking_whole`` gives them: the category from its rejections and
+    ``check_ls_linearizable`` of the audited replay, the precedence from
+    its events."""
+    keys = workload_keys(w)
+    out = []
+    for ref in itertools.islice(prefix_walk(w, IMPLS), n):
+        precedence = ref.signature()[1]  # before the audit finds run in its world
+        lsl = check_ls_linearizable(ref.audited(w), w.structure, keys,
+                                    len(keys) + 1).verdict
+        accepting = tuple(impl for impl in IMPLS if impl not in ref.rejected)
+        out.append((ref.schedule.slots, ref.digest, (accepting, lsl), ref.rejected,
+                    precedence))
+    return out
+
+
+@pytest.mark.parametrize("name", TAKEN_WHOLE_IDS)
+def test_budgets_around_a_node_taken_whole_match_the_prefix_walk(monkeypatch, name):
+    """For each `WANTED`, B is the leaf count at which the descent first
+    takes whole a node with a wanted leaf below it, then the first such
+    node with more than one out-edge recorded, and on BST ABA the first
+    with an invocation below it that adds to the precedence (Thm. 2 has
+    none within 200 leaves).  At budgets B - 1 (the node is descended and
+    cut), B (it fits exactly) and B + 1, the walk yields the wanted leaves
+    of the per-prefix walk's first leaves, with the same slots, digest,
+    category, rejections and precedence, and counts them as it does."""
+    w = dict(taken_whole_walks())[name]
+    budgets = set()
+    for wanted in WANTED:
+        taken = walk_taking_whole(monkeypatch, w, 200, wanted)[2]
+        invoking = [t for t in taken if t[4]]
+        assert bool(invoking) == (name == "bst-aba")
+        nodes = [taken[0], next(t for t in taken if t[3] > 1), *invoking[:1]]
+        for b, key, prec, _, _ in nodes:
+            # at B the node is taken whole, at B - 1 it is not
+            for budget, whole in ((b, True), (b - 1, False)):
+                at = walk_taking_whole(monkeypatch, w, budget, wanted)[2]
+                assert ((key, prec) in [t[1:3] for t in at]) == whole
+            budgets |= {(b + d, wanted) for d in (-1, 0, 1)}
+    most = max(b for b, _ in budgets)
+    ref = reference_leaves(w, most + 1)
+    assert len(ref) == most + 1
+    for budget, wanted in budgets:
+        leaves, tally, _ = walk_taking_whole(monkeypatch, w, budget, wanted)
+        first = ref[:budget]
+        assert leaves == [leaf for leaf in first if wanted is None or wanted(leaf[2])]
+        assert tally.counts == Counter(leaf[2] for leaf in first)
+        assert tally.partial
+
+
+def gap_wanted(monkeypatch, w):
+    """The implementations and the `wanted` predicate ``optimality_gap``
+    walks with, for `hoh`."""
+    calls = []
+
+    def recording(w, impls, budget, verdict, wanted, tally):
+        calls.append((impls, wanted))
+        return walk(w, impls, budget, verdict, wanted, tally)
+
+    with monkeypatch.context() as m:
+        m.setattr(metric, "walk", recording)
+        optimality_gap("hoh", w, budget=1)
+    (impls, wanted), = calls
+    return impls, wanted
+
+
+@pytest.mark.parametrize("name", TAKEN_WHOLE_IDS)
+def test_taking_a_node_whole_makes_nothing_new(monkeypatch, name):
+    """Wanting every leaf, the ones ``optimality_gap`` wants, or none, a
+    walk makes the same configurations in the same order, calls
+    ``_expand`` as often and asks for as many verdicts: a node taken whole
+    hands over its wanted leaves from the edges its counts recorded.  Thm.
+    2 whole and at budgets 1 and 100; BST ABA at 2000."""
+    w = dict(taken_whole_walks())[name]
+    impls, gap = gap_wanted(monkeypatch, w)
+    assert impls == ("hoh",)
+    budgets = (2000,) if name == "bst-aba" else (None, 1, 100)
+    init, expand = scheduler._Config.__init__, scheduler._expand
+
+    def traffic(budget, wanted):
+        keys, expanded, verdicts = [], [], []
+        verdict = metric._lsl_verdict(w)
+
+        def recording(self, *args):
+            init(self, *args)
+            keys.append(self.key)
+
+        def expanding(*args):
+            expanded.append(1)
+            expand(*args)
+
+        def counting(leaf):
+            verdicts.append(1)
+            return verdict(leaf)
+
+        with monkeypatch.context() as m:
+            m.setattr(scheduler._Config, "__init__", recording)
+            m.setattr(scheduler, "_expand", expanding)
+            tally = Tally()
+            n = sum(1 for _ in walk(w, impls, budget, counting, wanted, tally))
+        return (keys, len(expanded), len(verdicts), tally.counts, tally.partial), n
+
+    for budget in budgets:
+        (made, every), (made_gap, missed), (made_none, none) = (
+            traffic(budget, wanted) for wanted in (None, gap, lambda cat: False))
+        assert made == made_gap == made_none
+        counts = made[3]
+        assert (every, missed, none) == (sum(counts.values()),
+                                         sum(n for cat, n in counts.items() if gap(cat)), 0)
+    assert missed > 0

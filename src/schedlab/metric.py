@@ -18,10 +18,8 @@ still have a locally consistent exporting history.
 
 from __future__ import annotations
 
-import heapq
 from collections.abc import KeysView
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from .checkers import (CheckResult, abstract_state, linearize, ls_linearizable,
                        unit_checker)
@@ -192,13 +190,14 @@ class OptimalityGap:
 
 def optimality_gap(impl: str, w: Workload, budget: int = DEFAULT_BUDGET) -> OptimalityGap:
     """Counts from one counted walk (see ``classify``); only the LSL
-    schedules the implementation misses are enumerated, and the
-    ``WITNESSES`` with the smallest digests are kept (inconclusive
-    schedules are excluded, so the ratio is a lower bound)."""
+    schedules the implementation misses are hashed, and the walk builds
+    and keeps the ``WITNESSES`` with the smallest digests (``walk``'s
+    `keep`; inconclusive schedules are excluded, so the ratio is a lower
+    bound)."""
     tally = Tally()
-    leaves = walk(w, (impl,), budget, _lsl_verdict(w),
-                  lambda cat: cat[1] is True and not cat[0], tally)
-    missing = heapq.nsmallest(WITNESSES, leaves, key=attrgetter("digest"))
+    missing = list(walk(w, (impl,), budget, _lsl_verdict(w),
+                        lambda cat: cat[1] is True and not cat[0], tally,
+                        keep=WITNESSES))
     accepted = tally.count(lambda cat: cat[0])
     usable = tally.count(lambda cat: cat[1] is True)
     inter = tally.count(lambda cat: cat[0] and cat[1] is True)

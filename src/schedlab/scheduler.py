@@ -155,8 +155,8 @@ slots, digest pieces, rejections and precedence relation.
   machines for the leaves that end in it; the leaves hold no world.
 * ``Schedule.digest`` hashes the slots' JSON joined by commas in brackets.
   Each edge holds its slot's piece, and a leaf hashes its path's pieces
-  when its digest is first asked for: only the leaves a caller wants are
-  hashed.
+  when its digest is first asked for, unless the walk hashed them when it
+  kept the leaf: only the leaves a caller wants are hashed.
 * The export check is per step: it is the one rule, since a step that
   takes its slot occupies no other.  That is ``drive``'s whole-history
   check, which ``drive`` keeps as the reference: every event of the
@@ -239,8 +239,17 @@ wants (``walk``):
   yield below it, in its order, with the same slots, digest pieces,
   merged rejections, precedence (the node's relation joined with the
   pairs along the path), machines, store and category.  A caller that
-  keeps the smallest digests (``metric.optimality_gap``) gets the
-  smallest digests within the first B leaves, as an enumeration would.
+  keeps the k smallest digests (``metric.optimality_gap``, k = 3) passes
+  k to the walk (`keep`), which keeps them as it goes (``_Kept``) and
+  yields them once it ends, in digest order: the k smallest within the
+  first B leaves, as an enumeration would give them.  A leaf reached on
+  its first visit is built anyway, for its verdict, and offered to the
+  kept set.  A node taken whole hashes each wanted path from the pieces
+  its recorded edges hold and builds a ``Leaf`` only for a digest below
+  the k-th kept one: ``optimality_gap`` of ``hoh`` on a whole Thm. 2
+  universe hashes the 502-3430 LSL schedules it misses and builds 21-33
+  leaves.  The walk makes the same configurations, edges and verdict
+  calls, and fills the same tally, whatever it keeps.
 
 ``free_run`` is the liveness mode: random scheduling, blocked machines
 retried, aborted machines restarted.  It keeps its sorted list of live
@@ -256,6 +265,7 @@ conjunction has the same value in any order.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import itertools
 import json
@@ -664,9 +674,10 @@ class Leaf:
 
     `machines` and `state` are the walk's configuration at the end of the
     schedule, which every schedule that ends in it shares: read them,
-    change nothing.  The schedule and its digest are built on first use;
-    the signature is built at each call, which the walk makes once per
-    (end configuration, precedence) node."""
+    change nothing.  The schedule is built on first use, and so is the
+    digest, unless the walk set it when it kept the leaf (``walk``'s
+    `keep`); the signature is built at each call, which the walk makes once
+    per (end configuration, precedence) node."""
 
     slots: tuple[Slot, ...]
     pieces: tuple[bytes, ...]  # the slots' digest JSON, comma-led but the first
@@ -695,8 +706,7 @@ class Leaf:
         """``schedule.digest()``, hashed from the pieces the walk's edges
         hold."""
         if self._digest is None:
-            self._digest = hashlib.sha256(
-                b"[" + b"".join(self.pieces) + b"]").hexdigest()[:16]
+            self._digest = _digest(self.pieces)
         return self._digest
 
     def signature(self) -> tuple:
@@ -722,6 +732,11 @@ class Leaf:
         audited history (``audit_finds``), run on a fork of its end store,
         which is left as it is."""
         return [(m.op, _trace(m)) for m in audit_finds(World(self.state.clone()), w)]
+
+
+def _digest(pieces) -> str:
+    """``Schedule.digest`` of the slots whose digest pieces these are."""
+    return hashlib.sha256(b"[" + b"".join(pieces) + b"]").hexdigest()[:16]
 
 
 def _trace(m: StepMachine) -> tuple:
@@ -945,21 +960,56 @@ class Tally:
         return sum(n for cat, n in self.counts.items() if pred(cat))
 
 
+class _Kept:
+    """The `keep` leaves with the smallest digests among those offered, in
+    digest order, an equal digest after the one offered before it: what
+    ``heapq.nsmallest(keep, offered, key=digest)`` returns."""
+
+    __slots__ = ("keep", "digests", "leaves")
+
+    def __init__(self, keep: int):
+        if keep < 0:
+            raise ValueError(f"cannot keep {keep} leaves")
+        self.keep = keep
+        self.digests: list[str] = []
+        self.leaves: list[Leaf] = []
+
+    def beats(self, digest: str) -> bool:
+        """Whether a leaf of this digest enters the kept set."""
+        d = self.digests
+        return len(d) < self.keep or (self.keep > 0 and digest < d[-1])
+
+    def add(self, leaf: Leaf) -> None:
+        """Keep `leaf`, whose digest ``beats`` the kept ones; the last kept
+        leaf drops out when there are more than `keep`."""
+        i = bisect.bisect_right(self.digests, leaf.digest)
+        self.digests.insert(i, leaf.digest)
+        self.leaves.insert(i, leaf)
+        if len(self.leaves) > self.keep:
+            del self.digests[-1], self.leaves[-1]
+
+
 def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
-         wanted, tally: Tally) -> Iterator[Leaf]:
+         wanted, tally: Tally, keep: int | None = None) -> Iterator[Leaf]:
     """The counted descent over the first `budget` leaves (all of them for
     None) in trie order.  It fills `tally` with their category counts and
     yields, in that order, each of them whose category satisfies `wanted`
-    (every one for None).  A category is (the implementations of `impls`
-    still accepting, ``verdict(leaf)`` or None without `verdict`); it is a
-    function of the (configuration, precedence relation) node the leaf ends
-    in, and so are the counts below any node.  The relation is left out of
-    a node when there is no verdict.  A node's counts entry is (counts by
-    category, their total, whether a wanted leaf lies below, the out-edges
-    whose child's entry holds one); a node whose entry is known and fits
-    in what is left of the budget is taken whole, and its wanted leaves
-    come from those edges (``_wanted_leaves``).  The counted descent: the
-    module docstring."""
+    (every one for None).  With `keep`, it yields once it ends only the
+    `keep` wanted leaves with the smallest digests, in digest order, an
+    equal digest after the leaf before it in trie order: the leaves
+    ``heapq.nsmallest(keep, leaves, key=digest)`` picks from those it
+    yields without `keep`, each with its digest set by the walk
+    (``_Kept``); a negative `keep` raises ValueError when the walk starts.
+    A category is (the implementations of `impls` still accepting,
+    ``verdict(leaf)`` or None without `verdict`); it is a function of the
+    (configuration, precedence relation) node the leaf ends in, and so are
+    the counts below any node.  The relation is left out of a node when there is no verdict.  A
+    node's counts entry is (counts by category, their total, whether a
+    wanted leaf lies below, the out-edges whose child's entry holds one);
+    a node whose entry is known and fits in what is left of the budget is
+    taken whole, and its wanted leaves come from those edges
+    (``_wanted_leaves``).  The counted descent: the module docstring."""
+    kept = None if keep is None else _Kept(keep)
     world = _setup_world(w)
     world.events.clear()
     initial = world.state.clone()
@@ -1003,7 +1053,10 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                     left -= 1
                 if want:
                     leaf.category = cat
-                    yield leaf
+                    if kept is None:
+                        yield leaf
+                    elif kept.beats(leaf.digest):
+                        kept.add(leaf)
             elif known is not None and (left is None or known[1] <= left):
                 for cat, n in known[0].items():
                     counts[cat] = counts.get(cat, 0) + n
@@ -1011,7 +1064,7 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
                     left -= known[1]
                 if known[2]:
                     yield from _wanted_leaves(node, known, prec, rejected,
-                                              slots, texts, initial)
+                                              slots, texts, initial, kept)
             else:
                 stack.append([node, prec, rejected, pkey, 0])
         if not stack:
@@ -1035,31 +1088,37 @@ def walk(w: Workload, impls: tuple[str, ...], budget: int | None, verdict,
         stack.pop()
         if pkey not in node.counts:
             acc: dict[tuple, int] = {}
-            kept = []  # the out-edges with a wanted leaf below, in trie order
+            edges = []  # the out-edges with a wanted leaf below, in trie order
             for slot, piece, pairs, child, rejections in node.edges:
                 below = child.counts[pkey | pairs if pairs and by_prec else pkey]
                 for cat, n in below[0].items():
                     acc[cat] = acc.get(cat, 0) + n
                 if below[2]:
-                    kept.append((slot, piece, pairs, child, below, rejections))
-            node.counts[pkey] = (acc, sum(acc.values()), bool(kept), tuple(kept))
+                    edges.append((slot, piece, pairs, child, below, rejections))
+            node.counts[pkey] = (acc, sum(acc.values()), bool(edges), tuple(edges))
+    if kept is not None:
+        yield from kept.leaves
 
 
 def _wanted_leaves(node: _Config, entry: tuple, prec: frozenset, rejected: dict,
-                   slots: list[Slot], texts: list[bytes],
-                   initial: DagState) -> Iterator[Leaf]:
+                   slots: list[Slot], texts: list[bytes], initial: DagState,
+                   kept: _Kept | None) -> Iterator[Leaf]:
     """The wanted leaves below `node`, reached with `prec`, `rejected` and
     the path `slots` and `texts`, in trie order, as the descent would yield
     them: from its counts `entry` down the out-edges each entry records.
-    Makes no configuration, edge or verdict call, and leaves the path
-    lists as they were."""
-    if not node.live:
-        yield Leaf(tuple(slots), tuple(texts), rejected, node.machines,
-                   node.world.state, prec, initial, *entry[0])
-        return
+    Given `kept`, it yields none: it hashes each wanted path from its
+    pieces and builds and keeps only the leaves whose digest ``beats`` the
+    kept ones.  Makes no configuration, edge or verdict call, and leaves
+    the path lists as they were."""
+    if node.live:
+        edges = entry[3]
+    else:
+        # a leaf node is handed over as the edge the path took to it, whose
+        # pairs and rejections `prec` and `rejected` already hold
+        edges = ((slots[-1], texts[-1], _NO_PAIRS, node, entry, None),)
     path, text = slots[:node.depth], texts[:node.depth]
     # a recorded edge iterator each, with the relation and rejections above it
-    stack = [(iter(entry[3]), prec, rejected)]
+    stack = [(iter(edges), prec, rejected)]
     while stack:
         edges, prec, rejected = stack[-1]
         for slot, piece, pairs, child, below, rejections in edges:
@@ -1072,8 +1131,17 @@ def _wanted_leaves(node: _Config, entry: tuple, prec: frozenset, rejected: dict,
                 # the loop resumes `edges` once this child's leaves are out
                 stack.append((iter(below[3]), p, r))
                 break
-            yield Leaf(tuple(path), tuple(text), r, child.machines,
-                       child.world.state, p, initial, *below[0])
+            if kept is not None:
+                digest = _digest(text)
+                if not kept.beats(digest):
+                    continue
+            leaf = Leaf(tuple(path), tuple(text), r, child.machines,
+                        child.world.state, p, initial, *below[0])
+            if kept is None:
+                yield leaf
+            else:
+                leaf._digest = digest
+                kept.add(leaf)
         else:
             stack.pop()
 

@@ -24,14 +24,18 @@ execution record, and a classification runs the workload's setup once.
 A node the counted descent takes whole hands over the wanted leaves the
 per-prefix walk gives, at budgets just below, at and above the count where
 it is first taken, and a walk makes the same configurations, edges and
-verdict calls whichever leaves it wants.  These two tests also run under
-two string-hash seeds.
+verdict calls whichever leaves it wants and however many it keeps.  A
+walk that keeps the k smallest digests yields what ``heapq.nsmallest``
+picks from its leaves.  These three tests also run under two string-hash
+seeds.
 """
 
 import dataclasses
+import heapq
 import itertools
 import random
 from collections import Counter, deque
+from operator import attrgetter
 
 import pytest
 
@@ -1050,6 +1054,18 @@ def reference_leaves(w, n):
     return out
 
 
+def first_taken_whole(monkeypatch, name, w, wanted):
+    """The nodes with a wanted leaf below that a walk of `w` takes whole,
+    as ``walk_taking_whole`` records them: the first, the first with more
+    than one out-edge recorded and, on BST ABA, the first with an
+    invocation below it that adds to the precedence (Thm. 2 has none
+    within 200 leaves)."""
+    taken = walk_taking_whole(monkeypatch, w, 200, wanted)[2]
+    invoking = [t for t in taken if t[4]]
+    assert bool(invoking) == (name == "bst-aba")
+    return [taken[0], next(t for t in taken if t[3] > 1), *invoking[:1]]
+
+
 @pytest.mark.parametrize("name", TAKEN_WHOLE_IDS)
 def test_budgets_around_a_node_taken_whole_match_the_prefix_walk(monkeypatch, name):
     """For each `WANTED`, B is the leaf count at which the descent first
@@ -1063,11 +1079,7 @@ def test_budgets_around_a_node_taken_whole_match_the_prefix_walk(monkeypatch, na
     w = dict(taken_whole_walks())[name]
     budgets = set()
     for wanted in WANTED:
-        taken = walk_taking_whole(monkeypatch, w, 200, wanted)[2]
-        invoking = [t for t in taken if t[4]]
-        assert bool(invoking) == (name == "bst-aba")
-        nodes = [taken[0], next(t for t in taken if t[3] > 1), *invoking[:1]]
-        for b, key, prec, _, _ in nodes:
+        for b, key, prec, _, _ in first_taken_whole(monkeypatch, name, w, wanted):
             # at B the node is taken whole, at B - 1 it is not
             for budget, whole in ((b, True), (b - 1, False)):
                 at = walk_taking_whole(monkeypatch, w, budget, wanted)[2]
@@ -1084,37 +1096,84 @@ def test_budgets_around_a_node_taken_whole_match_the_prefix_walk(monkeypatch, na
         assert tally.partial
 
 
+@pytest.mark.parametrize("name", TAKEN_WHOLE_IDS)
+def test_keeping_the_smallest_digests_picks_what_heapq_picks(monkeypatch, name):
+    """A walk that keeps `k` leaves yields what ``heapq.nsmallest(k, ...,
+    key=digest)`` picks from the walk that keeps them all, in its order,
+    and counts as that walk does: for each `WANTED`, k of 0, 1, 3 and
+    10**6, and budgets 1, 100, the whole universe (2000 on BST ABA, whose
+    95,613,728 leaves are too many to yield) and B - 1, B and B + 1 around
+    the nodes ``first_taken_whole`` finds.  A negative `k` raises."""
+    w = dict(taken_whole_walks())[name]
+
+    def walked(budget, wanted, keep=None):
+        tally = Tally()
+        leaves = walk(w, IMPLS, budget, metric._lsl_verdict(w), wanted, tally, keep)
+        if keep is None:
+            # every leaf by digest: ``heapq.nsmallest(k, ...)`` is its first k
+            leaves = heapq.nsmallest(10**6, leaves, key=attrgetter("digest"))
+        return list(leaves), tally
+
+    def fields(leaves):
+        return [(leaf.slots, leaf.digest, leaf.category, leaf.rejected,
+                 leaf.precedence) for leaf in leaves]
+
+    most = 0
+    for wanted in WANTED:
+        budgets = {1, 100, 2000 if name == "bst-aba" else None}
+        for b, *_ in first_taken_whole(monkeypatch, name, w, wanted):
+            budgets |= {b - 1, b, b + 1}
+        for budget in budgets:
+            every, tally = walked(budget, wanted)
+            most = max(most, len(every))
+            for k in (0, 1, 3, 10**6):
+                kept, kept_tally = walked(budget, wanted, k)
+                # the walk set each kept leaf's digest; reading it would too
+                assert all(leaf._digest is not None for leaf in kept)
+                assert fields(kept) == fields(every[:k])
+                assert (kept_tally.counts, kept_tally.partial) == (tally.counts,
+                                                                   tally.partial)
+    assert most > 3
+    with pytest.raises(ValueError):
+        next(walk(w, IMPLS, 1, None, None, Tally(), -1))
+
+
 def gap_wanted(monkeypatch, w):
-    """The implementations and the `wanted` predicate ``optimality_gap``
-    walks with, for `hoh`."""
+    """The implementations, the `wanted` predicate and the `keep` that
+    ``optimality_gap`` walks with, for `hoh`."""
     calls = []
 
-    def recording(w, impls, budget, verdict, wanted, tally):
-        calls.append((impls, wanted))
-        return walk(w, impls, budget, verdict, wanted, tally)
+    def recording(w, impls, budget, verdict, wanted, tally, keep=None):
+        calls.append((impls, wanted, keep))
+        return walk(w, impls, budget, verdict, wanted, tally, keep)
 
     with monkeypatch.context() as m:
         m.setattr(metric, "walk", recording)
         optimality_gap("hoh", w, budget=1)
-    (impls, wanted), = calls
-    return impls, wanted
+    (impls, wanted, keep), = calls
+    return impls, wanted, keep
 
 
 @pytest.mark.parametrize("name", TAKEN_WHOLE_IDS)
 def test_taking_a_node_whole_makes_nothing_new(monkeypatch, name):
-    """Wanting every leaf, the ones ``optimality_gap`` wants, or none, a
-    walk makes the same configurations in the same order, calls
-    ``_expand`` as often and asks for as many verdicts: a node taken whole
-    hands over its wanted leaves from the edges its counts recorded.  Thm.
-    2 whole and at budgets 1 and 100; BST ABA at 2000."""
+    """Wanting every leaf, the ones ``optimality_gap`` wants (keeping all
+    of them, or the `WITNESSES` it keeps), or none, a walk makes the same
+    configurations in the same order, calls ``_expand`` as often and asks
+    for as many verdicts: a node taken whole hands over its wanted leaves
+    from the edges its counts recorded, and keeping fewer of them builds
+    fewer leaves, hashing the others.  Thm. 2 whole and at budgets 1 and
+    100; BST ABA at 2000."""
     w = dict(taken_whole_walks())[name]
-    impls, gap = gap_wanted(monkeypatch, w)
-    assert impls == ("hoh",)
+    impls, gap, keep = gap_wanted(monkeypatch, w)
+    assert (impls, keep) == (("hoh",), metric.WITNESSES)
     budgets = (2000,) if name == "bst-aba" else (None, 1, 100)
     init, expand = scheduler._Config.__init__, scheduler._expand
+    leaf_init = scheduler.Leaf.__init__
 
-    def traffic(budget, wanted):
-        keys, expanded, verdicts = [], [], []
+    def traffic(budget, wanted, keep=None):
+        """(configuration keys, ``_expand`` calls, verdict calls, counts,
+        partial), the leaves yielded and the leaves built."""
+        keys, expanded, verdicts, built = [], [], [], []
         verdict = metric._lsl_verdict(w)
 
         def recording(self, *args):
@@ -1129,18 +1188,27 @@ def test_taking_a_node_whole_makes_nothing_new(monkeypatch, name):
             verdicts.append(1)
             return verdict(leaf)
 
+        def building(self, *args):
+            built.append(1)
+            leaf_init(self, *args)
+
         with monkeypatch.context() as m:
             m.setattr(scheduler._Config, "__init__", recording)
             m.setattr(scheduler, "_expand", expanding)
+            m.setattr(scheduler.Leaf, "__init__", building)
             tally = Tally()
-            n = sum(1 for _ in walk(w, impls, budget, counting, wanted, tally))
-        return (keys, len(expanded), len(verdicts), tally.counts, tally.partial), n
+            n = sum(1 for _ in walk(w, impls, budget, counting, wanted, tally, keep))
+        return ((keys, len(expanded), len(verdicts), tally.counts, tally.partial), n,
+                len(built))
 
     for budget in budgets:
-        (made, every), (made_gap, missed), (made_none, none) = (
+        (made, every, _), (made_gap, missed, built), (made_none, none, _) = (
             traffic(budget, wanted) for wanted in (None, gap, lambda cat: False))
-        assert made == made_gap == made_none
+        made_kept, kept, built_kept = traffic(budget, gap, keep)
+        assert made == made_gap == made_none == made_kept
         counts = made[3]
         assert (every, missed, none) == (sum(counts.values()),
                                          sum(n for cat, n in counts.items() if gap(cat)), 0)
-    assert missed > 0
+        assert kept == min(missed, keep)
+        assert built_kept < built if missed > keep else built_kept == built
+    assert missed > keep
